@@ -15,16 +15,10 @@ import sys
 import numpy as np
 
 from stresseq import (
-    Discretization,
     Material,
-    assemble_system,
     conservative_constants,
-    direct_stress,
-    energy_error,
-    equilibrate,
-    estimate,
     manufactured_smooth,
-    solve,
+    solve_step,
 )
 
 
@@ -46,14 +40,9 @@ def main() -> int:
           f"{'bound':>12} {'sqrt(bound)/err':>15}")
     for cells in args.cells:
         problem = manufactured_smooth(mat, cells=cells)
-        disc = Discretization(problem.mesh, args.k)
-        fields = solve(assemble_system(disc, problem.material, problem.load))
-        sigma = direct_stress(fields, problem.material)
-        delta, _, _ = equilibrate(disc, sigma, problem.load)
-        rep = estimate(
-            disc, fields, sigma, delta, problem.load, problem.material, consts
-        )
-        err = energy_error(fields, problem.exact, problem.material)
+        step = solve_step(problem, problem.mesh, args.k, consts)
+        rep, fields = step.report, step.fields
+        err = rep.energy_error
         hs.append(1.0 / cells)
         errs.append(err)
         etas.append(rep.eta_total)

@@ -1,10 +1,11 @@
 """Adaptive solve-estimate-mark-refine driver.
 
-Each step solves the saddle-point system, reconstructs the equilibrated
-stress, and records the full estimator report; between steps a bulk
-(Doerfler) criterion marks the smallest set of largest indicators and the
-mesh is bisected.  Histories keep every mesh and solution so energy
-errors against the finest level can be attached after the run.
+Each step (:func:`solve_step`) solves the saddle-point system,
+reconstructs the equilibrated stress, and computes the estimator report;
+between steps a bulk (Doerfler) criterion marks the smallest set of largest
+indicators and the mesh is bisected.  Histories keep every mesh, solution
+and reconstruction, but not the per-step tables, so energy errors against
+the finest level can be attached after the run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .elasticity import (
     direct_stress,
     solve,
 )
-from .equilibration import equilibrate
+from .equilibration import Equilibrator, equilibrate
 from .errors import ConfigError, StressEqError
 from .estimator import (
     BoundConstants,
@@ -31,9 +32,9 @@ from .estimator import (
     estimate,
     proxy_energy_error,
 )
-from .mesh import Mesh, refine
+from .mesh import Mesh, refine, uniform_refine
 from .problems import Problem
-from .spaces import Discretization
+from .spaces import BrokenField, Discretization
 
 _ESTIMATORS = ("equilibrated", "residual")
 _MODES = ("adaptive", "uniform")
@@ -93,22 +94,58 @@ def doerfler_mark(eta: np.ndarray, theta: float) -> np.ndarray:
 
 
 @dataclass
+class Step:
+    """One solved mesh: the Taylor-Hood pair, the equilibrated stress
+    sigma_r = sigma_h + delta, its equilibrator, and the estimator report."""
+
+    disc: Discretization
+    fields: FieldPair
+    sigma_h: BrokenField
+    delta: BrokenField
+    sigma_r: BrokenField
+    eq: Equilibrator
+    report: EstimatorReport
+
+
+def solve_step(
+    problem: Problem, mesh: Mesh, k: int, constants: BoundConstants
+) -> Step:
+    """Solve, equilibrate and estimate on one mesh.
+
+    The energy error is filled in when the problem has an exact solution.
+    """
+    disc = Discretization(mesh, k)
+    fields = solve(assemble_system(disc, problem.material, problem.load))
+    sigma_h = direct_stress(fields, problem.material)
+    delta, sigma_r, eq = equilibrate(disc, sigma_h, problem.load)
+    report = estimate(
+        disc, fields, sigma_h, delta, problem.load, problem.material, constants
+    )
+    if problem.exact is not None:
+        report.energy_error = energy_error(fields, problem.exact, problem.material)
+    return Step(disc, fields, sigma_h, delta, sigma_r, eq, report)
+
+
+@dataclass
 class StepRecord:
-    """Everything recorded for one solve of the loop."""
+    """What later stages read of one solve of the loop."""
 
     step: int
     n_dofs: int
     mesh: Mesh
     fields: FieldPair
     report: EstimatorReport
+    sigma_r: BrokenField
+    scale: float
     marked: np.ndarray | None = None
-    error: float | None = None
+
+    @property
+    def error(self) -> float | None:
+        return self.report.energy_error
 
     @property
     def effectivity(self) -> float | None:
-        if self.error is None or self.error == 0.0:
-            return None
-        return float(np.sqrt(self.report.bound)) / self.error
+        return self.report.effectivity
 
 
 @dataclass
@@ -151,60 +188,37 @@ class RunHistory:
         return np.array([getattr(r.report, key) for r in self.records])
 
 
-def _uniform_refine_tracked(mesh: Mesh, rounds: int) -> Mesh:
-    """Uniform bisection whose parent array maps back to ``mesh`` itself."""
-    out = mesh
-    lineage = None
-    for _ in range(rounds):
-        out = refine(out, np.arange(out.n_triangles))
-        lineage = out.parent if lineage is None else lineage[out.parent]
-    out.parent = lineage
-    return out
-
-
 def adaptive_loop(problem: Problem, config: AdaptiveConfig) -> RunHistory:
     """Run solve/equilibrate/estimate steps with refinement in between.
 
     Exactly one record per solve; the mesh is refined between steps, never
-    after the last.  Any component failure is re-raised with the step
+    after the last.  A step's tables are released before the loop moves
+    to the next mesh.  Any component failure is re-raised with the step
     index prefixed.
     """
     history = RunHistory()
     mesh = problem.mesh
     for step in range(config.max_steps):
         try:
-            disc = Discretization(mesh, config.k)
-            fields = solve(assemble_system(disc, problem.material, problem.load))
-            sigma_h = direct_stress(fields, problem.material)
-            delta, _, _ = equilibrate(disc, sigma_h, problem.load)
-            report = estimate(
-                disc,
-                fields,
-                sigma_h,
-                delta,
-                problem.load,
-                problem.material,
-                config.constants,
-            )
-            if problem.exact is not None:
-                report.energy_error = energy_error(
-                    fields, problem.exact, problem.material
-                )
+            solved = solve_step(problem, mesh, config.k, config.constants)
+            fields, report = solved.fields, solved.report
             rec = StepRecord(
                 step=step,
                 n_dofs=fields.u.size + fields.p.size,
                 mesh=mesh,
                 fields=fields,
                 report=report,
-                error=report.energy_error,
+                sigma_r=solved.sigma_r,
+                scale=solved.eq.scale,
             )
             history.append(rec)
             if step == config.max_steps - 1:
                 break
             if config.max_dofs is not None and rec.n_dofs >= config.max_dofs:
                 break
+            solved.disc.release_tables()
             if config.mode == "uniform":
-                mesh = _uniform_refine_tracked(mesh, config.uniform_rounds)
+                mesh = uniform_refine(mesh, config.uniform_rounds)
             else:
                 indicator = (
                     report.eta_R
@@ -243,7 +257,6 @@ def attach_reference_errors(
     meshes = history.meshes
     for i, rec in enumerate(history.records[: len(history) - skip_last]):
         anc = compose_ancestry(meshes[i:])
-        rec.error = proxy_energy_error(
+        rec.report.energy_error = proxy_energy_error(
             rec.fields, reference, material, anc
         )
-        rec.report.energy_error = rec.error

@@ -24,6 +24,7 @@ import scipy.sparse.linalg as spla
 from .errors import SingularSystem
 from .mesh import DIRICHLET, NEUMANN, Mesh
 from .spaces import (
+    _CHUNK,
     BrokenField,
     Discretization,
     StressTables,
@@ -33,8 +34,6 @@ from .spaces import (
     segment_rule,
     triangle_rule,
 )
-
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -215,9 +214,7 @@ def assemble_system(
 
         me = np.einsum("eq,qi,qj->eij", wq, vals_p, vals_p)
 
-        udofs = (
-            dm_u.element_dofs[elems][:, :, None] * 2 + np.arange(2)
-        ).reshape(len(elems), 2 * nlu)
+        udofs = dm_u.vector_dofs(elems).reshape(len(elems), 2 * nlu)
         pdofs = dm_p.element_dofs[elems]
 
         rows_a.append(np.repeat(udofs, 2 * nlu, axis=1).ravel())
@@ -269,10 +266,7 @@ def assemble_system(
         owner = mesh.side_tri[nsides, 0]
         jloc = np.argmax(mesh.tri_sides[owner] == nsides[:, None], axis=1)
         flip = side_flip_mask(mesh, owner)[np.arange(len(owner)), jloc]
-        a = mesh.vertices[mesh.sides[nsides, 0]]
-        b = mesh.vertices[mesh.sides[nsides, 1]]
-        xq = a[:, None, :] + tq[None, :, None] * (b - a)[:, None, :]
-        gv = load.traction_at(xq)
+        gv = load.traction_at(mesh.side_points(nsides, tq))
         lens = mesh.side_length[nsides]
         for j in range(3):
             for fl in (False, True):
@@ -284,10 +278,7 @@ def assemble_system(
                 contrib = np.einsum(
                     "s,q,sqc,qi->sic", lens[pick], tw, gv[pick], bv
                 )
-                udofs = (
-                    dm_u.element_dofs[owner[pick]][:, :, None] * 2
-                    + np.arange(2)
-                ).reshape(pick.sum(), -1)
+                udofs = dm_u.vector_dofs(owner[pick]).reshape(pick.sum(), -1)
                 np.add.at(rhs, udofs, contrib.reshape(pick.sum(), -1))
 
     # boundary conditions
@@ -365,7 +356,7 @@ def fields_on_tables(fields: FieldPair, tables: StressTables):
     dm_p = disc.pressure
     _, jinv = element_jacobians(mesh, elems)
 
-    ue = fields.u[(dm_u.element_dofs[elems][:, :, None] * 2 + np.arange(2))]
+    ue = fields.u[dm_u.vector_dofs(elems)]
     pe = fields.p[dm_p.element_dofs[elems]]
 
     g_ref = lagrange_grads(m, tables.vol_ref)
@@ -414,7 +405,7 @@ def direct_stress(fields: FieldPair, material: Material) -> BrokenField:
     disc = fields.disc
     nt = disc.mesh.n_triangles
     dofs = np.empty((nt, 2, rt_dim(disc.k)))
-    for tables in disc.stress_chunks(_CHUNK):
+    for tables in disc.stress_chunks():
         data = fields_on_tables(fields, tables)
         vol = _stress_from(data["grad_u"], data["p"], material.mu)
         side = _stress_from(data["grad_u_side"], data["p_side"], material.mu)

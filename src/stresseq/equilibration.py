@@ -28,6 +28,7 @@ from .mesh import INTERIOR, NEUMANN, Mesh, VertexPatch, modified_patches
 from .spaces import (
     BrokenField,
     Discretization,
+    StressTables,
     _exps_array,
     lagrange_values,
     legendre01,
@@ -38,7 +39,6 @@ from .spaces import (
     segment_rule,
 )
 
-_CHUNK = 4096
 _QR_RTOL = 1e-10       # rank threshold relative to the largest row norm
 _RESIDUAL_RTOL = 1e-9  # constraint residual vs. problem scale
 
@@ -67,8 +67,20 @@ class RhsTables:
         return self.sigma_norm + self.f_norm + 1.0
 
 
+def _scatter_traces(mesh: Mesh, tb: StressTables, tr, tminus, tplus) -> None:
+    """Store element side traces tr (ne, 3, npts, 2) of the chunk ``tb``
+    into per-side arrays: from the side's minus element into ``tminus``,
+    from its plus element into ``tplus``."""
+    is_minus = mesh.side_tri[tb.side_ids, 0] == tb.elems[:, None]
+    for j in range(3):
+        s = tb.side_ids[:, j]
+        m = is_minus[:, j]
+        tminus[s[m]] = tr[m, j]
+        tplus[s[~m]] = tr[~m, j]
+
+
 def side_traces(
-    disc: Discretization, field: BrokenField, chunk: int = _CHUNK
+    disc: Discretization, field: BrokenField
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normal traces at the side quadrature points, per global side.
 
@@ -80,15 +92,10 @@ def side_traces(
     nqs = len(segment_rule(2 * disc.k + 5)[0])
     tminus = np.zeros((mesh.n_sides, nqs, 2))
     tplus = np.zeros((mesh.n_sides, nqs, 2))
-    for tb in disc.stress_chunks(chunk):
+    for tb in disc.stress_chunks():
         nb = tb.normal_basis()                            # (ne, 3, nqs, nd)
         tr = np.einsum("erd,esqd->esqr", field.dofs[tb.elems], nb)
-        is_minus = mesh.side_tri[tb.side_ids, 0] == tb.elems[:, None]
-        for j in range(3):
-            s = tb.side_ids[:, j]
-            m = is_minus[:, j]
-            tminus[s[m]] = tr[m, j]
-            tplus[s[~m]] = tr[~m, j]
+        _scatter_traces(mesh, tb, tr, tminus, tplus)
     return tminus, tplus
 
 
@@ -107,7 +114,7 @@ def build_rhs_tables(
     sig_sq = 0.0
     f_sq = 0.0
 
-    for tb in disc.stress_chunks(_CHUNK):
+    for tb in disc.stress_chunks():
         divv = sigma_h.div_values(tb)                     # (ne, nq, 2)
         fv = load.volume_at(tb.vol_x)                     # (ne, nq, 2)
         resid = fv + divv
@@ -125,10 +132,7 @@ def build_rhs_tables(
 
     nsides = mesh.boundary_sides(NEUMANN)
     if nsides.size:
-        a = mesh.vertices[mesh.sides[nsides, 0]]
-        b = mesh.vertices[mesh.sides[nsides, 1]]
-        xq = a[:, None, :] + tq[None, :, None] * (b - a)[:, None, :]
-        gv = load.traction_at(xq)
+        gv = load.traction_at(mesh.side_points(nsides, tq))
         rjump[nsides] = np.einsum(
             "q,qa,sqr,qm->sarm", tw, lam_side, gv - tminus[nsides], lg
         )
@@ -180,10 +184,6 @@ class PatchProblem:
     def n_jump(self) -> int:
         return len(self.jump_sides) * 2 * (self.k + 1)
 
-    @property
-    def n_sym(self) -> int:
-        return len(self.sym_nodes)
-
 
 class Equilibrator:
     """Builds, solves, and sums the patch corrections for one solution."""
@@ -196,12 +196,9 @@ class Equilibrator:
     ):
         self.disc = disc
         self.sigma_h = sigma_h
-        self.load = load
         self.tables = disc.constraints
         self.rhs_tables = build_rhs_tables(disc, sigma_h, load)
-        mesh = disc.mesh
-        self._neumann_only = mesh.vertex_flags()[1]
-        self._patch_of_side = None
+        self._neumann_only = disc.mesh.vertex_flags()[1]
 
     @property
     def scale(self) -> float:
@@ -464,14 +461,10 @@ def null_space_vectors(problem: PatchProblem, mesh: Mesh) -> np.ndarray:
     out[:, :n_div] = div.reshape(3, -1)
 
     # jump-row coefficients: -|S| * Legendre expansion of rho on the side
-    from .spaces import segment_rule
-
     tq, tw = segment_rule(2 * k + 5)
     lg = legendre01(k + 1, tq)
     for si, s in enumerate(problem.jump_sides):
-        a = mesh.vertices[mesh.sides[s, 0]]
-        b = mesh.vertices[mesh.sides[s, 1]]
-        xq = a[None, :] + tq[:, None] * (b - a)[None, :]
+        xq = mesh.side_points(s, tq)
         rho = np.zeros((3, len(tq), 2))
         rho[0, :, 0] = 1.0
         rho[1, :, 1] = 1.0
@@ -554,7 +547,7 @@ def verify_equilibration(
     tplus = np.zeros((mesh.n_sides, npts, 2))
     f_sq = 0.0
     sig_sq = 0.0
-    for tb in disc.stress_chunks(_CHUNK):
+    for tb in disc.stress_chunks():
         fv = load.volume_at(tb.vol_x)
         proj_f = project_volume(tb, fv, k)                  # (ne, 2, nmk)
         mk = monomial_values(_exps_array(k), tb.vol_xi)
@@ -563,10 +556,7 @@ def verify_equilibration(
         div_res = max(div_res, float(np.max(np.abs(divv + pf_vals), initial=0.0)))
 
         # traces at the check points (scaled coordinates of side points)
-        a = mesh.vertices[mesh.sides[tb.side_ids, 0]]
-        b = mesh.vertices[mesh.sides[tb.side_ids, 1]]
-        sx = a[:, :, None, :] + tpts[None, None, :, None] * (b - a)[:, :, None, :]
-        xi = tb.scaled(sx)
+        xi = tb.scaled(mesh.side_points(tb.side_ids, tpts))
         vals = np.einsum(
             "eri,eisqc->esqrc",
             sigma_r.dofs[tb.elems],
@@ -575,12 +565,7 @@ def verify_equilibration(
             ),
         )
         tr = np.einsum("esqrc,esc->esqr", vals, mesh.side_normal[tb.side_ids])
-        is_minus = mesh.side_tri[tb.side_ids, 0] == tb.elems[:, None]
-        for j in range(3):
-            s = tb.side_ids[:, j]
-            m = is_minus[:, j]
-            tmin[s[m]] = tr[m, j]
-            tplus[s[~m]] = tr[~m, j]
+        _scatter_traces(mesh, tb, tr, tmin, tplus)
 
         # weak-symmetry accumulation over the continuous scalar hats
         ct = disc.constraints
@@ -599,9 +584,7 @@ def verify_equilibration(
     nsides = mesh.boundary_sides(NEUMANN)
     if nsides.size:
         tq, _ = segment_rule(2 * k + 5)
-        a = mesh.vertices[mesh.sides[nsides, 0]]
-        b = mesh.vertices[mesh.sides[nsides, 1]]
-        xq = a[:, None, :] + tq[None, :, None] * (b - a)[:, None, :]
+        xq = mesh.side_points(nsides, tq)
         coeff = project_side(mesh, nsides, load.traction_at(xq), k)
         pg = np.einsum("scm,qm->sqc", coeff, lg)
         neu_res = float(np.max(np.abs(tmin[nsides] - pg), initial=0.0))

@@ -34,6 +34,7 @@ from .errors import InvalidConstants
 from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
 from .problems import ExactSolution
 from .spaces import (
+    _CHUNK,
     BrokenField,
     Discretization,
     eval_volume_poly,
@@ -47,7 +48,6 @@ from .spaces import (
 )
 
 _DIM = 2
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,12 @@ class BoundConstants:
     ``korn`` is the Korn-type constant (at least 2 by theory); ``dev_div``
     the deviatoric-divergence constant (positive).  ``provenance`` records
     whether values were user-supplied or the conservative defaults for
-    near-regular patches.  Optional per-patch override arrays exist as a
-    hook; the globally-weighted bound is what is implemented.
+    near-regular patches.
     """
 
     korn: float
     dev_div: float
     provenance: str = "user-supplied"
-    korn_per_patch: np.ndarray | None = None
-    dev_div_per_patch: np.ndarray | None = None
 
     def __post_init__(self):
         if not (self.korn >= 2.0):
@@ -138,7 +135,7 @@ def eta_components(
     eta_b = np.empty(mesh.n_triangles)
     eta_c = np.empty(mesh.n_triangles)
     trace_coef = 1.0 / (2.0 * mu * t + _DIM)
-    for tb in disc.stress_chunks(_CHUNK):
+    for tb in disc.stress_chunks():
         vals = sigma_delta.values(tb)                       # (ne, nq, 2, 2)
         frob = np.einsum("eqrc,eqrc->eq", vals, vals)
         tr = vals[..., 0, 0] + vals[..., 1, 1]
@@ -211,7 +208,7 @@ def residual_estimator(
     t = material.inv_lambda
     vol_sq = np.empty(mesh.n_triangles)
     b_sq = np.empty(mesh.n_triangles)
-    for tb in disc.stress_chunks(_CHUNK):
+    for tb in disc.stress_chunks():
         fv = load.volume_at(tb.vol_x)
         proj_f = project_volume(tb, fv, k)
         resid = sigma_h.div_values(tb) + eval_volume_poly(tb, proj_f, k)
@@ -232,9 +229,7 @@ def residual_estimator(
     )
     nsides = mesh.boundary_sides(NEUMANN)
     if nsides.size:
-        a = mesh.vertices[mesh.sides[nsides, 0]]
-        b = mesh.vertices[mesh.sides[nsides, 1]]
-        xq = a[:, None, :] + tq[None, :, None] * (b - a)[:, None, :]
+        xq = mesh.side_points(nsides, tq)
         coeff = project_side(mesh, nsides, load.traction_at(xq), k)
         pg = np.einsum("scm,qm->sqc", coeff, legendre01(k + 1, tq))
         defect = tminus[nsides] - pg
@@ -262,7 +257,7 @@ def data_oscillation(
     """
     mesh, k = disc.mesh, disc.k
     osc_f = np.empty(mesh.n_triangles)
-    for tb in disc.stress_chunks(_CHUNK):
+    for tb in disc.stress_chunks():
         fv = load.volume_at(tb.vol_x)
         proj_f = project_volume(tb, fv, k)
         defect = fv - eval_volume_poly(tb, proj_f, k)
@@ -273,10 +268,7 @@ def data_oscillation(
     osc_g = np.zeros(len(nsides))
     if nsides.size:
         tq, tw = segment_rule(2 * k + 5)
-        a = mesh.vertices[mesh.sides[nsides, 0]]
-        b = mesh.vertices[mesh.sides[nsides, 1]]
-        xq = a[:, None, :] + tq[None, :, None] * (b - a)[:, None, :]
-        gv = load.traction_at(xq)
+        gv = load.traction_at(mesh.side_points(nsides, tq))
         coeff = project_side(mesh, nsides, gv, k)
         pg = np.einsum("scm,qm->sqc", coeff, legendre01(k + 1, tq))
         lens = mesh.side_length[nsides]
@@ -289,6 +281,34 @@ def data_oscillation(
 # -- energy errors -------------------------------------------------------------------
 
 
+def _fields_at_rule(fields: FieldPair, elems, rq, rw):
+    """Physical points, weights, u-gradients and pressures of ``fields``
+    on ``elems`` at the reference rule (rq, rw)."""
+    disc = fields.disc
+    mesh, k = disc.mesh, disc.k
+    jac, jinv = element_jacobians(mesh, elems)
+    p0 = mesh.vertices[mesh.triangles[elems, 0]]
+    xq = p0[:, None, :] + np.einsum("qr,edr->eqd", rq, jac)
+    wq = 2.0 * mesh.areas[elems][:, None] * rw[None, :]
+    ue = fields.u[disc.displacement.vector_dofs(elems)]
+    grads = np.einsum("qir,erd->eqid", lagrange_grads(k + 1, rq), jinv)
+    grad_u = np.einsum("eic,eqid->eqcd", ue, grads)
+    pe = fields.p[disc.pressure.element_dofs[elems]]
+    return xq, wq, grad_u, np.einsum("ei,qi->eq", pe, lagrange_values(k, rq))
+
+
+def _add_energy(total: float, wq, dg, dp, material: Material) -> float:
+    """total + the squared energy norm of the gradient and pressure
+    differences (dg, dp) under the weights wq."""
+    eps = 0.5 * (dg + np.swapaxes(dg, -1, -2))
+    strain = 2.0 * material.mu * np.einsum("eqrc,eqrc->eq", eps, eps)
+    return (
+        total
+        + float(np.einsum("eq,eq->", wq, strain))
+        + float(np.einsum("eq,eq->", wq, material.inv_lambda * dp**2))
+    )
+
+
 def energy_error(
     fields: FieldPair, exact: ExactSolution, material: Material
 ) -> float:
@@ -298,34 +318,14 @@ def energy_error(
     the discrete part, so the non-polynomial reference is integrated far
     below the discretization error on any practical mesh.
     """
-    disc = fields.disc
-    mesh, k = disc.mesh, disc.k
-    m = k + 1
-    mu, t = material.mu, material.inv_lambda
+    mesh, k = fields.disc.mesh, fields.disc.k
     rq, rw = triangle_rule(2 * k + 8)
-    grads_ref = lagrange_grads(m, rq)
-    vals_p = lagrange_values(k, rq)
-    dm_u, dm_p = disc.displacement, disc.pressure
     total = 0.0
     for lo in range(0, mesh.n_triangles, _CHUNK):
         elems = np.arange(lo, min(lo + _CHUNK, mesh.n_triangles))
-        jac, jinv = element_jacobians(mesh, elems)
-        p0 = mesh.vertices[mesh.triangles[elems, 0]]
-        xq = p0[:, None, :] + np.einsum("qr,edr->eqd", rq, jac)
-        wq = 2.0 * mesh.areas[elems][:, None] * rw[None, :]
-
-        ue = fields.u[(dm_u.element_dofs[elems][:, :, None] * 2 + np.arange(2))]
-        grads = np.einsum("qir,erd->eqid", grads_ref, jinv)
-        grad_uh = np.einsum("eic,eqid->eqcd", ue, grads)
-        ph = np.einsum("ei,qi->eq", fields.p[dm_p.element_dofs[elems]], vals_p)
-
+        xq, wq, grad_uh, ph = _fields_at_rule(fields, elems, rq, rw)
         dg = exact.displacement_gradient(xq) - grad_uh
-        eps = 0.5 * (dg + np.swapaxes(dg, -1, -2))
-        dp = exact.pressure(xq) - ph
-        total += float(
-            np.einsum("eq,eq->", wq, 2.0 * mu * np.einsum("eqrc,eqrc->eq", eps, eps))
-        )
-        total += float(np.einsum("eq,eq->", wq, t * dp**2))
+        total = _add_energy(total, wq, dg, exact.pressure(xq) - ph, material)
     return float(np.sqrt(total))
 
 
@@ -341,30 +341,17 @@ def proxy_energy_error(
     containing it.  Integration runs over the fine mesh, where both fields
     are polynomial, so the quadrature is exact.
     """
-    cdisc, fdisc = fields.disc, reference.disc
-    cmesh, fmesh = cdisc.mesh, fdisc.mesh
+    cdisc = fields.disc
+    cmesh, fmesh = cdisc.mesh, reference.disc.mesh
     k = cdisc.k
-    m = k + 1
-    mu, t = material.mu, material.inv_lambda
     rq, rw = triangle_rule(2 * k + 4)
-    grads_ref = lagrange_grads(m, rq)
-    vals_p = lagrange_values(k, rq)
     nq = len(rw)
     cdm_u, cdm_p = cdisc.displacement, cdisc.pressure
-    fdm_u, fdm_p = fdisc.displacement, fdisc.pressure
     total = 0.0
     for lo in range(0, fmesh.n_triangles, 1024):
         elems = np.arange(lo, min(lo + 1024, fmesh.n_triangles))
         ne = len(elems)
-        jac, jinv = element_jacobians(fmesh, elems)
-        p0 = fmesh.vertices[fmesh.triangles[elems, 0]]
-        xq = p0[:, None, :] + np.einsum("qr,edr->eqd", rq, jac)
-        wq = 2.0 * fmesh.areas[elems][:, None] * rw[None, :]
-
-        ue = reference.u[(fdm_u.element_dofs[elems][:, :, None] * 2 + np.arange(2))]
-        grads = np.einsum("qir,erd->eqid", grads_ref, jinv)
-        grad_fine = np.einsum("eic,eqid->eqcd", ue, grads)
-        p_fine = np.einsum("ei,qi->eq", reference.p[fdm_p.element_dofs[elems]], vals_p)
+        xq, wq, grad_fine, p_fine = _fields_at_rule(reference, elems, rq, rw)
 
         # coarse fields at the same physical points
         ce = ancestor[elems]
@@ -372,20 +359,15 @@ def proxy_energy_error(
         cp0 = cmesh.vertices[cmesh.triangles[ce, 0]]
         ref_c = np.einsum("erd,eqd->eqr", cjinv, xq - cp0[:, None, :])
         flat = ref_c.reshape(-1, 2)
-        lg_u = lagrange_grads(m, flat).reshape(ne, nq, -1, 2)
+        lg_u = lagrange_grads(k + 1, flat).reshape(ne, nq, -1, 2)
         lv_p = lagrange_values(k, flat).reshape(ne, nq, -1)
-        cue = fields.u[(cdm_u.element_dofs[ce][:, :, None] * 2 + np.arange(2))]
+        cue = fields.u[cdm_u.vector_dofs(ce)]
         cgrads = np.einsum("eqir,erd->eqid", lg_u, cjinv)
         grad_coarse = np.einsum("eic,eqid->eqcd", cue, cgrads)
         p_coarse = np.einsum("eqi,ei->eq", lv_p, fields.p[cdm_p.element_dofs[ce]])
-
-        dg = grad_fine - grad_coarse
-        eps = 0.5 * (dg + np.swapaxes(dg, -1, -2))
-        dp = p_fine - p_coarse
-        total += float(
-            np.einsum("eq,eq->", wq, 2.0 * mu * np.einsum("eqrc,eqrc->eq", eps, eps))
+        total = _add_energy(
+            total, wq, grad_fine - grad_coarse, p_fine - p_coarse, material
         )
-        total += float(np.einsum("eq,eq->", wq, t * dp**2))
     return float(np.sqrt(total))
 
 
@@ -468,44 +450,28 @@ class EstimatorReport:
             np.sqrt(np.sum(self.eta_A**2 + self.eta_B**2 + self.eta_C**2))
         )
 
+    def _bound(self, constants: BoundConstants, lambda_free: bool = False) -> float:
+        return guaranteed_bound(
+            self.eta_A, self.eta_B, self.eta_C, self.material, constants, lambda_free
+        )
+
     @property
     def bound(self) -> float:
-        return guaranteed_bound(
-            self.eta_A, self.eta_B, self.eta_C, self.material, self.constants
-        )
+        return self._bound(self.constants)
 
     @property
     def bound_conservative(self) -> float:
-        return guaranteed_bound(
-            self.eta_A,
-            self.eta_B,
-            self.eta_C,
-            self.material,
-            conservative_constants(),
-        )
+        return self._bound(conservative_constants())
 
     @property
     def bound_lambda_free(self) -> float:
-        return guaranteed_bound(
-            self.eta_A,
-            self.eta_B,
-            self.eta_C,
-            self.material,
-            self.constants,
-            lambda_free=True,
-        )
+        return self._bound(self.constants, lambda_free=True)
 
     @property
     def effectivity(self) -> float | None:
         if self.energy_error is None or self.energy_error == 0.0:
             return None
         return float(np.sqrt(self.bound)) / self.energy_error
-
-    @property
-    def eta_A_effectivity(self) -> float | None:
-        if self.energy_error is None or self.energy_error == 0.0:
-            return None
-        return self.eta_A_total / self.energy_error
 
 
 def estimate(

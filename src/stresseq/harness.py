@@ -40,20 +40,26 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptivity import AdaptiveConfig, RunHistory, adaptive_loop, attach_reference_errors
-from .elasticity import Material, direct_stress
-from .equilibration import equilibrate, verify_equilibration
+from .adaptivity import (
+    AdaptiveConfig,
+    RunHistory,
+    adaptive_loop,
+    attach_reference_errors,
+    solve_step,
+)
+from .elasticity import Material
+from .equilibration import verify_equilibration
 from .errors import ConfigError, IoError, ProblemError, StressEqError
 from .estimator import BoundConstants, conservative_constants
 from .mesh import DIRICHLET, NEUMANN, angles, read_mesh, write_mesh
 from .problems import make_problem
-from .spaces import Discretization
 
 _FLOAT = "%.17g"
 
@@ -85,6 +91,12 @@ class RunConfig:
         return BoundConstants(korn=self.C_K, dev_div=self.C_A)
 
 
+def _parse_bool(raw: str) -> bool:
+    if raw in ("true", "false"):
+        return raw == "true"
+    raise ValueError(f"expected true or false, got {raw!r}")
+
+
 _PARSERS = {
     "problem": str,
     "k": int,
@@ -97,16 +109,10 @@ _PARSERS = {
     "C_K": float,
     "C_A": float,
     "output_dir": str,
-    "save_mesh": None,  # bool handled separately
+    "save_mesh": _parse_bool,
     "mesh_file": str,
     "max_dofs": int,
 }
-
-
-def _parse_bool(raw: str) -> bool:
-    if raw in ("true", "false"):
-        return raw == "true"
-    raise ValueError(f"expected true or false, got {raw!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -124,9 +130,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        conv = _parse_bool if key == "save_mesh" else _PARSERS[key]
         try:
-            values[key] = conv(raw)
+            values[key] = _PARSERS[key](raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     try:
@@ -138,6 +143,10 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
+    for name in ("mu", "inv_lambda", "theta", "C_K", "C_A"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} {value} is not finite")
     if cfg.mu <= 0.0:
         raise ConfigError(f"mu {cfg.mu} is not positive")
     if cfg.inv_lambda < 0.0:
@@ -240,8 +249,8 @@ def _emit_summary(history: RunHistory, path) -> None:
     _write_text(path, "\n".join(rows) + "\n")
 
 
-def _emit_equilibration(report, path) -> None:
-    lines = [
+def _equilibration_lines(report) -> list[str]:
+    return [
         f"scale {_fmt(report.scale)}",
         f"divergence_residual {_fmt(report.div_residual)}",
         f"jump_residual {_fmt(report.jump_residual)}",
@@ -249,7 +258,10 @@ def _emit_equilibration(report, path) -> None:
         f"symmetry_residual {_fmt(report.symmetry_residual)}",
         f"max_residual {_fmt(report.max_residual)}",
     ]
-    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _emit_equilibration(report, path) -> None:
+    _write_text(path, "\n".join(_equilibration_lines(report)) + "\n")
 
 
 # -- orchestration -------------------------------------------------------------
@@ -296,10 +308,9 @@ def run(config_path) -> None:
     _emit_summary(history, os.path.join(out, "summary.csv"))
 
     final = history.records[-1]
-    disc = final.fields.disc
-    sigma_h = direct_stress(final.fields, problem.material)
-    _, sigma_r, eq = equilibrate(disc, sigma_h, problem.load)
-    diag = verify_equilibration(disc, sigma_r, problem.load, scale=eq.scale)
+    diag = verify_equilibration(
+        final.fields.disc, final.sigma_r, problem.load, scale=final.scale
+    )
     _emit_equilibration(diag, os.path.join(out, "equilibration.txt"))
     if cfg.save_mesh:
         write_mesh(final.mesh, os.path.join(out, "mesh_final.txt"))
@@ -308,22 +319,14 @@ def run(config_path) -> None:
 
 def verify(config_path) -> None:
     """Equilibration diagnostics only, on the config's initial mesh."""
-    from .elasticity import assemble_system, solve
-
     cfg = load_config(config_path)
     problem = _build_problem(cfg)
-    disc = Discretization(problem.mesh, cfg.k)
-    fields = solve(assemble_system(disc, problem.material, problem.load))
-    sigma_h = direct_stress(fields, problem.material)
-    _, sigma_r, eq = equilibrate(disc, sigma_h, problem.load)
-    diag = verify_equilibration(disc, sigma_r, problem.load, scale=eq.scale)
-    print(f"scale {_fmt(diag.scale)}")
-    print(f"divergence_residual {_fmt(diag.div_residual)}")
-    print(f"jump_residual {_fmt(diag.jump_residual)}")
-    print(f"neumann_residual {_fmt(diag.neumann_residual)}")
-    print(f"symmetry_residual {_fmt(diag.symmetry_residual)}")
+    step = solve_step(problem, problem.mesh, cfg.k, cfg.constants())
+    diag = verify_equilibration(
+        step.disc, step.sigma_r, problem.load, scale=step.eq.scale
+    )
     ok = diag.max_residual <= 1e-9 * diag.scale
-    print(f"max_residual {_fmt(diag.max_residual)} ({'ok' if ok else 'FAIL'})")
+    print("\n".join(_equilibration_lines(diag)) + f" ({'ok' if ok else 'FAIL'})")
     if not ok:
         raise StressEqError(
             f"equilibration residual {diag.max_residual:.3e} exceeds "

@@ -109,6 +109,13 @@ class Mesh:
     def boundary_sides(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.side_label == label)
 
+    def side_points(self, sides, t: np.ndarray) -> np.ndarray:
+        """Points ``a + t (b - a)`` on sides from their lower vertex ``a``
+        to their higher vertex ``b``: ``shape(sides) + (len(t), 2)``."""
+        a = self.vertices[self.sides[sides, 0]]
+        b = self.vertices[self.sides[sides, 1]]
+        return a[..., None, :] + t[:, None] * (b - a)[..., None, :]
+
     def vertex_triangles(self):
         """CSR-style map vertex -> incident triangle ids (ascending)."""
         order = np.argsort(self.triangles.ravel(), kind="stable")
@@ -424,9 +431,11 @@ def read_mesh(path) -> Mesh:
             tuple(int(t) for t in r.split()) for r in rows[nv + nt : nv + nt + nd]
         ]
         neumann = [tuple(int(t) for t in r.split()) for r in rows[nv + nt + nd :]]
+        if not np.isfinite(vertices).all():
+            raise ValueError("non-finite vertex coordinate")
+        return _assemble(vertices, triangles, dirichlet, neumann)
     except (ValueError, KeyError) as exc:
         raise IoError(f"malformed mesh file {path}: {exc}") from exc
-    return _assemble(vertices, triangles, dirichlet, neumann)
 
 
 # -- refinement ------------------------------------------------------------
@@ -545,9 +554,13 @@ def refine(mesh: Mesh, marked) -> Mesh:
 
 def uniform_refine(mesh: Mesh, rounds: int = 2) -> Mesh:
     """Bisect every element `rounds` times (two rounds halve h on meshes of
-    right triangles)."""
+    right triangles).  The result's ``parent`` maps each element to the
+    element of ``mesh`` containing it."""
+    lineage = np.arange(mesh.n_triangles)
     for _ in range(rounds):
         mesh = refine(mesh, np.arange(mesh.n_triangles))
+        lineage = lineage[mesh.parent]
+        mesh.parent = lineage
     return mesh
 
 

@@ -28,6 +28,10 @@ from scipy.special import roots_jacobi
 from .errors import UnsupportedDegree
 from .mesh import Mesh
 
+# Elements per block of every elementwise loop: bounds the size of the
+# per-block quadrature arrays.
+_CHUNK = 4096
+
 __all__ = [
     "segment_rule",
     "triangle_rule",
@@ -203,6 +207,11 @@ class DofMap:
     def n_local(self) -> int:
         return self.element_dofs.shape[1]
 
+    def vector_dofs(self, elems) -> np.ndarray:
+        """Global dofs of the elements' local nodes: (ne, n_local, ncomp)."""
+        ed = self.element_dofs[elems]
+        return ed[:, :, None] * self.ncomp + np.arange(self.ncomp)
+
     def side_scalar_dofs(self, side_ids) -> np.ndarray:
         """Scalar dofs lying on the given sides (ascending, unique)."""
         m = self.degree
@@ -239,11 +248,10 @@ def make_dofmap(mesh: Mesh, degree: int, ncomp: int = 1) -> DofMap:
     coords = np.empty((n_scalar, 2))
     coords[:nv] = mesh.vertices
     if m >= 2:
-        a = mesh.vertices[mesh.sides[:, 0]]
-        b = mesh.vertices[mesh.sides[:, 1]]
-        for slot in range(m - 1):
-            frac = (slot + 1) / m
-            coords[nv + np.arange(ns) * (m - 1) + slot] = a + frac * (b - a)
+        fracs = np.arange(1, m) / m
+        coords[nv : nv + ns * (m - 1)] = mesh.side_points(
+            np.arange(ns), fracs
+        ).reshape(-1, 2)
     if m == 3:
         coords[nv + ns * (m - 1) :] = mesh.vertices[mesh.triangles].mean(axis=1)
     return DofMap(mesh, m, ncomp, ed, n_scalar, coords)
@@ -420,9 +428,7 @@ def build_stress_tables(mesh: Mesh, k: int, elems=None) -> StressTables:
 
     tq, tw = segment_rule(2 * k + 5)
     sids = mesh.tri_sides[elems]
-    a = mesh.vertices[mesh.sides[sids, 0]]
-    b = mesh.vertices[mesh.sides[sids, 1]]
-    side_x = a[:, :, None, :] + tq[None, None, :, None] * (b - a)[:, :, None, :]
+    side_x = mesh.side_points(sids, tq)
     side_xi = (side_x - centers[:, None, None, :]) / hs[:, None, None, None]
     nrm = mesh.side_normal[sids]
 
@@ -508,8 +514,9 @@ class ConstraintTables:
     gram: np.ndarray
 
 
-def build_constraint_tables(mesh: Mesh, k: int, chunk: int = 4096) -> ConstraintTables:
-    nt = mesh.n_triangles
+def build_constraint_tables(disc: Discretization) -> ConstraintTables:
+    """Integrate the constraint tables over the stress chunks of ``disc``."""
+    nt, k = disc.mesh.n_triangles, disc.k
     nd = rt_dim(k)
     nmk = len(_pk_exponents(k))
     nlk = 3 * k  # local P_k nodes for k in (1, 2): 3 or 6
@@ -517,9 +524,8 @@ def build_constraint_tables(mesh: Mesh, k: int, chunk: int = 4096) -> Constraint
     symx = np.empty((nt, nlk, nd))
     symy = np.empty((nt, nlk, nd))
     gram = np.empty((nt, nd, nd))
-    for lo in range(0, nt, chunk):
-        elems = np.arange(lo, min(lo + chunk, nt))
-        tb = build_stress_tables(mesh, k, elems)
+    for tb in disc.stress_chunks():
+        elems = tb.elems
         vals = tb.basis_at(tb.vol_xi)
         divs = tb.basis_div_at(tb.vol_xi)
         mk = monomial_values(_exps_array(k), tb.vol_xi)
@@ -532,15 +538,20 @@ def build_constraint_tables(mesh: Mesh, k: int, chunk: int = 4096) -> Constraint
 
 
 class Discretization:
-    """Per-mesh cache of quadrature layouts and element tables."""
+    """Per-mesh dof maps, plus the stress and constraint tables of one step.
+
+    The tables are built on first use and kept until :meth:`release_tables`;
+    after that they are built again on every use and not kept, so a
+    finished step holds only its dof maps.
+    """
 
     def __init__(self, mesh: Mesh, k: int = 1):
         if k not in (1, 2):
             raise UnsupportedDegree(f"stress degree {k} not supported")
         self.mesh = mesh
         self.k = k
-        self._constraints: ConstraintTables | None = None
         self._dofmaps: dict[tuple[int, int], DofMap] = {}
+        self._tables: dict | None = {}  # None once released
 
     def dofmap(self, degree: int, ncomp: int = 1) -> DofMap:
         key = (degree, ncomp)
@@ -556,20 +567,31 @@ class Discretization:
     def pressure(self) -> DofMap:
         return self.dofmap(self.k, 1)
 
+    def _kept(self, name: str, build):
+        if self._tables is None:
+            return build()
+        if name not in self._tables:
+            self._tables[name] = build()
+        return self._tables[name]
+
     @property
     def constraints(self) -> ConstraintTables:
-        if self._constraints is None:
-            self._constraints = build_constraint_tables(self.mesh, self.k)
-        return self._constraints
+        return self._kept("constraints", lambda: build_constraint_tables(self))
 
     def stress_tables(self, elems=None) -> StressTables:
         return build_stress_tables(self.mesh, self.k, elems)
 
-    def stress_chunks(self, chunk: int = 4096):
-        """Yield stress tables over element chunks covering the mesh."""
+    def stress_chunks(self) -> list[StressTables]:
+        """Stress tables over element chunks covering the mesh."""
         nt = self.mesh.n_triangles
-        for lo in range(0, nt, chunk):
-            yield self.stress_tables(np.arange(lo, min(lo + chunk, nt)))
+        return self._kept("chunks", lambda: [
+            self.stress_tables(np.arange(lo, min(lo + _CHUNK, nt)))
+            for lo in range(0, nt, _CHUNK)
+        ])
+
+    def release_tables(self) -> None:
+        """Free the stress and constraint tables and stop keeping them."""
+        self._tables = None
 
 
 # -- projections ---------------------------------------------------------------

@@ -14,9 +14,10 @@ from stresseq import (
 )
 
 
-def solve_problem(problem, k=1):
-    """Run the forward pipeline: returns (disc, fields, sigma_h)."""
-    disc = Discretization(problem.mesh, k)
+def solve_problem(problem, k=1, mesh=None):
+    """Run the forward pipeline on ``mesh`` (default: the problem's own):
+    returns (disc, fields, sigma_h)."""
+    disc = Discretization(problem.mesh if mesh is None else mesh, k)
     fields = solve(assemble_system(disc, problem.material, problem.load))
     sigma = direct_stress(fields, problem.material)
     return disc, fields, sigma

@@ -17,26 +17,22 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
+from conftest import solve_problem
 from oracles import dense_kkt_minimizer, mass_norm, uniform_reference_errors
 
 from stresseq import (
     AdaptiveConfig,
-    Discretization,
     Material,
     RunHistory,
     adaptive_loop,
-    assemble_system,
     conservative_constants,
     cook,
-    direct_stress,
     energy_error,
-    equilibrate,
-    estimate,
     manufactured_smooth,
     modified_patches,
     neighborhood_ratio,
     refine,
-    solve,
+    solve_step,
     square_lshape,
     verify_equilibration,
 )
@@ -49,14 +45,6 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     verdict = "PASS" if ok else "FAIL"
     print(f"\n[acceptance {num}] {name}: {verdict} ({detail})")
     assert ok, f"[acceptance {num}] {name}: {detail}"
-
-
-def _forward(problem, mesh=None, k=1):
-    """Solve and post-process one problem: (disc, fields, sigma_h)."""
-    mesh = problem.mesh if mesh is None else mesh
-    disc = Discretization(mesh, k)
-    fields = solve(assemble_system(disc, problem.material, problem.load))
-    return disc, fields, direct_stress(fields, problem.material)
 
 
 def _twice_refined(mesh):
@@ -97,16 +85,16 @@ def equilibrators():
     refined benchmark level; shared by the patch-level checks."""
     out = []
     problem = cook()
-    disc, _, sigma = _forward(problem)
+    disc, _, sigma = solve_problem(problem)
     out.append(("cook-32", Equilibrator(disc, sigma, problem.load)))
     mesh = _twice_refined(problem.mesh)
-    disc, _, sigma = _forward(problem, mesh)
+    disc, _, sigma = solve_problem(problem, mesh=mesh)
     out.append(("cook-180", Equilibrator(disc, sigma, problem.load)))
     problem = manufactured_smooth(cells=4)
-    disc, _, sigma = _forward(problem)
+    disc, _, sigma = solve_problem(problem)
     out.append(("manufactured-32", Equilibrator(disc, sigma, problem.load)))
     problem = square_lshape()
-    disc, _, sigma = _forward(problem)
+    disc, _, sigma = solve_problem(problem)
     out.append(("lshape-24", Equilibrator(disc, sigma, problem.load)))
     return out
 
@@ -141,11 +129,16 @@ def test_1_reconstruction_residuals_at_rounding_level():
     worst = 0.0
     worst_case = ""
     for label, problem, mesh in cases:
-        disc, fields, sigma = _forward(problem, mesh)
-        _, sigma_r, eq = equilibrate(disc, sigma, problem.load)
-        rep = verify_equilibration(disc, sigma_r, problem.load, scale=eq.scale)
+        step = solve_step(
+            problem,
+            problem.mesh if mesh is None else mesh,
+            1,
+            conservative_constants(),
+        )
+        scale = step.eq.scale
+        rep = verify_equilibration(step.disc, step.sigma_r, problem.load, scale=scale)
         for fam in ("div", "jump", "neumann", "symmetry"):
-            rel = getattr(rep, f"{fam}_residual") / eq.scale
+            rel = getattr(rep, f"{fam}_residual") / scale
             if rel > worst:
                 worst, worst_case = rel, f"{label}/{fam}"
     elapsed = time.perf_counter() - t0
@@ -211,12 +204,8 @@ def test_3_error_squared_below_guaranteed_bound_across_lambda():
             problem = manufactured_smooth(
                 Material(mu=1.0, inv_lambda=t), cells=cells
             )
-            disc, fields, sigma = _forward(problem)
-            delta, _, _ = equilibrate(disc, sigma, problem.load)
-            rep = estimate(
-                disc, fields, sigma, delta, problem.load, problem.material, consts
-            )
-            err_sq = energy_error(fields, problem.exact, problem.material) ** 2
+            rep = solve_step(problem, problem.mesh, 1, consts).report
+            err_sq = rep.energy_error**2
             if not (err_sq < rep.bound and err_sq < rep.bound_lambda_free):
                 failures.append((t, cells, err_sq, rep.bound))
             min_margin = min(min_margin, rep.bound / err_sq)
@@ -241,12 +230,9 @@ def test_4_uniform_refinement_orders_match_element_degree():
     hs, errs, etas = [], [], []
     for cells in (4, 8, 16, 32):
         problem = manufactured_smooth(mat, cells=cells)
-        disc, fields, sigma = _forward(problem)
-        delta, _, _ = equilibrate(disc, sigma, problem.load)
-        rep = estimate(
-            disc, fields, sigma, delta, problem.load, problem.material, consts
-        )
-        errs.append(energy_error(fields, problem.exact, strain_norm))
+        step = solve_step(problem, problem.mesh, 1, consts)
+        rep = step.report
+        errs.append(energy_error(step.fields, problem.exact, strain_norm))
         etas.append(rep.eta_total)
         hs.append(1.0 / cells)
     log_h = np.log(hs[-3:])
@@ -410,7 +396,7 @@ def test_9_energy_error_robust_in_lambda():
     errors = []
     for t in (1e-2, 1e-4, 0.0):
         problem = manufactured_smooth(Material(mu=1.0, inv_lambda=t), cells=8)
-        _, fields, _ = _forward(problem)
+        _, fields, _ = solve_problem(problem)
         errors.append(energy_error(fields, problem.exact, problem.material))
     errors = np.array(errors)
     spread = float((errors.max() - errors.min()) / errors.min())

@@ -126,6 +126,13 @@ def test_single_step_records_initial_mesh():
     assert rec.report.bound >= rec.error**2
 
 
+def test_loop_keeps_tables_of_the_last_step_only(cook_history):
+    discs = [rec.fields.disc for rec in cook_history.records]
+    for disc in discs[:-1]:
+        assert disc.stress_chunks() is not disc.stress_chunks()
+    assert discs[-1].stress_chunks() is discs[-1].stress_chunks()
+
+
 def test_max_dofs_stops_early():
     problem = manufactured_smooth(Material(mu=1.0, inv_lambda=0.0), cells=2)
     history = adaptive_loop(

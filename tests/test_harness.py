@@ -1,6 +1,7 @@
 """CLI harness tests: config parsing, result files, exit codes."""
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from stresseq import (
     emit_config,
     parse_config,
     read_mesh,
+    verify_equilibration,
 )
 from stresseq.harness import main
 from stresseq.mesh import write_mesh
@@ -136,6 +138,19 @@ def test_validation_errors():
         parse_config("save_mesh = yes\n")
     with pytest.raises(InvalidConstants):
         parse_config("C_K = 1.0\nC_A = 1.0\n")
+    for text in (
+        "mu = nan\n",
+        "mu = inf\n",
+        "inv_lambda = nan\n",
+        "inv_lambda = inf\n",
+        "theta = nan\n",
+        "C_K = nan\nC_A = 1.0\n",
+        "C_K = inf\nC_A = 1.0\n",
+        "C_K = 3.0\nC_A = nan\n",
+        "C_K = 3.0\nC_A = inf\n",
+    ):
+        with pytest.raises(ConfigError, match="not finite"):
+            parse_config(text)
 
 
 # -- end-to-end runs ------------------------------------------------------------
@@ -178,16 +193,56 @@ def test_single_step_history_csv(smooth_cfg):
         assert (out / name).exists()
 
 
-def test_rerun_is_byte_identical(smooth_cfg):
-    cfg_path, out = smooth_cfg
+def test_rerun_is_byte_identical(smooth_cfg, tmp_path):
+    """Also on a k = 2 adaptive run, whose steps release their tables
+    before the loop moves to the next mesh."""
+    out_k2 = tmp_path / "out_k2"
+    cfg_k2 = tmp_path / "k2.cfg"
+    cfg_k2.write_text(
+        f"problem = manufactured-smooth\nk = 2\nsteps = 4\nmode = adaptive\n"
+        f"output_dir = {out_k2}\n"
+    )
+    names = ("history.csv", "estimator_final.csv", "summary.csv", "equilibration.txt")
+    for cfg_path, out in (smooth_cfg, (str(cfg_k2), out_k2)):
+        assert main(["run", cfg_path]) == 0
+        first = {name: (out / name).read_bytes() for name in names}
+        assert main(["run", cfg_path]) == 0
+        for name, blob in first.items():
+            assert (out / name).read_bytes() == blob
+    assert len((out_k2 / "history.csv").read_text().splitlines()) == 5
+
+
+def test_run_equilibrates_each_step_once(tmp_path, monkeypatch):
+    """A 3-step run equilibrates 3 times, and equilibration.txt verifies
+    the last step's reconstruction."""
+    import stresseq.equilibration as equilibration
+    from stresseq.harness import _emit_equilibration
+
+    original = equilibration.equilibrate
+    steps = []
+
+    def counting(disc, sigma_h, load):
+        result = original(disc, sigma_h, load)
+        steps.append((disc, load, result[1], result[2].scale))
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "stresseq":
+            continue
+        if getattr(module, "equilibrate", None) is original:
+            monkeypatch.setattr(module, "equilibrate", counting)
+    out = tmp_path / "out"
+    cfg_path = write_config(
+        tmp_path, f"problem = cook\nsteps = 3\noutput_dir = {out}\n"
+    )
     assert main(["run", cfg_path]) == 0
-    first = {
-        name: (out / name).read_bytes()
-        for name in ("history.csv", "estimator_final.csv", "summary.csv")
-    }
-    assert main(["run", cfg_path]) == 0
-    for name, blob in first.items():
-        assert (out / name).read_bytes() == blob
+    assert len(steps) == 3
+    disc, load, sigma_r, scale = steps[-1]
+    expected = tmp_path / "expected.txt"
+    _emit_equilibration(
+        verify_equilibration(disc, sigma_r, load, scale=scale), expected
+    )
+    assert (out / "equilibration.txt").read_bytes() == expected.read_bytes()
 
 
 def test_equilibration_diagnostics_written(smooth_cfg):
@@ -272,6 +327,44 @@ def test_exit_code_other_solver_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "C_K = 1.0\nC_A = 1.0\n")
     assert main(["run", cfg_path]) == 1
     assert "solver" in capsys.readouterr().err
+
+
+def _corrupt_mesh_file(tmp_path, line_of):
+    """Cook mesh file with one data line replaced; line_of(nv) gives the
+    index of that line and its new text."""
+    path = tmp_path / "bad.txt"
+    write_mesh(cook_mesh(), str(path))
+    lines = path.read_text().splitlines()
+    index, text = line_of(cook_mesh().n_vertices)
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "line_of",
+    [
+        lambda nv: (1 + nv, f"0 1 {nv}"),  # triangle vertex index out of range
+        lambda nv: (1, "nan 0.5"),          # non-finite vertex coordinate
+    ],
+    ids=["index-out-of-range", "nan-coordinate"],
+)
+def test_exit_code_bad_mesh_file(tmp_path, capsys, line_of):
+    mesh_path = _corrupt_mesh_file(tmp_path, line_of)
+    assert main(["mesh-info", str(mesh_path)]) == 4
+    assert "io" in capsys.readouterr().err
+    cfg_path = write_config(
+        tmp_path, f"mesh_file = {mesh_path}\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", cfg_path]) == 4
+    assert "io" in capsys.readouterr().err
+
+
+def test_exit_code_non_finite_config(tmp_path, capsys):
+    for text in ("mu = nan\n", "inv_lambda = nan\n"):
+        cfg_path = write_config(tmp_path, text)
+        assert main(["run", cfg_path]) == 2
+        assert "not finite" in capsys.readouterr().err
 
 
 def test_verify_subcommand(smooth_cfg, capsys):

@@ -17,6 +17,7 @@ from stresseq import (
     Mesh,
     NonConforming,
     build_mesh,
+    compose_ancestry,
     cook_mesh,
     modified_patches,
     read_mesh,
@@ -194,6 +195,23 @@ def test_min_angle_constant_under_uniform_refinement():
     last = angles[-4:]
     assert max(last) - min(last) < 1e-9
     assert min(angles) > 5.0
+
+
+def test_uniform_refine_parent_maps_to_input_mesh():
+    mesh = cook_mesh()
+    fine = uniform_refine(mesh, 2)
+    once = refine(mesh, np.arange(mesh.n_triangles))
+    twice = refine(once, np.arange(once.n_triangles))
+    assert fine == twice
+    assert np.array_equal(compose_ancestry([mesh, fine]), fine.parent)
+    assert np.array_equal(fine.parent, compose_ancestry([mesh, once, twice]))
+    # every fine centroid lies inside its ancestor in the input mesh
+    c = fine.vertices[fine.triangles].mean(axis=1)
+    p = mesh.vertices[mesh.triangles[fine.parent]]
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    lam = np.linalg.solve(jac, (c - p[:, 0])[..., None])[..., 0]
+    assert lam.min() > 0.0 and lam.sum(axis=1).max() < 1.0
+    assert uniform_refine(mesh, 0) is mesh
 
 
 def test_refinement_edge_is_first_two_vertices():

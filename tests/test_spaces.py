@@ -352,3 +352,15 @@ def test_skew_tensor_pairing(vals):
     tau = np.array(vals[:4]).reshape(2, 2)
     pairing = float(np.sum(tau * skew_tensor(theta)))
     assert pairing == pytest.approx(theta * (tau[0, 1] - tau[1, 0]), abs=1e-12)
+
+
+def test_discretization_keeps_tables_until_released():
+    disc = Discretization(unit_square_mesh(4), 1)
+    assert disc.stress_chunks() is disc.stress_chunks()
+    assert disc.constraints is disc.constraints
+    kept = disc.constraints
+    disc.release_tables()
+    assert disc.stress_chunks() is not disc.stress_chunks()
+    assert disc.constraints is not disc.constraints
+    for name in ("divm", "symx", "symy", "gram"):
+        assert np.array_equal(getattr(disc.constraints, name), getattr(kept, name))
