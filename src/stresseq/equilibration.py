@@ -168,7 +168,6 @@ class PatchProblem:
     mass: np.ndarray           # (n_free, n_free)
     constraints: np.ndarray    # (n_rows, n_free)
     rhs: np.ndarray            # (n_rows,)
-    div_rows: np.ndarray       # (n_div, 3): local element, tensor row, monomial
     jump_sides: np.ndarray     # (n_active,) global side ids, ascending
     sym_nodes: np.ndarray      # (n_sym,) global scalar node ids, ascending
 
@@ -178,7 +177,7 @@ class PatchProblem:
 
     @property
     def n_div(self) -> int:
-        return len(self.div_rows)
+        return len(self.elements) * 2 * len(_exps_array(self.k))
 
     @property
     def n_jump(self) -> int:
@@ -235,7 +234,8 @@ class Equilibrator:
         n_free = len(order)
 
         # active jump sides: interior to the patch, or on the traction boundary
-        active = np.unique(sides[both_in | (labels == NEUMANN)])
+        on_active = both_in | (labels == NEUMANN)
+        active = np.unique(sides[on_active])
         n_jump = len(active) * 2 * (k + 1)
         n_div = ne * 2 * nmk
         nodes = np.unique(self.disc.pressure.element_dofs[elements])
@@ -252,57 +252,35 @@ class Equilibrator:
             divm[:, None, :, :], (ne, 2, nmk, nd)
         )
 
-        # jump rows: per active side, tensor rows then Legendre moments
-        group = {int(patch.vertex), *map(int, patch.absorbed)}
-        jump_rhs = np.zeros((len(active), 2, k + 1))
-        loc_of = {int(e): i for i, e in enumerate(elements)}
-        for si, s in enumerate(active):
-            base = n_div + si * 2 * (k + 1)
-            tminus, tplus = mesh.side_tri[s]
-            w = np.array(
-                [
-                    1.0 if int(mesh.sides[s, 0]) in group else 0.0,
-                    1.0 if int(mesh.sides[s, 1]) in group else 0.0,
-                ]
-            )
-            jump_rhs[si] = np.einsum("a,arm->rm", w, self.rhs_tables.rjump[s])
-            for r in range(2):
-                for m_i in range(k + 1):
-                    row = base + r * (k + 1) + m_i
-                    el = loc_of[int(tminus)]
-                    j = int(np.flatnonzero(mesh.tri_sides[tminus] == s)[0])
-                    B[row, cols[el, r, j * (k + 1) + m_i]] += 1.0
-                    if tplus >= 0 and in_patch[tplus]:
-                        el = loc_of[int(tplus)]
-                        j = int(np.flatnonzero(mesh.tri_sides[tplus] == s)[0])
-                        B[row, cols[el, r, j * (k + 1) + m_i]] -= 1.0
+        # jump rows: per active side, tensor rows then Legendre moments; one
+        # entry per (element, local side) on an active side, +1 from the
+        # side's minus element and -1 from its plus element
+        e_loc, j_loc = np.nonzero(on_active)
+        s = sides[e_loc, j_loc]
+        si = np.searchsorted(active, s)[:, None, None]
+        r = np.arange(2)[:, None]
+        m = np.arange(k + 1)
+        rows_jump = n_div + (si * 2 + r) * (k + 1) + m           # (n, 2, k+1)
+        cols_jump = cols[e_loc[:, None, None], r, j_loc[:, None, None] * (k + 1) + m]
+        sign = np.where(mesh.side_tri[s, 0] == elements[e_loc], 1.0, -1.0)
+        B[rows_jump, cols_jump] = sign[:, None, None]
 
-        # weak-symmetry rows, one per scalar node of the patch
-        sym_base = n_div + n_jump
+        # weak-symmetry rows, one per scalar node of the patch; dead dofs
+        # land in the padding column
         ed_p = self.disc.pressure.element_dofs[elements]        # (ne, nlk)
-        node_idx = np.searchsorted(nodes, ed_p)
-        symx = self.tables.symx[elements]
-        symy = self.tables.symy[elements]
-        rows_sym = sym_base + node_idx                          # (ne, nlk)
-        flat = B.ravel()
-        w_cols = n_free + 1
-        np.add.at(
-            flat,
-            (rows_sym[:, :, None] * w_cols + cols[:, None, 0, :]).ravel(),
-            symy.ravel(),
-        )
-        np.add.at(
-            flat,
-            (rows_sym[:, :, None] * w_cols + cols[:, None, 1, :]).ravel(),
-            -symx.ravel(),
-        )
+        rows_sym = n_div + n_jump + np.searchsorted(nodes, ed_p)
+        B[rows_sym[:, :, None], cols[:, None, 0, :]] = self.tables.symy[elements]
+        B[rows_sym[:, :, None], cols[:, None, 1, :]] = -self.tables.symx[elements]
         B = B[:, :n_free]
 
-        # right-hand side
+        # right-hand side: jump moments weighted by the hats of the patch group
+        w = np.isin(mesh.sides[active], [patch.vertex, *patch.absorbed])
         rhs = np.zeros(n_rows)
         rdiv = self.rhs_tables.rdiv[elements]                    # (ne, 3, 2, nmk)
         rhs[:n_div] = np.einsum("ea,earb->erb", patch.weights, rdiv).ravel()
-        rhs[n_div : n_div + n_jump] = jump_rhs.ravel()
+        rhs[n_div : n_div + n_jump] = np.einsum(
+            "sa,sarm->srm", w, self.rhs_tables.rjump[active]
+        ).ravel()
 
         # objective: plain L2 norm, block-diagonal per element and tensor row
         gram = self.tables.gram[elements]
@@ -310,11 +288,6 @@ class Equilibrator:
         for r in range(2):
             mass[cols[:, r, :, None], cols[:, r, None, :]] = gram
         mass = mass[:n_free, :n_free]
-
-        div_rows = np.stack(
-            np.meshgrid(np.arange(ne), np.arange(2), np.arange(nmk), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, 3)
 
         return PatchProblem(
             patch=patch,
@@ -327,7 +300,6 @@ class Equilibrator:
             mass=mass,
             constraints=B,
             rhs=rhs,
-            div_rows=div_rows,
             jump_sides=active,
             sym_nodes=nodes,
         )
@@ -463,18 +435,17 @@ def null_space_vectors(problem: PatchProblem, mesh: Mesh) -> np.ndarray:
     # jump-row coefficients: -|S| * Legendre expansion of rho on the side
     tq, tw = segment_rule(2 * k + 5)
     lg = legendre01(k + 1, tq)
-    for si, s in enumerate(problem.jump_sides):
-        xq = mesh.side_points(s, tq)
-        rho = np.zeros((3, len(tq), 2))
-        rho[0, :, 0] = 1.0
-        rho[1, :, 1] = 1.0
-        rho[2, :, 0] = -(xq[:, 1] - zc[1])
-        rho[2, :, 1] = xq[:, 0] - zc[0]
-        coeff = np.einsum("q,qm,vqr->vrm", tw, lg, rho)
-        base = n_div + si * 2 * (k + 1)
-        out[:, base : base + 2 * (k + 1)] = (
-            -mesh.side_length[s] * coeff.reshape(3, -1)
-        )
+    sides = problem.jump_sides
+    xq = mesh.side_points(sides, tq)                # (ns, nqs, 2)
+    rho = np.zeros((3,) + xq.shape)
+    rho[0, ..., 0] = 1.0
+    rho[1, ..., 1] = 1.0
+    rho[2, ..., 0] = -(xq[..., 1] - zc[1])
+    rho[2, ..., 1] = xq[..., 0] - zc[0]
+    coeff = np.einsum("q,qm,vsqr->vsrm", tw, lg, rho)
+    out[:, n_div : n_div + n_jump] = (
+        -mesh.side_length[sides][:, None, None] * coeff
+    ).reshape(3, -1)
 
     # symmetry rows: grad rho off-diagonal (0 for translations, -1 for rotation)
     out[2, n_div + n_jump :] = -1.0

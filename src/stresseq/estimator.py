@@ -30,7 +30,7 @@ from .elasticity import (
     fields_on_tables,
 )
 from .equilibration import side_traces
-from .errors import InvalidConstants
+from .errors import InvalidConstants, StressEqError
 from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
 from .problems import ExactSolution
 from .spaces import (
@@ -173,17 +173,28 @@ def guaranteed_bound(
 
     With ``lambda_free=True`` the eta_B coefficient is evaluated at the
     incompressible limit, its supremum over lambda, making the bound valid
-    independently of lambda.
+    independently of lambda.  Raises StressEqError when the bound is not a
+    finite number (the data, material or constants overflow).
     """
     s_a = float(np.sum(np.square(eta_a)))
     s_b = float(np.sum(np.square(eta_b)))
     s_c = float(np.sum(np.square(eta_c)))
     mat_b = Material(mu=material.mu, inv_lambda=0.0) if lambda_free else material
-    return (
-        2.0 * s_a
-        + _b_coefficient(mat_b, constants) * s_b
-        + 4.0 * constants.korn**2 * s_c
-    )
+    try:
+        bound = (
+            2.0 * s_a
+            + _b_coefficient(mat_b, constants) * s_b
+            + 4.0 * constants.korn**2 * s_c
+        )
+    except OverflowError:
+        bound = float("inf")
+    if not np.isfinite(bound):
+        raise StressEqError(
+            f"guaranteed bound is not finite ({bound}): mu {material.mu}, "
+            f"inv_lambda {material.inv_lambda}, C_K {constants.korn}, "
+            f"C_A {constants.dev_div}"
+        )
+    return bound
 
 
 # -- residual estimator -------------------------------------------------------------

@@ -26,6 +26,7 @@ from .errors import (
     IoError,
     IsolatedNeumannVertex,
     NonConforming,
+    ProblemError,
 )
 
 INTERIOR, DIRICHLET, NEUMANN = 0, 1, 2
@@ -174,17 +175,33 @@ def _hanging_node_scan(vertices, triangles, sides):
     b = vertices[sides[:, 1]]
     lengths = np.linalg.norm(b - a, axis=1)
     cell = max(np.median(lengths), 1e-300)
+
+    def bucket(x):
+        # clipped to stay an int64; clipping is monotone, so a vertex inside
+        # a side's bounding box stays inside the side's bucket range
+        return np.clip(np.floor(x / cell), -(2.0**62), 2.0**62).astype(np.int64)
+
     buckets: dict[tuple[int, int], list[int]] = {}
-    keys = np.floor(vertices / cell).astype(np.int64)
+    keys = bucket(vertices)
     for vid in np.flatnonzero(used):
         buckets.setdefault((keys[vid, 0], keys[vid, 1]), []).append(vid)
+    side_lo = bucket(np.minimum(a, b)) - 1
+    side_hi = bucket(np.maximum(a, b)) + 1
     for s in range(len(sides)):
-        lo = np.floor(np.minimum(a[s], b[s]) / cell).astype(np.int64) - 1
-        hi = np.floor(np.maximum(a[s], b[s]) / cell).astype(np.int64) + 1
-        cand = []
-        for ix in range(lo[0], hi[0] + 1):
-            for iy in range(lo[1], hi[1] + 1):
-                cand.extend(buckets.get((ix, iy), ()))
+        lo, hi = side_lo[s].tolist(), side_hi[s].tolist()
+        if (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1) <= len(buckets):
+            near = [
+                (ix, iy)
+                for ix in range(lo[0], hi[0] + 1)
+                for iy in range(lo[1], hi[1] + 1)
+            ]
+        else:  # a side much longer than the bucket size: filter the buckets
+            near = sorted(
+                key
+                for key in buckets
+                if lo[0] <= key[0] <= hi[0] and lo[1] <= key[1] <= hi[1]
+            )
+        cand = [vid for key in near for vid in buckets.get(key, ())]
         if not cand:
             continue
         cand = np.array(cand)
@@ -452,7 +469,8 @@ def refine(mesh: Mesh, marked) -> Mesh:
 
     Returns a new mesh whose ``parent`` array maps each element to the
     element of ``mesh`` containing it.  ``refine(mesh, [])`` returns an
-    equal mesh.
+    equal mesh.  Raises ProblemError when the stored refinement edges admit
+    no closure (for instance when they form a cycle).
     """
     marked = sorted({int(m) for m in np.asarray(marked, dtype=np.int64).ravel()})
     if marked and (marked[0] < 0 or marked[-1] >= mesh.n_triangles):
@@ -527,7 +545,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
                 stack.pop()
             budget -= 1
             if budget < 0:
-                raise RuntimeError(
+                raise ProblemError(
                     "bisection closure did not terminate; "
                     "inconsistent refinement-edge labels"
                 )

@@ -366,11 +366,6 @@ class StressTables:
         vals = np.einsum("eicm,esqm->eisqc", self.C, mv)
         return np.einsum("eisqc,esc->esqi", vals, self.side_normal)
 
-    def gram(self) -> np.ndarray:
-        """L2 Gram matrices of the scalar basis -> (ne, nd, nd)."""
-        vals = self.basis_at(self.vol_xi)
-        return np.einsum("eq,eiqc,ejqc->eij", self.vol_w, vals, vals)
-
     def dofs_from_values(self, vol_vals, side_vals) -> np.ndarray:
         """Dofs of a tensor field given its values at the stored points.
 

@@ -41,6 +41,13 @@ def cook_eq():
 
 
 @pytest.fixture(scope="module")
+def cook2_eq():
+    problem = cook()
+    disc, fields, sigma = solve_problem(problem, k=2)
+    return problem, disc, Equilibrator(disc, sigma, problem.load)
+
+
+@pytest.fixture(scope="module")
 def manu_eq():
     problem = manufactured_smooth(
         material=Material(mu=1.0, inv_lambda=0.5), cells=4
@@ -122,7 +129,7 @@ def dense_row_actions(mesh, k, pp, dofs):
     return div_rows, jump_rows.ravel(), contrib
 
 
-@pytest.mark.parametrize("setup", ["cook_eq", "manu_eq"])
+@pytest.mark.parametrize("setup", ["cook_eq", "cook2_eq", "manu_eq"])
 def test_constraint_rows_match_dense_integration(setup, request, rng):
     problem, disc, eq = request.getfixturevalue(setup)
     mesh, k = disc.mesh, disc.k

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stresseq import (
@@ -16,6 +16,7 @@ from stresseq import (
     emit_config,
     parse_config,
     read_mesh,
+    unit_square_mesh,
     verify_equilibration,
 )
 from stresseq.harness import main
@@ -360,11 +361,178 @@ def test_exit_code_bad_mesh_file(tmp_path, capsys, line_of):
     assert "io" in capsys.readouterr().err
 
 
+_CYCLIC_MESH = """\
+vertices 5 / triangles 4 / sides_dirichlet 4 / sides_neumann 0
+0 0
+1 0
+1 1
+0 1
+0.5 0.5
+1 4 0
+2 4 1
+3 4 2
+0 4 3
+0 1
+1 2
+2 3
+3 0
+"""
+
+
+def test_exit_code_cyclic_refinement_edges(tmp_path, capsys):
+    """Refinement edges that form a cycle around the centre vertex admit no
+    bisection closure: the refinement budget runs out on the first step."""
+    mesh_path = tmp_path / "cyclic.txt"
+    mesh_path.write_text(_CYCLIC_MESH)
+    cfg_path = write_config(
+        tmp_path,
+        f"problem = manufactured-smooth\nsteps = 3\nmesh_file = {mesh_path}\n"
+        f"output_dir = {tmp_path / 'out'}\n",
+    )
+    assert main(["run", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem:") and "bisection" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "C_K = 1e200\nC_A = 1.0\n",               # C_K**2 overflows
+        "C_K = 2.0\nC_A = 9.8e307\n",             # C_A**2 overflows
+        "mu = 1e160\ninv_lambda = 1e-3\n",        # (2 mu / lambda + 2)**2 overflows
+        "mu = 1e155\ninv_lambda = 1e-3\n",        # stress norm overflows: nan eta_A
+    ],
+    ids=["korn", "dev_div", "material", "stress"],
+)
+def test_exit_code_bound_not_finite(tmp_path, capsys, text):
+    cfg_path = write_config(
+        tmp_path,
+        f"problem = manufactured-smooth\n{text}output_dir = {tmp_path / 'out'}\n",
+    )
+    assert main(["run", cfg_path]) == 1
+    assert "bound is not finite" in capsys.readouterr().err
+
+
 def test_exit_code_non_finite_config(tmp_path, capsys):
     for text in ("mu = nan\n", "inv_lambda = nan\n"):
         cfg_path = write_config(tmp_path, text)
         assert main(["run", cfg_path]) == 2
         assert "not finite" in capsys.readouterr().err
+
+
+# -- exit-code fuzzing ----------------------------------------------------------
+
+_EXIT_CODES = (0, 1, 2, 3, 4)
+_FUZZ_TEXT = st.text(st.characters(codec="ascii"), max_size=8)
+_FUZZ_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# Random values of the type each key takes, in or out of its valid range;
+# "steps" stays at most 2 so that each run is short.
+_FUZZ_VALID = {
+    "problem": st.sampled_from(["cook", "manufactured-smooth", "square-lshape"]),
+    "k": st.sampled_from(["1", "2"]),
+    "mu": _FUZZ_POSITIVE.map(repr),
+    "inv_lambda": st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    "theta": st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(repr),
+    "steps": st.sampled_from(["1", "2"]),
+    "estimator": st.sampled_from(["equilibrated", "residual"]),
+    "mode": st.sampled_from(["adaptive", "uniform"]),
+    "C_K": _FUZZ_POSITIVE.map(repr),
+    "C_A": _FUZZ_POSITIVE.map(repr),
+    "save_mesh": st.sampled_from(["true", "false"]),
+    "mesh_file": st.sampled_from(["@mesh", "@missing", "@dir"]),
+    "max_dofs": st.integers(1, 10**4).map(str),
+}
+_FUZZ_MALFORMED = st.floats().map(repr) | st.integers(-3, 3).map(str) | _FUZZ_TEXT
+_FUZZ_MALFORMED_STEPS = st.sampled_from(["0", "-1", "2.0", "two", ""])
+
+
+@st.composite
+def _fuzz_config(draw):
+    """A random subset of the known keys with random values; in half of the
+    configs one of them is replaced by a malformed value."""
+    values = draw(st.fixed_dictionaries({}, optional=_FUZZ_VALID))
+    if values and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(values)))
+        bad = _FUZZ_MALFORMED_STEPS if key == "steps" else _FUZZ_MALFORMED
+        values[key] = draw(bad)
+    return values
+
+
+_FUZZ_TOKEN = (
+    st.integers(-2, 12).map(str)
+    | st.floats().map(repr)
+    | st.sampled_from(["", "x", "1e400", "-0", "2.5"])
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    write_mesh(unit_square_mesh(2), str(path / "base.txt"))
+    return path
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    values=_fuzz_config(),
+    output=st.sampled_from(["out", "base.txt", "/dev/null/x"]),
+)
+def test_fuzz_config_gives_documented_exit_code(fuzz_dir, values, output):
+    """Random config text (known keys with random and malformed values) ends
+    in a documented exit code and raises nothing."""
+    text = (
+        "\n".join(f"{key} = {value}" for key, value in values.items())
+        .replace("@mesh", str(fuzz_dir / "base.txt"))
+        .replace("@missing", str(fuzz_dir / "absent.txt"))
+        .replace("@dir", str(fuzz_dir))
+    )
+    cfg_path = fuzz_dir / "fuzz.cfg"
+    out = output if output.startswith("/") else fuzz_dir / output
+    cfg_path.write_text(f"{text}\noutput_dir = {out}\n")
+    assert main(["run", str(cfg_path)]) in _EXIT_CODES
+
+
+@st.composite
+def _mutated_mesh_text(draw, base_lines):
+    """A small valid mesh file with its header fields permuted, some tokens
+    replaced and some lines dropped."""
+    lines = list(base_lines)
+    header = lines[0].split(" / ")
+    lines[0] = " / ".join(draw(st.permutations(header)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        if tokens:  # an earlier replacement may have emptied the line
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_FUZZ_TOKEN)
+            lines[i] = " ".join(tokens)
+    drop = draw(st.sets(st.integers(0, len(lines) - 1), max_size=2))
+    return "\n".join(ln for i, ln in enumerate(lines) if i not in drop) + "\n"
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_fuzz_mesh_file_gives_documented_exit_code(fuzz_dir, data):
+    """Random mutations of a mesh file end in a documented exit code, both
+    in ``mesh-info`` and as the mesh of a run, and raise nothing."""
+    base_lines = (fuzz_dir / "base.txt").read_text().splitlines()
+    mesh_path = fuzz_dir / "mutated.txt"
+    mesh_path.write_text(data.draw(_mutated_mesh_text(base_lines)))
+    assert main(["mesh-info", str(mesh_path)]) in _EXIT_CODES
+    cfg_path = fuzz_dir / "mutated.cfg"
+    cfg_path.write_text(
+        f"problem = manufactured-smooth\nsteps = 2\nmesh_file = {mesh_path}\n"
+        f"output_dir = {fuzz_dir / 'out'}\n"
+    )
+    assert main(["run", str(cfg_path)]) in _EXIT_CODES
 
 
 def test_verify_subcommand(smooth_cfg, capsys):

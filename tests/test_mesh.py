@@ -105,6 +105,16 @@ def test_nonconforming_hanging_vertex():
         build_mesh(v, t, [(0, 1)], [(0, 2), (1, 3), (3, 4), (4, 2)])
 
 
+def test_nonconforming_hanging_vertex_on_a_very_long_side():
+    """A side 1e9 times longer than the bucket size of the scan: the scan
+    ends, and still finds the vertex hanging on that side."""
+    v = [(0, 0), (1e15, 0), (0, 1), (5e14, 0), (5e14 - 1e6, -1e6), (5e14 + 1e6, -1e6)]
+    t = [(0, 1, 2), (3, 4, 5)]  # vertex 3 hangs on side (0, 1)
+    n = [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]
+    with pytest.raises(NonConforming, match="vertex 3 hangs on side"):
+        build_mesh(v, t, [(0, 2)], n)
+
+
 def test_nonconforming_boundary_classification():
     with pytest.raises(NonConforming):
         build_mesh(SQUARE_V, SQUARE_T, [(0, 3), (0, 2)], SQUARE_N)
