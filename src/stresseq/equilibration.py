@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .elasticity import LoadData
-from .errors import IncompatiblePatch
+from .errors import IncompatiblePatch, StressEqError
 from .mesh import INTERIOR, NEUMANN, Mesh, VertexPatch, modified_patches
 from .spaces import (
     BrokenField,
@@ -41,6 +41,7 @@ from .spaces import (
 
 _QR_RTOL = 1e-10       # rank threshold relative to the largest row norm
 _RESIDUAL_RTOL = 1e-9  # constraint residual vs. problem scale
+_ROW_NORM_SPAN = 1e-8  # smallest / largest row norm the Schur path accepts
 
 
 @dataclass
@@ -137,12 +138,24 @@ def build_rhs_tables(
             "q,qa,sqr,qm->sarm", tw, lam_side, gv - tminus[nsides], lg
         )
 
-    return RhsTables(
+    tables = RhsTables(
         rdiv=rdiv,
         rjump=rjump,
         sigma_norm=float(np.sqrt(sig_sq)),
         f_norm=float(np.sqrt(f_sq)),
     )
+    _check_scale(tables.scale)
+    return tables
+
+
+def _check_scale(scale: float) -> None:
+    """Every residual gate reads ``tol * scale``; an infinite or nan scale
+    would let any residual pass."""
+    if not np.isfinite(scale):
+        raise StressEqError(
+            f"equilibration scale is not finite ({scale}): the stress or "
+            "load norm overflows"
+        )
 
 
 @dataclass
@@ -309,16 +322,99 @@ class Equilibrator:
     def solve_patch(self, problem: PatchProblem) -> np.ndarray:
         """Minimize the patch L2 norm subject to the constraint rows.
 
-        Redundant rows (exactly three on patches away from the displacement
-        boundary) are dropped by rank-revealing QR with a relative threshold,
-        then the reduced KKT system is solved densely.  The full constraint
-        residual is checked afterwards; failure indicates incompatible data
+        The fast path (:meth:`_solve_patch_schur`) eliminates the unknowns
+        through the block-diagonal mass matrix and factors the Jacobi-scaled
+        Schur complement B M^-1 B^T with a pivoted Cholesky, whose rank
+        drops the redundant rows (exactly three on patches away from the
+        displacement boundary).  It must pass the same KKT and constraint
+        residual gates as the QR+LU path (:meth:`_solve_patch_qr_lu`),
+        which takes over when it fails them, when the factorization fails,
+        or when the row norms of B span more than 8 decades (there the
+        QR rank rule drops rows of tiny norm, and the fallback keeps that
+        behaviour).  A failure of the fallback indicates incompatible data
         and raises IncompatiblePatch.
         """
+        if problem.constraints.shape[0] == 0 or problem.n_free == 0:
+            return np.zeros(problem.n_free)
+        fast = self._solve_patch_schur(problem)
+        if fast is not None:
+            return fast[0]
+        return self._solve_patch_qr_lu(problem)
+
+    def _solve_patch_schur(
+        self, problem: PatchProblem
+    ) -> tuple[np.ndarray, int] | None:
+        """Schur-complement solve; returns (x, rank), or None when the
+        caller must fall back to the QR+LU path."""
+        B, rhs, M = problem.constraints, problem.rhs, problem.mass
+        row_norms = np.linalg.norm(B, axis=1)
+        if row_norms.min() < _ROW_NORM_SPAN * row_norms.max():
+            return None
+        # G = M^-1 B^T: one batched solve per size of the diagonal blocks of M
+        # (one per element and tensor row, contiguous in columns), each on
+        # the few rows of B that the block's columns touch
+        sizes = np.count_nonzero(problem.free_col >= 0, axis=2).ravel()
+        starts = np.cumsum(sizes) - sizes
+        G = np.zeros(B.shape[::-1])
+        try:
+            for size in np.unique(sizes):
+                idx = starts[sizes == size, None] + np.arange(size)
+                bt = B.T[idx]                                  # (nb, size, n_rows)
+                hit = np.any(bt != 0.0, axis=1)
+                n_hit = hit.sum(axis=1)
+                rows = np.argsort(~hit, axis=1, kind="stable")[:, : n_hit.max()]
+                # pad short row lists by repeating a touched row
+                pad = np.arange(rows.shape[1]) >= n_hit[:, None]
+                rows = np.where(pad, rows[:, :1], rows)
+                G[idx[:, :, None], rows[:, None, :]] = np.linalg.solve(
+                    M[idx[:, :, None], idx[:, None, :]],
+                    np.take_along_axis(bt, rows[:, None, :], axis=2),
+                )
+        except np.linalg.LinAlgError:
+            return None
+        d = 1.0 / np.sqrt(np.einsum("ij,ji->i", B, G))
+        S = (B @ G) * d[:, None] * d
+        c, piv, rank, info = scipy.linalg.lapack.dpstrf(
+            S, tol=1e-12, lower=1, overwrite_a=1
+        )
+        if info < 0:
+            return None
+        # multipliers lam = D S_kk^-1 D r_k on the kept rows, zero on the
+        # dropped ones, so that x = G lam; one refinement step
+        keep = piv[:rank] - 1
+        lam = np.zeros(len(rhs))
+        resid = rhs
+        for _ in range(2):
+            step, _ = scipy.linalg.lapack.dpotrs(
+                c[:rank, :rank], (d * resid)[keep], lower=1
+            )
+            lam[keep] += d[keep] * step
+            x = G @ lam
+            resid = rhs - B @ x
+        # the gates of the QR+LU path, on its KKT system of the kept rows
+        # (multipliers -lam)
+        denom = max(
+            float(np.linalg.norm(rhs[keep])),
+            max(float(np.abs(M).max()), float(np.abs(B[keep]).max()))
+            * max(float(np.abs(x).max()), float(np.abs(lam).max())),
+            1e-300,
+        )
+        kkt_rel = float(
+            np.hypot(np.linalg.norm(M @ x - B.T @ lam), np.linalg.norm(resid[keep]))
+        ) / denom
+        if not (
+            kkt_rel <= 1e-10
+            and np.max(np.abs(resid)) <= _RESIDUAL_RTOL * self.scale
+        ):
+            return None
+        return x, rank
+
+    def _solve_patch_qr_lu(self, problem: PatchProblem) -> np.ndarray:
+        """Drop redundant rows by rank-revealing QR with a threshold relative
+        to the largest row norm, then solve the reduced KKT system by dense
+        LU.  Raises IncompatiblePatch when a residual gate fails."""
         B, rhs, M = problem.constraints, problem.rhs, problem.mass
         n_free = problem.n_free
-        if B.shape[0] == 0 or n_free == 0:
-            return np.zeros(n_free)
         row_norms = np.linalg.norm(B, axis=1)
         tol = _QR_RTOL * float(row_norms.max())
         _, R, piv = scipy.linalg.qr(B.T, mode="economic", pivoting=True)
@@ -562,6 +658,7 @@ def verify_equilibration(
 
     if scale is None:
         scale = float(np.sqrt(sig_sq) + np.sqrt(f_sq) + 1.0)
+    _check_scale(scale)
     return EquilibrationReport(
         div_residual=div_res,
         jump_residual=jump_res,

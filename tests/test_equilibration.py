@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stresseq import (
     BrokenField,
@@ -15,6 +16,7 @@ from stresseq import (
     equilibrate,
     manufactured_smooth,
     modified_patches,
+    square_lshape,
     verify_equilibration,
 )
 from stresseq.equilibration import compatibility_residual, null_space_vectors
@@ -43,6 +45,13 @@ def cook_eq():
 @pytest.fixture(scope="module")
 def cook2_eq():
     problem = cook()
+    disc, fields, sigma = solve_problem(problem, k=2)
+    return problem, disc, Equilibrator(disc, sigma, problem.load)
+
+
+@pytest.fixture(scope="module")
+def lshape2_eq():
+    problem = square_lshape(Material(mu=1.0, inv_lambda=0.002))
     disc, fields, sigma = solve_problem(problem, k=2)
     return problem, disc, Equilibrator(disc, sigma, problem.load)
 
@@ -258,6 +267,66 @@ def test_incompatible_rhs_raises(manu_eq):
     broken = dataclasses.replace(pp, rhs=pp.rhs + bad)
     with pytest.raises(IncompatiblePatch):
         eq.solve_patch(broken)
+
+
+@pytest.mark.parametrize("setup", ["cook_eq", "cook2_eq", "lshape2_eq"])
+def test_schur_path_matches_qr_lu_fallback(setup, request):
+    """Both patch solvers pass their gates and agree; the pivoted Cholesky
+    keeps exactly the structural rank."""
+    _, disc, eq = request.getfixturevalue(setup)
+    for patch in modified_patches(disc.mesh):
+        pp = eq.build_patch_problem(patch)
+        fast = eq._solve_patch_schur(pp)
+        assert fast is not None, f"patch {patch.vertex} failed the fast path"
+        x, rank = fast
+        x_ref = eq._solve_patch_qr_lu(pp)
+        assert np.max(np.abs(x - x_ref)) <= 1e-6 * np.max(np.abs(x_ref))
+        n_rows = pp.constraints.shape[0]
+        assert rank == (n_rows if patch.dirichlet_touching else n_rows - 3), (
+            f"patch {patch.vertex}"
+        )
+
+
+def _loaded_patch(eq, mesh):
+    """The patch problem with the largest right-hand side."""
+    problems = [eq.build_patch_problem(p) for p in modified_patches(mesh)]
+    return max(problems, key=lambda pp: np.max(np.abs(pp.rhs)))
+
+
+def test_wide_row_norm_span_takes_the_fallback(cook_eq):
+    _, disc, eq = cook_eq
+    pp = _loaded_patch(eq, disc.mesh)
+    b, rhs = pp.constraints.copy(), pp.rhs.copy()
+    sym = slice(pp.n_div + pp.n_jump, None)
+    b[sym] *= 1e-9
+    rhs[sym] *= 1e-9
+    scaled = dataclasses.replace(pp, constraints=b, rhs=rhs)
+    assert eq._solve_patch_schur(scaled) is None
+    assert np.array_equal(eq.solve_patch(scaled), eq._solve_patch_qr_lu(scaled))
+
+
+@pytest.mark.parametrize("failure", ["gate", "linalg"])
+def test_fast_path_failure_takes_the_fallback(cook_eq, monkeypatch, failure):
+    _, disc, eq = cook_eq
+    pp = _loaded_patch(eq, disc.mesh)
+    expected = eq._solve_patch_qr_lu(pp)
+    assert not np.array_equal(eq.solve_patch(pp), expected)
+    if failure == "gate":
+        dpotrs = scipy.linalg.lapack.dpotrs
+
+        def perturbed(c, b, lower):
+            x, info = dpotrs(c, b, lower=lower)
+            return 1.01 * x, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", perturbed)
+    else:
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+    assert eq._solve_patch_schur(pp) is None
+    assert np.array_equal(eq.solve_patch(pp), expected)
 
 
 @pytest.mark.parametrize(

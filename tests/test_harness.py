@@ -395,23 +395,38 @@ def test_exit_code_cyclic_refinement_edges(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+_SMOOTH = "problem = manufactured-smooth\n"
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "C_K = 1e200\nC_A = 1.0\n",               # C_K**2 overflows
-        "C_K = 2.0\nC_A = 9.8e307\n",             # C_A**2 overflows
-        "mu = 1e160\ninv_lambda = 1e-3\n",        # (2 mu / lambda + 2)**2 overflows
-        "mu = 1e155\ninv_lambda = 1e-3\n",        # stress norm overflows: nan eta_A
+        (_SMOOTH + "C_K = 1e200\nC_A = 1.0\n", "bound is not finite"),  # C_K**2
+        (_SMOOTH + "C_K = 2.0\nC_A = 9.8e307\n", "bound is not finite"),  # C_A**2
+        # (2 mu / lambda + 2)**2 overflows; the Cook stress does not grow with mu
+        ("problem = cook\nmu = 1e160\ninv_lambda = 1e-3\n", "bound is not finite"),
+        # the stress norm overflows, and with it the scale of every gate
+        (_SMOOTH + "mu = 1e155\ninv_lambda = 1e-3\n", "scale is not finite"),
     ],
     ids=["korn", "dev_div", "material", "stress"],
 )
-def test_exit_code_bound_not_finite(tmp_path, capsys, text):
+def test_exit_code_bound_not_finite(tmp_path, capsys, text, message):
+    cfg_path = write_config(tmp_path, f"{text}output_dir = {tmp_path / 'out'}\n")
+    assert main(["run", cfg_path]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_exit_code_scale_not_finite(tmp_path, capsys):
+    """An infinite scale would let every ``<= 1e-9 * scale`` gate pass."""
     cfg_path = write_config(
         tmp_path,
-        f"problem = manufactured-smooth\n{text}output_dir = {tmp_path / 'out'}\n",
+        f"{_SMOOTH}mu = 1e155\ninv_lambda = 1e-3\noutput_dir = {tmp_path / 'out'}\n",
     )
-    assert main(["run", cfg_path]) == 1
-    assert "bound is not finite" in capsys.readouterr().err
+    for command in ("verify", "run"):
+        assert main([command, cfg_path]) == 1
+        out, err = capsys.readouterr()
+        assert "(ok)" not in out
+        assert err.startswith("error: solver:") and "scale is not finite" in err
 
 
 def test_exit_code_non_finite_config(tmp_path, capsys):
