@@ -167,10 +167,34 @@ def _side_table(triangles, n_vertices):
     return sides, side_tri, inverse
 
 
+_SCAN_BATCH = 1 << 15  # (side, candidate) pairs tested at once
+
+
+def _batches(weights, limit):
+    """Consecutive slices of ``weights`` whose sums stay within ``limit``
+    (a slice of one item may exceed it)."""
+    ends = np.cumsum(weights)
+    start = 0
+    while start < len(weights):
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + limit, "right")), start + 1)
+        yield start, stop
+        start = stop
+
+
 def _hanging_node_scan(vertices, triangles, sides):
-    """Geometric check for vertices lying strictly inside a side."""
-    used = np.zeros(vertices.shape[0], bool)
-    used[triangles.ravel()] = True
+    """Geometric check for vertices lying strictly inside a side.
+
+    Used vertices are put in square buckets of the median side length.  A
+    side's candidates are the used vertices in the buckets that its
+    bounding box, widened by one bucket, touches.  They are found by binary
+    search over the vertices sorted by (bucket x, bucket y, id), so sides
+    are tested in order and each side's candidates in that order, and the
+    first hanging vertex found is reported.
+    """
+    if not len(sides):
+        return
+    used = np.flatnonzero(np.bincount(triangles.ravel(), minlength=len(vertices)))
     a = vertices[sides[:, 0]]
     b = vertices[sides[:, 1]]
     lengths = np.linalg.norm(b - a, axis=1)
@@ -181,44 +205,55 @@ def _hanging_node_scan(vertices, triangles, sides):
         # a side's bounding box stays inside the side's bucket range
         return np.clip(np.floor(x / cell), -(2.0**62), 2.0**62).astype(np.int64)
 
-    buckets: dict[tuple[int, int], list[int]] = {}
-    keys = bucket(vertices)
-    for vid in np.flatnonzero(used):
-        buckets.setdefault((keys[vid, 0], keys[vid, 1]), []).append(vid)
-    side_lo = bucket(np.minimum(a, b)) - 1
-    side_hi = bucket(np.maximum(a, b)) + 1
-    for s in range(len(sides)):
-        lo, hi = side_lo[s].tolist(), side_hi[s].tolist()
-        if (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1) <= len(buckets):
-            near = [
-                (ix, iy)
-                for ix in range(lo[0], hi[0] + 1)
-                for iy in range(lo[1], hi[1] + 1)
-            ]
-        else:  # a side much longer than the bucket size: filter the buckets
-            near = sorted(
-                key
-                for key in buckets
-                if lo[0] <= key[0] <= hi[0] and lo[1] <= key[1] <= hi[1]
-            )
-        cand = [vid for key in near for vid in buckets.get(key, ())]
-        if not cand:
-            continue
-        cand = np.array(cand)
-        cand = cand[(cand != sides[s, 0]) & (cand != sides[s, 1])]
-        if cand.size == 0:
-            continue
+    # occupied bucket columns and rows, ranked so a bucket packs into one int64
+    keys = bucket(vertices[used])
+    cols, col_of = np.unique(keys[:, 0], return_inverse=True)
+    rows, row_of = np.unique(keys[:, 1], return_inverse=True)
+    packed = col_of * len(rows) + row_of
+    order = np.argsort(packed, kind="stable")  # ties keep ascending ids
+    packed, vids = packed[order], used[order]
+
+    lo = bucket(np.minimum(a, b)) - 1
+    hi = bucket(np.maximum(a, b)) + 1
+    c0 = np.searchsorted(cols, lo[:, 0])
+    r0 = np.searchsorted(rows, lo[:, 1])
+    r1 = np.searchsorted(rows, hi[:, 1], "right")
+    n_cols = np.searchsorted(cols, hi[:, 0], "right") - c0
+    n_cols[r1 <= r0] = 0
+
+    def column_ranges(start, stop):
+        """(side, first, end) into the sorted vertices, per occupied column
+        of each side's box, for the sides start..stop-1."""
+        n = n_cols[start:stop]
+        side = np.repeat(np.arange(start, stop), n)
+        col = c0[side] + np.arange(len(side)) - np.repeat(np.cumsum(n) - n, n)
+        first = np.searchsorted(packed, col * len(rows) + r0[side])
+        end = np.searchsorted(packed, col * len(rows) + r1[side])
+        return side, first, end
+
+    n_cand = np.zeros(len(sides), dtype=np.int64)
+    for start, stop in _batches(n_cols, _SCAN_BATCH):
+        side, first, end = column_ranges(start, stop)
+        n_cand += np.bincount(side, end - first, len(sides)).astype(np.int64)
+
+    eps = 1e-12
+    for start, stop in _batches(n_cand + n_cols, _SCAN_BATCH):
+        side, first, end = column_ranges(start, stop)
+        m = end - first
+        s = np.repeat(side, m)
+        cand = vids[np.arange(m.sum()) + np.repeat(first - np.cumsum(m) + m, m)]
+        keep = (cand != sides[s, 0]) & (cand != sides[s, 1])
+        s, cand = s[keep], cand[keep]
         p = vertices[cand]
         ab = b[s] - a[s]
-        t = (p - a[s]) @ ab / (lengths[s] ** 2)
+        t = np.einsum("ij,ij->i", p - a[s], ab) / (lengths[s] ** 2)
         proj = a[s] + t[:, None] * ab
         dist = np.linalg.norm(p - proj, axis=1)
-        eps = 1e-12
         onseg = (dist <= 1e-10 * lengths[s]) & (t > eps) & (t < 1 - eps)
         if onseg.any():
-            vid = int(cand[np.flatnonzero(onseg)[0]])
+            i = np.flatnonzero(onseg)[0]
             raise NonConforming(
-                f"vertex {vid} hangs on side {tuple(sides[s])}"
+                f"vertex {int(cand[i])} hangs on side {tuple(sides[s[i]])}"
             )
 
 
@@ -319,6 +354,15 @@ def _assemble(
     sides, side_tri, tri_sides = _side_table(triangles, nv)
     if geometric_check:
         _hanging_node_scan(vertices, triangles, sides)
+    # Slivers: twice the area over the longest edge squared (the height onto
+    # that edge over its length) at rounding level.  Tested after the scan,
+    # so that a vertex hanging on a sliver's side is still named.
+    d3 = d2 - d1
+    longest2 = np.max([np.sum(d * d, axis=1) for d in (d1, d2, d3)], axis=0)
+    flat = ~(area2 > 1e-12 * longest2)
+    if flat.any():
+        e = int(np.flatnonzero(flat)[0])
+        raise InvertedElement(f"triangle {e} is degenerate to rounding")
 
     boundary = side_tri[:, 1] < 0
     side_label = np.zeros(len(sides), dtype=np.int64)
@@ -415,7 +459,8 @@ def read_mesh(path) -> Mesh:
     """Read a mesh written by :func:`write_mesh`.
 
     The stored vertex order of each triangle is preserved (the first two
-    vertices remain the refinement edge); full validation is performed.
+    vertices remain the refinement edge); full validation is performed, and
+    a file that cannot be read or holds no valid mesh raises IoError.
     """
     try:
         with open(path) as fh:
@@ -453,6 +498,10 @@ def read_mesh(path) -> Mesh:
         return _assemble(vertices, triangles, dirichlet, neumann)
     except (ValueError, KeyError) as exc:
         raise IoError(f"malformed mesh file {path}: {exc}") from exc
+    except (
+        NonConforming, InvertedElement, EmptyDirichlet, IsolatedNeumannVertex
+    ) as exc:
+        raise IoError(f"invalid mesh in file {path}: {exc}") from exc
 
 
 # -- refinement ------------------------------------------------------------

@@ -22,9 +22,12 @@ from stresseq import (
     direct_stress,
     manufactured_smooth,
     solve,
+    square_lshape,
     triangle_rule,
+    uniform_refine,
     unit_square_mesh,
 )
+from stresseq import elasticity
 from stresseq.elasticity import element_jacobians, fields_on_tables
 from stresseq.spaces import lagrange_grads, lagrange_values
 from test_mesh import two_triangle_square
@@ -270,6 +273,143 @@ def test_singular_system_guard():
     bad = dataclasses.replace(system, matrix=broken.tocsr())
     with pytest.raises(SingularSystem):
         solve(bad)
+
+
+# -- saddle-point LU: symmetric ordering and COLAMD fallback ----------------------
+
+
+def _splu_calls(monkeypatch, wrap=None):
+    """Record the keyword arguments of every ``splu`` call of ``solve``;
+    ``wrap(lu, kwargs)`` may replace each factor."""
+    calls = []
+    real = spla.splu
+
+    def recording(a, **kwargs):
+        calls.append(kwargs)
+        lu = real(a, **kwargs)
+        return lu if wrap is None else wrap(lu, kwargs)
+
+    monkeypatch.setattr(elasticity.spla, "splu", recording)
+    return calls
+
+
+def _is_symmetric(kwargs):
+    return (
+        kwargs.get("permc_spec") == "MMD_AT_PLUS_A"
+        and kwargs.get("diag_pivot_thresh") == 0.0
+        and kwargs.get("options") == {"SymmetricMode": True}
+    )
+
+
+def _colamd_solution(system):
+    """What ``solve`` returns from the COLAMD factorization: (u, p)."""
+    free = system.free
+    k_ff = system.matrix[free][:, free].tocsc()
+    b = system.rhs[free]
+    lu = spla.splu(k_ff)
+    xf = lu.solve(b)
+    xf += lu.solve(b - k_ff @ xf)
+    x = np.zeros(system.matrix.shape[0])
+    x[free] = xf
+    return x[: system.n_u], x[system.n_u :]
+
+
+def _cook_system(k=1):
+    problem = cook()
+    disc = Discretization(problem.mesh, k)
+    return assemble_system(disc, problem.material, problem.load)
+
+
+def test_symmetric_factorization_failure_falls_back_to_colamd(monkeypatch):
+    system = _cook_system()
+    u_ref, p_ref = _colamd_solution(system)
+    real = spla.splu
+
+    def failing(a, **kwargs):
+        if kwargs:
+            raise RuntimeError("Factor is exactly singular")
+        return real(a)
+
+    monkeypatch.setattr(elasticity.spla, "splu", failing)
+    fields = solve(system)
+    assert np.array_equal(fields.u, u_ref)
+    assert np.array_equal(fields.p, p_ref)
+
+
+def test_symmetric_residual_above_gate_falls_back_to_colamd(monkeypatch):
+    system = _cook_system()
+    u_ref, p_ref = _colamd_solution(system)
+
+    class Shifted:
+        """A factor whose solves are off by a constant, which the
+        refinement step cannot remove."""
+
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return self.lu.solve(b) + 1e-3
+
+    calls = _splu_calls(
+        monkeypatch, lambda lu, kw: Shifted(lu) if _is_symmetric(kw) else lu
+    )
+    fields = solve(system)
+    assert len(calls) == 2
+    assert _is_symmetric(calls[0]) and calls[1] == {}
+    assert np.array_equal(fields.u, u_ref)
+    assert np.array_equal(fields.p, p_ref)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pinned_pressure_solve_by_symmetric_lu(monkeypatch, k):
+    """All-Dirichlet unit square, inv_lambda = 0: one pressure dof pinned."""
+    base = unit_square_mesh(4)
+    boundary = base.sides[base.side_label != 0]
+    mesh = build_mesh(base.vertices, base.triangles, boundary, [])
+
+    def f(x):
+        out = np.zeros_like(x)
+        out[..., 0] = np.sin(3.0 * x[..., 1])
+        out[..., 1] = x[..., 0] ** 2
+        return out
+
+    system = assemble_system(
+        Discretization(mesh, k), Material(inv_lambda=0.0), LoadData(volume=f)
+    )
+    assert system.pinned_pressure and not system.free[system.n_u]
+    calls = _splu_calls(monkeypatch)
+    fields = solve(system)
+    assert len(calls) == 1 and _is_symmetric(calls[0])
+
+    free = system.free
+    k_ff = system.matrix[free][:, free].tocsc()
+    b = system.rhs[free]
+    # undo the zero-mean shift: the pinned pressure dof was solved as 0
+    x = np.concatenate([fields.u, fields.p - fields.p[0]])
+    assert np.linalg.norm(b - k_ff @ x[free]) <= 1e-10 * np.linalg.norm(b)
+
+    ref = np.zeros(system.matrix.shape[0])
+    ref[free] = spla.spsolve(k_ff, b)
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "problem, k",
+    [
+        (cook(), 1),
+        (cook(), 2),
+        (manufactured_smooth(), 1),
+        (square_lshape(Material(mu=1.0, inv_lambda=0.002)), 2),
+    ],
+    ids=["cook-k1", "cook-k2", "smooth-k1", "lshape-k2"],
+)
+def test_symmetric_lu_is_the_path_taken(monkeypatch, problem, k):
+    """A silent fallback to COLAMD would still pass every other test."""
+    mesh = uniform_refine(problem.mesh, 2)
+    system = assemble_system(Discretization(mesh, k), problem.material, problem.load)
+    calls = _splu_calls(monkeypatch)
+    solve(system)
+    assert len(calls) == 1 and _is_symmetric(calls[0])
 
 
 def test_cook_tip_displacement_solver_agreement():

@@ -361,6 +361,30 @@ def test_exit_code_bad_mesh_file(tmp_path, capsys, line_of):
     assert "io" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "vertex, axis", [(1, 0), (0, 1)], ids=["x-of-vertex-1", "y-of-vertex-0"]
+)
+def test_exit_code_sliver_mesh_file(tmp_path, capsys, vertex, axis):
+    """One coordinate of the 2x2 unit-square mesh moved to -8.36e15: every
+    area stays positive, but some triangles are degenerate to rounding."""
+    mesh = unit_square_mesh(2)
+    mesh.vertices[vertex, axis] = -8.36e15
+    mesh_path = tmp_path / "sliver.txt"
+    write_mesh(mesh, str(mesh_path))
+    assert main(["mesh-info", str(mesh_path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: io:") and "degenerate to rounding" in err
+    cfg_path = write_config(
+        tmp_path,
+        f"problem = manufactured-smooth\nmesh_file = {mesh_path}\n"
+        f"output_dir = {tmp_path / 'out'}\n",
+    )
+    assert main(["run", cfg_path]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "degenerate to rounding" in err
+
+
 _CYCLIC_MESH = """\
 vertices 5 / triangles 4 / sides_dirichlet 4 / sides_neumann 0
 0 0

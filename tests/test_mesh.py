@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import min_angle_deg, random_points_in_elements
 from stresseq import (
@@ -19,6 +21,7 @@ from stresseq import (
     build_mesh,
     compose_ancestry,
     cook_mesh,
+    lshape_mesh,
     modified_patches,
     read_mesh,
     refine,
@@ -28,6 +31,7 @@ from stresseq import (
     write_mesh,
 )
 from stresseq.equilibration import side_traces
+from stresseq.mesh import _hanging_node_scan
 
 SQUARE_V = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_T = [(0, 1, 2), (0, 2, 3)]
@@ -115,6 +119,103 @@ def test_nonconforming_hanging_vertex_on_a_very_long_side():
         build_mesh(v, t, [(0, 2)], n)
 
 
+def _loop_hanging_node_scan(vertices, triangles, sides):
+    """The per-side loop that ``_hanging_node_scan`` vectorises: the same
+    buckets, candidates, candidate order and on-segment test."""
+    used = np.zeros(vertices.shape[0], bool)
+    used[triangles.ravel()] = True
+    a = vertices[sides[:, 0]]
+    b = vertices[sides[:, 1]]
+    lengths = np.linalg.norm(b - a, axis=1)
+    cell = max(np.median(lengths), 1e-300)
+
+    def bucket(x):
+        return np.clip(np.floor(x / cell), -(2.0**62), 2.0**62).astype(np.int64)
+
+    buckets = {}
+    keys = bucket(vertices)
+    for vid in np.flatnonzero(used):
+        buckets.setdefault((keys[vid, 0], keys[vid, 1]), []).append(vid)
+    side_lo = bucket(np.minimum(a, b)) - 1
+    side_hi = bucket(np.maximum(a, b)) + 1
+    for s in range(len(sides)):
+        lo, hi = side_lo[s].tolist(), side_hi[s].tolist()
+        near = sorted(
+            key
+            for key in buckets
+            if lo[0] <= key[0] <= hi[0] and lo[1] <= key[1] <= hi[1]
+        )
+        cand = np.array([vid for key in near for vid in buckets[key]], dtype=int)
+        cand = cand[(cand != sides[s, 0]) & (cand != sides[s, 1])]
+        p = vertices[cand]
+        ab = b[s] - a[s]
+        t = (p - a[s]) @ ab / (lengths[s] ** 2)
+        dist = np.linalg.norm(p - (a[s] + t[:, None] * ab), axis=1)
+        onseg = (dist <= 1e-10 * lengths[s]) & (t > 1e-12) & (t < 1 - 1e-12)
+        if onseg.any():
+            vid = int(cand[np.flatnonzero(onseg)[0]])
+            raise NonConforming(f"vertex {vid} hangs on side {tuple(sides[s])}")
+
+
+def _scan_outcome(scan, vertices, triangles, sides):
+    try:
+        scan(vertices, triangles, sides)
+    except NonConforming as exc:
+        return str(exc)
+    return None
+
+
+def _sides_of(triangles):
+    local = triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+    return np.unique(np.sort(local, axis=1), axis=0)
+
+
+def _scans_agree(vertices, triangles):
+    """Outcome of the scan, after checking that the loop gives the same."""
+    sides = _sides_of(triangles)
+    got = _scan_outcome(_hanging_node_scan, vertices, triangles, sides)
+    assert got == _scan_outcome(_loop_hanging_node_scan, vertices, triangles, sides)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_tri=st.integers(1, 60),
+    grid=st.sampled_from([3, 5, 9]),
+    scale=st.sampled_from([1.0, 1e-7, 3e5]),
+)
+def test_hanging_node_scan_matches_the_loop(seed, n_tri, grid, scale):
+    """Random triangles over the points of a small lattice, some of them
+    shifted off it, so that many vertices lie on other triangles' sides."""
+    rng = np.random.default_rng(seed)
+    lattice = np.stack(np.divmod(rng.permutation(grid * grid), grid), axis=1)
+    vertices = scale * lattice.astype(float)
+    vertices[:, 0] += scale * 1e-3 * rng.integers(0, 2, size=len(vertices))
+    triangles = np.array(
+        [rng.choice(len(vertices), 3, replace=False) for _ in range(n_tri)]
+    )
+    _scans_agree(vertices, triangles)
+
+
+def test_hanging_node_scan_matches_the_loop_on_refined_meshes():
+    """Putting a bisected triangle of a refined Cook mesh back in place of
+    its children leaves a midpoint hanging on it when that midpoint is
+    shared with a neighbour."""
+    coarse = cook_mesh()
+    fine = refine(coarse, [3, 17])
+    assert np.array_equal(fine.vertices[: coarse.n_vertices], coarse.vertices)
+    assert _scans_agree(fine.vertices, fine.triangles) is None
+    reports = [
+        _scans_agree(
+            fine.vertices,
+            np.vstack([fine.triangles[fine.parent != e], coarse.triangles[e]]),
+        )
+        for e in np.flatnonzero(np.bincount(fine.parent) > 1)
+    ]
+    assert sum(r is not None for r in reports) >= 2
+
+
 def test_nonconforming_boundary_classification():
     with pytest.raises(NonConforming):
         build_mesh(SQUARE_V, SQUARE_T, [(0, 3), (0, 2)], SQUARE_N)
@@ -127,6 +228,32 @@ def test_nonconforming_boundary_classification():
 def test_inverted_element():
     with pytest.raises(InvertedElement):
         build_mesh(SQUARE_V, [(0, 2, 1), (0, 2, 3)], SQUARE_D, SQUARE_N)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e5, 1e10])
+def test_sliver_triangle_is_rejected_at_any_scale(scale):
+    """Height over longest edge 1e-13: positive area, but degenerate to
+    rounding.  The apex sits too close to a corner to hang on the long
+    side, so the hanging-vertex scan lets it through."""
+    d = [(0, 1)]
+    n = [(1, 2), (2, 0)]
+    with pytest.raises(InvertedElement, match="degenerate to rounding"):
+        build_mesh(scale * np.array([(0, 0), (1, 0), (1e-13, 1e-13)]), [(0, 1, 2)], d, n)
+    build_mesh(scale * np.array([(0, 0), (1, 0), (1e-3, 1e-3)]), [(0, 1, 2)], d, n)
+
+
+def test_corner_graded_refinement_keeps_its_shape():
+    """Forty rounds of bisection into the reentrant corner (h down to about
+    1e-6) keep every triangle far from the sliver test's threshold."""
+    mesh = lshape_mesh()
+    for _ in range(40):
+        at_corner = (np.linalg.norm(mesh.vertices[mesh.triangles], axis=2) == 0).any(axis=1)
+        mesh = refine(mesh, np.flatnonzero(at_corner))
+    assert mesh.h.min() < 2e-6
+    p = mesh.vertices[mesh.triangles]
+    edges = p - np.roll(p, 1, axis=1)
+    ratio = 2 * mesh.areas / np.max(np.sum(edges**2, axis=2), axis=1)
+    assert ratio.min() > 0.1
 
 
 def test_empty_dirichlet():
