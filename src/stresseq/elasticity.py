@@ -303,22 +303,21 @@ def assemble_system(
     )
 
 
-def _lu_solve(k_ff, b: np.ndarray, symmetric: bool):
-    """Factor ``k_ff``, solve with one refinement step; (x, relative residual).
+# SuperLU's symmetric mode: minimum-degree ordering of A + A^T, diagonal pivots
+_SYMMETRIC_LU = dict(
+    permc_spec="MMD_AT_PLUS_A",
+    diag_pivot_thresh=0.0,
+    options=dict(SymmetricMode=True),
+)
 
-    ``symmetric`` orders A + A^T by minimum degree and pivots on the
-    diagonal (SuperLU's symmetric mode); otherwise COLAMD with partial
-    pivoting.  Raises RuntimeError when the factorization fails.
+
+def _refined_lu_solve(k_ff, b: np.ndarray, **splu_options):
+    """Factor ``k_ff`` by ``spla.splu`` and solve with one refinement step.
+
+    Returns (x, relative residual); raises RuntimeError when the
+    factorization fails.
     """
-    if symmetric:
-        lu = spla.splu(
-            k_ff,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-    else:
-        lu = spla.splu(k_ff)
+    lu = spla.splu(k_ff, **splu_options)
     x = lu.solve(b)
     x += lu.solve(b - k_ff @ x)
     scale = max(float(np.linalg.norm(b)), 1e-300)
@@ -342,15 +341,15 @@ def solve(system: LinearSystem) -> FieldPair:
     x = np.zeros(system.matrix.shape[0])
     if b.size:
         try:
-            xf, rel = _lu_solve(k_ff, b, symmetric=True)
+            xf, rel = _refined_lu_solve(k_ff, b, **_SYMMETRIC_LU)
         except RuntimeError:
             rel = np.inf
-        if not rel <= 1e-10:  # also catches NaN
+        if not rel <= 1e-10:  # a NaN residual fails too
             try:
-                xf, rel = _lu_solve(k_ff, b, symmetric=False)
+                xf, rel = _refined_lu_solve(k_ff, b)  # COLAMD, partial pivoting
             except RuntimeError as exc:
                 raise SingularSystem(f"saddle-point factorization failed: {exc}")
-            if not np.isfinite(rel) or rel > 1e-10:
+            if not rel <= 1e-10:
                 raise SingularSystem(
                     f"saddle-point solve residual {rel:.3e} exceeds 1e-10"
                 )

@@ -155,7 +155,9 @@ def _side_table(triangles, n_vertices):
     )
     if counts.max(initial=0) > 2:
         bad = sides[np.argmax(counts)]
-        raise NonConforming(f"side {tuple(bad)} is shared by more than two triangles")
+        raise NonConforming(
+            f"side {tuple(bad.tolist())} is shared by more than two triangles"
+        )
     inverse = inverse.reshape(nt, 3)
     order = np.argsort(inverse.ravel(), kind="stable")
     elems = np.repeat(np.arange(nt), 3)[order]
@@ -253,7 +255,7 @@ def _hanging_node_scan(vertices, triangles, sides):
         if onseg.any():
             i = np.flatnonzero(onseg)[0]
             raise NonConforming(
-                f"vertex {int(cand[i])} hangs on side {tuple(sides[s[i]])}"
+                f"vertex {int(cand[i])} hangs on side {tuple(sides[s[i]].tolist())}"
             )
 
 
@@ -385,7 +387,7 @@ def _assemble(
     unclassified = boundary & (side_label == INTERIOR)
     if unclassified.any():
         s = int(np.flatnonzero(unclassified)[0])
-        raise NonConforming(f"boundary side {tuple(sides[s])} is unclassified")
+        raise NonConforming(f"boundary side {tuple(sides[s].tolist())} is unclassified")
     if not (side_label == DIRICHLET).any():
         raise EmptyDirichlet("no dirichlet sides: displacement boundary is empty")
 

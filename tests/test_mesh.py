@@ -105,7 +105,7 @@ def test_nonconforming_triple_side():
 def test_nonconforming_hanging_vertex():
     v = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
     t = [(0, 1, 2), (1, 3, 4)]  # vertex 4 hangs on side (1, 2)
-    with pytest.raises(NonConforming):
+    with pytest.raises(NonConforming, match=r"^vertex 4 hangs on side \(1, 2\)$"):
         build_mesh(v, t, [(0, 1)], [(0, 2), (1, 3), (3, 4), (4, 2)])
 
 
@@ -154,7 +154,7 @@ def _loop_hanging_node_scan(vertices, triangles, sides):
         onseg = (dist <= 1e-10 * lengths[s]) & (t > 1e-12) & (t < 1 - 1e-12)
         if onseg.any():
             vid = int(cand[np.flatnonzero(onseg)[0]])
-            raise NonConforming(f"vertex {vid} hangs on side {tuple(sides[s])}")
+            raise NonConforming(f"vertex {vid} hangs on side {tuple(sides[s].tolist())}")
 
 
 def _scan_outcome(scan, vertices, triangles, sides):
