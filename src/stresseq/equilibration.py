@@ -17,7 +17,8 @@ non-polynomial data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -42,6 +43,7 @@ from .spaces import (
 _QR_RTOL = 1e-10       # rank threshold relative to the largest row norm
 _RESIDUAL_RTOL = 1e-9  # constraint residual vs. problem scale
 _ROW_NORM_SPAN = 1e-8  # smallest / largest row norm the Schur path accepts
+_BATCH_BYTES = 2_200_000  # stacked B per batch: 32 patches of shape (89, 96)
 
 
 @dataclass
@@ -168,7 +170,10 @@ class PatchProblem:
     there).  Constraint rows come in three deterministic groups:
     divergence moments (element ascending, tensor row, monomial), jump
     moments (active side ascending, tensor row, Legendre moment), and
-    weak-symmetry moments (scalar node ascending).
+    weak-symmetry moments (scalar node ascending).  The objective is the
+    plain L2 norm: its matrix is block diagonal, the free part of each
+    element's Gram matrix once per tensor row, and is only assembled on
+    request (:attr:`mass`).
     """
 
     patch: VertexPatch
@@ -178,7 +183,7 @@ class PatchProblem:
     col_row: np.ndarray        # (n_free,) tensor row per column
     col_dof: np.ndarray        # (n_free,) local dof index per column
     free_col: np.ndarray       # (ne, 2, nd) column index or -1
-    mass: np.ndarray           # (n_free, n_free)
+    gram: np.ndarray           # (ne, nd, nd) Gram matrix per element
     constraints: np.ndarray    # (n_rows, n_free)
     rhs: np.ndarray            # (n_rows,)
     jump_sides: np.ndarray     # (n_active,) global side ids, ascending
@@ -196,9 +201,125 @@ class PatchProblem:
     def n_jump(self) -> int:
         return len(self.jump_sides) * 2 * (self.k + 1)
 
+    @property
+    def mass(self) -> np.ndarray:
+        """The dense objective matrix (n_free, n_free)."""
+        cols = np.where(self.free_col >= 0, self.free_col, self.n_free)
+        mass = np.zeros((self.n_free + 1, self.n_free + 1))
+        for r in range(2):
+            mass[cols[:, r, :, None], cols[:, r, None, :]] = self.gram
+        return mass[: self.n_free, : self.n_free]
+
+
+@dataclass
+class PatchBatch:
+    """Problems of patches with one topology, stacked along a leading axis.
+
+    Every array field is the :class:`PatchProblem` field of the same name
+    with one entry per patch; the shapes after the leading axis agree.
+    """
+
+    patches: list[VertexPatch]
+    k: int
+    elements: np.ndarray       # (P, ne)
+    col_elem: np.ndarray       # (P, n_free)
+    col_row: np.ndarray        # (P, n_free)
+    col_dof: np.ndarray        # (P, n_free)
+    free_col: np.ndarray       # (P, ne, 2, nd)
+    gram: np.ndarray           # (P, ne, nd, nd)
+    constraints: np.ndarray    # (P, n_rows, n_free)
+    rhs: np.ndarray            # (P, n_rows)
+    jump_sides: np.ndarray     # (P, n_active)
+    sym_nodes: np.ndarray      # (P, n_sym)
+
+    def problem(self, i: int) -> PatchProblem:
+        return PatchProblem(
+            patch=self.patches[i],
+            k=self.k,
+            **{name: getattr(self, name)[i] for name in _STACKED},
+        )
+
+    def take(self, ids: np.ndarray) -> PatchBatch:
+        """The batch of the patches ``ids`` (indices into this batch)."""
+        return PatchBatch(
+            patches=[self.patches[i] for i in ids],
+            k=self.k,
+            **{name: getattr(self, name)[ids] for name in _STACKED},
+        )
+
+    @classmethod
+    def of(cls, problem: PatchProblem) -> PatchBatch:
+        """The batch of one patch problem."""
+        return cls(
+            patches=[problem.patch],
+            k=problem.k,
+            **{name: getattr(problem, name)[None] for name in _STACKED},
+        )
+
+
+_STACKED = [f.name for f in fields(PatchBatch) if f.name not in ("patches", "k")]
+
+
+class BatchSolution(NamedTuple):
+    """Patch solutions of one batch, one entry per patch."""
+
+    x: np.ndarray          # (P, n_free) minimizers
+    rank: np.ndarray       # (P,) rank of the pivoted Cholesky (Schur path)
+    fallback: np.ndarray   # (P,) solved by QR+LU instead of the Schur path
+    residual: np.ndarray   # (P,) max |B x - r|
+
+
+def _no_solution(n: int, n_free: int, fallback: bool) -> BatchSolution:
+    return BatchSolution(
+        np.zeros((n, n_free)),
+        np.zeros(n, dtype=np.int64),
+        np.full(n, fallback),
+        np.zeros(n),
+    )
+
+
+def _n_distinct(values: np.ndarray) -> np.ndarray:
+    """Number of distinct entries per row of a 2-d array."""
+    v = np.sort(values, axis=1)
+    return 1 + np.count_nonzero(v[:, 1:] != v[:, :-1], axis=1)
+
+
+def _row_unique(values: np.ndarray) -> np.ndarray:
+    """Distinct entries per row, ascending; every row has as many."""
+    v = np.sort(values, axis=1)
+    first = np.ones(v.shape, dtype=bool)
+    first[:, 1:] = v[:, 1:] != v[:, :-1]
+    return v[first].reshape(len(v), int(first[0].sum()))
+
+
+def _mass_blocks(batch: PatchBatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Diagonal blocks of the objective matrices of a batch.
+
+    The free columns of one element and tensor row are contiguous and form
+    one block.  Returns, per block size, the columns (nb, size) and the
+    blocks (P, nb, size, size).
+    """
+    sizes = np.count_nonzero(batch.free_col[0] >= 0, axis=2).ravel()
+    starts = np.cumsum(sizes) - sizes
+    pn = np.arange(len(batch.patches))[:, None, None, None]
+    out = []
+    for size in np.unique(sizes):
+        blk = np.flatnonzero(sizes == size)
+        idx = starts[blk, None] + np.arange(size)
+        dof = batch.col_dof[:, idx]                            # (P, nb, size)
+        elem = (blk // 2)[None, :, None, None]
+        out.append((idx, batch.gram[pn, elem, dof[..., :, None], dof[..., None, :]]))
+    return out
+
 
 class Equilibrator:
-    """Builds, solves, and sums the patch corrections for one solution."""
+    """Builds, solves, and sums the patch corrections for one solution.
+
+    :meth:`correction` leaves plain counters of its step: ``n_patches``,
+    ``n_batches`` (stacked solves), ``n_fallbacks`` (patches solved by
+    QR+LU), and ``worst_residual``, the largest max|B x - r| / scale of a
+    patch, with ``worst_vertex``, that patch's vertex.
+    """
 
     def __init__(
         self,
@@ -211,6 +332,9 @@ class Equilibrator:
         self.tables = disc.constraints
         self.rhs_tables = build_rhs_tables(disc, sigma_h, load)
         self._neumann_only = disc.mesh.vertex_flags()[1]
+        self.n_patches = self.n_batches = self.n_fallbacks = 0
+        self.worst_residual = 0.0
+        self.worst_vertex = -1
 
     @property
     def scale(self) -> float:
@@ -219,98 +343,154 @@ class Equilibrator:
     # -- patch problem construction ------------------------------------------
 
     def build_patch_problem(self, patch: VertexPatch) -> PatchProblem:
+        return self._build_batch([patch]).problem(0)
+
+    def _topology(self, elements: np.ndarray):
+        """Side data of stacked patches (P, ne): the element sides
+        (P, ne, 3), which of them carry jump rows (interior to the patch,
+        or on the traction boundary), and the free dofs (P, ne, nd): all
+        but the side moments on patch-boundary sides interior to the mesh.
+        """
         mesh, k = self.disc.mesh, self.disc.k
-        assert not self._neumann_only[patch.vertex], (
+        sides = mesh.tri_sides[elements]
+        # the boundary partner -1 matches no element
+        partner = mesh.side_tri[sides][..., None]              # (P, ne, 3, 2, 1)
+        both_in = (partner == elements[:, None, None, None, :]).any(4).all(3)
+        labels = mesh.side_label[sides]
+        free = np.ones(elements.shape + (rt_dim(k),), dtype=bool)
+        free[..., : 3 * (k + 1)] = np.repeat(
+            both_in | (labels != INTERIOR), k + 1, axis=2
+        )
+        return sides, both_in | (labels == NEUMANN), free
+
+    def _batches(self, patches: list[VertexPatch]):
+        """Yield (patch indices, PatchBatch) for the patches grouped by
+        topology: element count, free dofs per element, jump entries, jump
+        sides, scalar nodes, and whether the patch touches the displacement
+        boundary.  A group is cut into chunks whose stacked constraint
+        matrices take at most _BATCH_BYTES (at least one patch each)."""
+        k = self.disc.k
+        by_size: dict[int, list[int]] = {}
+        for i, patch in enumerate(patches):
+            by_size.setdefault(len(patch.elements), []).append(i)
+        for ne, ids in by_size.items():
+            ids = np.asarray(ids)
+            elements = np.stack([patches[i].elements for i in ids])
+            sides, on_active, free = self._topology(elements)
+            jump = np.where(on_active, sides, -1).reshape(len(ids), -1)
+            n_active = _n_distinct(jump) - (jump < 0).any(axis=1)
+            n_sym = _n_distinct(
+                self.disc.pressure.element_dofs[elements].reshape(len(ids), -1)
+            )
+            key = np.column_stack(
+                [
+                    free.sum(axis=2),
+                    on_active.sum(axis=(1, 2)),
+                    n_active,
+                    n_sym,
+                    [patches[i].dirichlet_touching for i in ids],
+                ]
+            )
+            _, first, group = np.unique(
+                key, axis=0, return_index=True, return_inverse=True
+            )
+            n_rows = ne * 2 * len(_exps_array(k)) + n_active * 2 * (k + 1) + n_sym
+            n_free = 2 * free.sum(axis=(1, 2))
+            for g, i in enumerate(first):
+                members = ids[group.ravel() == g]
+                size = max(1, _BATCH_BYTES // (8 * int(n_rows[i] * n_free[i])))
+                for start in range(0, len(members), size):
+                    chunk = members[start : start + size]
+                    yield chunk, self._build_batch([patches[j] for j in chunk])
+
+    def _build_batch(self, patches: list[VertexPatch]) -> PatchBatch:
+        """Stack the problems of patches of one topology (see _batches)."""
+        mesh, k = self.disc.mesh, self.disc.k
+        assert not self._neumann_only[[p.vertex for p in patches]].any(), (
             "patch centered on a traction-only vertex is not admissible"
         )
-        elements = patch.elements
-        ne = len(elements)
+        elements = np.stack([p.elements for p in patches])     # (P, ne)
+        n, ne = elements.shape
         nd = rt_dim(k)
         nmk = len(_exps_array(k))
-        in_patch = np.zeros(mesh.n_triangles + 1, dtype=bool)
-        in_patch[elements] = True  # index -1 (boundary partner) stays False
+        pn = np.arange(n)[:, None]
+        sides, on_active, free = self._topology(elements)
 
-        sides = mesh.tri_sides[elements]           # (ne, 3)
-        both_in = in_patch[mesh.side_tri[sides, 0]] & in_patch[mesh.side_tri[sides, 1]]
-        labels = mesh.side_label[sides]
-        alive = both_in | (labels != INTERIOR)
-
-        # free dofs: everything except side moments on dead sides
-        free = np.ones((ne, 2, nd), dtype=bool)
-        for j in range(3):
-            dead = ~alive[:, j]
-            free[dead, :, j * (k + 1) : (j + 1) * (k + 1)] = False
-        free_col = np.full((ne, 2, nd), -1, dtype=np.int64)
-        order = np.flatnonzero(free.ravel())
-        free_col.ravel()[order] = np.arange(len(order))
+        # free columns in (element, tensor row, dof) order
+        free = np.broadcast_to(free[:, :, None, :], (n, ne, 2, nd)).reshape(n, -1)
+        n_free = int(free[0].sum())
+        order = np.nonzero(free)[1].reshape(n, n_free)
+        free_col = np.full((n, ne * 2 * nd), -1, dtype=np.int64)
+        free_col[pn, order] = np.arange(n_free)
+        free_col = free_col.reshape(n, ne, 2, nd)
         col_elem, col_row, col_dof = np.unravel_index(order, (ne, 2, nd))
-        n_free = len(order)
 
-        # active jump sides: interior to the patch, or on the traction boundary
-        on_active = both_in | (labels == NEUMANN)
-        active = np.unique(sides[on_active])
-        n_jump = len(active) * 2 * (k + 1)
+        # jump sides and scalar nodes of each patch, ascending
+        ent = np.nonzero(on_active.reshape(n, -1))[1].reshape(n, int(on_active[0].sum()))
+        e_loc, j_loc = np.divmod(ent, 3)                          # (P, n_ent)
+        s = sides.reshape(n, -1)[pn, ent]
+        active = _row_unique(s)
+        ed_p = self.disc.pressure.element_dofs[elements]        # (P, ne, nlk)
+        nodes = _row_unique(ed_p.reshape(n, -1))
+        n_jump = active.shape[1] * 2 * (k + 1)
         n_div = ne * 2 * nmk
-        nodes = np.unique(self.disc.pressure.element_dofs[elements])
-        n_rows = n_div + n_jump + len(nodes)
+        n_rows = n_div + n_jump + nodes.shape[1]
 
-        # padded matrices: column n_free collects dead-dof entries, row trash
-        B = np.zeros((n_rows, n_free + 1))
+        # padded matrices: column n_free collects dead-dof entries
+        B = np.zeros((n, n_rows, n_free + 1))
         cols = np.where(free_col >= 0, free_col, n_free)
+        p3 = pn[:, :, None, None]
 
         # divergence rows: (element, tensor row, monomial)
-        divm = self.tables.divm[elements]          # (ne, nmk, nd)
+        divm = self.tables.divm[elements]                       # (P, ne, nmk, nd)
         rows_div = np.arange(n_div).reshape(ne, 2, nmk)
-        B[rows_div[:, :, :, None], cols[:, :, None, :]] = np.broadcast_to(
-            divm[:, None, :, :], (ne, 2, nmk, nd)
-        )
+        B[p3[..., None], rows_div[..., None], cols[:, :, :, None, :]] = divm[
+            :, :, None
+        ]
 
         # jump rows: per active side, tensor rows then Legendre moments; one
         # entry per (element, local side) on an active side, +1 from the
         # side's minus element and -1 from its plus element
-        e_loc, j_loc = np.nonzero(on_active)
-        s = sides[e_loc, j_loc]
-        si = np.searchsorted(active, s)[:, None, None]
+        si = np.count_nonzero(active[:, None, :] < s[:, :, None], axis=2)
         r = np.arange(2)[:, None]
         m = np.arange(k + 1)
-        rows_jump = n_div + (si * 2 + r) * (k + 1) + m           # (n, 2, k+1)
-        cols_jump = cols[e_loc[:, None, None], r, j_loc[:, None, None] * (k + 1) + m]
-        sign = np.where(mesh.side_tri[s, 0] == elements[e_loc], 1.0, -1.0)
-        B[rows_jump, cols_jump] = sign[:, None, None]
+        rows_jump = n_div + (si[..., None, None] * 2 + r) * (k + 1) + m
+        cols_jump = cols[p3, e_loc[..., None, None], r, j_loc[..., None, None] * (k + 1) + m]
+        sign = np.where(mesh.side_tri[s, 0] == elements[pn, e_loc], 1.0, -1.0)
+        B[p3, rows_jump, cols_jump] = sign[..., None, None]
 
         # weak-symmetry rows, one per scalar node of the patch; dead dofs
         # land in the padding column
-        ed_p = self.disc.pressure.element_dofs[elements]        # (ne, nlk)
-        rows_sym = n_div + n_jump + np.searchsorted(nodes, ed_p)
-        B[rows_sym[:, :, None], cols[:, None, 0, :]] = self.tables.symy[elements]
-        B[rows_sym[:, :, None], cols[:, None, 1, :]] = -self.tables.symx[elements]
-        B = B[:, :n_free]
+        rows_sym = n_div + n_jump + np.count_nonzero(
+            nodes[:, None, None, :] < ed_p[..., None], axis=3
+        )
+        B[p3, rows_sym[..., None], cols[:, :, None, 0, :]] = self.tables.symy[elements]
+        B[p3, rows_sym[..., None], cols[:, :, None, 1, :]] = -self.tables.symx[elements]
+        B = np.ascontiguousarray(B[:, :, :n_free])
 
         # right-hand side: jump moments weighted by the hats of the patch group
-        w = np.isin(mesh.sides[active], [patch.vertex, *patch.absorbed])
-        rhs = np.zeros(n_rows)
-        rdiv = self.rhs_tables.rdiv[elements]                    # (ne, 3, 2, nmk)
-        rhs[:n_div] = np.einsum("ea,earb->erb", patch.weights, rdiv).ravel()
-        rhs[n_div : n_div + n_jump] = np.einsum(
-            "sa,sarm->srm", w, self.rhs_tables.rjump[active]
-        ).ravel()
+        group = np.full((n, 1 + max(len(p.absorbed) for p in patches)), -1)
+        for i, p in enumerate(patches):
+            group[i, 0] = p.vertex
+            group[i, 1 : 1 + len(p.absorbed)] = p.absorbed
+        w = (mesh.sides[active][..., None] == group[:, None, None, :]).any(axis=3)
+        rhs = np.zeros((n, n_rows))
+        weights = np.stack([p.weights for p in patches])
+        rdiv = self.rhs_tables.rdiv[elements]                  # (P, ne, 3, 2, nmk)
+        rhs[:, :n_div] = np.einsum("pea,pearb->perb", weights, rdiv).reshape(n, -1)
+        rhs[:, n_div : n_div + n_jump] = np.einsum(
+            "psa,psarm->psrm", w, self.rhs_tables.rjump[active]
+        ).reshape(n, -1)
 
-        # objective: plain L2 norm, block-diagonal per element and tensor row
-        gram = self.tables.gram[elements]
-        mass = np.zeros((n_free + 1, n_free + 1))
-        for r in range(2):
-            mass[cols[:, r, :, None], cols[:, r, None, :]] = gram
-        mass = mass[:n_free, :n_free]
-
-        return PatchProblem(
-            patch=patch,
+        return PatchBatch(
+            patches=list(patches),
             k=k,
             elements=elements,
             col_elem=col_elem,
             col_row=col_row,
             col_dof=col_dof,
             free_col=free_col,
-            mass=mass,
+            gram=self.tables.gram[elements],
             constraints=B,
             rhs=rhs,
             jump_sides=active,
@@ -320,94 +500,125 @@ class Equilibrator:
     # -- patch solve -----------------------------------------------------------
 
     def solve_patch(self, problem: PatchProblem) -> np.ndarray:
-        """Minimize the patch L2 norm subject to the constraint rows.
+        """Minimize the patch L2 norm subject to the constraint rows: the
+        patch solve of :meth:`_solve_batch` on a batch of one."""
+        return self._solve_batch(PatchBatch.of(problem)).x[0]
 
-        The fast path (:meth:`_solve_patch_schur`) eliminates the unknowns
+    def _solve_batch(self, batch: PatchBatch) -> BatchSolution:
+        """Minimize every patch L2 norm of a batch subject to its rows.
+
+        The fast path (:meth:`_schur_stack`) eliminates the unknowns
         through the block-diagonal mass matrix and factors the Jacobi-scaled
         Schur complement B M^-1 B^T with a pivoted Cholesky, whose rank
         drops the redundant rows (exactly three on patches away from the
         displacement boundary).  It must pass the same KKT and constraint
-        residual gates as the QR+LU path (:meth:`_solve_patch_qr_lu`),
-        which takes over when it fails them, when the factorization fails,
-        or when the row norms of B span more than 8 decades (there the
-        QR rank rule drops rows of tiny norm, and the fallback keeps that
-        behaviour).  A failure of the fallback indicates incompatible data
-        and raises IncompatiblePatch.
+        residual gates as the QR+LU path (:meth:`_solve_patch_qr_lu`).  A
+        patch goes alone to that path when it fails them, when its
+        factorization fails, or when the row norms of its B span more
+        than 8 decades (there the QR rank rule drops rows of tiny norm,
+        and the fallback keeps that behaviour).  A failure of the fallback
+        indicates incompatible data and raises IncompatiblePatch.
         """
-        if problem.constraints.shape[0] == 0 or problem.n_free == 0:
-            return np.zeros(problem.n_free)
-        fast = self._solve_patch_schur(problem)
-        if fast is not None:
-            return fast[0]
-        return self._solve_patch_qr_lu(problem)
+        B, rhs = batch.constraints, batch.rhs
+        n, n_rows, n_free = B.shape
+        if n_rows == 0 or n_free == 0:
+            return _no_solution(n, n_free, fallback=False)
+        row_norms = np.sqrt(np.einsum("pij,pij->pi", B, B))
+        fast = np.flatnonzero(
+            ~(row_norms.min(axis=1) < _ROW_NORM_SPAN * row_norms.max(axis=1))
+        )
+        sol = _no_solution(n, n_free, fallback=True)
+        if len(fast):
+            part = self._schur_stack(batch if len(fast) == n else batch.take(fast))
+            for whole, value in zip(sol, part):
+                whole[fast] = value
+        for i in np.flatnonzero(sol.fallback):
+            sol.x[i] = self._solve_patch_qr_lu(batch.problem(i))
+            sol.residual[i] = np.max(np.abs(B[i] @ sol.x[i] - rhs[i]))
+        return sol
 
-    def _solve_patch_schur(
-        self, problem: PatchProblem
-    ) -> tuple[np.ndarray, int] | None:
-        """Schur-complement solve; returns (x, rank), or None when the
-        caller must fall back to the QR+LU path."""
-        B, rhs, M = problem.constraints, problem.rhs, problem.mass
-        row_norms = np.linalg.norm(B, axis=1)
-        if row_norms.min() < _ROW_NORM_SPAN * row_norms.max():
-            return None
-        # G = M^-1 B^T: one batched solve per size of the diagonal blocks of M
-        # (one per element and tensor row, contiguous in columns), each on
-        # the few rows of B that the block's columns touch
-        sizes = np.count_nonzero(problem.free_col >= 0, axis=2).ravel()
-        starts = np.cumsum(sizes) - sizes
-        G = np.zeros(B.shape[::-1])
+    def _schur_stack(self, batch: PatchBatch) -> BatchSolution:
+        """Schur-complement solve of a batch, without fallback: ``fallback``
+        marks the patches whose factorization or gates failed.  Only the
+        pivoted Cholesky and its solves run patch by patch."""
+        B, rhs = batch.constraints, batch.rhs
+        n, n_rows, n_free = B.shape
+        blocks = _mass_blocks(batch)
+        # G = M^-1 B^T: one stacked solve per size of the diagonal blocks of
+        # M (one per element and tensor row, contiguous in columns), each on
+        # the rows of B that the block's columns touch in some patch of the
+        # stack (a row no patch touches would solve to zeros)
+        G = np.zeros((n, n_free, n_rows))
+        touched = np.any(B != 0.0, axis=0)                     # (n_rows, n_free)
+        pn = np.arange(n)[:, None, None, None]
         try:
-            for size in np.unique(sizes):
-                idx = starts[sizes == size, None] + np.arange(size)
-                bt = B.T[idx]                                  # (nb, size, n_rows)
-                hit = np.any(bt != 0.0, axis=1)
+            for idx, mblk in blocks:
+                hit = touched[:, idx].any(axis=2).T            # (nb, n_rows)
                 n_hit = hit.sum(axis=1)
                 rows = np.argsort(~hit, axis=1, kind="stable")[:, : n_hit.max()]
                 # pad short row lists by repeating a touched row
                 pad = np.arange(rows.shape[1]) >= n_hit[:, None]
-                rows = np.where(pad, rows[:, :1], rows)
-                G[idx[:, :, None], rows[:, None, :]] = np.linalg.solve(
-                    M[idx[:, :, None], idx[:, None, :]],
-                    np.take_along_axis(bt, rows[:, None, :], axis=2),
-                )
+                rows = np.where(pad, rows[:, :1], rows)[None, :, None, :]
+                cols = idx[None, :, :, None]
+                G[pn, cols, rows] = np.linalg.solve(mblk, B[pn, rows, cols])
         except np.linalg.LinAlgError:
-            return None
-        d = 1.0 / np.sqrt(np.einsum("ij,ji->i", B, G))
-        S = (B @ G) * d[:, None] * d
-        c, piv, rank, info = scipy.linalg.lapack.dpstrf(
-            S, tol=1e-12, lower=1, overwrite_a=1
-        )
-        if info < 0:
-            return None
+            # find the failing patches one by one
+            if n == 1:
+                return _no_solution(1, n_free, fallback=True)
+            parts = [self._schur_stack(batch.take([i])) for i in range(n)]
+            return BatchSolution(*(np.concatenate(f) for f in zip(*parts)))
+        d = 1.0 / np.sqrt(np.einsum("pij,pji->pi", B, G))
+        S = B @ G
+        S *= d[:, :, None]
+        S *= d[:, None, :]
+        rank = np.zeros(n, dtype=np.int64)
+        ok = np.ones(n, dtype=bool)
+        kept = np.zeros((n, n_rows), dtype=bool)
+        factors = []
+        for p in range(n):
+            c, piv, rank[p], info = scipy.linalg.lapack.dpstrf(
+                S[p], tol=1e-12, lower=1, overwrite_a=1
+            )
+            ok[p] = info >= 0
+            keep = piv[: rank[p]] - 1 if ok[p] else piv[:0]
+            kept[p, keep] = True
+            factors.append((c[: len(keep), : len(keep)], keep))
+        del S
         # multipliers lam = D S_kk^-1 D r_k on the kept rows, zero on the
         # dropped ones, so that x = G lam; one refinement step
-        keep = piv[:rank] - 1
-        lam = np.zeros(len(rhs))
+        lam = np.zeros((n, n_rows))
         resid = rhs
         for _ in range(2):
-            step, _ = scipy.linalg.lapack.dpotrs(
-                c[:rank, :rank], (d * resid)[keep], lower=1
-            )
-            lam[keep] += d[keep] * step
-            x = G @ lam
-            resid = rhs - B @ x
+            scaled = d * resid
+            for p, (c, keep) in enumerate(factors):
+                if len(keep):
+                    step, _ = scipy.linalg.lapack.dpotrs(c, scaled[p, keep], lower=1)
+                    lam[p, keep] += d[p, keep] * step
+            x = (G @ lam[:, :, None])[:, :, 0]
+            resid = rhs - (B @ x[:, :, None])[:, :, 0]
         # the gates of the QR+LU path, on its KKT system of the kept rows
         # (multipliers -lam)
-        denom = max(
-            float(np.linalg.norm(rhs[keep])),
-            max(float(np.abs(M).max()), float(np.abs(B[keep]).max()))
-            * max(float(np.abs(x).max()), float(np.abs(lam).max())),
+        mx = np.zeros((n, n_free))
+        m_max = np.zeros(n)
+        for idx, mblk in blocks:
+            mx[:, idx] = (mblk @ x[:, idx, None])[..., 0]
+            m_max = np.maximum(m_max, np.abs(mblk).max(axis=(1, 2, 3)))
+        b_max = np.where(kept, np.maximum(B.max(axis=2), -B.min(axis=2)), 0.0).max(axis=1)
+        denom = np.maximum(
+            np.maximum(
+                np.linalg.norm(np.where(kept, rhs, 0.0), axis=1),
+                np.maximum(m_max, b_max)
+                * np.maximum(np.abs(x).max(axis=1), np.abs(lam).max(axis=1)),
+            ),
             1e-300,
         )
-        kkt_rel = float(
-            np.hypot(np.linalg.norm(M @ x - B.T @ lam), np.linalg.norm(resid[keep]))
+        kkt_rel = np.hypot(
+            np.linalg.norm(mx - (lam[:, None, :] @ B)[:, 0], axis=1),
+            np.linalg.norm(np.where(kept, resid, 0.0), axis=1),
         ) / denom
-        if not (
-            kkt_rel <= 1e-10
-            and np.max(np.abs(resid)) <= _RESIDUAL_RTOL * self.scale
-        ):
-            return None
-        return x, rank
+        residual = np.abs(resid).max(axis=1)
+        ok &= (kkt_rel <= 1e-10) & (residual <= _RESIDUAL_RTOL * self.scale)
+        return BatchSolution(x, rank, ~ok, residual)
 
     def _solve_patch_qr_lu(self, problem: PatchProblem) -> np.ndarray:
         """Drop redundant rows by rank-revealing QR with a threshold relative
@@ -459,22 +670,33 @@ class Equilibrator:
     # -- reconstruction ---------------------------------------------------------
 
     def correction(self) -> BrokenField:
-        """Sum of all patch corrections, solved in patch-vertex order."""
+        """Sum of all patch corrections, solved in batches of one topology
+        and scattered in patch-vertex order."""
         disc = self.disc
         nd = rt_dim(disc.k)
+        patches = modified_patches(disc.mesh)
+        targets: list = [None] * len(patches)
+        values: list = [None] * len(patches)
+        residual = np.zeros(len(patches))
+        self.n_patches = len(patches)
+        self.n_batches = self.n_fallbacks = 0
+        for ids, batch in self._batches(patches):
+            sol = self._solve_batch(batch)
+            self.n_batches += 1
+            self.n_fallbacks += int(sol.fallback.sum())
+            residual[ids] = sol.residual
+            elem = np.take_along_axis(batch.elements, batch.col_elem, axis=1)
+            flat = (elem * 2 + batch.col_row) * nd + batch.col_dof
+            for j, i in enumerate(ids):
+                targets[i] = flat[j]
+                values[i] = sol.x[j]
+            del batch  # before the next batch is built
         dofs = np.zeros((disc.mesh.n_triangles, 2, nd))
-        for patch in modified_patches(disc.mesh):
-            problem = self.build_patch_problem(patch)
-            x = self.solve_patch(problem)
-            np.add.at(
-                dofs,
-                (
-                    problem.elements[problem.col_elem],
-                    problem.col_row,
-                    problem.col_dof,
-                ),
-                x,
-            )
+        if patches:
+            np.add.at(dofs.reshape(-1), np.concatenate(targets), np.concatenate(values))
+            worst = int(np.argmax(residual))
+            self.worst_residual = float(residual[worst]) / self.scale
+            self.worst_vertex = patches[worst].vertex
         return BrokenField(disc.mesh, disc.k, dofs)
 
 

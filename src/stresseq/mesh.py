@@ -346,12 +346,6 @@ def _assemble(
     uniq = np.unique(canon, axis=0)
     if len(uniq) != len(canon):
         raise NonConforming("duplicate triangle")
-    if geometric_check:
-        _, dup_counts = np.unique(
-            np.round(vertices, 14), axis=0, return_counts=True
-        )
-        if dup_counts.max(initial=0) > 1:
-            raise NonConforming("duplicate vertex coordinates")
 
     sides, side_tri, tri_sides = _side_table(triangles, nv)
     if geometric_check:
@@ -365,6 +359,17 @@ def _assemble(
     if flat.any():
         e = int(np.flatnonzero(flat)[0])
         raise InvertedElement(f"triangle {e} is degenerate to rounding")
+    # Duplicates: coordinates equal to 14 digits of the mesh's extent, so
+    # that the test does not depend on the length scale.  Tested last: the
+    # apex of a sliver, or a vertex hanging on a side, can be a near-duplicate
+    # of a corner, and the messages above are the more specific ones.
+    if geometric_check:
+        low = vertices.min(axis=0, initial=np.inf)
+        extent = float(np.max(vertices.max(axis=0, initial=-np.inf) - low))
+        rel = (vertices - low) / (extent if extent > 0.0 else 1.0)
+        _, dup_counts = np.unique(np.round(rel, 14), axis=0, return_counts=True)
+        if dup_counts.max(initial=0) > 1:
+            raise NonConforming("duplicate vertex coordinates")
 
     boundary = side_tri[:, 1] < 0
     side_label = np.zeros(len(sides), dtype=np.int64)

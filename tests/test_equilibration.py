@@ -1,6 +1,7 @@
 """Patch equilibration tests against dense re-integration and KKT oracles."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -17,9 +18,15 @@ from stresseq import (
     manufactured_smooth,
     modified_patches,
     square_lshape,
+    uniform_refine,
     verify_equilibration,
 )
-from stresseq.equilibration import compatibility_residual, null_space_vectors
+from stresseq.equilibration import (
+    _BATCH_BYTES,
+    PatchBatch,
+    compatibility_residual,
+    null_space_vectors,
+)
 from stresseq.spaces import (
     _exps_array,
     _rt_span,
@@ -274,17 +281,89 @@ def test_schur_path_matches_qr_lu_fallback(setup, request):
     """Both patch solvers pass their gates and agree; the pivoted Cholesky
     keeps exactly the structural rank."""
     _, disc, eq = request.getfixturevalue(setup)
-    for patch in modified_patches(disc.mesh):
+    for _, batch in eq._batches(modified_patches(disc.mesh)):
+        sol = eq._solve_batch(batch)
+        n_rows = batch.constraints.shape[1]
+        for i, patch in enumerate(batch.patches):
+            assert not sol.fallback[i], f"patch {patch.vertex} failed the fast path"
+            x_ref = eq._solve_patch_qr_lu(batch.problem(i))
+            assert np.max(np.abs(sol.x[i] - x_ref)) <= 1e-6 * np.max(np.abs(x_ref))
+            assert sol.rank[i] == (
+                n_rows if patch.dirichlet_touching else n_rows - 3
+            ), f"patch {patch.vertex}"
+
+
+@pytest.mark.parametrize("setup", ["cook_eq", "cook2_eq", "lshape2_eq"])
+def test_batched_patches_match_batch_of_one(setup, request):
+    """Each patch of a batch is built and solved bitwise as on its own, and
+    the correction sums the patch solutions in patch-vertex order."""
+    _, disc, eq = request.getfixturevalue(setup)
+    patches = modified_patches(disc.mesh)
+    for ids, batch in eq._batches(patches):
+        assert len(ids) == 1 or batch.constraints.nbytes <= _BATCH_BYTES
+        sol = eq._solve_batch(batch)
+        for i, patch in enumerate(batch.patches):
+            pp = eq.build_patch_problem(patch)
+            assert np.array_equal(batch.constraints[i], pp.constraints)
+            assert np.array_equal(batch.rhs[i], pp.rhs)
+            assert np.array_equal(sol.x[i], eq.solve_patch(pp)), f"patch {patch.vertex}"
+    dofs = np.zeros((disc.mesh.n_triangles, 2, rt_dim(disc.k)))
+    for patch in patches:
         pp = eq.build_patch_problem(patch)
-        fast = eq._solve_patch_schur(pp)
-        assert fast is not None, f"patch {patch.vertex} failed the fast path"
-        x, rank = fast
-        x_ref = eq._solve_patch_qr_lu(pp)
-        assert np.max(np.abs(x - x_ref)) <= 1e-6 * np.max(np.abs(x_ref))
-        n_rows = pp.constraints.shape[0]
-        assert rank == (n_rows if patch.dirichlet_touching else n_rows - 3), (
-            f"patch {patch.vertex}"
+        np.add.at(
+            dofs, (pp.elements[pp.col_elem], pp.col_row, pp.col_dof), eq.solve_patch(pp)
         )
+    assert np.array_equal(eq.correction().dofs, dofs)
+
+
+def test_batch_fallback_is_per_patch(cook_eq, monkeypatch):
+    """A patch over the row-norm span and a patch failing its gate take
+    QR+LU alone; the other patches of the batch are bitwise unchanged."""
+    _, disc, eq = cook_eq
+    ids, batch = next(
+        (ids, b) for ids, b in eq._batches(modified_patches(disc.mesh)) if len(ids) >= 4
+    )
+    base = eq._solve_batch(batch)
+    assert not base.fallback.any()
+    pp = batch.problem(0)
+    sym = slice(pp.n_div + pp.n_jump, None)
+    b, rhs = batch.constraints.copy(), batch.rhs.copy()
+    b[0, sym] *= 1e-9
+    rhs[0, sym] *= 1e-9
+    modified = dataclasses.replace(batch, constraints=b, rhs=rhs)
+
+    # patch 0 leaves the Schur stack by the row-norm rule, so patch 2 is the
+    # second solve of each of the two passes over the stack
+    n_stack = len(ids) - 1
+    calls = itertools.count()
+    dpotrs = scipy.linalg.lapack.dpotrs
+
+    def perturbed(c, b, lower):
+        x, info = dpotrs(c, b, lower=lower)
+        return (1.01 * x if next(calls) % n_stack == 1 else x), info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", perturbed)
+    sol = eq._solve_batch(modified)
+    assert np.flatnonzero(sol.fallback).tolist() == [0, 2]
+    for i in (0, 2):
+        assert np.array_equal(sol.x[i], eq._solve_patch_qr_lu(modified.problem(i)))
+    others = np.setdiff1d(np.arange(len(ids)), [0, 2])
+    assert np.array_equal(sol.x[others], base.x[others])
+
+
+def test_correction_counts_its_patches():
+    """The Cook mesh bisected uniformly twice solves every patch on the
+    Schur path, in fewer batches than patches."""
+    problem = cook()
+    disc, fields, sigma = solve_problem(problem, mesh=uniform_refine(problem.mesh, 2))
+    eq = Equilibrator(disc, sigma, problem.load)
+    eq.correction()
+    patches = modified_patches(disc.mesh)
+    assert eq.n_patches == len(patches)
+    assert 0 < eq.n_batches < eq.n_patches
+    assert eq.n_fallbacks == 0
+    assert 0.0 < eq.worst_residual <= 1e-9
+    assert eq.worst_vertex in {p.vertex for p in patches}
 
 
 def _loaded_patch(eq, mesh):
@@ -301,7 +380,7 @@ def test_wide_row_norm_span_takes_the_fallback(cook_eq):
     b[sym] *= 1e-9
     rhs[sym] *= 1e-9
     scaled = dataclasses.replace(pp, constraints=b, rhs=rhs)
-    assert eq._solve_patch_schur(scaled) is None
+    assert eq._solve_batch(PatchBatch.of(scaled)).fallback[0]
     assert np.array_equal(eq.solve_patch(scaled), eq._solve_patch_qr_lu(scaled))
 
 
@@ -325,7 +404,7 @@ def test_fast_path_failure_takes_the_fallback(cook_eq, monkeypatch, failure):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-    assert eq._solve_patch_schur(pp) is None
+    assert eq._solve_batch(PatchBatch.of(pp)).fallback[0]
     assert np.array_equal(eq.solve_patch(pp), expected)
 
 

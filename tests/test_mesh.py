@@ -230,7 +230,7 @@ def test_inverted_element():
         build_mesh(SQUARE_V, [(0, 2, 1), (0, 2, 3)], SQUARE_D, SQUARE_N)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e5, 1e10])
+@pytest.mark.parametrize("scale", [1e-15, 1e-8, 1.0, 1e5, 1e10])
 def test_sliver_triangle_is_rejected_at_any_scale(scale):
     """Height over longest edge 1e-13: positive area, but degenerate to
     rounding.  The apex sits too close to a corner to hang on the long
@@ -240,6 +240,15 @@ def test_sliver_triangle_is_rejected_at_any_scale(scale):
     with pytest.raises(InvertedElement, match="degenerate to rounding"):
         build_mesh(scale * np.array([(0, 0), (1, 0), (1e-13, 1e-13)]), [(0, 1, 2)], d, n)
     build_mesh(scale * np.array([(0, 0), (1, 0), (1e-3, 1e-3)]), [(0, 1, 2)], d, n)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e10])
+def test_duplicate_vertex_is_rejected_at_any_scale(scale):
+    """A square cracked along its diagonal: vertices 2 and 4 coincide."""
+    v = scale * np.array([(0, 0), (1, 0), (1, 1), (0, 1), (1, 1)])
+    n = [(1, 2), (0, 2), (0, 4), (4, 3), (0, 3)]
+    with pytest.raises(NonConforming, match="duplicate vertex coordinates"):
+        build_mesh(v, [(0, 1, 2), (0, 4, 3)], [(0, 1)], n)
 
 
 def test_corner_graded_refinement_keeps_its_shape():
