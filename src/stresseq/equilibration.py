@@ -582,7 +582,7 @@ class Equilibrator:
             ok[p] = info >= 0
             keep = piv[: rank[p]] - 1 if ok[p] else piv[:0]
             kept[p, keep] = True
-            factors.append((c[: len(keep), : len(keep)], keep))
+            factors.append((np.asfortranarray(c[: len(keep), : len(keep)]), keep))
         del S
         # multipliers lam = D S_kk^-1 D r_k on the kept rows, zero on the
         # dropped ones, so that x = G lam; one refinement step
