@@ -549,7 +549,7 @@ class Equilibrator:
         # the rows of B that the block's columns touch in some patch of the
         # stack (a row no patch touches would solve to zeros)
         G = np.zeros((n, n_free, n_rows))
-        touched = np.any(B != 0.0, axis=0)                     # (n_rows, n_free)
+        touched = np.any(B, axis=0)                            # (n_rows, n_free)
         pn = np.arange(n)[:, None, None, None]
         try:
             for idx, mblk in blocks:

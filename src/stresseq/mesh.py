@@ -684,13 +684,30 @@ def _patch_from_vertices(mesh, z, group, offsets, ids):
     )
 
 
+def _hat_patches(mesh, offsets, ids) -> list[VertexPatch]:
+    """The patch of every vertex's own hat, as ``_patch_from_vertices``
+    builds it for the group [z], from one pass over the vertex map."""
+    owner = np.repeat(np.arange(mesh.n_vertices), np.diff(offsets))
+    weights = (mesh.triangles[ids] == owner[:, None]).astype(np.float64)
+    touching = np.zeros(mesh.n_vertices, dtype=bool)
+    on_d = (mesh.side_label[mesh.tri_sides[ids]] == DIRICHLET).any(axis=1)
+    touching[owner[on_d]] = True
+    none = np.zeros(0, dtype=np.int64)
+    return [
+        VertexPatch(
+            vertex=z,
+            elements=ids[lo:hi],
+            weights=weights[lo:hi],
+            absorbed=none,
+            dirichlet_touching=bool(touching[z]),
+        )
+        for z, (lo, hi) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    ]
+
+
 def standard_patches(mesh: Mesh) -> list[VertexPatch]:
     """One hat-function patch per mesh vertex; the weights sum to one."""
-    offsets, ids = mesh.vertex_triangles()
-    return [
-        _patch_from_vertices(mesh, z, [z], offsets, ids)
-        for z in range(mesh.n_vertices)
-    ]
+    return _hat_patches(mesh, *mesh.vertex_triangles())
 
 
 def modified_patches(mesh: Mesh) -> list[VertexPatch]:
@@ -724,12 +741,16 @@ def modified_patches(mesh: Mesh) -> list[VertexPatch]:
                 f"traction vertex {int(z_n)} has no eligible neighbour"
             )
         assigned.setdefault(int(eligible.min()), []).append(int(z_n))
+    hats = _hat_patches(mesh, offsets, ids)
     patches = []
     for z in range(mesh.n_vertices):
         if on_n_only[z]:
             continue
-        group = [z] + sorted(assigned.get(z, []))
-        patches.append(_patch_from_vertices(mesh, z, group, offsets, ids))
+        if z in assigned:
+            group = [z] + sorted(assigned[z])
+            patches.append(_patch_from_vertices(mesh, z, group, offsets, ids))
+        else:
+            patches.append(hats[z])
     return patches
 
 

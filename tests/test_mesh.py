@@ -31,7 +31,7 @@ from stresseq import (
     write_mesh,
 )
 from stresseq.equilibration import side_traces
-from stresseq.mesh import _hanging_node_scan
+from stresseq.mesh import _hanging_node_scan, _patch_from_vertices
 
 SQUARE_V = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_T = [(0, 1, 2), (0, 2, 3)]
@@ -433,6 +433,25 @@ def test_each_element_in_three_standard_patches():
         for p in standard_patches(mesh):
             count[p.elements] += 1
         assert np.all(count == 3)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [cook_mesh(), uniform_refine(cook_mesh(), 2), lshape_mesh(), unit_square_mesh(4)],
+    ids=["cook", "cook-refined", "lshape", "square"],
+)
+def test_patches_match_the_per_vertex_reference(mesh):
+    """Hat patches built in one pass equal the per-group construction."""
+    offsets, ids = mesh.vertex_triangles()
+    got = [(p, [p.vertex, *p.absorbed.tolist()]) for p in modified_patches(mesh)]
+    got += [(p, [p.vertex]) for p in standard_patches(mesh)]
+    for patch, group in got:
+        ref = _patch_from_vertices(mesh, patch.vertex, group, offsets, ids)
+        assert patch.vertex == ref.vertex
+        assert patch.dirichlet_touching == ref.dirichlet_touching
+        for name in ("elements", "weights", "absorbed"):
+            a, b = getattr(patch, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_partition_of_unity_standard(rng):
