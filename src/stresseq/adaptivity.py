@@ -26,11 +26,10 @@ from .errors import ConfigError, StressEqError
 from .estimator import (
     BoundConstants,
     EstimatorReport,
-    compose_ancestry,
     conservative_constants,
     energy_error,
     estimate,
-    proxy_energy_error,
+    reference_energy_errors,
 )
 from .mesh import Mesh, refine, uniform_refine
 from .problems import Problem
@@ -234,29 +233,34 @@ def adaptive_loop(problem: Problem, config: AdaptiveConfig) -> RunHistory:
     return history
 
 
-def attach_reference_errors(
-    history: RunHistory, material: Material, skip_last: int = 2
-) -> None:
+# The run's finest level is the reference of attach_reference_errors; the
+# errors of this many last levels, the reference included, stay unset.
+_SKIP_LAST = 2
+
+
+def attach_reference_errors(history: RunHistory, material: Material) -> None:
     """Fill energy errors against the finest solution of the run.
 
     The finest level acts as the reference; its own error and that of the
-    ``skip_last - 1`` levels before it stay unset because the proxy is no
-    longer trustworthy there.
+    level before it stay unset because the proxy is no longer trustworthy
+    there.
 
-    The reference is only ``skip_last`` adaptive steps finer than the last
-    reported step, so the errors of the last reported steps read low and
-    their effectivities high.  Against the final mesh bisected uniformly
-    3 times, the 14-step Cook run (theta 0.5) reads 27 % and 33 % low on
-    its last two reported steps; against the exact error of
-    ``manufactured_smooth`` (8 steps, inv_lambda 0 and 0.5) the last
-    reported step reads 26-31 % low.
+    The reference is only two adaptive steps finer than the last reported
+    step, so the errors of the last reported steps read low and their
+    effectivities high.  Against the final mesh bisected uniformly 3 times,
+    the 14-step Cook run (theta 0.5) reads 27 % and 33 % low on its last
+    two reported steps; against the exact error of ``manufactured_smooth``
+    (8 steps, inv_lambda 0 and 0.5) the last reported step reads 26-31 %
+    low.
     """
-    if len(history) <= skip_last:
+    if len(history) <= _SKIP_LAST:
         return
-    reference = history.records[-1].fields
-    meshes = history.meshes
-    for i, rec in enumerate(history.records[: len(history) - skip_last]):
-        anc = compose_ancestry(meshes[i:])
-        rec.report.energy_error = proxy_energy_error(
-            rec.fields, reference, material, anc
-        )
+    reported = history.records[: len(history) - _SKIP_LAST]
+    errors = reference_energy_errors(
+        [rec.fields for rec in reported],
+        history.records[-1].fields,
+        history.meshes,
+        material,
+    )
+    for rec, error in zip(reported, errors):
+        rec.report.energy_error = float(error)

@@ -28,8 +28,12 @@ from .spaces import (
     BrokenField,
     Discretization,
     StressTables,
+    eval_volume_poly,
     lagrange_grads,
     lagrange_values,
+    legendre01,
+    project_side,
+    project_volume,
     rt_dim,
     segment_rule,
     triangle_rule,
@@ -79,6 +83,22 @@ class LoadData:
         if self.traction is None:
             return np.zeros_like(x)
         return np.asarray(self.traction(x), dtype=np.float64)
+
+    def projected_volume(self, tables: StressTables):
+        """f and its elementwise L2 projection onto P_k at the volume
+        points of ``tables``: two (ne, nq, 2) arrays."""
+        fv = self.volume_at(tables.vol_x)
+        coeff = project_volume(tables, fv, tables.k)
+        return fv, eval_volume_poly(tables, coeff, tables.k)
+
+    def projected_traction(self, mesh: Mesh, sides, k: int, t: np.ndarray):
+        """g at the side rule of degree 2k+5 on ``sides``, (ns, nqs, 2), and
+        its side-wise L2 projection onto P_k at the parameters ``t``,
+        (ns, len(t), 2)."""
+        tq, _ = segment_rule(2 * k + 5)
+        gv = self.traction_at(mesh.side_points(sides, tq))
+        coeff = project_side(mesh, sides, gv, k)
+        return gv, np.einsum("scm,qm->sqc", coeff, legendre01(k + 1, t))
 
 
 @dataclass
@@ -369,49 +389,21 @@ def solve(system: LinearSystem) -> FieldPair:
 # -- field evaluation -----------------------------------------------------------
 
 
-def fields_on_tables(fields: FieldPair, tables: StressTables):
-    """Evaluate u-gradient and pressure at a table's quadrature points.
+def fields_at(fields: FieldPair, elems, ref: np.ndarray):
+    """u-gradients and pressures of ``fields`` on ``elems`` at the reference
+    points ``ref`` (nq, 2).
 
-    Returns dict with grad_u (ne, nq, 2, 2) [grad_u[..., r, c] = d u_r / d x_c],
-    p (ne, nq), grad_u_side (ne, 3, nqs, 2, 2), p_side (ne, 3, nqs).
+    Returns grad_u (ne, nq, 2, 2) [grad_u[..., r, c] = d u_r / d x_c] and
+    p (ne, nq).
     """
     disc = fields.disc
-    mesh, k = disc.mesh, disc.k
-    m = k + 1
-    elems = tables.elems
-    dm_u = disc.displacement
-    dm_p = disc.pressure
-    _, jinv = element_jacobians(mesh, elems)
-
-    ue = fields.u[dm_u.vector_dofs(elems)]
-    pe = fields.p[dm_p.element_dofs[elems]]
-
-    g_ref = lagrange_grads(m, tables.vol_ref)
-    grads = np.einsum("qir,erd->eqid", g_ref, jinv)
+    k = disc.k
+    _, jinv = element_jacobians(disc.mesh, elems)
+    ue = fields.u[disc.displacement.vector_dofs(elems)]
+    grads = np.einsum("qir,erd->eqid", lagrange_grads(k + 1, ref), jinv)
     grad_u = np.einsum("eic,eqid->eqcd", ue, grads)
-    p_vol = np.einsum("ei,qi->eq", pe, lagrange_values(k, tables.vol_ref))
-
-    flips = side_flip_mask(mesh, elems)
-    nqs = len(tables.side_t)
-    grad_u_side = np.empty((len(elems), 3, nqs, 2, 2))
-    p_side = np.empty((len(elems), 3, nqs))
-    for j in range(3):
-        for fl in (False, True):
-            pick = flips[:, j] == fl
-            if not pick.any():
-                continue
-            ref = _side_reference_points(j, fl, tables.side_t)
-            gs = np.einsum("qir,erd->eqid", lagrange_grads(m, ref), jinv[pick])
-            grad_u_side[pick, j] = np.einsum("eic,eqid->eqcd", ue[pick], gs)
-            p_side[pick, j] = np.einsum(
-                "ei,qi->eq", pe[pick], lagrange_values(k, ref)
-            )
-    return {
-        "grad_u": grad_u,
-        "p": p_vol,
-        "grad_u_side": grad_u_side,
-        "p_side": p_side,
-    }
+    pe = fields.p[disc.pressure.element_dofs[elems]]
+    return grad_u, np.einsum("ei,qi->eq", pe, lagrange_values(k, ref))
 
 
 def _stress_from(grad_u: np.ndarray, p: np.ndarray, mu: float) -> np.ndarray:
@@ -430,11 +422,22 @@ def direct_stress(fields: FieldPair, material: Material) -> BrokenField:
     polynomial, hence lies in the elementwise Raviart-Thomas space.
     """
     disc = fields.disc
+    mu = material.mu
     nt = disc.mesh.n_triangles
     dofs = np.empty((nt, 2, rt_dim(disc.k)))
     for tables in disc.stress_chunks():
-        data = fields_on_tables(fields, tables)
-        vol = _stress_from(data["grad_u"], data["p"], material.mu)
-        side = _stress_from(data["grad_u_side"], data["p_side"], material.mu)
+        vol = _stress_from(*fields_at(fields, tables.elems, tables.vol_ref), mu)
+        # side points: one reference rule per local side and orientation
+        flips = side_flip_mask(disc.mesh, tables.elems)
+        side = np.empty((len(tables.elems), 3, len(tables.side_t), 2, 2))
+        for j in range(3):
+            for fl in (False, True):
+                pick = flips[:, j] == fl
+                if not pick.any():
+                    continue
+                ref = _side_reference_points(j, fl, tables.side_t)
+                side[pick, j] = _stress_from(
+                    *fields_at(fields, tables.elems[pick], ref), mu
+                )
         dofs[tables.elems] = tables.dofs_from_values(vol, side)
     return BrokenField(disc.mesh, disc.k, dofs)

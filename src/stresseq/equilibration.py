@@ -34,8 +34,6 @@ from .spaces import (
     lagrange_values,
     legendre01,
     monomial_values,
-    project_side,
-    project_volume,
     rt_dim,
     segment_rule,
 )
@@ -828,7 +826,6 @@ def verify_equilibration(
     mesh, k = disc.mesh, disc.k
     npts = k + 2
     tpts = (np.arange(npts) + 1.0) / (npts + 1.0)
-    lg = legendre01(k + 1, tpts)
 
     div_res = 0.0
     sym_acc = np.zeros(disc.pressure.n_scalar)
@@ -837,10 +834,7 @@ def verify_equilibration(
     f_sq = 0.0
     sig_sq = 0.0
     for tb in disc.stress_chunks():
-        fv = load.volume_at(tb.vol_x)
-        proj_f = project_volume(tb, fv, k)                  # (ne, 2, nmk)
-        mk = monomial_values(_exps_array(k), tb.vol_xi)
-        pf_vals = np.einsum("erb,eqb->eqr", proj_f, mk)
+        fv, pf_vals = load.projected_volume(tb)
         divv = sigma_r.div_values(tb)
         div_res = max(div_res, float(np.max(np.abs(divv + pf_vals), initial=0.0)))
 
@@ -872,10 +866,7 @@ def verify_equilibration(
     neu_res = 0.0
     nsides = mesh.boundary_sides(NEUMANN)
     if nsides.size:
-        tq, _ = segment_rule(2 * k + 5)
-        xq = mesh.side_points(nsides, tq)
-        coeff = project_side(mesh, nsides, load.traction_at(xq), k)
-        pg = np.einsum("scm,qm->sqc", coeff, lg)
+        _, pg = load.projected_traction(mesh, nsides, k, tpts)
         neu_res = float(np.max(np.abs(tmin[nsides] - pg), initial=0.0))
 
     if scale is None:

@@ -27,7 +27,7 @@ from .elasticity import (
     LoadData,
     Material,
     element_jacobians,
-    fields_on_tables,
+    fields_at,
 )
 from .equilibration import side_traces
 from .errors import InvalidConstants, StressEqError
@@ -37,12 +37,9 @@ from .spaces import (
     _CHUNK,
     BrokenField,
     Discretization,
-    eval_volume_poly,
+    StressTables,
     lagrange_grads,
     lagrange_values,
-    legendre01,
-    project_side,
-    project_volume,
     segment_rule,
     triangle_rule,
 )
@@ -122,6 +119,16 @@ def antisymmetric_norm_sq(tau: np.ndarray) -> np.ndarray:
 # -- estimator components ----------------------------------------------------------
 
 
+def _divergence_defect_sq(
+    fields: FieldPair, tables: StressTables, inv_lambda: float
+) -> np.ndarray:
+    """Per-element integral of (div u_h - inv_lambda p_h)^2 over the
+    elements of ``tables``; eta_B^2 up to the factor 2 mu."""
+    grad_u, p = fields_at(fields, tables.elems, tables.vol_ref)
+    b_val = grad_u[..., 0, 0] + grad_u[..., 1, 1] - inv_lambda * p
+    return np.einsum("eq,eq->e", tables.vol_w, b_val**2)
+
+
 def eta_components(
     disc: Discretization,
     sigma_delta: BrokenField,
@@ -143,12 +150,7 @@ def eta_components(
         eta_a[tb.elems] = np.sqrt(
             np.maximum(np.einsum("eq,eq->e", tb.vol_w, a_sq), 0.0)
         )
-        data = fields_on_tables(fields, tb)
-        divu = data["grad_u"][..., 0, 0] + data["grad_u"][..., 1, 1]
-        b_val = divu - t * data["p"]
-        eta_b[tb.elems] = np.sqrt(
-            2.0 * mu * np.einsum("eq,eq->e", tb.vol_w, b_val**2)
-        )
+        eta_b[tb.elems] = np.sqrt(2.0 * mu * _divergence_defect_sq(fields, tb, t))
         c_sq = antisymmetric_norm_sq(vals) / (2.0 * mu)
         eta_c[tb.elems] = np.sqrt(np.einsum("eq,eq->e", tb.vol_w, c_sq))
     return eta_a, eta_b, eta_c
@@ -220,15 +222,9 @@ def residual_estimator(
     vol_sq = np.empty(mesh.n_triangles)
     b_sq = np.empty(mesh.n_triangles)
     for tb in disc.stress_chunks():
-        fv = load.volume_at(tb.vol_x)
-        proj_f = project_volume(tb, fv, k)
-        resid = sigma_h.div_values(tb) + eval_volume_poly(tb, proj_f, k)
+        resid = sigma_h.div_values(tb) + load.projected_volume(tb)[1]
         vol_sq[tb.elems] = np.einsum("eq,eqr->e", tb.vol_w, resid**2)
-        data = fields_on_tables(fields, tb)
-        divu = data["grad_u"][..., 0, 0] + data["grad_u"][..., 1, 1]
-        b_sq[tb.elems] = np.einsum(
-            "eq,eq->e", tb.vol_w, (divu - t * data["p"]) ** 2
-        )
+        b_sq[tb.elems] = _divergence_defect_sq(fields, tb, t)
 
     tq, tw = segment_rule(2 * k + 5)
     tminus, tplus = side_traces(disc, sigma_h)
@@ -240,10 +236,7 @@ def residual_estimator(
     )
     nsides = mesh.boundary_sides(NEUMANN)
     if nsides.size:
-        xq = mesh.side_points(nsides, tq)
-        coeff = project_side(mesh, nsides, load.traction_at(xq), k)
-        pg = np.einsum("scm,qm->sqc", coeff, legendre01(k + 1, tq))
-        defect = tminus[nsides] - pg
+        defect = tminus[nsides] - load.projected_traction(mesh, nsides, k, tq)[1]
         side_sq[nsides] = mesh.side_length[nsides] * np.einsum(
             "q,sqr->s", tw, defect**2
         )
@@ -269,9 +262,8 @@ def data_oscillation(
     mesh, k = disc.mesh, disc.k
     osc_f = np.empty(mesh.n_triangles)
     for tb in disc.stress_chunks():
-        fv = load.volume_at(tb.vol_x)
-        proj_f = project_volume(tb, fv, k)
-        defect = fv - eval_volume_poly(tb, proj_f, k)
+        fv, proj_f = load.projected_volume(tb)
+        defect = fv - proj_f
         osc_f[tb.elems] = mesh.h[tb.elems] * np.sqrt(
             np.einsum("eq,eqr->e", tb.vol_w, defect**2)
         )
@@ -279,9 +271,7 @@ def data_oscillation(
     osc_g = np.zeros(len(nsides))
     if nsides.size:
         tq, tw = segment_rule(2 * k + 5)
-        gv = load.traction_at(mesh.side_points(nsides, tq))
-        coeff = project_side(mesh, nsides, gv, k)
-        pg = np.einsum("scm,qm->sqc", coeff, legendre01(k + 1, tq))
+        gv, pg = load.projected_traction(mesh, nsides, k, tq)
         lens = mesh.side_length[nsides]
         osc_g = np.sqrt(lens) * np.sqrt(
             lens * np.einsum("q,sqc->s", tw, (gv - pg) ** 2)
@@ -292,20 +282,13 @@ def data_oscillation(
 # -- energy errors -------------------------------------------------------------------
 
 
-def _fields_at_rule(fields: FieldPair, elems, rq, rw):
-    """Physical points, weights, u-gradients and pressures of ``fields``
-    on ``elems`` at the reference rule (rq, rw)."""
-    disc = fields.disc
-    mesh, k = disc.mesh, disc.k
-    jac, jinv = element_jacobians(mesh, elems)
+def _rule_points(mesh: Mesh, elems, rq, rw):
+    """Physical points (ne, nq, 2) and weights (ne, nq) of the reference
+    rule (rq, rw) on ``elems``."""
+    jac, _ = element_jacobians(mesh, elems)
     p0 = mesh.vertices[mesh.triangles[elems, 0]]
     xq = p0[:, None, :] + np.einsum("qr,edr->eqd", rq, jac)
-    wq = 2.0 * mesh.areas[elems][:, None] * rw[None, :]
-    ue = fields.u[disc.displacement.vector_dofs(elems)]
-    grads = np.einsum("qir,erd->eqid", lagrange_grads(k + 1, rq), jinv)
-    grad_u = np.einsum("eic,eqid->eqcd", ue, grads)
-    pe = fields.p[disc.pressure.element_dofs[elems]]
-    return xq, wq, grad_u, np.einsum("ei,qi->eq", pe, lagrange_values(k, rq))
+    return xq, 2.0 * mesh.areas[elems][:, None] * rw[None, :]
 
 
 def _add_energy(total: float, wq, dg, dp, material: Material) -> float:
@@ -334,52 +317,63 @@ def energy_error(
     total = 0.0
     for lo in range(0, mesh.n_triangles, _CHUNK):
         elems = np.arange(lo, min(lo + _CHUNK, mesh.n_triangles))
-        xq, wq, grad_uh, ph = _fields_at_rule(fields, elems, rq, rw)
+        xq, wq = _rule_points(mesh, elems, rq, rw)
+        grad_uh, ph = fields_at(fields, elems, rq)
         dg = exact.displacement_gradient(xq) - grad_uh
         total = _add_energy(total, wq, dg, exact.pressure(xq) - ph, material)
     return float(np.sqrt(total))
 
 
-def proxy_energy_error(
-    fields: FieldPair,
-    reference: FieldPair,
-    material: Material,
-    ancestor: np.ndarray,
-) -> float:
-    """Energy-norm distance to a solution on a nested finer mesh.
+# fine elements per chunk of reference_energy_errors; the chunks fix the
+# summation order of the errors
+_FINE_CHUNK = 1024
 
-    ``ancestor[j]`` maps fine element j to the element of the coarse mesh
-    containing it.  Integration runs over the fine mesh, where both fields
-    are polynomial, so the quadrature is exact.
+
+def reference_energy_errors(
+    coarse: list[FieldPair],
+    reference: FieldPair,
+    chain: list[Mesh],
+    material: Material,
+) -> np.ndarray:
+    """Energy-norm distance of each coarse pair to a solution on a nested
+    finer mesh.
+
+    ``coarse[i]`` lives on ``chain[i]`` and ``reference`` on ``chain[-1]``;
+    each mesh after the first carries the parent array of its refinement.
+    Integration runs over the reference mesh, where both fields are
+    polynomial, so the quadrature is exact.  The reference fields are
+    evaluated once per chunk of fine elements, for every coarse pair.
     """
-    cdisc = fields.disc
-    cmesh, fmesh = cdisc.mesh, reference.disc.mesh
-    k = cdisc.k
+    fmesh, k = reference.disc.mesh, reference.disc.k
     rq, rw = triangle_rule(2 * k + 4)
     nq = len(rw)
-    cdm_u, cdm_p = cdisc.displacement, cdisc.pressure
-    total = 0.0
-    for lo in range(0, fmesh.n_triangles, 1024):
-        elems = np.arange(lo, min(lo + 1024, fmesh.n_triangles))
+    ancestors = [compose_ancestry(chain[i:]) for i in range(len(coarse))]
+    totals = [0.0] * len(coarse)
+    for lo in range(0, fmesh.n_triangles, _FINE_CHUNK):
+        elems = np.arange(lo, min(lo + _FINE_CHUNK, fmesh.n_triangles))
         ne = len(elems)
-        xq, wq, grad_fine, p_fine = _fields_at_rule(reference, elems, rq, rw)
-
-        # coarse fields at the same physical points
-        ce = ancestor[elems]
-        cjac, cjinv = element_jacobians(cmesh, ce)
-        cp0 = cmesh.vertices[cmesh.triangles[ce, 0]]
-        ref_c = np.einsum("erd,eqd->eqr", cjinv, xq - cp0[:, None, :])
-        flat = ref_c.reshape(-1, 2)
-        lg_u = lagrange_grads(k + 1, flat).reshape(ne, nq, -1, 2)
-        lv_p = lagrange_values(k, flat).reshape(ne, nq, -1)
-        cue = fields.u[cdm_u.vector_dofs(ce)]
-        cgrads = np.einsum("eqir,erd->eqid", lg_u, cjinv)
-        grad_coarse = np.einsum("eic,eqid->eqcd", cue, cgrads)
-        p_coarse = np.einsum("eqi,ei->eq", lv_p, fields.p[cdm_p.element_dofs[ce]])
-        total = _add_energy(
-            total, wq, grad_fine - grad_coarse, p_fine - p_coarse, material
-        )
-    return float(np.sqrt(total))
+        xq, wq = _rule_points(fmesh, elems, rq, rw)
+        grad_fine, p_fine = fields_at(reference, elems, rq)
+        for i, fields in enumerate(coarse):
+            # coarse fields at the same physical points
+            cdisc = fields.disc
+            cmesh = cdisc.mesh
+            ce = ancestors[i][elems]
+            _, cjinv = element_jacobians(cmesh, ce)
+            cp0 = cmesh.vertices[cmesh.triangles[ce, 0]]
+            ref_c = np.einsum("erd,eqd->eqr", cjinv, xq - cp0[:, None, :])
+            flat = ref_c.reshape(-1, 2)
+            lg_u = lagrange_grads(cdisc.k + 1, flat).reshape(ne, nq, -1, 2)
+            lv_p = lagrange_values(cdisc.k, flat).reshape(ne, nq, -1)
+            cue = fields.u[cdisc.displacement.vector_dofs(ce)]
+            cgrads = np.einsum("eqir,erd->eqid", lg_u, cjinv)
+            grad_coarse = np.einsum("eic,eqid->eqcd", cue, cgrads)
+            pe = fields.p[cdisc.pressure.element_dofs[ce]]
+            p_coarse = np.einsum("eqi,ei->eq", lv_p, pe)
+            totals[i] = _add_energy(
+                totals[i], wq, grad_fine - grad_coarse, p_fine - p_coarse, material
+            )
+    return np.sqrt(totals)
 
 
 def compose_ancestry(meshes) -> np.ndarray:

@@ -12,8 +12,7 @@ import numpy as np
 from stresseq import (
     Discretization,
     assemble_system,
-    compose_ancestry,
-    proxy_energy_error,
+    reference_energy_errors,
     refine,
     solve,
 )
@@ -89,11 +88,7 @@ def uniform_reference_errors(history, problem) -> np.ndarray:
         chain.append(refine(chain[-1], np.arange(chain[-1].n_triangles)))
     disc = Discretization(chain[-1], history[-1].fields.disc.k)
     reference = solve(assemble_system(disc, problem.material, problem.load))
-    return np.array(
-        [
-            proxy_energy_error(
-                rec.fields, reference, problem.material, compose_ancestry(chain[i:])
-            )
-            for i, rec in enumerate(history.records)
-        ]
+    return reference_energy_errors(
+        [rec.fields for rec in history.records], reference, chain,
+        problem.material,
     )

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stresseq import (
@@ -19,6 +19,7 @@ from stresseq import (
     doerfler_mark,
     manufactured_smooth,
 )
+from stresseq import estimator
 from stresseq.problems import Problem
 
 
@@ -70,20 +71,25 @@ def test_doerfler_invalid_theta():
     ),
     theta=st.floats(min_value=0.01, max_value=1.0),
 )
+# eta^2 is subnormal: theta^2 * total * (1 + 1e-12) on the raw values is 0
+@example(eta=[2.1950305233967558e-161], theta=0.0625)
 def test_doerfler_criterion_and_minimality(eta, theta):
     eta = np.asarray(eta)
     marked = doerfler_mark(eta, theta)
     assert np.array_equal(marked, np.unique(marked))  # sorted, no repeats
-    total = float(np.sum(eta**2))
-    if total == 0.0:
+    if float(np.sum(eta**2)) == 0.0:
         assert marked.size == 0
         return
-    got = float(np.sum(eta[marked] ** 2))
+    # sums of squares of the raw values can underflow; the criterion does
+    # not depend on the scale of eta, so check it on eta / max(eta)
+    scaled = eta / eta.max()
+    total = float(np.sum(scaled**2))
+    got = float(np.sum(scaled[marked] ** 2))
     assert got >= theta**2 * total * (1.0 - 1e-12)
     # dropping the weakest marked element must break the criterion
     # (for theta == 1 equality holds only with every positive element)
     if marked.size:
-        weakest = float(np.min(eta[marked] ** 2))
+        weakest = float(np.min(scaled[marked] ** 2))
         if theta < 1.0:
             assert got - weakest < theta**2 * total * (1.0 + 1e-12)
         else:
@@ -246,6 +252,24 @@ def test_attach_reference_errors_skips_finest(cook_history):
     # the guaranteed bound holds against the proxy at every reported step
     for rec in cook_history.records[: n - 2]:
         assert rec.error**2 <= rec.report.bound
+
+
+def test_reference_fields_evaluated_once_per_fine_chunk(cook_history, monkeypatch):
+    """attach_reference_errors evaluates the finest fields once per chunk of
+    1,024 fine elements for all reported steps, not once per step."""
+    calls = []
+    inner = estimator.fields_at
+
+    def counting(fields, elems, ref):
+        calls.append(fields)
+        return inner(fields, elems, ref)
+
+    monkeypatch.setattr(estimator, "fields_at", counting)
+    attach_reference_errors(cook_history, cook().material)
+    n_chunks = -(-cook_history[-1].mesh.n_triangles // 1024)
+    assert len(cook_history) - 2 > n_chunks
+    assert len(calls) == n_chunks
+    assert all(fields is cook_history[-1].fields for fields in calls)
 
 
 def test_attach_reference_errors_short_history_noop():

@@ -1,6 +1,7 @@
 """Saddle-point assembly, solve, and direct-stress tests."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -10,25 +11,30 @@ from hypothesis import strategies as st
 
 from conftest import solve_problem
 from stresseq import (
+    AdaptiveConfig,
     BrokenField,
     Discretization,
     FieldPair,
     LoadData,
     Material,
     SingularSystem,
+    adaptive_loop,
     assemble_system,
+    attach_reference_errors,
     build_mesh,
+    conservative_constants,
     cook,
     direct_stress,
     manufactured_smooth,
     solve,
+    solve_step,
     square_lshape,
     triangle_rule,
     uniform_refine,
     unit_square_mesh,
 )
-from stresseq import elasticity
-from stresseq.elasticity import element_jacobians, fields_on_tables
+from stresseq import elasticity, estimator
+from stresseq.elasticity import element_jacobians
 from stresseq.spaces import lagrange_grads, lagrange_values
 from test_mesh import two_triangle_square
 
@@ -479,6 +485,34 @@ def test_direct_stress_symmetric(rng):
     vals = sigma.values(tables)
     asym = np.abs(vals[..., 0, 1] - vals[..., 1, 0])
     assert asym.max() < 1e-12 * max(1.0, np.abs(vals).max())
+
+
+def test_side_values_are_evaluated_only_by_direct_stress(monkeypatch):
+    """The evaluations of (grad u_h, p_h) in a pipeline step, in the energy
+    error and in the reference errors go through ``elasticity.fields_at``;
+    only direct_stress evaluates at side points."""
+    calls = []
+    inner = elasticity.fields_at
+
+    def recording(fields, elems, ref):
+        bary = np.column_stack([ref, 1.0 - ref.sum(axis=1)])
+        on_side = bool(np.all(bary.min(axis=1) < 1e-12))
+        calls.append((sys._getframe(1).f_code.co_name, on_side))
+        return inner(fields, elems, ref)
+
+    for module in (elasticity, estimator):
+        monkeypatch.setattr(module, "fields_at", recording)
+    history = adaptive_loop(cook(), AdaptiveConfig(max_steps=4))
+    attach_reference_errors(history, cook().material)
+    problem = manufactured_smooth(cells=2)
+    solve_step(problem, problem.mesh, 2, conservative_constants())
+    assert {name for name, on_side in calls if on_side} == {"direct_stress"}
+    assert {name for name, _ in calls} == {
+        "direct_stress",
+        "_divergence_defect_sq",
+        "energy_error",
+        "reference_energy_errors",
+    }
 
 
 # -- element geometry -------------------------------------------------------------
