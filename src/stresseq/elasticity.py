@@ -14,6 +14,7 @@ downstream residual identities hold to rounding.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable
 
@@ -330,6 +331,9 @@ _SYMMETRIC_LU = dict(
     options=dict(SymmetricMode=True),
 )
 
+# glibc keeps freed heap pages resident between live blocks; this returns them
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)
+
 
 def _refined_lu_solve(k_ff, b: np.ndarray, **splu_options):
     """Factor ``k_ff`` by ``spla.splu`` and solve with one refinement step.
@@ -337,6 +341,7 @@ def _refined_lu_solve(k_ff, b: np.ndarray, **splu_options):
     Returns (x, relative residual); raises RuntimeError when the
     factorization fails.
     """
+    _malloc_trim(0)  # else the LU's peak memory varies with the heap's layout
     lu = spla.splu(k_ff, **splu_options)
     x = lu.solve(b)
     x += lu.solve(b - k_ff @ x)
