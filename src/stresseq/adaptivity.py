@@ -79,7 +79,10 @@ def doerfler_mark(eta: np.ndarray, theta: float) -> np.ndarray:
     if not (0.0 < theta <= 1.0):
         raise ConfigError(f"marking fraction {theta} outside (0, 1]")
     eta = np.asarray(eta, dtype=float)
-    sq = eta**2
+    # squared after scaling by the power of two that puts the largest
+    # indicator in [0.5, 1): the scaling is exact, so the marking does not
+    # depend on the indicators' scale even where their squares underflow
+    sq = np.ldexp(eta, -np.frexp(eta.max(initial=0.0))[1]) ** 2
     total = float(np.sum(sq))
     if total == 0.0:
         return np.empty(0, dtype=np.int64)

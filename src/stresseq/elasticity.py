@@ -99,7 +99,8 @@ class LoadData:
         tq, _ = segment_rule(2 * k + 5)
         gv = self.traction_at(mesh.side_points(sides, tq))
         coeff = project_side(mesh, sides, gv, k)
-        return gv, np.einsum("scm,qm->sqc", coeff, legendre01(k + 1, t))
+        # einsum "scm,qm->sqc"
+        return gv, (coeff @ legendre01(k + 1, t).T).swapaxes(1, 2)
 
 
 @dataclass
@@ -160,6 +161,19 @@ def element_jacobians(mesh: Mesh, elems) -> tuple[np.ndarray, np.ndarray]:
     return jac, inv
 
 
+def rule_points(mesh: Mesh, elems, rq, rw):
+    """Physical points (ne, nq, 2) and weights (ne, nq) of the reference
+    rule (rq, rw) on ``elems``."""
+    jac, _ = element_jacobians(mesh, elems)
+    p0 = mesh.vertices[mesh.triangles[elems, 0]]
+    # einsum "qr,edr->eqd"
+    xq = p0[:, None, :] + (
+        rq[None, :, 0, None] * jac[:, None, :, 0]
+        + rq[None, :, 1, None] * jac[:, None, :, 1]
+    )
+    return xq, 2.0 * mesh.areas[elems][:, None] * rw[None, :]
+
+
 def _side_reference_points(j: int, flip: bool, t: np.ndarray) -> np.ndarray:
     """Reference coordinates of side quadrature points on local side j.
 
@@ -206,11 +220,12 @@ def assemble_system(
     mu = material.mu
 
     rq, rw = triangle_rule(2 * k + 4)
-    grads_ref = lagrange_grads(m, rq)     # (nq, nlu, 2)
+    gref = lagrange_grads(m, rq).transpose(1, 2, 0)  # (nlu, 2, nq)
     vals_u = lagrange_values(m, rq)       # (nq, nlu)
     vals_p = lagrange_values(k, rq)       # (nq, nlp)
-    nlu = vals_u.shape[1]
+    nq, nlu = vals_u.shape
     nlp = vals_p.shape[1]
+    pp = (vals_p[:, :, None] * vals_p[:, None, :]).reshape(nq, -1)
 
     rows_a, cols_a, data_a = [], [], []
     rows_b, cols_b, data_b = [], [], []
@@ -219,23 +234,32 @@ def assemble_system(
 
     for lo in range(0, mesh.n_triangles, _CHUNK):
         elems = np.arange(lo, min(lo + _CHUNK, mesh.n_triangles))
-        jac, jinv = element_jacobians(mesh, elems)
-        grads = np.einsum("qir,erd->eqid", grads_ref, jinv)
-        wq = 2.0 * mesh.areas[elems][:, None] * rw[None, :]
+        ne = len(elems)
+        _, jinv = element_jacobians(mesh, elems)
+        xq, wq = rule_points(mesh, elems, rq, rw)
+        # einsum "qir,erd->eqid", laid out as (e, i, d, q)
+        grads = gref[None, :, 0, None, :] * jinv[:, None, 0, :, None]
+        grads += gref[None, :, 1, None, :] * jinv[:, None, 1, :, None]
+        grads = grads.reshape(ne, 2 * nlu, nq)
+        wgrads = grads * wq[:, None, :]
 
-        gg = np.einsum("eq,eqid,eqjd->eij", wq, grads, grads)
-        cross = np.einsum("eq,eqid,eqjc->eicjd", wq, grads, grads)
-        ae = mu * cross
+        # einsum "eq,qj,eqic->eicj"
+        bte = (wgrads.reshape(-1, nq) @ vals_p).reshape(ne, 2 * nlu, nlp)
+
+        # einsum "eq,eqid,eqjc->eicjd", and "eq,eqid,eqjd->eij" as its
+        # trace over c = d
+        m4 = (wgrads @ grads.swapaxes(1, 2)).reshape(ne, nlu, 2, nlu, 2)
+        del grads, wgrads  # the largest arrays of the chunk
+        gg = m4[:, :, 0, :, 0] + m4[:, :, 1, :, 1]
+        m4 *= mu
+        ae = m4.transpose(0, 1, 4, 3, 2)  # [e, i, c, j, d]
         for c in range(2):
             ae[:, :, c, :, c] += mu * gg
-        ae = ae.reshape(len(elems), 2 * nlu, 2 * nlu)
 
-        bte = np.einsum("eq,qj,eqic->eicj", wq, vals_p, grads)
-        bte = bte.reshape(len(elems), 2 * nlu, nlp)
+        # einsum "eq,qi,qj->eij"
+        me = (wq @ pp).reshape(ne, nlp, nlp)
 
-        me = np.einsum("eq,qi,qj->eij", wq, vals_p, vals_p)
-
-        udofs = dm_u.vector_dofs(elems).reshape(len(elems), 2 * nlu)
+        udofs = dm_u.vector_dofs(elems).reshape(ne, 2 * nlu)
         pdofs = dm_p.element_dofs[elems]
 
         rows_a.append(np.repeat(udofs, 2 * nlu, axis=1).ravel())
@@ -249,11 +273,10 @@ def assemble_system(
         data_m.append(me.ravel())
 
         # volume load
-        p0 = mesh.vertices[mesh.triangles[elems, 0]]
-        xq = p0[:, None, :] + np.einsum("qr,erd->eqd", rq, jac.swapaxes(1, 2))
         fv = load.volume_at(xq)
-        fe = np.einsum("eq,eqc,qi->eic", wq, fv, vals_u)
-        np.add.at(rhs, udofs, fe.reshape(len(elems), -1))
+        # einsum "eq,eqc,qi->eic"
+        fe = vals_u.T @ (fv * wq[:, :, None])
+        np.add.at(rhs, udofs, fe.reshape(ne, -1))
 
     a_mat = sp.coo_matrix(
         (np.concatenate(data_a), (np.concatenate(rows_a), np.concatenate(cols_a))),
@@ -296,9 +319,8 @@ def assemble_system(
                     continue
                 ref = _side_reference_points(j, fl, tq)
                 bv = lagrange_values(m, ref)  # (nqs, nlu)
-                contrib = np.einsum(
-                    "s,q,sqc,qi->sic", lens[pick], tw, gv[pick], bv
-                )
+                # einsum "s,q,sqc,qi->sic"
+                contrib = lens[pick, None, None] * ((tw[:, None] * bv).T @ gv[pick])
                 udofs = dm_u.vector_dofs(owner[pick]).reshape(pick.sum(), -1)
                 np.add.at(rhs, udofs, contrib.reshape(pick.sum(), -1))
 
@@ -396,7 +418,8 @@ def solve(system: LinearSystem) -> FieldPair:
 
 def fields_at(fields: FieldPair, elems, ref: np.ndarray):
     """u-gradients and pressures of ``fields`` on ``elems`` at the reference
-    points ``ref`` (nq, 2).
+    points ``ref``: (nq, 2), shared by the elements, or (ne, nq, 2), one set
+    per element.
 
     Returns grad_u (ne, nq, 2, 2) [grad_u[..., r, c] = d u_r / d x_c] and
     p (ne, nq).
@@ -404,11 +427,19 @@ def fields_at(fields: FieldPair, elems, ref: np.ndarray):
     disc = fields.disc
     k = disc.k
     _, jinv = element_jacobians(disc.mesh, elems)
-    ue = fields.u[disc.displacement.vector_dofs(elems)]
-    grads = np.einsum("qir,erd->eqid", lagrange_grads(k + 1, ref), jinv)
-    grad_u = np.einsum("eic,eqid->eqcd", ue, grads)
-    pe = fields.p[disc.pressure.element_dofs[elems]]
-    return grad_u, np.einsum("ei,qi->eq", pe, lagrange_values(k, ref))
+    ue = fields.u[disc.displacement.vector_dofs(elems)]      # (ne, ni, 2)
+    pe = fields.p[disc.pressure.element_dofs[elems]]         # (ne, np)
+    gt = np.swapaxes(lagrange_grads(k + 1, ref), -1, -2)     # (..., nq, 2, ni)
+    nq, _, ni = gt.shape[-3:]
+    # einsum "qir,erd->eqid" then "eic,eqid->eqcd", summed over i first
+    # ("eqir,erd->eqid" for points per element): t[e, q, r, c], then r
+    t = (gt.reshape(gt.shape[:-3] + (2 * nq, ni)) @ ue).reshape(len(elems), nq, 2, 2)
+    grad_u = (
+        t[:, :, 0, :, None] * jinv[:, None, None, 0, :]
+        + t[:, :, 1, :, None] * jinv[:, None, None, 1, :]
+    )
+    # einsum "ei,qi->eq" ("eqi,ei->eq" for points per element)
+    return grad_u, (lagrange_values(k, ref) @ pe[:, :, None])[..., 0]
 
 
 def _stress_from(grad_u: np.ndarray, p: np.ndarray, mu: float) -> np.ndarray:

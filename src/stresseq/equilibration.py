@@ -95,7 +95,10 @@ def side_traces(
     tplus = np.zeros((mesh.n_sides, nqs, 2))
     for tb in disc.stress_chunks():
         nb = tb.normal_basis()                            # (ne, 3, nqs, nd)
-        tr = np.einsum("erd,esqd->esqr", field.dofs[tb.elems], nb)
+        ne, _, _, nd = nb.shape
+        # einsum "erd,esqd->esqr"
+        tr = nb.reshape(ne, -1, nd) @ field.dofs[tb.elems].swapaxes(1, 2)
+        tr = tr.reshape(ne, 3, nqs, 2)
         _scatter_traces(mesh, tb, tr, tminus, tplus)
     return tminus, tplus
 
@@ -121,8 +124,12 @@ def build_rhs_tables(
         resid = fv + divv
         hats = lagrange_values(1, tb.vol_ref)             # (nq, 3)
         mk = monomial_values(_exps_array(k), tb.vol_xi)   # (ne, nq, nmk)
-        rdiv[tb.elems] = -np.einsum(
-            "eq,qa,eqr,eqb->earb", tb.vol_w, hats, resid, mk
+        ne, nq = tb.vol_w.shape
+        whats = tb.vol_w[:, :, None] * hats               # (ne, nq, 3)
+        wres = whats[..., None] * resid[:, :, None, :]    # (ne, nq, 3, 2)
+        # einsum "eq,qa,eqr,eqb->earb"
+        rdiv[tb.elems] = -(wres.reshape(ne, nq, 6).swapaxes(1, 2) @ mk).reshape(
+            ne, 3, 2, nmk
         )
         sig_sq += float(np.einsum("eq,eqrc->", tb.vol_w, sigma_h.values(tb) ** 2))
         f_sq += float(np.einsum("eq,eqr->", tb.vol_w, fv**2))
@@ -840,14 +847,11 @@ def verify_equilibration(
 
         # traces at the check points (scaled coordinates of side points)
         xi = tb.scaled(mesh.side_points(tb.side_ids, tpts))
-        vals = np.einsum(
-            "eri,eisqc->esqrc",
-            sigma_r.dofs[tb.elems],
-            tb.basis_at(xi.reshape(len(tb.elems), -1, 2)).reshape(
-                len(tb.elems), tb.n_dofs, 3, npts, 2
-            ),
-        )
-        tr = np.einsum("esqrc,esc->esqr", vals, mesh.side_normal[tb.side_ids])
+        ne = len(tb.elems)
+        vals = sigma_r.values(tb, xi.reshape(ne, -1, 2)).reshape(ne, 3, npts, 2, 2)
+        nrm = mesh.side_normal[tb.side_ids][:, :, None, None, :]  # (ne, 3, 1, 1, 2)
+        # einsum "esqrc,esc->esqr"
+        tr = vals[..., 0] * nrm[..., 0] + vals[..., 1] * nrm[..., 1]
         _scatter_traces(mesh, tb, tr, tmin, tplus)
 
         # weak-symmetry accumulation over the continuous scalar hats

@@ -28,6 +28,7 @@ from .elasticity import (
     Material,
     element_jacobians,
     fields_at,
+    rule_points,
 )
 from .equilibration import side_traces
 from .errors import InvalidConstants, StressEqError
@@ -37,9 +38,6 @@ from .spaces import (
     _CHUNK,
     BrokenField,
     Discretization,
-    StressTables,
-    lagrange_grads,
-    lagrange_values,
     segment_rule,
     triangle_rule,
 )
@@ -119,27 +117,32 @@ def antisymmetric_norm_sq(tau: np.ndarray) -> np.ndarray:
 # -- estimator components ----------------------------------------------------------
 
 
-def _divergence_defect_sq(
-    fields: FieldPair, tables: StressTables, inv_lambda: float
+def divergence_defect_sq(
+    disc: Discretization, fields: FieldPair, inv_lambda: float
 ) -> np.ndarray:
-    """Per-element integral of (div u_h - inv_lambda p_h)^2 over the
-    elements of ``tables``; eta_B^2 up to the factor 2 mu."""
-    grad_u, p = fields_at(fields, tables.elems, tables.vol_ref)
-    b_val = grad_u[..., 0, 0] + grad_u[..., 1, 1] - inv_lambda * p
-    return np.einsum("eq,eq->e", tables.vol_w, b_val**2)
+    """Per-element integral of (div u_h - inv_lambda p_h)^2: eta_B^2 up to
+    the factor 2 mu, and the last term of eta_R^2."""
+    b_sq = np.empty(disc.mesh.n_triangles)
+    for tb in disc.stress_chunks():
+        grad_u, p = fields_at(fields, tb.elems, tb.vol_ref)
+        b_val = grad_u[..., 0, 0] + grad_u[..., 1, 1] - inv_lambda * p
+        b_sq[tb.elems] = np.einsum("eq,eq->e", tb.vol_w, b_val**2)
+    return b_sq
 
 
 def eta_components(
     disc: Discretization,
     sigma_delta: BrokenField,
-    fields: FieldPair,
+    b_sq: np.ndarray,
     material: Material,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-element (eta_A, eta_B, eta_C); quadrature-exact integrands."""
+    """Per-element (eta_A, eta_B, eta_C); quadrature-exact integrands.
+
+    ``b_sq`` is :func:`divergence_defect_sq` of the discrete pair.
+    """
     mesh = disc.mesh
     mu, t = material.mu, material.inv_lambda
     eta_a = np.empty(mesh.n_triangles)
-    eta_b = np.empty(mesh.n_triangles)
     eta_c = np.empty(mesh.n_triangles)
     trace_coef = 1.0 / (2.0 * mu * t + _DIM)
     for tb in disc.stress_chunks():
@@ -150,10 +153,9 @@ def eta_components(
         eta_a[tb.elems] = np.sqrt(
             np.maximum(np.einsum("eq,eq->e", tb.vol_w, a_sq), 0.0)
         )
-        eta_b[tb.elems] = np.sqrt(2.0 * mu * _divergence_defect_sq(fields, tb, t))
         c_sq = antisymmetric_norm_sq(vals) / (2.0 * mu)
         eta_c[tb.elems] = np.sqrt(np.einsum("eq,eq->e", tb.vol_w, c_sq))
-    return eta_a, eta_b, eta_c
+    return eta_a, np.sqrt(2.0 * mu * b_sq), eta_c
 
 
 def _b_coefficient(material: Material, constants: BoundConstants) -> float:
@@ -204,10 +206,9 @@ def guaranteed_bound(
 
 def residual_estimator(
     disc: Discretization,
-    fields: FieldPair,
+    b_sq: np.ndarray,
     sigma_h: BrokenField,
     load: LoadData,
-    material: Material,
 ) -> np.ndarray:
     """Classical residual indicator per element.
 
@@ -215,16 +216,14 @@ def residual_estimator(
             + sum over non-displacement sides of h_S |jump*|_S^2
             + |div u_h - inv_lambda p_h|_T^2,
     with the plain normal jump on interior sides and the traction defect
-    sigma_h . n - proj g on traction sides.
+    sigma_h . n - proj g on traction sides.  ``b_sq`` is the last term,
+    :func:`divergence_defect_sq` of the discrete pair.
     """
     mesh, k = disc.mesh, disc.k
-    t = material.inv_lambda
     vol_sq = np.empty(mesh.n_triangles)
-    b_sq = np.empty(mesh.n_triangles)
     for tb in disc.stress_chunks():
         resid = sigma_h.div_values(tb) + load.projected_volume(tb)[1]
         vol_sq[tb.elems] = np.einsum("eq,eqr->e", tb.vol_w, resid**2)
-        b_sq[tb.elems] = _divergence_defect_sq(fields, tb, t)
 
     tq, tw = segment_rule(2 * k + 5)
     tminus, tplus = side_traces(disc, sigma_h)
@@ -282,15 +281,6 @@ def data_oscillation(
 # -- energy errors -------------------------------------------------------------------
 
 
-def _rule_points(mesh: Mesh, elems, rq, rw):
-    """Physical points (ne, nq, 2) and weights (ne, nq) of the reference
-    rule (rq, rw) on ``elems``."""
-    jac, _ = element_jacobians(mesh, elems)
-    p0 = mesh.vertices[mesh.triangles[elems, 0]]
-    xq = p0[:, None, :] + np.einsum("qr,edr->eqd", rq, jac)
-    return xq, 2.0 * mesh.areas[elems][:, None] * rw[None, :]
-
-
 def _add_energy(total: float, wq, dg, dp, material: Material) -> float:
     """total + the squared energy norm of the gradient and pressure
     differences (dg, dp) under the weights wq."""
@@ -317,7 +307,7 @@ def energy_error(
     total = 0.0
     for lo in range(0, mesh.n_triangles, _CHUNK):
         elems = np.arange(lo, min(lo + _CHUNK, mesh.n_triangles))
-        xq, wq = _rule_points(mesh, elems, rq, rw)
+        xq, wq = rule_points(mesh, elems, rq, rw)
         grad_uh, ph = fields_at(fields, elems, rq)
         dg = exact.displacement_gradient(xq) - grad_uh
         total = _add_energy(total, wq, dg, exact.pressure(xq) - ph, material)
@@ -346,30 +336,24 @@ def reference_energy_errors(
     """
     fmesh, k = reference.disc.mesh, reference.disc.k
     rq, rw = triangle_rule(2 * k + 4)
-    nq = len(rw)
     ancestors = [compose_ancestry(chain[i:]) for i in range(len(coarse))]
     totals = [0.0] * len(coarse)
     for lo in range(0, fmesh.n_triangles, _FINE_CHUNK):
         elems = np.arange(lo, min(lo + _FINE_CHUNK, fmesh.n_triangles))
-        ne = len(elems)
-        xq, wq = _rule_points(fmesh, elems, rq, rw)
+        xq, wq = rule_points(fmesh, elems, rq, rw)
         grad_fine, p_fine = fields_at(reference, elems, rq)
         for i, fields in enumerate(coarse):
             # coarse fields at the same physical points
-            cdisc = fields.disc
-            cmesh = cdisc.mesh
+            cmesh = fields.disc.mesh
             ce = ancestors[i][elems]
             _, cjinv = element_jacobians(cmesh, ce)
-            cp0 = cmesh.vertices[cmesh.triangles[ce, 0]]
-            ref_c = np.einsum("erd,eqd->eqr", cjinv, xq - cp0[:, None, :])
-            flat = ref_c.reshape(-1, 2)
-            lg_u = lagrange_grads(cdisc.k + 1, flat).reshape(ne, nq, -1, 2)
-            lv_p = lagrange_values(cdisc.k, flat).reshape(ne, nq, -1)
-            cue = fields.u[cdisc.displacement.vector_dofs(ce)]
-            cgrads = np.einsum("eqir,erd->eqid", lg_u, cjinv)
-            grad_coarse = np.einsum("eic,eqid->eqcd", cue, cgrads)
-            pe = fields.p[cdisc.pressure.element_dofs[ce]]
-            p_coarse = np.einsum("eqi,ei->eq", lv_p, pe)
+            xc = xq - cmesh.vertices[cmesh.triangles[ce, 0]][:, None, :]
+            # einsum "erd,eqd->eqr"
+            ref_c = (
+                xc[:, :, 0, None] * cjinv[:, None, :, 0]
+                + xc[:, :, 1, None] * cjinv[:, None, :, 1]
+            )
+            grad_coarse, p_coarse = fields_at(fields, ce, ref_c)
             totals[i] = _add_energy(
                 totals[i], wq, grad_fine - grad_coarse, p_fine - p_coarse, material
             )
@@ -489,8 +473,9 @@ def estimate(
     constants: BoundConstants,
 ) -> EstimatorReport:
     """Full estimator report for one solved mesh."""
-    eta_a, eta_b, eta_c = eta_components(disc, sigma_delta, fields, material)
-    eta_r = residual_estimator(disc, fields, sigma_h, load, material)
+    b_sq = divergence_defect_sq(disc, fields, material.inv_lambda)
+    eta_a, eta_b, eta_c = eta_components(disc, sigma_delta, b_sq, material)
+    eta_r = residual_estimator(disc, b_sq, sigma_h, load)
     return EstimatorReport(
         eta_A=eta_a,
         eta_B=eta_b,

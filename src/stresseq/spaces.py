@@ -119,22 +119,44 @@ def _exps_array(m: int) -> np.ndarray:
     return np.array(_pk_exponents(m), dtype=np.int64).reshape(-1, 2)
 
 
+def _powers(t: np.ndarray, n: int) -> np.ndarray:
+    """t**0, ..., t**n by repeated products: (..., n + 1)."""
+    out = np.empty(t.shape + (n + 1,))
+    out[..., 0] = 1.0
+    for j in range(1, n + 1):
+        out[..., j] = out[..., j - 1] * t
+    return out
+
+
 def monomial_values(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Monomial values; pts (..., 2) -> (..., n_monomials)."""
-    x = pts[..., None, 0]
-    y = pts[..., None, 1]
-    return x ** exps[:, 0] * y ** exps[:, 1]
+    n = int(exps.max(initial=0))
+    # x ** exps[:, 0] * y ** exps[:, 1]
+    xp = _powers(pts[..., 0], n)
+    yp = _powers(pts[..., 1], n)
+    return xp[..., exps[:, 0]] * yp[..., exps[:, 1]]
 
 
 def monomial_grads(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Monomial gradients; pts (..., 2) -> (..., n_monomials, 2)."""
-    x = pts[..., None, 0]
-    y = pts[..., None, 1]
+    """Monomial gradients; pts (..., 2) -> (..., n_monomials, 2).
+
+    The result is a view of a (..., 2, n_monomials) array: swapping its
+    last two axes back gives a contiguous array.
+    """
+    n = int(exps.max(initial=0))
+    xp = _powers(pts[..., 0], n)
+    yp = _powers(pts[..., 1], n)
     a = exps[:, 0]
     b = exps[:, 1]
-    gx = np.where(a > 0, a * x ** np.maximum(a - 1, 0) * y ** b, 0.0)
-    gy = np.where(b > 0, b * x ** a * y ** np.maximum(b - 1, 0), 0.0)
-    return np.stack([gx, gy], axis=-1)
+    out = np.empty(pts.shape[:-1] + (2, len(exps)))
+    # a * x ** (a - 1) * y ** b and b * x ** a * y ** (b - 1)
+    out[..., 0, :] = np.where(
+        a > 0, a * xp[..., np.maximum(a - 1, 0)] * yp[..., b], 0.0
+    )
+    out[..., 1, :] = np.where(
+        b > 0, b * xp[..., a] * yp[..., np.maximum(b - 1, 0)], 0.0
+    )
+    return np.swapaxes(out, -1, -2)
 
 
 # -- Lagrange reference elements ----------------------------------------------
@@ -169,14 +191,21 @@ def lagrange_reference(m: int):
 def lagrange_values(m: int, pts) -> np.ndarray:
     """P_m basis values at reference points: (..., n_local)."""
     _, exps, coeff = lagrange_reference(m)
-    return monomial_values(exps, np.asarray(pts)) @ coeff.T
+    mv = monomial_values(exps, np.asarray(pts))
+    return (mv.reshape(-1, len(exps)) @ coeff.T).reshape(mv.shape[:-1] + (-1,))
 
 
 def lagrange_grads(m: int, pts) -> np.ndarray:
-    """P_m basis reference gradients at reference points: (..., n_local, 2)."""
+    """P_m basis reference gradients at reference points: (..., n_local, 2).
+
+    The result is a view of a (..., 2, n_local) array: swapping its last
+    two axes back gives a contiguous array.
+    """
     _, exps, coeff = lagrange_reference(m)
-    grads = monomial_grads(exps, np.asarray(pts))
-    return np.einsum("...md,im->...id", grads, coeff)
+    gt = np.swapaxes(monomial_grads(exps, np.asarray(pts)), -1, -2)
+    # einsum "...md,im->...id"
+    out = gt.reshape(-1, len(exps)) @ coeff.T
+    return np.swapaxes(out.reshape(gt.shape[:-1] + (len(coeff),)), -1, -2)
 
 
 # -- continuous Lagrange dof maps ---------------------------------------------
@@ -346,10 +375,17 @@ class StressTables:
         )
 
     def basis_at(self, xi: np.ndarray) -> np.ndarray:
-        """Basis values at scaled points (ne, nq, 2) -> (ne, nd, nq, 2)."""
+        """Basis values at scaled points (ne, nq, 2) -> (ne, nd, nq, 2).
+
+        The result is a view of an (ne, nd, 2, nq) array: swapping axes 2
+        and 3 back gives a contiguous array.
+        """
         exps1, _ = _rt_span(self.k)
         mv = monomial_values(exps1, xi)
-        return np.einsum("eicm,eqm->eiqc", self.C, mv)
+        ne, nd, _, nm = self.C.shape
+        # einsum "eicm,eqm->eiqc"
+        out = self.C.reshape(ne, 2 * nd, nm) @ mv.swapaxes(1, 2)
+        return out.reshape(ne, nd, 2, -1).swapaxes(2, 3)
 
     def basis_div_at(self, xi: np.ndarray) -> np.ndarray:
         """Basis divergences at scaled points -> (ne, nd, nq)."""
@@ -357,14 +393,19 @@ class StressTables:
         dc = (self.C[:, :, 0, :] @ DX + self.C[:, :, 1, :] @ DY)
         dc = dc / self.h[:, None, None]
         mv = monomial_values(_exps_array(self.k), xi)
-        return np.einsum("eib,eqb->eiq", dc, mv)
+        # einsum "eib,eqb->eiq"
+        return dc @ mv.swapaxes(1, 2)
 
     def normal_basis(self) -> np.ndarray:
         """n . basis at the side quadrature points -> (ne, 3, nqs, nd)."""
         exps1, _ = _rt_span(self.k)
-        mv = monomial_values(exps1, self.side_xi)
-        vals = np.einsum("eicm,esqm->eisqc", self.C, mv)
-        return np.einsum("eisqc,esc->esqi", vals, self.side_normal)
+        mv = monomial_values(exps1, self.side_xi)          # (ne, 3, nqs, nm)
+        n = self.side_normal[:, :, None, :, None]          # (ne, 3, 1, 2, 1)
+        C = self.C[:, None]                                # (ne, 1, nd, 2, nm)
+        # einsum "eicm,esqm->eisqc" then "eisqc,esc->esqi", with the normal
+        # taken into the coefficients first
+        cn = n[:, :, :, 0] * C[:, :, :, 0] + n[:, :, :, 1] * C[:, :, :, 1]
+        return mv @ cn.swapaxes(2, 3)
 
     def dofs_from_values(self, vol_vals, side_vals) -> np.ndarray:
         """Dofs of a tensor field given its values at the stored points.
@@ -374,17 +415,39 @@ class StressTables:
         Returns (ne, 2, nd): broken-RT dofs of each tensor row.
         """
         k = self.k
-        lg = legendre01(k + 1, self.side_t)
-        tn = np.einsum("esqrc,esc->esqr", side_vals, self.side_normal)
-        side = np.einsum("q,qm,esqr->ersm", self.side_w, lg, tn)
         ne = len(self.elems)
+        lg = legendre01(k + 1, self.side_t)
+        side = _normal_moments(side_vals, self.side_normal, self.side_w, lg)
         _, rw = triangle_rule(2 * k + 4)
         mq = monomial_values(_exps_array(k - 1), self.vol_xi)
-        inter = 2.0 * np.einsum("q,eqb,eqrc->ercb", rw, mq, vol_vals)
+        inter = _interior_moments(vol_vals, mq, rw).reshape(ne, -1, 2, 2)
         out = np.empty((ne, 2, rt_dim(k)))
-        out[:, :, : 3 * (k + 1)] = side.reshape(ne, 2, 3 * (k + 1))
-        out[:, :, 3 * (k + 1) :] = inter.reshape(ne, 2, -1)
+        out[:, :, : 3 * (k + 1)] = side.transpose(0, 3, 1, 2).reshape(ne, 2, -1)
+        out[:, :, 3 * (k + 1) :] = inter.transpose(0, 2, 3, 1).reshape(ne, 2, -1)
         return out
+
+
+def _normal_moments(side_vals, normal, w, lg) -> np.ndarray:
+    """Legendre moments of the normal component of side values.
+
+    side_vals (ne, 3, nqs, X, 2) against the side normals (ne, 3, 2), the
+    weights w (nqs,) and the Legendre values lg (nqs, k+1):
+    returns (ne, 3, k+1, X).
+    """
+    # einsum "esqXc,esc->esqX" then "q,qm,esqX->esmX"
+    tn = (
+        side_vals[..., 0] * normal[:, :, None, None, 0]
+        + side_vals[..., 1] * normal[:, :, None, None, 1]
+    )
+    return (w[:, None] * lg).T @ tn
+
+
+def _interior_moments(vol_vals, mq, rw) -> np.ndarray:
+    """Moments 2 sum_q rw_q mq[e, q, b] vol_vals[e, q, ...] on the
+    reference rule rw: (ne, nb, size of the trailing axes of vol_vals)."""
+    ne, nq = mq.shape[:2]
+    # einsum "q,eqb,eqX->ebX"
+    return 2.0 * ((rw[:, None] * mq).swapaxes(1, 2) @ vol_vals.reshape(ne, nq, -1))
 
 
 def build_stress_tables(mesh: Mesh, k: int, elems=None) -> StressTables:
@@ -429,21 +492,27 @@ def build_stress_tables(mesh: Mesh, k: int, elems=None) -> StressTables:
 
     mv_vol = monomial_values(exps1, vol_xi)
     mv_side = monomial_values(exps1, side_xi)
-    f_vol = np.einsum("fcm,eqm->eqfc", S, mv_vol)
-    f_side = np.einsum("fcm,esqm->esqfc", S, mv_side)
+    nm = len(exps1)
+    st = S.reshape(2 * nd, nm).T
+    # einsum "fcm,eqm->eqfc" and "fcm,esqm->esqfc"
+    f_vol = (mv_vol.reshape(-1, nm) @ st).reshape(vol_xi.shape[:-1] + (nd, 2))
+    f_side = (mv_side.reshape(-1, nm) @ st).reshape(side_xi.shape[:-1] + (nd, 2))
 
-    lg = legendre01(k + 1, tq)
-    f_n = np.einsum("esqfc,esc->esqf", f_side, nrm)
-    v_side = np.einsum("q,qm,esqf->esmf", tw, lg, f_n)
-
+    v_side = _normal_moments(f_side, nrm, tw, legendre01(k + 1, tq))
     mq = monomial_values(_exps_array(k - 1), vol_xi)
-    v_int = 2.0 * np.einsum("q,eqb,eqfc->ecbf", rw, mq, f_vol)
+    v_int = _interior_moments(f_vol, mq, rw).reshape(ne, -1, nd, 2)
 
     vand = np.concatenate(
-        [v_side.reshape(ne, 3 * (k + 1), nd), v_int.reshape(ne, -1, nd)], axis=1
+        [
+            v_side.reshape(ne, 3 * (k + 1), nd),
+            v_int.transpose(0, 3, 1, 2).reshape(ne, -1, nd),
+        ],
+        axis=1,
     )
     vinv = np.linalg.inv(vand)
-    C = np.einsum("efi,fcm->eicm", vinv, S)
+    # einsum "efi,fcm->eicm"
+    C = vinv.swapaxes(1, 2).reshape(-1, nd) @ S.reshape(nd, -1)
+    C = C.reshape(ne, nd, 2, nm)
 
     return StressTables(
         k=k,
@@ -479,15 +548,19 @@ class BrokenField:
         """Tensor values at scaled points: (ne, nq, 2, 2)."""
         if xi is None:
             xi = tables.vol_xi
-        basis = tables.basis_at(xi)
-        return np.einsum("eri,eiqc->eqrc", self.dofs[tables.elems], basis)
+        basis = tables.basis_at(xi).swapaxes(2, 3)          # (ne, nd, 2, nq)
+        ne, nd, _, nq = basis.shape
+        # einsum "eri,eiqc->eqrc"
+        out = self.dofs[tables.elems] @ basis.reshape(ne, nd, 2 * nq)
+        return out.reshape(ne, 2, 2, nq).transpose(0, 3, 1, 2)
 
     def div_values(self, tables: StressTables, xi=None) -> np.ndarray:
         """Row divergences at scaled points: (ne, nq, 2)."""
         if xi is None:
             xi = tables.vol_xi
         dvals = tables.basis_div_at(xi)
-        return np.einsum("eri,eiq->eqr", self.dofs[tables.elems], dvals)
+        # einsum "eri,eiq->eqr"
+        return (self.dofs[tables.elems] @ dvals).swapaxes(1, 2)
 
 
 # -- per-element constraint tables ---------------------------------------------
@@ -521,14 +594,20 @@ def build_constraint_tables(disc: Discretization) -> ConstraintTables:
     gram = np.empty((nt, nd, nd))
     for tb in disc.stress_chunks():
         elems = tb.elems
-        vals = tb.basis_at(tb.vol_xi)
+        vals = tb.basis_at(tb.vol_xi).swapaxes(2, 3)       # (ne, nd, 2, nq)
         divs = tb.basis_div_at(tb.vol_xi)
         mk = monomial_values(_exps_array(k), tb.vol_xi)
         hats = lagrange_values(k, tb.vol_ref)
-        divm[elems] = np.einsum("eq,eiq,eqb->ebi", tb.vol_w, divs, mk)
-        symx[elems] = np.einsum("eq,eiq,qa->eai", tb.vol_w, vals[..., 0], hats)
-        symy[elems] = np.einsum("eq,eiq,qa->eai", tb.vol_w, vals[..., 1], hats)
-        gram[elems] = np.einsum("eq,eiqc,ejqc->eij", tb.vol_w, vals, vals)
+        w = tb.vol_w[:, :, None]
+        # einsum "eq,eiq,eqb->ebi"
+        divm[elems] = (w * mk).swapaxes(1, 2) @ divs.swapaxes(1, 2)
+        # einsum "eq,eiq,qa->eai" on vals[..., 0] and on vals[..., 1]
+        wh = (w * hats).swapaxes(1, 2)
+        symx[elems] = wh @ vals[:, :, 0].swapaxes(1, 2)
+        symy[elems] = wh @ vals[:, :, 1].swapaxes(1, 2)
+        # einsum "eq,eiqc,ejqc->eij"
+        flat = vals.reshape(len(elems), nd, -1)             # (ne, nd, 2 nq)
+        gram[elems] = (flat * np.tile(tb.vol_w, 2)[:, None, :]) @ flat.swapaxes(1, 2)
     return ConstraintTables(divm=divm, symx=symx, symy=symy, gram=gram)
 
 
@@ -599,15 +678,18 @@ def project_volume(tables: StressTables, values: np.ndarray, k: int) -> np.ndarr
     Returns coefficients (ne, ncomp, n_monomials).
     """
     mk = monomial_values(_exps_array(k), tables.vol_xi)
-    G = np.einsum("eq,eqa,eqb->eab", tables.vol_w, mk, mk)
-    rhs = np.einsum("eq,eqa,eqc->eca", tables.vol_w, mk, values)
+    wmk = tables.vol_w[:, :, None] * mk
+    # einsum "eq,eqa,eqb->eab" and "eq,eqa,eqc->eca"
+    G = wmk.swapaxes(1, 2) @ mk
+    rhs = values.swapaxes(1, 2) @ wmk
     return np.linalg.solve(G[:, None, :, :], rhs[..., None]).squeeze(-1)
 
 
 def eval_volume_poly(tables: StressTables, coeff: np.ndarray, k: int) -> np.ndarray:
     """Evaluate elementwise P_k polynomials at the volume points."""
     mk = monomial_values(_exps_array(k), tables.vol_xi)
-    return np.einsum("eca,eqa->eqc", coeff, mk)
+    # einsum "eca,eqa->eqc"
+    return mk @ coeff.swapaxes(1, 2)
 
 
 def project_side(mesh: Mesh, side_ids, values: np.ndarray, k: int):
@@ -618,4 +700,5 @@ def project_side(mesh: Mesh, side_ids, values: np.ndarray, k: int):
     """
     tq, tw = segment_rule(2 * k + 5)
     lg = legendre01(k + 1, tq)
-    return np.einsum("q,qm,sqc->scm", tw, lg, values)
+    # einsum "q,qm,sqc->scm"
+    return values.swapaxes(1, 2) @ (tw[:, None] * lg)

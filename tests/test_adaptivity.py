@@ -77,7 +77,7 @@ def test_doerfler_criterion_and_minimality(eta, theta):
     eta = np.asarray(eta)
     marked = doerfler_mark(eta, theta)
     assert np.array_equal(marked, np.unique(marked))  # sorted, no repeats
-    if float(np.sum(eta**2)) == 0.0:
+    if not np.any(eta > 0.0):
         assert marked.size == 0
         return
     # sums of squares of the raw values can underflow; the criterion does
@@ -94,6 +94,29 @@ def test_doerfler_criterion_and_minimality(eta, theta):
             assert got - weakest < theta**2 * total * (1.0 + 1e-12)
         else:
             assert np.all(eta[marked] > 0.0)
+
+
+def test_doerfler_marks_as_at_unit_scale_when_squares_are_subnormal():
+    theta = np.sqrt(0.5 + 1e-6)
+    assert np.array_equal(doerfler_mark(np.array([1.0, 1.0]), theta), [0, 1])
+    assert np.array_equal(doerfler_mark(np.array([1e-160, 1e-160]), theta), [0, 1])
+    assert np.array_equal(doerfler_mark(np.array([1e-170]), 0.5), [0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eta=st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)),
+        min_size=1,
+        max_size=40,
+    ),
+    theta=st.floats(min_value=0.01, max_value=1.0),
+    power=st.integers(min_value=-1000, max_value=1000),
+)
+def test_doerfler_marking_is_invariant_under_power_of_two_scaling(eta, theta, power):
+    eta = np.asarray(eta)
+    scaled = np.ldexp(eta, power)  # exact: every value stays normal and finite
+    assert np.array_equal(doerfler_mark(scaled, theta), doerfler_mark(eta, theta))
 
 
 # -- config validation ------------------------------------------------------------
@@ -256,7 +279,9 @@ def test_attach_reference_errors_skips_finest(cook_history):
 
 def test_reference_fields_evaluated_once_per_fine_chunk(cook_history, monkeypatch):
     """attach_reference_errors evaluates the finest fields once per chunk of
-    1,024 fine elements for all reported steps, not once per step."""
+    1,024 fine elements for all reported steps, not once per step; each
+    reported step's fields are evaluated once per chunk, at the points of
+    the fine rule."""
     calls = []
     inner = estimator.fields_at
 
@@ -267,9 +292,10 @@ def test_reference_fields_evaluated_once_per_fine_chunk(cook_history, monkeypatc
     monkeypatch.setattr(estimator, "fields_at", counting)
     attach_reference_errors(cook_history, cook().material)
     n_chunks = -(-cook_history[-1].mesh.n_triangles // 1024)
-    assert len(cook_history) - 2 > n_chunks
-    assert len(calls) == n_chunks
-    assert all(fields is cook_history[-1].fields for fields in calls)
+    reported = [rec.fields for rec in cook_history.records[:-2]]
+    assert len(reported) > n_chunks
+    expected = [cook_history[-1].fields, *reported] * n_chunks
+    assert [id(f) for f in calls] == [id(f) for f in expected]
 
 
 def test_attach_reference_errors_short_history_noop():

@@ -20,6 +20,7 @@ from stresseq import (
     data_oscillation,
     deviatoric,
     direct_stress,
+    divergence_defect_sq,
     energy_error,
     equilibrate,
     estimate,
@@ -33,6 +34,7 @@ from stresseq import (
     solve,
     unit_square_mesh,
 )
+from stresseq import estimator, spaces
 from stresseq.elasticity import assemble_system, element_jacobians
 from stresseq.spaces import (
     Discretization,
@@ -187,7 +189,8 @@ def test_eta_components_match_dense_integration(manu_solution):
     problem, disc, fields, sigma, delta = manu_solution
     mat = problem.material
     mu, t = mat.mu, mat.inv_lambda
-    eta_a, eta_b, eta_c = eta_components(disc, delta, fields, mat)
+    b_sq = divergence_defect_sq(disc, fields, t)
+    eta_a, eta_b, eta_c = eta_components(disc, delta, b_sq, mat)
 
     mesh, k = disc.mesh, disc.k
     elems = np.arange(mesh.n_triangles)
@@ -225,7 +228,8 @@ def test_eta_components_zero_cases(manu_solution):
     zero_delta = BrokenField(
         disc.mesh, disc.k, np.zeros((disc.mesh.n_triangles, 2, rt_dim(disc.k)))
     )
-    eta_a, eta_b, eta_c = eta_components(disc, zero_delta, fields, mat)
+    b_sq = divergence_defect_sq(disc, fields, mat.inv_lambda)
+    eta_a, eta_b, eta_c = eta_components(disc, zero_delta, b_sq, mat)
     assert np.max(eta_a) == 0.0
     assert np.max(eta_c) == 0.0
     assert np.max(eta_b) > 0.0  # Taylor-Hood is not pointwise divergence-free
@@ -233,8 +237,34 @@ def test_eta_components_zero_cases(manu_solution):
     zero_fields = FieldPair(
         disc, np.zeros_like(fields.u), np.zeros_like(fields.p)
     )
-    _, eta_b0, _ = eta_components(disc, delta, zero_fields, mat)
+    b_sq0 = divergence_defect_sq(disc, zero_fields, mat.inv_lambda)
+    _, eta_b0, _ = eta_components(disc, delta, b_sq0, mat)
     assert np.max(eta_b0) == 0.0
+
+
+def test_estimate_evaluates_the_fields_once_per_chunk(monkeypatch):
+    """eta_B and the last term of eta_R share one evaluation of
+    (grad u_h, p_h) at the volume rule per stress chunk."""
+    monkeypatch.setattr(spaces, "_CHUNK", 10)  # several chunks
+    problem = manufactured_smooth(Material(mu=1.0, inv_lambda=0.1), cells=4)
+    disc, fields, sigma = solve_problem(problem)
+    delta, _, _ = equilibrate(disc, sigma, problem.load)
+    chunks = disc.stress_chunks()
+    at_volume_rule = []
+    inner = estimator.fields_at
+
+    def counting(fields, elems, ref):
+        if np.array_equal(ref, chunks[0].vol_ref):
+            at_volume_rule.append(len(elems))
+        return inner(fields, elems, ref)
+
+    monkeypatch.setattr(estimator, "fields_at", counting)
+    estimate(
+        disc, fields, sigma, delta, problem.load, problem.material,
+        conservative_constants(),
+    )
+    assert len(chunks) > 1
+    assert at_volume_rule == [len(tb.elems) for tb in chunks]
 
 
 # -- residual estimator ----------------------------------------------------------
@@ -252,7 +282,8 @@ def test_residual_estimator_hand_example():
     fields = FieldPair(disc, np.zeros(2 * n_u), np.ones(disc.pressure.n_scalar))
     mat = Material(mu=0.5, inv_lambda=0.0)
     sigma = direct_stress(fields, mat)
-    eta_r = residual_estimator(disc, fields, sigma, LoadData(), mat)
+    b_sq = divergence_defect_sq(disc, fields, mat.inv_lambda)
+    eta_r = residual_estimator(disc, b_sq, sigma, LoadData())
     assert np.allclose(eta_r, [np.sqrt(2.0), 1.0], atol=1e-12)
 
 
@@ -274,7 +305,8 @@ def test_residual_estimator_zero_for_exact_equilibrium():
         out[..., 1] = np.where(on_t, 1.0, np.where(on_b, -1.0, 0.0))
         return out
 
-    eta_r = residual_estimator(disc, fields, sigma, LoadData(traction=g), mat)
+    b_sq = divergence_defect_sq(disc, fields, mat.inv_lambda)
+    eta_r = residual_estimator(disc, b_sq, sigma, LoadData(traction=g))
     assert np.max(eta_r) <= 1e-12
 
 

@@ -50,3 +50,40 @@ def test_run_convergence_script():
     assert proc.returncode == 0, proc.stderr
     assert "observed order (last 3 meshes): error " in proc.stdout
     assert len(proc.stdout.splitlines()) == 5  # header, 3 meshes, orders
+
+
+def _write_outputs(directory, error_cell="0.5", n_rows=2):
+    directory.mkdir()
+    rows = [f"{i},{10 + i},1.0e-3,{error_cell}" for i in range(n_rows)]
+    (directory / "history.csv").write_text("step,N,eta_A,error\n" + "\n".join(rows) + "\n")
+    (directory / "summary.csv").write_text("quantity,value\nbound,2.0\nprovenance,default\n")
+    (directory / "equilibration.txt").write_text("scale 4.0\nmax_residual 1e-12\n")
+
+
+def test_compare_outputs_reports_drift_per_column(tmp_path):
+    _write_outputs(tmp_path / "a")
+    _write_outputs(tmp_path / "b", error_cell="0.5000000000001")
+    proc = _run_script("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert proc.returncode == 0, proc.stdout
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert ["error", "2e-13"] in lines
+    assert ["eta_A", "0"] in lines
+    assert ["bound", "0"] in lines and ["max_residual", "0"] in lines
+    assert not any(line[0] in ("step", "N", "provenance") for line in lines)
+
+
+def test_compare_outputs_fails_on_structure(tmp_path):
+    _write_outputs(tmp_path / "a")
+    for name, kwargs in (("blank", {"error_cell": ""}), ("rows", {"n_rows": 3})):
+        _write_outputs(tmp_path / name, **kwargs)
+        proc = _run_script("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / name))
+        assert proc.returncode == 1, proc.stdout
+        assert "DIFFERS" in proc.stdout
+    (tmp_path / "n").mkdir()
+    for f in (tmp_path / "a").iterdir():
+        (tmp_path / "n" / f.name).write_text(f.read_text().replace(",11,", ",12,"))
+    proc = _run_script("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / "n"))
+    assert proc.returncode == 1 and "column N" in proc.stdout
+    (tmp_path / "n" / "summary.csv").unlink()
+    proc = _run_script("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / "n"))
+    assert "summary.csv: present in only one directory" in proc.stdout
