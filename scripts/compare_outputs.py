@@ -9,9 +9,13 @@ the largest relative change |a - b| / max(|a|, |b|) of each numeric column.
 ``summary.csv`` and ``equilibration.txt`` hold one quantity per line; there
 each quantity is a column.
 
-Exits 1 when a file is present in only one directory, or when the row
-counts, the integer columns (``step``, ``N``, ``element``) or any
-non-numeric cell differ; exits 0 otherwise, whatever the drift.
+When both directories hold ``mesh_final.txt`` (``save_mesh = true``), it
+is compared byte for byte.
+
+Exits 1 when a file is present in only one directory, when the row counts,
+the integer columns (``step``, ``N``, ``element``) or any non-numeric cell
+differ, or when the final meshes differ; exits 0 otherwise, whatever the
+drift.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import pathlib
 import sys
 
 OUTPUTS = ("history.csv", "estimator_final.csv", "summary.csv", "equilibration.txt")
+MESH = "mesh_final.txt"
 INTEGER_COLUMNS = {"step", "N", "element"}
 
 
@@ -75,6 +80,19 @@ def compare_file(path_a: pathlib.Path, path_b: pathlib.Path) -> tuple[dict, list
     return drift, problems
 
 
+def compare_mesh(path_a: pathlib.Path, path_b: pathlib.Path) -> str | None:
+    """None when the two mesh files are byte-identical, else the first line
+    that differs."""
+    text_a, text_b = path_a.read_bytes(), path_b.read_bytes()
+    if text_a == text_b:
+        return None
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    for i, (a, b) in enumerate(zip(lines_a, lines_b)):
+        if a != b:
+            return f"line {i + 1}: {a.decode()!r} against {b.decode()!r}"
+    return f"{len(lines_a)} lines against {len(lines_b)}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dir_a", type=pathlib.Path)
@@ -97,6 +115,11 @@ def main(argv=None) -> int:
         for problem in problems:
             print(f"  DIFFERS: {problem}")
         differs = differs or bool(problems)
+    path_a, path_b = args.dir_a / MESH, args.dir_b / MESH
+    if path_a.exists() and path_b.exists():
+        problem = compare_mesh(path_a, path_b)
+        print(f"{MESH}: " + ("byte-identical" if problem is None else f"DIFFERS: {problem}"))
+        differs = differs or problem is not None
     return 1 if differs else 0
 
 

@@ -199,24 +199,22 @@ def side_flip_mask(mesh: Mesh, elems) -> np.ndarray:
 # -- assembly -------------------------------------------------------------------
 
 
-def assemble_system(
-    disc: Discretization, material: Material, load: LoadData
-) -> LinearSystem:
-    """Assemble the saddle-point matrix and right-hand side.
+def _summed(rows, cols, data, shape: tuple) -> sp.csr_matrix:
+    """CSR matrix of the triplets, duplicates summed."""
+    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
-    Block layout: displacement dofs first (interleaved components), then
-    pressure dofs.  Dirichlet dofs are kept in the matrix but flagged in
-    ``free``; elimination happens in :func:`solve` (homogeneous data, so
-    no right-hand-side correction is needed).
-    """
+
+def _element_triplets(
+    disc: Discretization, material: Material, load: LoadData
+) -> tuple[dict, np.ndarray]:
+    """Element contributions as (rows, cols, data) triplets in element
+    order, per block: "a" for A, "b" for B^T (displacement rows, pressure
+    columns), "m" for the pressure mass M; and the volume-load vector."""
     mesh, k = disc.mesh, disc.k
     m = k + 1
     dm_u = disc.displacement
     dm_p = disc.pressure
-    n_u = dm_u.n_dofs
-    n_p = dm_p.n_scalar
-    n = n_u + n_p
-    t = material.inv_lambda
+    n = dm_u.n_dofs + dm_p.n_scalar
     mu = material.mu
 
     rq, rw = triangle_rule(2 * k + 4)
@@ -227,9 +225,13 @@ def assemble_system(
     nlp = vals_p.shape[1]
     pp = (vals_p[:, :, None] * vals_p[:, None, :]).reshape(nq, -1)
 
-    rows_a, cols_a, data_a = [], [], []
-    rows_b, cols_b, data_b = [], [], []
-    rows_m, cols_m, data_m = [], [], []
+    nt = mesh.n_triangles
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    sizes = {"a": (2 * nlu) ** 2, "b": 2 * nlu * nlp, "m": nlp * nlp}
+    triplets = {
+        name: (np.empty(nt * size, index), np.empty(nt * size, index), np.empty(nt * size))
+        for name, size in sizes.items()
+    }
     rhs = np.zeros(n)
 
     for lo in range(0, mesh.n_triangles, _CHUNK):
@@ -262,46 +264,61 @@ def assemble_system(
         udofs = dm_u.vector_dofs(elems).reshape(ne, 2 * nlu)
         pdofs = dm_p.element_dofs[elems]
 
-        rows_a.append(np.repeat(udofs, 2 * nlu, axis=1).ravel())
-        cols_a.append(np.tile(udofs, (1, 2 * nlu)).ravel())
-        data_a.append(ae.ravel())
-        rows_b.append(np.repeat(udofs, nlp, axis=1).ravel())
-        cols_b.append(np.tile(pdofs, (1, 2 * nlu)).ravel())
-        data_b.append(bte.ravel())
-        rows_m.append(np.repeat(pdofs, nlp, axis=1).ravel())
-        cols_m.append(np.tile(pdofs, (1, nlp)).ravel())
-        data_m.append(me.ravel())
+        for name, r, c, values in (
+            ("a", udofs, udofs, ae), ("b", udofs, pdofs, bte), ("m", pdofs, pdofs, me)
+        ):
+            rows, cols, data = triplets[name]
+            part = slice(lo * sizes[name], (lo + ne) * sizes[name])
+            rows[part] = np.repeat(r, c.shape[1], axis=1).ravel()
+            cols[part] = np.tile(c, (1, r.shape[1])).ravel()
+            data[part].reshape(values.shape)[...] = values
 
         # volume load
         fv = load.volume_at(xq)
         # einsum "eq,eqc,qi->eic"
         fe = vals_u.T @ (fv * wq[:, :, None])
         np.add.at(rhs, udofs, fe.reshape(ne, -1))
+    return triplets, rhs
 
-    a_mat = sp.coo_matrix(
-        (np.concatenate(data_a), (np.concatenate(rows_a), np.concatenate(cols_a))),
-        shape=(n, n),
-    )
-    bt_upper = sp.coo_matrix(
-        (
-            np.concatenate(data_b),
-            (np.concatenate(rows_b), np.concatenate(cols_b) + n_u),
-        ),
-        shape=(n, n),
-    )
-    mass = sp.coo_matrix(
-        (np.concatenate(data_m), (np.concatenate(rows_m), np.concatenate(cols_m))),
-        shape=(n_p, n_p),
-    ).tocsr()
 
-    matrix = a_mat + bt_upper + bt_upper.T
-    if t != 0.0:
-        scaled = mass * (-t)
-        pad = sp.coo_matrix(scaled)
-        matrix = matrix + sp.coo_matrix(
-            (pad.data, (pad.row + n_u, pad.col + n_u)), shape=(n, n)
-        )
-    matrix = matrix.tocsr()
+def assemble_system(
+    disc: Discretization, material: Material, load: LoadData
+) -> LinearSystem:
+    """Assemble the saddle-point matrix and right-hand side.
+
+    Block layout: displacement dofs first (interleaved components), then
+    pressure dofs.  Dirichlet dofs are kept in the matrix but flagged in
+    ``free``; elimination happens in :func:`solve` (homogeneous data, so
+    no right-hand-side correction is needed).
+    """
+    mesh, k = disc.mesh, disc.k
+    m = k + 1
+    dm_u = disc.displacement
+    n_u = dm_u.n_dofs
+    n_p = disc.pressure.n_scalar
+    n = n_u + n_p
+    t = material.inv_lambda
+    triplets, rhs = _element_triplets(disc, material, load)
+
+    # each block is summed on its own, in its own rows, as adding the COO
+    # blocks through CSR additions did; the blocks share no entry, so
+    # stacking them adds nothing, and exact zeros are dropped as those
+    # additions drop them
+    a_mat = _summed(*triplets.pop("a"), (n_u, n_u))
+    rows_b, cols_b, data_b = triplets.pop("b")
+    upper = sp.hstack([a_mat, _summed(rows_b, cols_b, data_b, (n_u, n_p))], format="csr")
+    del a_mat
+    mass = _summed(*triplets.pop("m"), (n_p, n_p))
+    lower = sp.hstack(
+        [
+            _summed(cols_b, rows_b, data_b, (n_p, n_u)),
+            mass * (-t) if t != 0.0 else sp.csr_matrix((n_p, n_p)),
+        ],
+        format="csr",
+    )
+    matrix = sp.vstack([upper, lower], format="csr")
+    del upper, lower
+    matrix.eliminate_zeros()
 
     # traction contributions on the Neumann boundary
     nsides = mesh.boundary_sides(NEUMANN)

@@ -41,7 +41,7 @@ from .spaces import (
 _QR_RTOL = 1e-10       # rank threshold relative to the largest row norm
 _RESIDUAL_RTOL = 1e-9  # constraint residual vs. problem scale
 _ROW_NORM_SPAN = 1e-8  # smallest / largest row norm the Schur path accepts
-_BATCH_BYTES = 2_200_000  # stacked B per batch: 32 patches of shape (89, 96)
+_BATCH_BYTES = 2_200_000  # stacked local blocks per batch
 
 
 @dataclass
@@ -178,7 +178,8 @@ class PatchProblem:
     weak-symmetry moments (scalar node ascending).  The objective is the
     plain L2 norm: its matrix is block diagonal, the free part of each
     element's Gram matrix once per tensor row, and is only assembled on
-    request (:attr:`mass`).
+    request (:attr:`mass`).  ``block_rows`` maps the local rows of each
+    (element, tensor row) block (see :class:`PatchBatch`) to these rows.
     """
 
     patch: VertexPatch
@@ -193,6 +194,7 @@ class PatchProblem:
     rhs: np.ndarray            # (n_rows,)
     jump_sides: np.ndarray     # (n_active,) global side ids, ascending
     sym_nodes: np.ndarray      # (n_sym,) global scalar node ids, ascending
+    block_rows: np.ndarray     # (ne, 2, n_loc) constraint row, or n_rows
 
     @property
     def n_free(self) -> int:
@@ -216,32 +218,67 @@ class PatchProblem:
         return mass[: self.n_free, : self.n_free]
 
 
+def _n_local(k: int) -> int:
+    """Local rows of an (element, tensor row) block: nmk divergence moments,
+    3 (k + 1) side-moment selectors, 3 k symmetry rows."""
+    return len(_exps_array(k)) + 3 * (k + 1) + 3 * k
+
+
 @dataclass
 class PatchBatch:
-    """Problems of patches with one topology, stacked along a leading axis.
+    """Problems of patches of one condensed shape (element count, jump
+    sides, scalar nodes), stacked along a leading axis.
 
-    Every array field is the :class:`PatchProblem` field of the same name
-    with one entry per patch; the shapes after the leading axis agree.
+    The constraints are kept as local blocks, one per element and tensor
+    row: ``blocks[p, e, r]`` holds the block's local rows (its divergence
+    moments, the moment selectors of its three sides signed by the side's
+    orientation, its symmetry rows) over all nd element dofs, zero on the
+    dofs that are not free.  ``block_rows`` maps each local row to its
+    constraint row, or to n_rows for a side without jump rows.  The free
+    dofs ``free[p, e]`` are the same for both tensor rows.  The dense
+    matrices of :class:`PatchProblem` are assembled per patch on request
+    (:meth:`problem`).
     """
 
     patches: list[VertexPatch]
     k: int
     elements: np.ndarray       # (P, ne)
-    col_elem: np.ndarray       # (P, n_free)
-    col_row: np.ndarray        # (P, n_free)
-    col_dof: np.ndarray        # (P, n_free)
-    free_col: np.ndarray       # (P, ne, 2, nd)
+    free: np.ndarray           # (P, ne, nd) bool
     gram: np.ndarray           # (P, ne, nd, nd)
-    constraints: np.ndarray    # (P, n_rows, n_free)
+    blocks: np.ndarray         # (P, ne, 2, n_loc, nd)
+    block_rows: np.ndarray     # (P, ne, 2, n_loc)
     rhs: np.ndarray            # (P, n_rows)
     jump_sides: np.ndarray     # (P, n_active)
     sym_nodes: np.ndarray      # (P, n_sym)
 
     def problem(self, i: int) -> PatchProblem:
+        """The dense problem of patch ``i``, assembled from its blocks."""
+        ne, nd = self.free.shape[1:]
+        live = np.broadcast_to(self.free[i][:, None, :], (ne, 2, nd))
+        order = np.flatnonzero(live)
+        n_free = len(order)
+        n_rows = self.rhs.shape[1]
+        free_col = np.full(live.shape, -1, dtype=np.int64)
+        free_col[live] = np.arange(n_free)
+        col_elem, col_row, col_dof = np.unravel_index(order, live.shape)
+        # the padding row and column collect the absent rows and dead dofs
+        dense = np.zeros((n_rows + 1, n_free + 1))
+        cols = np.where(live, free_col, n_free)
+        dense[self.block_rows[i][..., :, None], cols[:, :, None, :]] = self.blocks[i]
         return PatchProblem(
             patch=self.patches[i],
             k=self.k,
-            **{name: getattr(self, name)[i] for name in _STACKED},
+            elements=self.elements[i],
+            free_col=free_col,
+            gram=self.gram[i],
+            constraints=np.ascontiguousarray(dense[:n_rows, :n_free]),
+            rhs=self.rhs[i],
+            jump_sides=self.jump_sides[i],
+            sym_nodes=self.sym_nodes[i],
+            block_rows=self.block_rows[i],
+            col_elem=col_elem,
+            col_row=col_row,
+            col_dof=col_dof,
         )
 
     def take(self, ids: np.ndarray) -> PatchBatch:
@@ -254,11 +291,24 @@ class PatchBatch:
 
     @classmethod
     def of(cls, problem: PatchProblem) -> PatchBatch:
-        """The batch of one patch problem."""
+        """The batch of one patch problem, its blocks read from the dense
+        constraint matrix."""
+        n_rows, n_free = problem.constraints.shape
+        dense = np.zeros((n_rows + 1, n_free + 1))
+        dense[:n_rows, :n_free] = problem.constraints
+        cols = np.where(problem.free_col >= 0, problem.free_col, n_free)
+        blocks = dense[problem.block_rows[..., :, None], cols[:, :, None, :]]
         return cls(
             patches=[problem.patch],
             k=problem.k,
-            **{name: getattr(problem, name)[None] for name in _STACKED},
+            elements=problem.elements[None],
+            free=(problem.free_col[:, 0] >= 0)[None],
+            gram=problem.gram[None],
+            blocks=blocks[None],
+            block_rows=problem.block_rows[None],
+            rhs=problem.rhs[None],
+            jump_sides=problem.jump_sides[None],
+            sym_nodes=problem.sym_nodes[None],
         )
 
 
@@ -268,18 +318,18 @@ _STACKED = [f.name for f in fields(PatchBatch) if f.name not in ("patches", "k")
 class BatchSolution(NamedTuple):
     """Patch solutions of one batch, one entry per patch."""
 
-    x: np.ndarray          # (P, n_free) minimizers
-    rank: np.ndarray       # (P,) rank of the pivoted Cholesky (Schur path)
-    fallback: np.ndarray   # (P,) solved by QR+LU instead of the Schur path
+    x: np.ndarray          # (P, ne, 2, nd) minimizers, zero on dofs not free
+    rank: np.ndarray       # (P,) rows kept by the rank decision
+    fallback: np.ndarray   # (P,) solved by QR+LU instead of the condensed path
     residual: np.ndarray   # (P,) max |B x - r|
+    kkt: np.ndarray        # (P,) relative KKT residual on the kept rows
 
 
-def _no_solution(n: int, n_free: int, fallback: bool) -> BatchSolution:
+def _no_solution(shape: tuple, fallback: bool) -> BatchSolution:
+    n = shape[0]
     return BatchSolution(
-        np.zeros((n, n_free)),
-        np.zeros(n, dtype=np.int64),
-        np.full(n, fallback),
-        np.zeros(n),
+        np.zeros(shape), np.zeros(n, dtype=np.int64), np.full(n, fallback),
+        np.zeros(n), np.zeros(n),
     )
 
 
@@ -289,32 +339,36 @@ def _n_distinct(values: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(v[:, 1:] != v[:, :-1], axis=1)
 
 
-def _row_unique(values: np.ndarray) -> np.ndarray:
-    """Distinct entries per row, ascending; every row has as many."""
+def _row_unique(values: np.ndarray, drop: int | None = None) -> np.ndarray:
+    """Distinct entries per row other than ``drop``, ascending; every row
+    has as many."""
     v = np.sort(values, axis=1)
     first = np.ones(v.shape, dtype=bool)
     first[:, 1:] = v[:, 1:] != v[:, :-1]
-    return v[first].reshape(len(v), int(first[0].sum()))
+    if drop is not None:
+        first &= v != drop
+    return v[first].reshape(len(v), -1)
 
 
-def _mass_blocks(batch: PatchBatch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Diagonal blocks of the objective matrices of a batch.
+def _flat_rows(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Local-row map (P, ...) into rows 0..n_rows of each patch, n_rows
+    padding, as indices into the flattened (P, n_rows + 1) row values."""
+    return rows + (n_rows + 1) * np.arange(len(rows)).reshape((-1,) + (1,) * (rows.ndim - 1))
 
-    The free columns of one element and tensor row are contiguous and form
-    one block.  Returns, per block size, the columns (nb, size) and the
-    blocks (P, nb, size, size).
-    """
-    sizes = np.count_nonzero(batch.free_col[0] >= 0, axis=2).ravel()
-    starts = np.cumsum(sizes) - sizes
-    pn = np.arange(len(batch.patches))[:, None, None, None]
-    out = []
-    for size in np.unique(sizes):
-        blk = np.flatnonzero(sizes == size)
-        idx = starts[blk, None] + np.arange(size)
-        dof = batch.col_dof[:, idx]                            # (P, nb, size)
-        elem = (blk // 2)[None, :, None, None]
-        out.append((idx, batch.gram[pn, elem, dof[..., :, None], dof[..., None, :]]))
-    return out
+
+def _scatter_rows(values: np.ndarray, flat: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum the local-row values (P, ...) into the rows (P, n_rows) of each
+    patch; ``flat`` (see _flat_rows) has the shape of ``values``."""
+    n = len(values)
+    out = np.bincount(flat.ravel(), values.ravel(), minlength=n * (n_rows + 1))
+    return out.reshape(n, n_rows + 1)[:, :n_rows]
+
+
+def _gather_rows(values: np.ndarray, flat: np.ndarray, pad=0.0) -> np.ndarray:
+    """The row values (P, n_rows) at the local rows ``flat`` (see
+    _flat_rows), ``pad`` at the padding row."""
+    padded = np.concatenate([values, np.full((len(values), 1), pad)], axis=1)
+    return padded.ravel()[flat]
 
 
 class Equilibrator:
@@ -322,8 +376,10 @@ class Equilibrator:
 
     :meth:`correction` leaves plain counters of its step: ``n_patches``,
     ``n_batches`` (stacked solves), ``n_fallbacks`` (patches solved by
-    QR+LU), and ``worst_residual``, the largest max|B x - r| / scale of a
-    patch, with ``worst_vertex``, that patch's vertex.
+    QR+LU), ``worst_residual``, the largest max|B x - r| / scale of a
+    patch, with ``worst_vertex``, that patch's vertex, ``worst_kkt``, the
+    largest relative KKT residual of a patch, and ``dropped_rows``, the
+    number of patches per number of constraint rows dropped as redundant.
     """
 
     def __init__(
@@ -338,8 +394,9 @@ class Equilibrator:
         self.rhs_tables = build_rhs_tables(disc, sigma_h, load)
         self._neumann_only = disc.mesh.vertex_flags()[1]
         self.n_patches = self.n_batches = self.n_fallbacks = 0
-        self.worst_residual = 0.0
+        self.worst_residual = self.worst_kkt = 0.0
         self.worst_vertex = -1
+        self.dropped_rows: dict[int, int] = {}
 
     @property
     def scale(self) -> float:
@@ -370,10 +427,9 @@ class Equilibrator:
 
     def _batches(self, patches: list[VertexPatch]):
         """Yield (patch indices, PatchBatch) for the patches grouped by
-        topology: element count, free dofs per element, jump entries, jump
-        sides, scalar nodes, and whether the patch touches the displacement
-        boundary.  A group is cut into chunks whose stacked constraint
-        matrices take at most _BATCH_BYTES (at least one patch each)."""
+        condensed shape: element count, jump sides and scalar nodes.  A
+        group is cut into chunks whose stacked local blocks take at most
+        _BATCH_BYTES (at least one patch each)."""
         k = self.disc.k
         by_size: dict[int, list[int]] = {}
         for i, patch in enumerate(patches):
@@ -381,35 +437,23 @@ class Equilibrator:
         for ne, ids in by_size.items():
             ids = np.asarray(ids)
             elements = np.stack([patches[i].elements for i in ids])
-            sides, on_active, free = self._topology(elements)
+            sides, on_active, _ = self._topology(elements)
             jump = np.where(on_active, sides, -1).reshape(len(ids), -1)
-            n_active = _n_distinct(jump) - (jump < 0).any(axis=1)
             n_sym = _n_distinct(
                 self.disc.pressure.element_dofs[elements].reshape(len(ids), -1)
             )
-            key = np.column_stack(
-                [
-                    free.sum(axis=2),
-                    on_active.sum(axis=(1, 2)),
-                    n_active,
-                    n_sym,
-                    [patches[i].dirichlet_touching for i in ids],
-                ]
-            )
-            _, first, group = np.unique(
-                key, axis=0, return_index=True, return_inverse=True
-            )
-            n_rows = ne * 2 * len(_exps_array(k)) + n_active * 2 * (k + 1) + n_sym
-            n_free = 2 * free.sum(axis=(1, 2))
-            for g, i in enumerate(first):
+            key = np.column_stack([_n_distinct(jump) - (jump < 0).any(axis=1), n_sym])
+            _, group = np.unique(key, axis=0, return_inverse=True)
+            size = max(1, _BATCH_BYTES // (8 * ne * 2 * _n_local(k) * rt_dim(k)))
+            for g in range(group.max() + 1):
                 members = ids[group.ravel() == g]
-                size = max(1, _BATCH_BYTES // (8 * int(n_rows[i] * n_free[i])))
                 for start in range(0, len(members), size):
                     chunk = members[start : start + size]
                     yield chunk, self._build_batch([patches[j] for j in chunk])
 
     def _build_batch(self, patches: list[VertexPatch]) -> PatchBatch:
-        """Stack the problems of patches of one topology (see _batches)."""
+        """Stack the local blocks of patches of one condensed shape (see
+        _batches), by index arithmetic on the constraint tables."""
         mesh, k = self.disc.mesh, self.disc.k
         assert not self._neumann_only[[p.vertex for p in patches]].any(), (
             "patch centered on a traction-only vertex is not admissible"
@@ -418,60 +462,53 @@ class Equilibrator:
         n, ne = elements.shape
         nd = rt_dim(k)
         nmk = len(_exps_array(k))
-        pn = np.arange(n)[:, None]
+        nsel = 3 * (k + 1)
         sides, on_active, free = self._topology(elements)
 
-        # free columns in (element, tensor row, dof) order
-        free = np.broadcast_to(free[:, :, None, :], (n, ne, 2, nd)).reshape(n, -1)
-        n_free = int(free[0].sum())
-        order = np.nonzero(free)[1].reshape(n, n_free)
-        free_col = np.full((n, ne * 2 * nd), -1, dtype=np.int64)
-        free_col[pn, order] = np.arange(n_free)
-        free_col = free_col.reshape(n, ne, 2, nd)
-        col_elem, col_row, col_dof = np.unravel_index(order, (ne, 2, nd))
-
         # jump sides and scalar nodes of each patch, ascending
-        ent = np.nonzero(on_active.reshape(n, -1))[1].reshape(n, int(on_active[0].sum()))
-        e_loc, j_loc = np.divmod(ent, 3)                          # (P, n_ent)
-        s = sides.reshape(n, -1)[pn, ent]
-        active = _row_unique(s)
+        active = _row_unique(
+            np.where(on_active, sides, mesh.n_sides).reshape(n, -1), mesh.n_sides
+        )
         ed_p = self.disc.pressure.element_dofs[elements]        # (P, ne, nlk)
         nodes = _row_unique(ed_p.reshape(n, -1))
-        n_jump = active.shape[1] * 2 * (k + 1)
         n_div = ne * 2 * nmk
+        n_jump = active.shape[1] * 2 * (k + 1)
         n_rows = n_div + n_jump + nodes.shape[1]
 
-        # padded matrices: column n_free collects dead-dof entries
-        B = np.zeros((n, n_rows, n_free + 1))
-        cols = np.where(free_col >= 0, free_col, n_free)
-        p3 = pn[:, :, None, None]
-
-        # divergence rows: (element, tensor row, monomial)
-        divm = self.tables.divm[elements]                       # (P, ne, nmk, nd)
-        rows_div = np.arange(n_div).reshape(ne, 2, nmk)
-        B[p3[..., None], rows_div[..., None], cols[:, :, :, None, :]] = divm[
-            :, :, None
-        ]
-
-        # jump rows: per active side, tensor rows then Legendre moments; one
-        # entry per (element, local side) on an active side, +1 from the
-        # side's minus element and -1 from its plus element
-        si = np.count_nonzero(active[:, None, :] < s[:, :, None], axis=2)
+        # row map of the local rows; divergence rows (element, tensor row,
+        # monomial); jump rows per active side, tensor rows then Legendre
+        # moments; symmetry rows per scalar node
         r = np.arange(2)[:, None]
-        m = np.arange(k + 1)
-        rows_jump = n_div + (si[..., None, None] * 2 + r) * (k + 1) + m
-        cols_jump = cols[p3, e_loc[..., None, None], r, j_loc[..., None, None] * (k + 1) + m]
-        sign = np.where(mesh.side_tri[s, 0] == elements[pn, e_loc], 1.0, -1.0)
-        B[p3, rows_jump, cols_jump] = sign[..., None, None]
-
-        # weak-symmetry rows, one per scalar node of the patch; dead dofs
-        # land in the padding column
+        rows_div = (np.arange(ne)[:, None, None] * 2 + r) * nmk + np.arange(nmk)
+        si = np.count_nonzero(active[:, None, None, :] < sides[..., None], axis=3)
+        rows_sel = n_div + (si[:, :, None, :, None] * 2 + r[..., None]) * (k + 1)
+        rows_sel = rows_sel + np.arange(k + 1)                 # (P, ne, 2, 3, k+1)
+        rows_sel = np.where(on_active[:, :, None, :, None], rows_sel, n_rows)
         rows_sym = n_div + n_jump + np.count_nonzero(
             nodes[:, None, None, :] < ed_p[..., None], axis=3
         )
-        B[p3, rows_sym[..., None], cols[:, :, None, 0, :]] = self.tables.symy[elements]
-        B[p3, rows_sym[..., None], cols[:, :, None, 1, :]] = -self.tables.symx[elements]
-        B = np.ascontiguousarray(B[:, :, :n_free])
+        block_rows = np.concatenate(
+            [
+                np.broadcast_to(rows_div, (n, ne, 2, nmk)),
+                rows_sel.reshape(n, ne, 2, nsel),
+                np.broadcast_to(rows_sym[:, :, None, :], (n, ne, 2, ed_p.shape[2])),
+            ],
+            axis=3,
+        )
+
+        # local blocks: the tables on the free dofs; each side moment is
+        # selected with +1 from the side's minus element and -1 from its
+        # plus element
+        blocks = np.zeros(block_rows.shape + (nd,))
+        fr = free[:, :, None, :]
+        blocks[:, :, :, :nmk] = np.where(fr, self.tables.divm[elements], 0.0)[:, :, None]
+        sign = np.where(mesh.side_tri[sides, 0] == elements[..., None], 1.0, -1.0)
+        sel = np.arange(nsel)
+        blocks[:, :, :, nmk + sel, sel] = np.repeat(
+            np.where(on_active, sign, 0.0), k + 1, axis=2
+        )[:, :, None, :]
+        blocks[:, :, 0, nmk + nsel :] = np.where(fr, self.tables.symy[elements], 0.0)
+        blocks[:, :, 1, nmk + nsel :] = np.where(fr, -self.tables.symx[elements], 0.0)
 
         # right-hand side: jump moments weighted by the hats of the patch group
         group = np.full((n, 1 + max(len(p.absorbed) for p in patches)), -1)
@@ -491,12 +528,10 @@ class Equilibrator:
             patches=list(patches),
             k=k,
             elements=elements,
-            col_elem=col_elem,
-            col_row=col_row,
-            col_dof=col_dof,
-            free_col=free_col,
+            free=free,
             gram=self.tables.gram[elements],
-            constraints=B,
+            blocks=blocks,
+            block_rows=block_rows,
             rhs=rhs,
             jump_sides=active,
             sym_nodes=nodes,
@@ -507,78 +542,94 @@ class Equilibrator:
     def solve_patch(self, problem: PatchProblem) -> np.ndarray:
         """Minimize the patch L2 norm subject to the constraint rows: the
         patch solve of :meth:`_solve_batch` on a batch of one."""
-        return self._solve_batch(PatchBatch.of(problem)).x[0]
+        x = self._solve_batch(PatchBatch.of(problem)).x[0]
+        return x[problem.free_col >= 0]
 
     def _solve_batch(self, batch: PatchBatch) -> BatchSolution:
         """Minimize every patch L2 norm of a batch subject to its rows.
 
-        The fast path (:meth:`_schur_stack`) eliminates the unknowns
-        through the block-diagonal mass matrix and factors the Jacobi-scaled
-        Schur complement B M^-1 B^T with a pivoted Cholesky, whose rank
-        drops the redundant rows (exactly three on patches away from the
-        displacement boundary).  It must pass the same KKT and constraint
-        residual gates as the QR+LU path (:meth:`_solve_patch_qr_lu`).  A
-        patch goes alone to that path when it fails them, when its
-        factorization fails, or when the row norms of its B span more
-        than 8 decades (there the QR rank rule drops rows of tiny norm,
-        and the fallback keeps that behaviour).  A failure of the fallback
-        indicates incompatible data and raises IncompatiblePatch.
+        The fast path (:meth:`_condensed_stack`) eliminates the unknowns
+        block by block through the block-diagonal mass matrix, condenses
+        the divergence rows of each block onto its jump and symmetry rows,
+        and factors the Jacobi-scaled reduced Schur complement with a
+        pivoted Cholesky, whose rank drops the redundant rows (exactly
+        three on patches away from the displacement boundary).  It must
+        pass the same KKT and constraint residual gates, on the unreduced
+        rows, as the QR+LU path (:meth:`_solve_patch_qr_lu`).  A patch goes
+        alone to that path when it fails them, when a block factorization
+        or its pivoted Cholesky fails, or when the row norms of its
+        constraint matrix span more than 8 decades (there the QR rank rule
+        drops rows of tiny norm, and the fallback keeps that behaviour).  A
+        failure of the fallback indicates incompatible data and raises
+        IncompatiblePatch.
         """
-        B, rhs = batch.constraints, batch.rhs
-        n, n_rows, n_free = B.shape
-        if n_rows == 0 or n_free == 0:
-            return _no_solution(n, n_free, fallback=False)
-        row_norms = np.sqrt(np.einsum("pij,pij->pi", B, B))
+        n, ne, _, _, nd = batch.blocks.shape
+        sq = np.einsum("perld,perld->perl", batch.blocks, batch.blocks)
+        n_rows = batch.rhs.shape[1]
+        row_norms = np.sqrt(_scatter_rows(sq, _flat_rows(batch.block_rows, n_rows), n_rows))
         fast = np.flatnonzero(
             ~(row_norms.min(axis=1) < _ROW_NORM_SPAN * row_norms.max(axis=1))
         )
-        sol = _no_solution(n, n_free, fallback=True)
+        sol = _no_solution((n, ne, 2, nd), fallback=True)
         if len(fast):
-            part = self._schur_stack(batch if len(fast) == n else batch.take(fast))
+            part = self._condensed_stack(batch if len(fast) == n else batch.take(fast))
             for whole, value in zip(sol, part):
                 whole[fast] = value
         for i in np.flatnonzero(sol.fallback):
-            sol.x[i] = self._solve_patch_qr_lu(batch.problem(i))
-            sol.residual[i] = np.max(np.abs(B[i] @ sol.x[i] - rhs[i]))
+            problem = batch.problem(i)
+            x, sol.rank[i], sol.kkt[i] = self._solve_patch_qr_lu(problem)
+            sol.x[i][problem.free_col >= 0] = x
+            sol.residual[i] = np.max(np.abs(problem.constraints @ x - problem.rhs))
         return sol
 
-    def _schur_stack(self, batch: PatchBatch) -> BatchSolution:
-        """Schur-complement solve of a batch, without fallback: ``fallback``
-        marks the patches whose factorization or gates failed.  Only the
-        pivoted Cholesky and its solves run patch by patch."""
-        B, rhs = batch.constraints, batch.rhs
-        n, n_rows, n_free = B.shape
-        blocks = _mass_blocks(batch)
-        # G = M^-1 B^T: one stacked solve per size of the diagonal blocks of
-        # M (one per element and tensor row, contiguous in columns), each on
-        # the rows of B that the block's columns touch in some patch of the
-        # stack (a row no patch touches would solve to zeros)
-        G = np.zeros((n, n_free, n_rows))
-        touched = np.any(B, axis=0)                            # (n_rows, n_free)
-        pn = np.arange(n)[:, None, None, None]
+    def _condensed_stack(self, batch: PatchBatch) -> BatchSolution:
+        """Condensed Schur-complement solve of a batch, without fallback:
+        ``fallback`` marks the patches whose factorizations or gates
+        failed.  Only the pivoted Cholesky and its solves run patch by
+        patch.
+
+        Per block b (element, tensor row) with local rows L_b and mass
+        M_b: H_b = M_b^-1 L_b^T and K_b = L_b H_b.  The divergence rows d
+        of a block touch no other block, so the Schur complement B M^-1 B^T
+        condenses onto the jump and symmetry rows c as the sum of the
+        block complements K_cc - K_cd K_dd^-1 K_dc.  The multipliers of
+        the d rows follow per block, and x_b = H_b lam_b.
+        """
+        L, rows, rhs = batch.blocks, batch.block_rows, batch.rhs
+        n, ne, _, n_loc, nd = L.shape
+        nmk = len(_exps_array(batch.k))
+        n_div = ne * 2 * nmk
+        n_c = rhs.shape[1] - n_div
+        rows_c = rows[..., nmk:] - n_div                        # n_c pads
+        flat_c = _flat_rows(rows_c, n_c)
+        live = batch.free[..., :, None] & batch.free[..., None, :]
+        mass = np.where(live, batch.gram, np.eye(nd))           # (P, ne, nd, nd)
         try:
-            for idx, mblk in blocks:
-                hit = touched[:, idx].any(axis=2).T            # (nb, n_rows)
-                n_hit = hit.sum(axis=1)
-                rows = np.argsort(~hit, axis=1, kind="stable")[:, : n_hit.max()]
-                # pad short row lists by repeating a touched row
-                pad = np.arange(rows.shape[1]) >= n_hit[:, None]
-                rows = np.where(pad, rows[:, :1], rows)[None, :, None, :]
-                cols = idx[None, :, :, None]
-                G[pn, cols, rows] = np.linalg.solve(mblk, B[pn, rows, cols])
+            # one inverse per element for both tensor rows: at these sizes a
+            # stacked inverse and product take half the time of a solve
+            H = np.linalg.inv(mass)[:, :, None] @ L.swapaxes(3, 4)
+            K = L @ H                                           # (P, ne, 2, n_loc, n_loc)
+            kdd_inv = np.linalg.inv(K[..., :nmk, :nmk])
         except np.linalg.LinAlgError:
             # find the failing patches one by one
             if n == 1:
-                return _no_solution(1, n_free, fallback=True)
-            parts = [self._schur_stack(batch.take([i])) for i in range(n)]
+                return _no_solution((1, ne, 2, nd), fallback=True)
+            parts = [self._condensed_stack(batch.take([i])) for i in range(n)]
             return BatchSolution(*(np.concatenate(f) for f in zip(*parts)))
-        d = 1.0 / np.sqrt(np.einsum("pij,pji->pi", B, G))
-        S = B @ G
+        kcd = K[..., nmk:, :nmk]
+        W = kdd_inv @ K[..., :nmk, nmk:]                        # K_dd^-1 K_dc
+        reduced = K[..., nmk:, nmk:] - kcd @ W
+        m = n_c + 1
+        pairs = flat_c[..., :, None] * m + rows_c[..., None, :]
+        S = np.bincount(pairs.ravel(), reduced.ravel(), minlength=n * m * m)
+        S = np.ascontiguousarray(S.reshape(n, m, m)[:, :n_c, :n_c])
+        del K, reduced, pairs
+        d = 1.0 / np.sqrt(np.einsum("pii->pi", S))
         S *= d[:, :, None]
         S *= d[:, None, :]
         rank = np.zeros(n, dtype=np.int64)
         ok = np.ones(n, dtype=bool)
-        kept = np.zeros((n, n_rows), dtype=bool)
+        kept = np.zeros((n, n_c), dtype=bool)
         factors = []
         for p in range(n):
             c, piv, rank[p], info = scipy.linalg.lapack.dpstrf(
@@ -589,46 +640,64 @@ class Equilibrator:
             kept[p, keep] = True
             factors.append((np.asfortranarray(c[: len(keep), : len(keep)]), keep))
         del S
-        # multipliers lam = D S_kk^-1 D r_k on the kept rows, zero on the
-        # dropped ones, so that x = G lam; one refinement step
-        lam = np.zeros((n, n_rows))
-        resid = rhs
-        for _ in range(2):
-            scaled = d * resid
+
+        def multipliers(res):
+            """Multipliers (d rows (P, ne, 2, nmk), c rows (P, n_c)) of the
+            residual ``res``: zero on the dropped c rows."""
+            yd = kdd_inv @ res[:, :n_div].reshape(n, ne, 2, nmk, 1)
+            scaled = d * (res[:, n_div:] - _scatter_rows((kcd @ yd)[..., 0], flat_c, n_c))
+            lam_c = np.zeros((n, n_c))
             for p, (c, keep) in enumerate(factors):
                 if len(keep):
                     step, _ = scipy.linalg.lapack.dpotrs(c, scaled[p, keep], lower=1)
-                    lam[p, keep] += d[p, keep] * step
-            x = (G @ lam[:, :, None])[:, :, 0]
-            resid = rhs - (B @ x[:, :, None])[:, :, 0]
+                    lam_c[p, keep] = d[p, keep] * step
+            local = _gather_rows(lam_c, flat_c)[..., None]
+            return (yd - W @ local)[..., 0], lam_c
+
+        # x = H lam; one refinement step
+        lam_d = np.zeros((n, ne, 2, nmk))
+        lam_c = np.zeros((n, n_c))
+        resid = rhs
+        for _ in range(2):
+            step_d, step_c = multipliers(resid)
+            lam_d += step_d
+            lam_c += step_c
+            lam = np.concatenate([lam_d, _gather_rows(lam_c, flat_c)], axis=3)
+            x = (H @ lam[..., None])[..., 0]                    # (P, ne, 2, nd)
+            lx = (L @ x[..., None])[..., 0]                     # (P, ne, 2, n_loc)
+            resid = rhs - np.concatenate(
+                [lx[..., :nmk].reshape(n, n_div), _scatter_rows(lx[..., nmk:], flat_c, n_c)],
+                axis=1,
+            )
         # the gates of the QR+LU path, on its KKT system of the kept rows
-        # (multipliers -lam)
-        mx = np.zeros((n, n_free))
-        m_max = np.zeros(n)
-        for idx, mblk in blocks:
-            mx[:, idx] = (mblk @ x[:, idx, None])[..., 0]
-            m_max = np.maximum(m_max, np.abs(mblk).max(axis=(1, 2, 3)))
-        b_max = np.where(kept, np.maximum(B.max(axis=2), -B.min(axis=2)), 0.0).max(axis=1)
+        # (multipliers -lam), evaluated block by block
+        kept = np.concatenate([np.ones((n, n_div), dtype=bool), kept], axis=1)
+        kept_local = _gather_rows(kept, _flat_rows(rows, n_div + n_c), pad=False)
+        stationarity = (mass[:, :, None] @ x[..., None])[..., 0] - (lam[..., None, :] @ L)[..., 0, :]
+        m_max = (np.abs(batch.gram) * live).reshape(n, -1).max(axis=1)
+        b_max = (np.abs(L) * kept_local[..., None]).reshape(n, -1).max(axis=1)
+        lam_max = np.maximum(np.abs(lam_d).max(axis=(1, 2, 3)), np.abs(lam_c).max(axis=1))
         denom = np.maximum(
             np.maximum(
                 np.linalg.norm(np.where(kept, rhs, 0.0), axis=1),
                 np.maximum(m_max, b_max)
-                * np.maximum(np.abs(x).max(axis=1), np.abs(lam).max(axis=1)),
+                * np.maximum(np.abs(x).max(axis=(1, 2, 3)), lam_max),
             ),
             1e-300,
         )
         kkt_rel = np.hypot(
-            np.linalg.norm(mx - (lam[:, None, :] @ B)[:, 0], axis=1),
+            np.linalg.norm(stationarity.reshape(n, -1), axis=1),
             np.linalg.norm(np.where(kept, resid, 0.0), axis=1),
         ) / denom
         residual = np.abs(resid).max(axis=1)
         ok &= (kkt_rel <= 1e-10) & (residual <= _RESIDUAL_RTOL * self.scale)
-        return BatchSolution(x, rank, ~ok, residual)
+        return BatchSolution(x, n_div + rank, ~ok, residual, kkt_rel)
 
-    def _solve_patch_qr_lu(self, problem: PatchProblem) -> np.ndarray:
+    def _solve_patch_qr_lu(self, problem: PatchProblem) -> tuple[np.ndarray, int, float]:
         """Drop redundant rows by rank-revealing QR with a threshold relative
         to the largest row norm, then solve the reduced KKT system by dense
-        LU.  Raises IncompatiblePatch when a residual gate fails."""
+        LU.  Returns the minimizer, the rank and the relative KKT residual;
+        raises IncompatiblePatch when a residual gate fails."""
         B, rhs, M = problem.constraints, problem.rhs, problem.mass
         n_free = problem.n_free
         row_norms = np.linalg.norm(B, axis=1)
@@ -670,33 +739,39 @@ class Equilibrator:
                 f"{resid:.3e} exceeds {_RESIDUAL_RTOL:g} * scale "
                 f"(scale {self.scale:.3e})"
             )
-        return x
+        return x, rank, kkt_rel
 
     # -- reconstruction ---------------------------------------------------------
 
     def correction(self) -> BrokenField:
-        """Sum of all patch corrections, solved in batches of one topology
-        and scattered in patch-vertex order."""
+        """Sum of all patch corrections, solved in batches of one condensed
+        shape and scattered in patch-vertex order."""
         disc = self.disc
         nd = rt_dim(disc.k)
         patches = modified_patches(disc.mesh)
         targets: list = [None] * len(patches)
         values: list = [None] * len(patches)
         residual = np.zeros(len(patches))
+        dropped = np.zeros(len(patches), dtype=np.int64)
         self.n_patches = len(patches)
         self.n_batches = self.n_fallbacks = 0
+        self.worst_kkt = 0.0
         for ids, batch in self._batches(patches):
             sol = self._solve_batch(batch)
             self.n_batches += 1
             self.n_fallbacks += int(sol.fallback.sum())
+            self.worst_kkt = max(self.worst_kkt, float(sol.kkt.max()))
             residual[ids] = sol.residual
-            elem = np.take_along_axis(batch.elements, batch.col_elem, axis=1)
-            flat = (elem * 2 + batch.col_row) * nd + batch.col_dof
+            dropped[ids] = batch.rhs.shape[1] - sol.rank
+            live = np.broadcast_to(batch.free[:, :, None, :], sol.x.shape)
+            row = batch.elements[:, :, None, None] * 2 + np.arange(2)[:, None]
+            flat = row * nd + np.arange(nd)
             for j, i in enumerate(ids):
-                targets[i] = flat[j]
-                values[i] = sol.x[j]
+                targets[i] = flat[j][live[j]]
+                values[i] = sol.x[j][live[j]]
             del batch  # before the next batch is built
         dofs = np.zeros((disc.mesh.n_triangles, 2, nd))
+        self.dropped_rows = dict(zip(*(v.tolist() for v in np.unique(dropped, return_counts=True))))
         if patches:
             np.add.at(dofs.reshape(-1), np.concatenate(targets), np.concatenate(values))
             worst = int(np.argmax(residual))

@@ -17,8 +17,8 @@ from stresseq import (
     solve,
 )
 from stresseq.equilibration import Equilibrator, PatchProblem
-from stresseq.mesh import Mesh
-from stresseq.spaces import triangle_rule
+from stresseq.mesh import INTERIOR, NEUMANN, Mesh, VertexPatch
+from stresseq.spaces import _exps_array, rt_dim, triangle_rule
 
 
 def dense_kkt_minimizer(problem: PatchProblem) -> np.ndarray:
@@ -38,6 +38,70 @@ def dense_kkt_minimizer(problem: PatchProblem) -> np.ndarray:
     rhs = np.concatenate([np.zeros(n), r])
     sol = np.linalg.pinv(kkt, rcond=1e-12) @ rhs
     return sol[:n]
+
+
+def dense_patch_constraints(
+    eq: Equilibrator, patch: VertexPatch
+) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint matrix and right-hand side of one patch, written straight
+    into the dense matrix by index arithmetic on the constraint tables.
+
+    Rows and columns are ordered as in :class:`PatchProblem`; the columns
+    are the free dofs in (element, tensor row, dof) order.
+    """
+    disc, tables = eq.disc, eq.tables
+    mesh, k = disc.mesh, disc.k
+    elements = patch.elements
+    ne, nd, nmk = len(elements), rt_dim(k), len(_exps_array(k))
+
+    sides = mesh.tri_sides[elements]                             # (ne, 3)
+    partner = mesh.side_tri[sides][..., None]                    # (ne, 3, 2, 1)
+    both_in = (partner == elements).any(3).all(2)
+    labels = mesh.side_label[sides]
+    on_active = both_in | (labels == NEUMANN)
+    free = np.ones((ne, nd), dtype=bool)
+    free[:, : 3 * (k + 1)] = np.repeat(both_in | (labels != INTERIOR), k + 1, axis=1)
+
+    live = np.broadcast_to(free[:, None, :], (ne, 2, nd)).ravel()
+    n_free = int(live.sum())
+    free_col = np.full(ne * 2 * nd, -1, dtype=np.int64)
+    free_col[live] = np.arange(n_free)
+    cols = np.where(free_col >= 0, free_col, n_free).reshape(ne, 2, nd)
+
+    e_loc, j_loc = np.nonzero(on_active)
+    s = sides[e_loc, j_loc]
+    active = np.unique(s)
+    ed_p = disc.pressure.element_dofs[elements]                  # (ne, nlk)
+    nodes = np.unique(ed_p)
+    n_div = ne * 2 * nmk
+    n_jump = len(active) * 2 * (k + 1)
+    n_rows = n_div + n_jump + len(nodes)
+
+    # padded matrix: column n_free collects dead-dof entries
+    B = np.zeros((n_rows, n_free + 1))
+    rows_div = np.arange(n_div).reshape(ne, 2, nmk)
+    B[rows_div[..., None], cols[:, :, None, :]] = tables.divm[elements][:, None]
+
+    r = np.arange(2)[:, None]
+    m = np.arange(k + 1)
+    rows_jump = n_div + (np.searchsorted(active, s)[:, None, None] * 2 + r) * (k + 1) + m
+    cols_jump = cols[e_loc[:, None, None], r, j_loc[:, None, None] * (k + 1) + m]
+    sign = np.where(mesh.side_tri[s, 0] == elements[e_loc], 1.0, -1.0)
+    B[rows_jump, cols_jump] = sign[:, None, None]
+
+    rows_sym = n_div + n_jump + np.searchsorted(nodes, ed_p)     # (ne, nlk)
+    B[rows_sym[..., None], cols[:, None, 0, :]] = tables.symy[elements]
+    B[rows_sym[..., None], cols[:, None, 1, :]] = -tables.symx[elements]
+
+    group = np.concatenate([[patch.vertex], patch.absorbed])
+    w = np.isin(mesh.sides[active], group)
+    rhs = np.zeros(n_rows)
+    rdiv = eq.rhs_tables.rdiv[elements]                          # (ne, 3, 2, nmk)
+    rhs[:n_div] = np.einsum("ea,earb->erb", patch.weights, rdiv).ravel()
+    rhs[n_div : n_div + n_jump] = np.einsum(
+        "sa,sarm->srm", w, eq.rhs_tables.rjump[active]
+    ).ravel()
+    return np.ascontiguousarray(B[:, :n_free]), rhs
 
 
 def production_minimizer(eq: Equilibrator, problem: PatchProblem) -> np.ndarray:

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,6 +161,44 @@ def test_assembly_matches_dense_oracle():
     scale = np.abs(K).max()
     assert np.max(np.abs(produced - K)) < 1e-12 * scale
     assert np.max(np.abs(system.rhs - F)) < 1e-12 * max(1.0, np.abs(F).max())
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: cook(),
+        lambda: manufactured_smooth(Material(mu=1.0, inv_lambda=0.5), cells=4),
+        lambda: square_lshape(Material(mu=1.0, inv_lambda=0.002)),
+    ],
+    ids=["cook", "smooth", "lshape"],
+)
+def test_stacked_blocks_are_the_sum_of_coo_blocks_bitwise(factory, k):
+    """The saddle-point matrix, stacked from its separately summed blocks,
+    is bitwise the sum of the COO blocks through CSR additions: the same
+    entries, each summed in the same order, exact zeros dropped."""
+    problem = factory()
+    disc = Discretization(problem.mesh, k)
+    system = assemble_system(disc, problem.material, problem.load)
+    triplets, _ = elasticity._element_triplets(disc, problem.material, problem.load)
+    n_u, n_p = disc.displacement.n_dofs, disc.pressure.n_scalar
+    n = n_u + n_p
+    rows_a, cols_a, data_a = triplets["a"]
+    rows_b, cols_b, data_b = triplets["b"]
+    rows_m, cols_m, data_m = triplets["m"]
+    bt_upper = sp.coo_matrix((data_b, (rows_b, cols_b + n_u)), shape=(n, n))
+    matrix = sp.coo_matrix((data_a, (rows_a, cols_a)), shape=(n, n)) + bt_upper + bt_upper.T
+    t = problem.material.inv_lambda
+    if t != 0.0:
+        pad = sp.coo_matrix(
+            sp.coo_matrix((data_m, (rows_m, cols_m)), shape=(n_p, n_p)).tocsr() * (-t)
+        )
+        matrix = matrix + sp.coo_matrix(
+            (pad.data, (pad.row + n_u, pad.col + n_u)), shape=(n, n)
+        )
+    matrix = matrix.tocsr()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(system.matrix, name), getattr(matrix, name)), name
 
 
 def test_zero_load_zero_solution():

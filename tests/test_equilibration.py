@@ -39,7 +39,7 @@ from stresseq.spaces import (
 )
 
 from conftest import solve_problem
-from oracles import dense_kkt_minimizer, mass_norm
+from oracles import dense_kkt_minimizer, dense_patch_constraints, mass_norm
 
 
 @pytest.fixture(scope="module")
@@ -278,19 +278,29 @@ def test_incompatible_rhs_raises(manu_eq):
 
 @pytest.mark.parametrize("setup", ["cook_eq", "cook2_eq", "lshape2_eq"])
 def test_schur_path_matches_qr_lu_fallback(setup, request):
-    """Both patch solvers pass their gates and agree; the pivoted Cholesky
-    keeps exactly the structural rank."""
+    """The condensed path passes its gates on every patch and agrees with
+    QR+LU and with the all-rows pseudo-inverse, on displacement-boundary
+    patches and on patches with absorbed vertices too; the pivoted
+    Cholesky keeps exactly the structural rank."""
     _, disc, eq = request.getfixturevalue(setup)
+    seen = set()
     for _, batch in eq._batches(modified_patches(disc.mesh)):
         sol = eq._solve_batch(batch)
-        n_rows = batch.constraints.shape[1]
+        n_rows = batch.rhs.shape[1]
         for i, patch in enumerate(batch.patches):
             assert not sol.fallback[i], f"patch {patch.vertex} failed the fast path"
-            x_ref = eq._solve_patch_qr_lu(batch.problem(i))
-            assert np.max(np.abs(sol.x[i] - x_ref)) <= 1e-6 * np.max(np.abs(x_ref))
+            pp = batch.problem(i)
+            x = sol.x[i][pp.free_col >= 0]
+            for x_ref in (eq._solve_patch_qr_lu(pp)[0], dense_kkt_minimizer(pp)):
+                assert np.max(np.abs(x - x_ref)) <= 1e-8 * np.max(np.abs(x_ref)), (
+                    f"patch {patch.vertex}"
+                )
             assert sol.rank[i] == (
                 n_rows if patch.dirichlet_touching else n_rows - 3
             ), f"patch {patch.vertex}"
+            assert sol.kkt[i] <= 1e-10
+            seen.add((patch.dirichlet_touching, len(patch.absorbed) > 0))
+    assert {(True, False), (False, False), (False, True)} <= seen
 
 
 @pytest.mark.parametrize("setup", ["cook_eq", "cook2_eq", "lshape2_eq"])
@@ -300,13 +310,14 @@ def test_batched_patches_match_batch_of_one(setup, request):
     _, disc, eq = request.getfixturevalue(setup)
     patches = modified_patches(disc.mesh)
     for ids, batch in eq._batches(patches):
-        assert len(ids) == 1 or batch.constraints.nbytes <= _BATCH_BYTES
+        assert len(ids) == 1 or batch.blocks.nbytes <= _BATCH_BYTES
         sol = eq._solve_batch(batch)
         for i, patch in enumerate(batch.patches):
             pp = eq.build_patch_problem(patch)
-            assert np.array_equal(batch.constraints[i], pp.constraints)
+            assert np.array_equal(batch.problem(i).constraints, pp.constraints)
             assert np.array_equal(batch.rhs[i], pp.rhs)
-            assert np.array_equal(sol.x[i], eq.solve_patch(pp)), f"patch {patch.vertex}"
+            x = sol.x[i][pp.free_col >= 0]
+            assert np.array_equal(x, eq.solve_patch(pp)), f"patch {patch.vertex}"
     dofs = np.zeros((disc.mesh.n_triangles, 2, rt_dim(disc.k)))
     for patch in patches:
         pp = eq.build_patch_problem(patch)
@@ -326,11 +337,11 @@ def test_batch_fallback_is_per_patch(cook_eq, monkeypatch):
     base = eq._solve_batch(batch)
     assert not base.fallback.any()
     pp = batch.problem(0)
-    sym = slice(pp.n_div + pp.n_jump, None)
-    b, rhs = batch.constraints.copy(), batch.rhs.copy()
-    b[0, sym] *= 1e-9
-    rhs[0, sym] *= 1e-9
-    modified = dataclasses.replace(batch, constraints=b, rhs=rhs)
+    n_sym = len(pp.sym_nodes)
+    blocks, rhs = batch.blocks.copy(), batch.rhs.copy()
+    blocks[0, :, :, -3 * disc.k :] *= 1e-9   # the symmetry rows of each block
+    rhs[0, -n_sym:] *= 1e-9
+    modified = dataclasses.replace(batch, blocks=blocks, rhs=rhs)
 
     # patch 0 leaves the Schur stack by the row-norm rule, so patch 2 is the
     # second solve of each of the two passes over the stack
@@ -346,7 +357,9 @@ def test_batch_fallback_is_per_patch(cook_eq, monkeypatch):
     sol = eq._solve_batch(modified)
     assert np.flatnonzero(sol.fallback).tolist() == [0, 2]
     for i in (0, 2):
-        assert np.array_equal(sol.x[i], eq._solve_patch_qr_lu(modified.problem(i)))
+        problem = modified.problem(i)
+        x = sol.x[i][problem.free_col >= 0]
+        assert np.array_equal(x, eq._solve_patch_qr_lu(problem)[0])
     others = np.setdiff1d(np.arange(len(ids)), [0, 2])
     assert np.array_equal(sol.x[others], base.x[others])
 
@@ -364,6 +377,69 @@ def test_correction_counts_its_patches():
     assert eq.n_fallbacks == 0
     assert 0.0 < eq.worst_residual <= 1e-9
     assert eq.worst_vertex in {p.vertex for p in patches}
+    assert 0.0 < eq.worst_kkt <= 1e-10
+
+
+def test_correction_counts_the_dropped_rows(cook_eq):
+    """On cook (k = 1) every displacement-free patch drops exactly the three
+    rigid-motion rows, and every other patch drops none."""
+    _, disc, eq = cook_eq
+    eq.correction()
+    patches = modified_patches(disc.mesh)
+    touching = sum(p.dirichlet_touching for p in patches)
+    assert 0 < touching < len(patches)
+    assert eq.dropped_rows == {0: touching, 3: len(patches) - touching}
+    assert 0.0 < eq.worst_kkt <= 1e-10
+
+
+@pytest.mark.parametrize("setup", ["cook_eq", "lshape2_eq"])
+def test_dense_view_matches_dense_builder(setup, request):
+    """The dense constraint matrix assembled from the local blocks is
+    bitwise the one that the dense index arithmetic writes."""
+    _, disc, eq = request.getfixturevalue(setup)
+    for _, batch in eq._batches(modified_patches(disc.mesh)):
+        for i, patch in enumerate(batch.patches):
+            b, rhs = dense_patch_constraints(eq, patch)
+            pp = batch.problem(i)
+            assert np.array_equal(pp.constraints, b), f"patch {patch.vertex}"
+            assert np.array_equal(pp.rhs, rhs), f"patch {patch.vertex}"
+            back = PatchBatch.of(pp)
+            assert np.array_equal(back.blocks[0], batch.blocks[i])
+
+
+def test_singular_divergence_block_takes_the_fallback_alone(cook_eq, monkeypatch):
+    """A patch whose local divergence block is singular goes to QR+LU; the
+    other patches of its batch are bitwise unchanged."""
+    _, disc, eq = cook_eq
+    ids, batch = next(
+        (ids, b) for ids, b in eq._batches(modified_patches(disc.mesh)) if len(ids) >= 3
+    )
+    base = eq._solve_batch(batch)
+    # a repeated divergence row, with its repeated right-hand side
+    blocks, rhs = batch.blocks.copy(), batch.rhs.copy()
+    blocks[1, 0, 0, 1] = blocks[1, 0, 0, 0]
+    rows = batch.block_rows[1, 0, 0]
+    rhs[1, rows[1]] = rhs[1, rows[0]]
+    modified = dataclasses.replace(batch, blocks=blocks, rhs=rhs)
+
+    inv = np.linalg.inv
+    raised = []
+
+    def spy(a):
+        try:
+            return inv(a)
+        except np.linalg.LinAlgError:
+            raised.append(len(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    sol = eq._solve_batch(modified)
+    assert raised[0] == len(ids)
+    assert np.flatnonzero(sol.fallback).tolist() == [1]
+    problem = modified.problem(1)
+    assert np.array_equal(sol.x[1][problem.free_col >= 0], eq._solve_patch_qr_lu(problem)[0])
+    others = np.setdiff1d(np.arange(len(ids)), [1])
+    assert np.array_equal(sol.x[others], base.x[others])
 
 
 def _loaded_patch(eq, mesh):
@@ -381,14 +457,14 @@ def test_wide_row_norm_span_takes_the_fallback(cook_eq):
     rhs[sym] *= 1e-9
     scaled = dataclasses.replace(pp, constraints=b, rhs=rhs)
     assert eq._solve_batch(PatchBatch.of(scaled)).fallback[0]
-    assert np.array_equal(eq.solve_patch(scaled), eq._solve_patch_qr_lu(scaled))
+    assert np.array_equal(eq.solve_patch(scaled), eq._solve_patch_qr_lu(scaled)[0])
 
 
 @pytest.mark.parametrize("failure", ["gate", "linalg"])
 def test_fast_path_failure_takes_the_fallback(cook_eq, monkeypatch, failure):
     _, disc, eq = cook_eq
     pp = _loaded_patch(eq, disc.mesh)
-    expected = eq._solve_patch_qr_lu(pp)
+    expected = eq._solve_patch_qr_lu(pp)[0]
     assert not np.array_equal(eq.solve_patch(pp), expected)
     if failure == "gate":
         dpotrs = scipy.linalg.lapack.dpotrs
@@ -400,10 +476,10 @@ def test_fast_path_failure_takes_the_fallback(cook_eq, monkeypatch, failure):
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", perturbed)
     else:
 
-        def singular(a, b):
+        def singular(a):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "inv", singular)
     assert eq._solve_batch(PatchBatch.of(pp)).fallback[0]
     assert np.array_equal(eq.solve_patch(pp), expected)
 

@@ -87,3 +87,22 @@ def test_compare_outputs_fails_on_structure(tmp_path):
     (tmp_path / "n" / "summary.csv").unlink()
     proc = _run_script("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / "n"))
     assert "summary.csv: present in only one directory" in proc.stdout
+
+
+def test_compare_outputs_compares_final_meshes(tmp_path):
+    """The final meshes are compared byte for byte when both runs saved one."""
+    mesh = "vertices 3 / triangles 1\n0 0\n1 0\n0 1\n0 1 2\n"
+    for name in ("a", "b", "c"):
+        _write_outputs(tmp_path / name)
+    (tmp_path / "a" / "mesh_final.txt").write_text(mesh)
+    # a mesh saved by one run only is not compared
+    proc = _run_script("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / "c"))
+    assert proc.returncode == 0 and "mesh_final.txt" not in proc.stdout
+    (tmp_path / "b" / "mesh_final.txt").write_text(mesh)
+    proc = _run_script("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert proc.returncode == 0, proc.stdout
+    assert "mesh_final.txt: byte-identical" in proc.stdout
+    (tmp_path / "b" / "mesh_final.txt").write_text(mesh.replace("1 0\n", "1.0000000000000002 0\n"))
+    proc = _run_script("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert proc.returncode == 1
+    assert "mesh_final.txt: DIFFERS: line 3" in proc.stdout
