@@ -134,7 +134,7 @@ class LinearSystem:
     rhs: np.ndarray
     free: np.ndarray          # boolean mask over all dofs
     n_u: int
-    pressure_mass: sp.csr_matrix
+    pressure_integrals: np.ndarray  # int phi_j over the domain, per pressure dof
     pinned_pressure: bool
 
 
@@ -174,48 +174,37 @@ def rule_points(mesh: Mesh, elems, rq, rw):
     return xq, 2.0 * mesh.areas[elems][:, None] * rw[None, :]
 
 
-def _side_reference_points(j: int, flip: bool, t: np.ndarray) -> np.ndarray:
-    """Reference coordinates of side quadrature points on local side j.
-
-    The global side parameter runs from the side's lower to higher vertex
-    id; `flip` says the local edge (vertex j+1 -> vertex j+2) runs the
-    other way.
-    """
-    corners = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    a = corners[(j + 1) % 3]
-    b = corners[(j + 2) % 3]
-    tau = 1.0 - t if flip else t
-    return a[None, :] + tau[:, None] * (b - a)[None, :]
-
-
-def side_flip_mask(mesh: Mesh, elems) -> np.ndarray:
-    """flip[e, j]: local side j of element e runs against its global param."""
-    tri = mesh.triangles[elems]
-    va = tri[:, [1, 2, 0]]
-    vb = tri[:, [2, 0, 1]]
-    return va > vb
+def reference_points(mesh: Mesh, elems, x: np.ndarray) -> np.ndarray:
+    """Reference coordinates of the physical points ``x`` (ne, ..., 2), one
+    set per element of ``elems``: the inverse of each element's affine map."""
+    _, jinv = element_jacobians(mesh, elems)
+    xc = x.reshape(len(elems), -1, 2) - mesh.vertices[mesh.triangles[elems, 0]][:, None, :]
+    # einsum "erd,eqd->eqr"
+    ref = xc[:, :, 0, None] * jinv[:, None, :, 0] + xc[:, :, 1, None] * jinv[:, None, :, 1]
+    return ref.reshape(x.shape)
 
 
 # -- assembly -------------------------------------------------------------------
 
 
-def _summed(rows, cols, data, shape: tuple) -> sp.csr_matrix:
-    """CSR matrix of the triplets, duplicates summed."""
-    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
-
-
 def _element_triplets(
     disc: Discretization, material: Material, load: LoadData
-) -> tuple[dict, np.ndarray]:
-    """Element contributions as (rows, cols, data) triplets in element
-    order, per block: "a" for A, "b" for B^T (displacement rows, pressure
-    columns), "m" for the pressure mass M; and the volume-load vector."""
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Element contributions to the saddle-point matrix as one set of
+    (rows, cols, data) triplets in element order, the volume-load vector,
+    and the pressure-basis integrals (int phi_j for each pressure dof j).
+
+    Each element writes its A, B^T and B entries, and its -inv_lambda M
+    entries only when inv_lambda != 0: the incompressible pressure block
+    stays structurally empty.
+    """
     mesh, k = disc.mesh, disc.k
     m = k + 1
     dm_u = disc.displacement
     dm_p = disc.pressure
-    n = dm_u.n_dofs + dm_p.n_scalar
-    mu = material.mu
+    n_u = dm_u.n_dofs
+    n = n_u + dm_p.n_scalar
+    mu, t = material.mu, material.inv_lambda
 
     rq, rw = triangle_rule(2 * k + 4)
     gref = lagrange_grads(m, rq).transpose(1, 2, 0)  # (nlu, 2, nq)
@@ -223,19 +212,27 @@ def _element_triplets(
     vals_p = lagrange_values(k, rq)       # (nq, nlp)
     nq, nlu = vals_u.shape
     nlp = vals_p.shape[1]
+    nl = 2 * nlu + nlp
     pp = (vals_p[:, :, None] * vals_p[:, None, :]).reshape(nq, -1)
+
+    # the local (row, col) pairs an element writes, as flat indices
+    keep = np.ones((nl, nl), dtype=bool)
+    if t == 0.0:
+        keep[2 * nlu :, 2 * nlu :] = False
+    local = np.flatnonzero(keep)
+    local_rows, local_cols = np.divmod(local, nl)
+    size = len(local)
 
     nt = mesh.n_triangles
     index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    sizes = {"a": (2 * nlu) ** 2, "b": 2 * nlu * nlp, "m": nlp * nlp}
-    triplets = {
-        name: (np.empty(nt * size, index), np.empty(nt * size, index), np.empty(nt * size))
-        for name, size in sizes.items()
-    }
+    rows = np.empty(nt * size, index)
+    cols = np.empty(nt * size, index)
+    data = np.empty(nt * size)
     rhs = np.zeros(n)
+    p_integrals = np.zeros(dm_p.n_scalar)
 
-    for lo in range(0, mesh.n_triangles, _CHUNK):
-        elems = np.arange(lo, min(lo + _CHUNK, mesh.n_triangles))
+    for lo in range(0, nt, _CHUNK):
+        elems = np.arange(lo, min(lo + _CHUNK, nt))
         ne = len(elems)
         _, jinv = element_jacobians(mesh, elems)
         xq, wq = rule_points(mesh, elems, rq, rw)
@@ -245,8 +242,11 @@ def _element_triplets(
         grads = grads.reshape(ne, 2 * nlu, nq)
         wgrads = grads * wq[:, None, :]
 
+        ke = np.zeros((ne, nl, nl))
         # einsum "eq,qj,eqic->eicj"
         bte = (wgrads.reshape(-1, nq) @ vals_p).reshape(ne, 2 * nlu, nlp)
+        ke[:, : 2 * nlu, 2 * nlu :] = bte
+        ke[:, 2 * nlu :, : 2 * nlu] = bte.swapaxes(1, 2)
 
         # einsum "eq,eqid,eqjc->eicjd", and "eq,eqid,eqjd->eij" as its
         # trace over c = d
@@ -257,28 +257,28 @@ def _element_triplets(
         ae = m4.transpose(0, 1, 4, 3, 2)  # [e, i, c, j, d]
         for c in range(2):
             ae[:, :, c, :, c] += mu * gg
+        ke[:, : 2 * nlu, : 2 * nlu] = ae.reshape(ne, 2 * nlu, 2 * nlu)
 
-        # einsum "eq,qi,qj->eij"
-        me = (wq @ pp).reshape(ne, nlp, nlp)
+        if t != 0.0:
+            # einsum "eq,qi,qj->eij"
+            ke[:, 2 * nlu :, 2 * nlu :] = (wq @ pp).reshape(ne, nlp, nlp) * (-t)
 
         udofs = dm_u.vector_dofs(elems).reshape(ne, 2 * nlu)
         pdofs = dm_p.element_dofs[elems]
-
-        for name, r, c, values in (
-            ("a", udofs, udofs, ae), ("b", udofs, pdofs, bte), ("m", pdofs, pdofs, me)
-        ):
-            rows, cols, data = triplets[name]
-            part = slice(lo * sizes[name], (lo + ne) * sizes[name])
-            rows[part] = np.repeat(r, c.shape[1], axis=1).ravel()
-            cols[part] = np.tile(c, (1, r.shape[1])).ravel()
-            data[part].reshape(values.shape)[...] = values
+        ldofs = np.concatenate([udofs, n_u + pdofs], axis=1)
+        part = slice(lo * size, (lo + ne) * size)
+        np.take(ldofs, local_rows, axis=1, out=rows[part].reshape(ne, size))
+        np.take(ldofs, local_cols, axis=1, out=cols[part].reshape(ne, size))
+        np.take(ke.reshape(ne, -1), local, axis=1, out=data[part].reshape(ne, size))
 
         # volume load
         fv = load.volume_at(xq)
         # einsum "eq,eqc,qi->eic"
         fe = vals_u.T @ (fv * wq[:, :, None])
         np.add.at(rhs, udofs, fe.reshape(ne, -1))
-    return triplets, rhs
+        # einsum "eq,qj->ej"
+        np.add.at(p_integrals, pdofs, wq @ vals_p)
+    return (rows, cols, data), rhs, p_integrals
 
 
 def assemble_system(
@@ -287,59 +287,38 @@ def assemble_system(
     """Assemble the saddle-point matrix and right-hand side.
 
     Block layout: displacement dofs first (interleaved components), then
-    pressure dofs.  Dirichlet dofs are kept in the matrix but flagged in
-    ``free``; elimination happens in :func:`solve` (homogeneous data, so
-    no right-hand-side correction is needed).
+    pressure dofs.  The matrix stores every (row, col) pair an element
+    touches, also where the element contributions cancel to 0.0, so its
+    pattern does not depend on rounding.  Dirichlet dofs are kept in the
+    matrix but flagged in ``free``; elimination happens in :func:`solve`
+    (homogeneous data, so no right-hand-side correction is needed).
     """
     mesh, k = disc.mesh, disc.k
-    m = k + 1
     dm_u = disc.displacement
     n_u = dm_u.n_dofs
-    n_p = disc.pressure.n_scalar
-    n = n_u + n_p
+    n = n_u + disc.pressure.n_scalar
     t = material.inv_lambda
-    triplets, rhs = _element_triplets(disc, material, load)
-
-    # each block is summed on its own, in its own rows, as adding the COO
-    # blocks through CSR additions did; the blocks share no entry, so
-    # stacking them adds nothing, and exact zeros are dropped as those
-    # additions drop them
-    a_mat = _summed(*triplets.pop("a"), (n_u, n_u))
-    rows_b, cols_b, data_b = triplets.pop("b")
-    upper = sp.hstack([a_mat, _summed(rows_b, cols_b, data_b, (n_u, n_p))], format="csr")
-    del a_mat
-    mass = _summed(*triplets.pop("m"), (n_p, n_p))
-    lower = sp.hstack(
-        [
-            _summed(cols_b, rows_b, data_b, (n_p, n_u)),
-            mass * (-t) if t != 0.0 else sp.csr_matrix((n_p, n_p)),
-        ],
-        format="csr",
-    )
-    matrix = sp.vstack([upper, lower], format="csr")
-    del upper, lower
-    matrix.eliminate_zeros()
+    (rows, cols, data), rhs, p_integrals = _element_triplets(disc, material, load)
+    matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    del rows, cols, data
+    # the summed entries are views of arrays sized for all the triplets
+    # (scipy copies them only when they shrink below half); the copy frees
+    # the rest, about 8 MB on 7,641 triangles at k = 1
+    matrix = matrix.copy()
 
     # traction contributions on the Neumann boundary
     nsides = mesh.boundary_sides(NEUMANN)
     if nsides.size and load.traction is not None:
         tq, tw = segment_rule(2 * k + 5)
         owner = mesh.side_tri[nsides, 0]
-        jloc = np.argmax(mesh.tri_sides[owner] == nsides[:, None], axis=1)
-        flip = side_flip_mask(mesh, owner)[np.arange(len(owner)), jloc]
-        gv = load.traction_at(mesh.side_points(nsides, tq))
-        lens = mesh.side_length[nsides]
-        for j in range(3):
-            for fl in (False, True):
-                pick = (jloc == j) & (flip == fl)
-                if not pick.any():
-                    continue
-                ref = _side_reference_points(j, fl, tq)
-                bv = lagrange_values(m, ref)  # (nqs, nlu)
-                # einsum "s,q,sqc,qi->sic"
-                contrib = lens[pick, None, None] * ((tw[:, None] * bv).T @ gv[pick])
-                udofs = dm_u.vector_dofs(owner[pick]).reshape(pick.sum(), -1)
-                np.add.at(rhs, udofs, contrib.reshape(pick.sum(), -1))
+        xs = mesh.side_points(nsides, tq)
+        bv = lagrange_values(k + 1, reference_points(mesh, owner, xs))  # (ns, nqs, nlu)
+        # einsum "s,q,sqc,sqi->sic"
+        contrib = mesh.side_length[nsides, None, None] * (
+            (tw[:, None] * bv).swapaxes(1, 2) @ load.traction_at(xs)
+        )
+        udofs = dm_u.vector_dofs(owner).reshape(len(owner), -1)
+        np.add.at(rhs, udofs, contrib.reshape(len(owner), -1))
 
     # boundary conditions
     free = np.ones(n, dtype=bool)
@@ -358,7 +337,7 @@ def assemble_system(
         rhs=rhs,
         free=free,
         n_u=n_u,
-        pressure_mass=mass,
+        pressure_integrals=p_integrals,
         pinned_pressure=pinned,
     )
 
@@ -424,8 +403,7 @@ def solve(system: LinearSystem) -> FieldPair:
     p = x[n_u:]
     if system.pinned_pressure:
         area = float(np.sum(system.disc.mesh.areas))
-        ones = np.asarray(system.pressure_mass.sum(axis=0)).ravel()
-        mean = float(ones @ p) / area
+        mean = float(system.pressure_integrals @ p) / area
         p = p - mean
     return FieldPair(disc=system.disc, u=u, p=p)
 
@@ -479,18 +457,11 @@ def direct_stress(fields: FieldPair, material: Material) -> BrokenField:
     nt = disc.mesh.n_triangles
     dofs = np.empty((nt, 2, rt_dim(disc.k)))
     for tables in disc.stress_chunks():
-        vol = _stress_from(*fields_at(fields, tables.elems, tables.vol_ref), mu)
-        # side points: one reference rule per local side and orientation
-        flips = side_flip_mask(disc.mesh, tables.elems)
-        side = np.empty((len(tables.elems), 3, len(tables.side_t), 2, 2))
-        for j in range(3):
-            for fl in (False, True):
-                pick = flips[:, j] == fl
-                if not pick.any():
-                    continue
-                ref = _side_reference_points(j, fl, tables.side_t)
-                side[pick, j] = _stress_from(
-                    *fields_at(fields, tables.elems[pick], ref), mu
-                )
-        dofs[tables.elems] = tables.dofs_from_values(vol, side)
+        elems = tables.elems
+        vol = _stress_from(*fields_at(fields, elems, tables.vol_ref), mu)
+        side_ref = reference_points(disc.mesh, elems, tables.side_x)
+        side = _stress_from(
+            *fields_at(fields, elems, side_ref.reshape(len(elems), -1, 2)), mu
+        )
+        dofs[elems] = tables.dofs_from_values(vol, side.reshape(side_ref.shape + (2,)))
     return BrokenField(disc.mesh, disc.k, dofs)

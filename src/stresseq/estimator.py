@@ -26,8 +26,8 @@ from .elasticity import (
     FieldPair,
     LoadData,
     Material,
-    element_jacobians,
     fields_at,
+    reference_points,
     rule_points,
 )
 from .equilibration import side_traces
@@ -344,15 +344,8 @@ def reference_energy_errors(
         grad_fine, p_fine = fields_at(reference, elems, rq)
         for i, fields in enumerate(coarse):
             # coarse fields at the same physical points
-            cmesh = fields.disc.mesh
             ce = ancestors[i][elems]
-            _, cjinv = element_jacobians(cmesh, ce)
-            xc = xq - cmesh.vertices[cmesh.triangles[ce, 0]][:, None, :]
-            # einsum "erd,eqd->eqr"
-            ref_c = (
-                xc[:, :, 0, None] * cjinv[:, None, :, 0]
-                + xc[:, :, 1, None] * cjinv[:, None, :, 1]
-            )
+            ref_c = reference_points(fields.disc.mesh, ce, xq)
             grad_coarse, p_coarse = fields_at(fields, ce, ref_c)
             totals[i] = _add_energy(
                 totals[i], wq, grad_fine - grad_coarse, p_fine - p_coarse, material

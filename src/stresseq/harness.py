@@ -7,8 +7,9 @@ parentheses):
                square-lshape                       (cook)
   k            polynomial degree 1 | 2             (1)
   mu           shear modulus, > 0                  (1.0)
-  inv_lambda   reciprocal of the second Lame
-               parameter; 0 means incompressible   (0.0)
+  inv_lambda   reciprocal of the first Lame
+               parameter lambda; 0 means
+               incompressible                      (0.0)
   theta        bulk marking fraction in (0, 1]     (0.5)
   steps        number of solves                    (1)
   estimator    marking indicator:
@@ -31,8 +32,8 @@ eta_C, eta_total, bound, error, effectivity — ``bound`` is the guaranteed
 bound on the squared error), ``estimator_final.csv`` (per-element
 indicators on the last mesh), ``summary.csv`` (global scalars),
 ``equilibration.txt`` (reconstruction residual diagnostics), and
-``config_used.txt``.  All numbers carry 17 significant digits and reruns
-are byte-identical.  Exit codes: 0 success, 2 configuration error,
+``config_used.txt``.  All numbers carry 17 significant digits; reruns of
+the same config on one machine and BLAS build are byte-identical.  Exit codes: 0 success, 2 configuration error,
 3 problem definition error, 4 file error, 1 any other solver error.
 """
 

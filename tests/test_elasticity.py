@@ -36,7 +36,8 @@ from stresseq import (
     unit_square_mesh,
 )
 from stresseq import elasticity, estimator
-from stresseq.elasticity import element_jacobians
+from stresseq.elasticity import element_jacobians, reference_points, rule_points
+from stresseq.mesh import NEUMANN
 from stresseq.spaces import lagrange_grads, lagrange_values
 from test_mesh import two_triangle_square
 
@@ -55,23 +56,21 @@ def test_material_validation():
 # -- assembly ----------------------------------------------------------------
 
 
-def dense_assembly_oracle(mesh, material, load):
+def dense_assembly_oracle(mesh, k, material, load):
     """Independent dense assembly of the full saddle-point matrix and rhs.
 
     Built from scratch: explicit reference-to-physical mapping, dense
     quadrature of degree 8, symmetric-gradient contraction written out.
     """
-    from stresseq.mesh import NEUMANN
     from stresseq.spaces import make_dofmap, segment_rule
 
-    k = 1
     dm_u = make_dofmap(mesh, k + 1, ncomp=2)
     dm_p = make_dofmap(mesh, k)
     n_u, n_p = dm_u.n_dofs, dm_p.n_scalar
     K = np.zeros((n_u + n_p, n_u + n_p))
     F = np.zeros(n_u + n_p)
     rq, rw = triangle_rule(8)
-    gref = lagrange_grads(k + 1, rq)  # (nq, 6, 2)
+    gref = lagrange_grads(k + 1, rq)  # (nq, nlu, 2)
     vu = lagrange_values(k + 1, rq)
     vp = lagrange_values(k, rq)
     mu, t = material.mu, material.inv_lambda
@@ -124,7 +123,7 @@ def dense_assembly_oracle(mesh, material, load):
         xq = a[None, :] + tq[:, None] * (b - a)[None, :]
         gq = load.traction_at(xq)
         e = int(mesh.side_tri[s, 0])
-        # values of the P2 basis along the side, via barycentric mapping
+        # values of the P_{k+1} basis along the side, via barycentric mapping
         p = mesh.vertices[mesh.triangles[e]]
         J = np.column_stack([p[1] - p[0], p[2] - p[0]])
         lam = np.linalg.solve(J, (xq - p[0]).T).T
@@ -137,8 +136,31 @@ def dense_assembly_oracle(mesh, material, load):
     return K, F
 
 
-def test_assembly_matches_dense_oracle():
-    mesh = two_triangle_square()
+def traction_side_cases(mesh):
+    """(local side index, orientation) of each traction side in its owner
+    element; the orientation says the local edge (vertex j+1 -> j+2) runs
+    against the side's global parameter."""
+    sides = mesh.boundary_sides(NEUMANN)
+    owner = mesh.side_tri[sides, 0]
+    j = np.argmax(mesh.tri_sides[owner] == sides[:, None], axis=1)
+    tri = mesh.triangles[owner]
+    rows = np.arange(len(sides))
+    flip = tri[rows, (j + 1) % 3] > tri[rows, (j + 2) % 3]
+    return set(zip(j.tolist(), flip.tolist()))
+
+
+ORACLE_MESHES = {"square": two_triangle_square, "cook": lambda: cook().mesh}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", ORACLE_MESHES)
+def test_assembly_matches_dense_oracle(name, k):
+    mesh = ORACLE_MESHES[name]()
+    if name == "cook":
+        # traction sides in every local position and orientation
+        assert traction_side_cases(mesh) == {
+            (j, flip) for j in range(3) for flip in (False, True)
+        }
     material = Material(mu=1.3, inv_lambda=0.7)
 
     def f(x):
@@ -150,17 +172,31 @@ def test_assembly_matches_dense_oracle():
     def g(x):
         out = np.empty_like(x)
         out[..., 0] = 0.5 * x[..., 1]
-        out[..., 1] = 0.01
+        out[..., 1] = 0.01 + x[..., 0]
         return out
 
     load = LoadData(volume=f, traction=g)
-    disc = Discretization(mesh, 1)
+    disc = Discretization(mesh, k)
     system = assemble_system(disc, material, load)
-    K, F = dense_assembly_oracle(mesh, material, load)
+    K, F = dense_assembly_oracle(mesh, k, material, load)
     produced = system.matrix.toarray()
     scale = np.abs(K).max()
     assert np.max(np.abs(produced - K)) < 1e-12 * scale
     assert np.max(np.abs(system.rhs - F)) < 1e-12 * max(1.0, np.abs(F).max())
+
+
+def element_pattern(disc, inv_lambda):
+    """The distinct (row, col) pairs the elements touch, as sorted keys
+    row * n + col: every pair of an element's dofs, but no pressure pair
+    when inv_lambda = 0."""
+    n_u = disc.displacement.n_dofs
+    n = n_u + disc.pressure.n_scalar
+    udofs = disc.displacement.element_dofs
+    u = np.stack([2 * udofs, 2 * udofs + 1], axis=-1).reshape(len(udofs), -1)
+    p = n_u + disc.pressure.element_dofs
+    blocks = [(u, u), (u, p), (p, u)] + ([(p, p)] if inv_lambda != 0.0 else [])
+    keys = [(r[:, :, None] * n + c[:, None, :]).ravel() for r, c in blocks]
+    return np.unique(np.concatenate(keys))
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -173,32 +209,31 @@ def test_assembly_matches_dense_oracle():
     ],
     ids=["cook", "smooth", "lshape"],
 )
-def test_stacked_blocks_are_the_sum_of_coo_blocks_bitwise(factory, k):
-    """The saddle-point matrix, stacked from its separately summed blocks,
-    is bitwise the sum of the COO blocks through CSR additions: the same
-    entries, each summed in the same order, exact zeros dropped."""
+def test_matrix_pattern_is_the_element_pattern(factory, k):
+    """The saddle-point matrix stores exactly the (row, col) pairs the
+    elements touch, entries that cancel to 0.0 included; its pattern does
+    not depend on the order in which the triplets are summed; and with
+    inv_lambda = 0 its pressure block holds no entry."""
     problem = factory()
     disc = Discretization(problem.mesh, k)
-    system = assemble_system(disc, problem.material, problem.load)
-    triplets, _ = elasticity._element_triplets(disc, problem.material, problem.load)
-    n_u, n_p = disc.displacement.n_dofs, disc.pressure.n_scalar
-    n = n_u + n_p
-    rows_a, cols_a, data_a = triplets["a"]
-    rows_b, cols_b, data_b = triplets["b"]
-    rows_m, cols_m, data_m = triplets["m"]
-    bt_upper = sp.coo_matrix((data_b, (rows_b, cols_b + n_u)), shape=(n, n))
-    matrix = sp.coo_matrix((data_a, (rows_a, cols_a)), shape=(n, n)) + bt_upper + bt_upper.T
-    t = problem.material.inv_lambda
-    if t != 0.0:
-        pad = sp.coo_matrix(
-            sp.coo_matrix((data_m, (rows_m, cols_m)), shape=(n_p, n_p)).tocsr() * (-t)
-        )
-        matrix = matrix + sp.coo_matrix(
-            (pad.data, (pad.row + n_u, pad.col + n_u)), shape=(n, n)
-        )
-    matrix = matrix.tocsr()
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(system.matrix, name), getattr(matrix, name)), name
+    n_u = disc.displacement.n_dofs
+    for material in (problem.material, Material(mu=problem.material.mu)):
+        system = assemble_system(disc, material, problem.load)
+        matrix = system.matrix
+        n = matrix.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        keys = rows * n + matrix.indices
+        assert np.array_equal(keys, element_pattern(disc, material.inv_lambda))
+        if material.inv_lambda == 0.0:
+            assert matrix[n_u:, n_u:].nnz == 0
+
+        (r, c, data), _, _ = elasticity._element_triplets(disc, material, problem.load)
+        order = np.random.default_rng(11).permutation(len(data))
+        shuffled = sp.coo_matrix((data[order], (r[order], c[order])), shape=(n, n)).tocsr()
+        assert np.array_equal(shuffled.indptr, matrix.indptr)
+        assert np.array_equal(shuffled.indices, matrix.indices)
+        scale = np.abs(matrix.data).max()
+        assert np.max(np.abs(shuffled.data - matrix.data)) <= 1e-13 * scale
 
 
 def test_zero_load_zero_solution():
@@ -295,9 +330,14 @@ def test_pressure_pinning_logic():
     system = assemble_system(disc, Material(inv_lambda=0.0), LoadData(volume=f))
     assert system.pinned_pressure
     fields = solve(system)
-    ones = np.asarray(system.pressure_mass.sum(axis=0)).ravel()
-    mean = float(ones @ fields.p)
-    assert abs(mean) < 1e-10 * max(1.0, np.abs(fields.p).max())
+    integrals = system.pressure_integrals
+    assert integrals.sum() == pytest.approx(float(all_d.areas.sum()), rel=1e-13)
+    # the mean of p_h by quadrature, independent of the integrals vector
+    tables = disc.stress_tables()
+    ph = fields.p[disc.pressure.element_dofs] @ lagrange_values(1, tables.vol_ref).T
+    scale = max(1.0, np.abs(fields.p).max())
+    assert abs(float(np.sum(tables.vol_w * ph))) < 1e-10 * scale
+    assert abs(float(integrals @ fields.p)) < 1e-10 * scale
 
     mixed = two_triangle_square()
     system2 = assemble_system(
@@ -603,6 +643,9 @@ def test_element_jacobian_inverse_property(coords):
     assert np.max(np.abs(jinv[0] @ jac[0] - np.eye(2))) < 1e-10
     assert np.max(np.abs(jac[0] @ jinv[0] - np.eye(2))) < 1e-10
     assert np.linalg.det(jac[0]) == pytest.approx(2 * mesh.areas[0], rel=1e-10)
+    rq, rw = triangle_rule(6)
+    xq, _ = rule_points(mesh, np.array([0]), rq, rw)
+    assert np.max(np.abs(reference_points(mesh, np.array([0]), xq) - rq)) < 1e-12
 
 
 # -- robustness and convergence -----------------------------------------------------
