@@ -3,9 +3,10 @@
 Each step (:func:`solve_step`) solves the saddle-point system,
 reconstructs the equilibrated stress, and computes the estimator report;
 between steps a bulk (Doerfler) criterion marks the smallest set of largest
-indicators and the mesh is bisected.  Histories keep every mesh, solution
-and reconstruction, but not the per-step tables, so energy errors against
-the finest level can be attached after the run.
+indicators and the mesh is bisected.  A run's history is the list of its
+:class:`Step` records: they keep every mesh, solution and reconstruction,
+but not the per-step tables, so energy errors against the finest level can
+be attached after the run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .elasticity import (
     direct_stress,
     solve,
 )
-from .equilibration import Equilibrator, equilibrate
+from .equilibration import equilibrate
 from .errors import ConfigError, StressEqError
 from .estimator import (
     BoundConstants,
@@ -98,15 +99,38 @@ def doerfler_mark(eta: np.ndarray, theta: float) -> np.ndarray:
 @dataclass
 class Step:
     """One solved mesh: the Taylor-Hood pair, the equilibrated stress
-    sigma_r = sigma_h + delta, its equilibrator, and the estimator report."""
+    sigma_r with the scale of its residual gates, the estimator report, and
+    the elements marked for the next mesh (None when the loop did not mark).
 
-    disc: Discretization
+    It keeps neither sigma_h nor the equilibrator: the equilibrator holds the
+    step's constraint and rhs tables, which a long history must not keep.
+    """
+
     fields: FieldPair
-    sigma_h: BrokenField
-    delta: BrokenField
     sigma_r: BrokenField
-    eq: Equilibrator
+    scale: float
     report: EstimatorReport
+    marked: np.ndarray | None = None
+
+    @property
+    def disc(self) -> Discretization:
+        return self.fields.disc
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.fields.mesh
+
+    @property
+    def n_dofs(self) -> int:
+        return self.fields.u.size + self.fields.p.size
+
+    @property
+    def error(self) -> float | None:
+        return self.report.energy_error
+
+    @property
+    def effectivity(self) -> float | None:
+        return self.report.effectivity
 
 
 def solve_step(
@@ -125,114 +149,47 @@ def solve_step(
     )
     if problem.exact is not None:
         report.energy_error = energy_error(fields, problem.exact, problem.material)
-    return Step(disc, fields, sigma_h, delta, sigma_r, eq, report)
+    return Step(fields, sigma_r, eq.scale, report)
 
 
-@dataclass
-class StepRecord:
-    """What later stages read of one solve of the loop."""
-
-    step: int
-    n_dofs: int
-    mesh: Mesh
-    fields: FieldPair
-    report: EstimatorReport
-    sigma_r: BrokenField
-    scale: float
-    marked: np.ndarray | None = None
-
-    @property
-    def error(self) -> float | None:
-        return self.report.energy_error
-
-    @property
-    def effectivity(self) -> float | None:
-        return self.report.effectivity
-
-
-@dataclass
-class RunHistory:
-    """Ordered step records of one run; dof counts strictly increase."""
-
-    records: list[StepRecord] = field(default_factory=list)
-
-    def append(self, rec: StepRecord):
-        if self.records and rec.n_dofs <= self.records[-1].n_dofs:
-            raise StressEqError(
-                f"dof count stalled at step {rec.step}: "
-                f"{self.records[-1].n_dofs} -> {rec.n_dofs}"
-            )
-        self.records.append(rec)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __getitem__(self, i) -> StepRecord:
-        return self.records[i]
-
-    @property
-    def meshes(self) -> list[Mesh]:
-        return [r.mesh for r in self.records]
-
-    @property
-    def n_dofs(self) -> np.ndarray:
-        return np.array([r.n_dofs for r in self.records])
-
-    def totals(self, name: str) -> np.ndarray:
-        """Per-step global value: eta_A/eta_B/eta_C/eta_total/bound."""
-        key = {
-            "eta_A": "eta_A_total",
-            "eta_B": "eta_B_total",
-            "eta_C": "eta_C_total",
-            "eta_total": "eta_total",
-            "bound": "bound",
-        }[name]
-        return np.array([getattr(r.report, key) for r in self.records])
-
-
-def adaptive_loop(problem: Problem, config: AdaptiveConfig) -> RunHistory:
+def adaptive_loop(problem: Problem, config: AdaptiveConfig) -> list[Step]:
     """Run solve/equilibrate/estimate steps with refinement in between.
 
-    Exactly one record per solve; the mesh is refined between steps, never
-    after the last.  A step's tables are released before the loop moves
-    to the next mesh.  Any component failure is re-raised with the step
-    index prefixed.
+    Exactly one step per solve, in order, and dof counts strictly increase;
+    the mesh is refined between steps, never after the last.  A step's
+    tables are released before the loop moves to the next mesh.  Any
+    component failure is re-raised with the step index prefixed.
     """
-    history = RunHistory()
+    history: list[Step] = []
     mesh = problem.mesh
-    for step in range(config.max_steps):
+    for i in range(config.max_steps):
         try:
-            solved = solve_step(problem, mesh, config.k, config.constants)
-            fields, report = solved.fields, solved.report
-            rec = StepRecord(
-                step=step,
-                n_dofs=fields.u.size + fields.p.size,
-                mesh=mesh,
-                fields=fields,
-                report=report,
-                sigma_r=solved.sigma_r,
-                scale=solved.eq.scale,
-            )
-            history.append(rec)
-            if step == config.max_steps - 1:
+            step = solve_step(problem, mesh, config.k, config.constants)
+            if history and step.n_dofs <= history[-1].n_dofs:
+                raise StressEqError(
+                    f"dof count stalled: {history[-1].n_dofs} -> {step.n_dofs}"
+                )
+            history.append(step)
+            if i == config.max_steps - 1:
                 break
-            if config.max_dofs is not None and rec.n_dofs >= config.max_dofs:
+            if config.max_dofs is not None and step.n_dofs >= config.max_dofs:
                 break
-            solved.disc.release_tables()
+            step.disc.release_tables()
             if config.mode == "uniform":
                 mesh = uniform_refine(mesh, config.uniform_rounds)
             else:
+                report = step.report
                 indicator = (
                     report.eta_R
                     if config.estimator == "residual"
                     else report.eta_T
                 )
-                rec.marked = doerfler_mark(indicator, config.theta)
-                mesh = refine(mesh, rec.marked)
+                step.marked = doerfler_mark(indicator, config.theta)
+                mesh = refine(mesh, step.marked)
         except StressEqError as exc:
             if str(exc).startswith("step "):
                 raise
-            raise type(exc)(f"step {step}: {exc}") from exc
+            raise type(exc)(f"step {i}: {exc}") from exc
     return history
 
 
@@ -241,7 +198,7 @@ def adaptive_loop(problem: Problem, config: AdaptiveConfig) -> RunHistory:
 _SKIP_LAST = 2
 
 
-def attach_reference_errors(history: RunHistory, material: Material) -> None:
+def attach_reference_errors(history: list[Step], material: Material) -> None:
     """Fill energy errors against the finest solution of the run.
 
     The finest level acts as the reference; its own error and that of the
@@ -258,12 +215,12 @@ def attach_reference_errors(history: RunHistory, material: Material) -> None:
     """
     if len(history) <= _SKIP_LAST:
         return
-    reported = history.records[: len(history) - _SKIP_LAST]
+    reported = history[: len(history) - _SKIP_LAST]
     errors = reference_energy_errors(
-        [rec.fields for rec in reported],
-        history.records[-1].fields,
-        history.meshes,
+        [step.fields for step in reported],
+        history[-1].fields,
+        [step.mesh for step in history],
         material,
     )
-    for rec, error in zip(reported, errors):
-        rec.report.energy_error = float(error)
+    for step, error in zip(reported, errors):
+        step.report.energy_error = float(error)

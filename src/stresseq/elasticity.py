@@ -36,8 +36,8 @@ from .spaces import (
     project_side,
     project_volume,
     rt_dim,
-    segment_rule,
-    triangle_rule,
+    side_rule,
+    volume_rule,
 )
 
 
@@ -93,12 +93,12 @@ class LoadData:
         return fv, eval_volume_poly(tables, coeff, tables.k)
 
     def projected_traction(self, mesh: Mesh, sides, k: int, t: np.ndarray):
-        """g at the side rule of degree 2k+5 on ``sides``, (ns, nqs, 2), and
+        """g at the points of side_rule(k) on ``sides``, (ns, nqs, 2), and
         its side-wise L2 projection onto P_k at the parameters ``t``,
         (ns, len(t), 2)."""
-        tq, _ = segment_rule(2 * k + 5)
+        tq, _ = side_rule(k)
         gv = self.traction_at(mesh.side_points(sides, tq))
-        coeff = project_side(mesh, sides, gv, k)
+        coeff = project_side(gv, k)
         # einsum "scm,qm->sqc"
         return gv, (coeff @ legendre01(k + 1, t).T).swapaxes(1, 2)
 
@@ -129,7 +129,6 @@ class LinearSystem:
     """Assembled saddle-point system with boundary bookkeeping."""
 
     disc: Discretization
-    material: Material
     matrix: sp.csr_matrix
     rhs: np.ndarray
     free: np.ndarray          # boolean mask over all dofs
@@ -206,7 +205,7 @@ def _element_triplets(
     n = n_u + dm_p.n_scalar
     mu, t = material.mu, material.inv_lambda
 
-    rq, rw = triangle_rule(2 * k + 4)
+    rq, rw = volume_rule(k)
     gref = lagrange_grads(m, rq).transpose(1, 2, 0)  # (nlu, 2, nq)
     vals_u = lagrange_values(m, rq)       # (nq, nlu)
     vals_p = lagrange_values(k, rq)       # (nq, nlp)
@@ -309,7 +308,7 @@ def assemble_system(
     # traction contributions on the Neumann boundary
     nsides = mesh.boundary_sides(NEUMANN)
     if nsides.size and load.traction is not None:
-        tq, tw = segment_rule(2 * k + 5)
+        tq, tw = side_rule(k)
         owner = mesh.side_tri[nsides, 0]
         xs = mesh.side_points(nsides, tq)
         bv = lagrange_values(k + 1, reference_points(mesh, owner, xs))  # (ns, nqs, nlu)
@@ -332,7 +331,6 @@ def assemble_system(
 
     return LinearSystem(
         disc=disc,
-        material=material,
         matrix=matrix,
         rhs=rhs,
         free=free,

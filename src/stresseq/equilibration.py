@@ -35,7 +35,7 @@ from .spaces import (
     legendre01,
     monomial_values,
     rt_dim,
-    segment_rule,
+    side_rule,
 )
 
 _QR_RTOL = 1e-10       # rank threshold relative to the largest row norm
@@ -90,7 +90,7 @@ def side_traces(
     from both adjacent elements, so their difference is the jump.
     """
     mesh = disc.mesh
-    nqs = len(segment_rule(2 * disc.k + 5)[0])
+    nqs = len(side_rule(disc.k)[0])
     tminus = np.zeros((mesh.n_sides, nqs, 2))
     tplus = np.zeros((mesh.n_sides, nqs, 2))
     for tb in disc.stress_chunks():
@@ -111,7 +111,7 @@ def build_rhs_tables(
     nmk = len(_exps_array(k))
     rdiv = np.empty((mesh.n_triangles, 3, 2, nmk))
     rjump = np.zeros((mesh.n_sides, 2, 2, k + 1))
-    tq, tw = segment_rule(2 * k + 5)
+    tq, tw = side_rule(k)
     lam_side = np.stack([1.0 - tq, tq], axis=1)           # (nqs, 2)
     lg = legendre01(k + 1, tq)                            # (nqs, k+1)
     tminus, tplus = side_traces(disc, sigma_h)
@@ -831,7 +831,7 @@ def null_space_vectors(problem: PatchProblem, mesh: Mesh) -> np.ndarray:
     out[:, :n_div] = div.reshape(3, -1)
 
     # jump-row coefficients: -|S| * Legendre expansion of rho on the side
-    tq, tw = segment_rule(2 * k + 5)
+    tq, tw = side_rule(k)
     lg = legendre01(k + 1, tq)
     sides = problem.jump_sides
     xq = mesh.side_points(sides, tq)                # (ns, nqs, 2)
@@ -898,9 +898,11 @@ def verify_equilibration(
     disc: Discretization,
     sigma_r: BrokenField,
     load: LoadData,
-    scale: float | None = None,
+    scale: float,
 ) -> EquilibrationReport:
-    """Check the defining properties of the reconstruction pointwise.
+    """Check the defining properties of the reconstruction pointwise;
+    ``scale`` is the reference of the residual gates (``RhsTables.scale``
+    of the step that built ``sigma_r``).
 
     Trace checks evaluate at k+2 parameter points per side (one more than
     needed to pin down a degree-k polynomial).
@@ -913,10 +915,8 @@ def verify_equilibration(
     sym_acc = np.zeros(disc.pressure.n_scalar)
     tmin = np.zeros((mesh.n_sides, npts, 2))
     tplus = np.zeros((mesh.n_sides, npts, 2))
-    f_sq = 0.0
-    sig_sq = 0.0
     for tb in disc.stress_chunks():
-        fv, pf_vals = load.projected_volume(tb)
+        _, pf_vals = load.projected_volume(tb)
         divv = sigma_r.div_values(tb)
         div_res = max(div_res, float(np.max(np.abs(divv + pf_vals), initial=0.0)))
 
@@ -936,9 +936,6 @@ def verify_equilibration(
         ) - np.einsum("ei,eai->ea", sigma_r.dofs[tb.elems, 1], ct.symx[tb.elems])
         np.add.at(sym_acc, disc.pressure.element_dofs[tb.elems], contrib)
 
-        f_sq += float(np.einsum("eq,eqr->", tb.vol_w, fv**2))
-        sig_sq += float(np.einsum("eq,eqrc->", tb.vol_w, sigma_r.values(tb) ** 2))
-
     interior = mesh.side_label == INTERIOR
     jump_res = float(np.max(np.abs(tmin[interior] - tplus[interior]), initial=0.0))
 
@@ -948,8 +945,6 @@ def verify_equilibration(
         _, pg = load.projected_traction(mesh, nsides, k, tpts)
         neu_res = float(np.max(np.abs(tmin[nsides] - pg), initial=0.0))
 
-    if scale is None:
-        scale = float(np.sqrt(sig_sq) + np.sqrt(f_sq) + 1.0)
     _check_scale(scale)
     return EquilibrationReport(
         div_residual=div_res,

@@ -38,8 +38,9 @@ from .spaces import (
     _CHUNK,
     BrokenField,
     Discretization,
-    segment_rule,
+    side_rule,
     triangle_rule,
+    volume_rule,
 )
 
 _DIM = 2
@@ -225,7 +226,7 @@ def residual_estimator(
         resid = sigma_h.div_values(tb) + load.projected_volume(tb)[1]
         vol_sq[tb.elems] = np.einsum("eq,eqr->e", tb.vol_w, resid**2)
 
-    tq, tw = segment_rule(2 * k + 5)
+    tq, tw = side_rule(k)
     tminus, tplus = side_traces(disc, sigma_h)
     side_sq = np.zeros(mesh.n_sides)
     interior = mesh.side_label == INTERIOR
@@ -269,7 +270,7 @@ def data_oscillation(
     nsides = mesh.boundary_sides(NEUMANN)
     osc_g = np.zeros(len(nsides))
     if nsides.size:
-        tq, tw = segment_rule(2 * k + 5)
+        tq, tw = side_rule(k)
         gv, pg = load.projected_traction(mesh, nsides, k, tq)
         lens = mesh.side_length[nsides]
         osc_g = np.sqrt(lens) * np.sqrt(
@@ -335,7 +336,7 @@ def reference_energy_errors(
     evaluated once per chunk of fine elements, for every coarse pair.
     """
     fmesh, k = reference.disc.mesh, reference.disc.k
-    rq, rw = triangle_rule(2 * k + 4)
+    rq, rw = volume_rule(k)
     ancestors = [compose_ancestry(chain[i:]) for i in range(len(coarse))]
     totals = [0.0] * len(coarse)
     for lo in range(0, fmesh.n_triangles, _FINE_CHUNK):

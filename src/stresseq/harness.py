@@ -50,7 +50,7 @@ import numpy as np
 
 from .adaptivity import (
     AdaptiveConfig,
-    RunHistory,
+    Step,
     adaptive_loop,
     attach_reference_errors,
     solve_step,
@@ -90,6 +90,19 @@ class RunConfig:
         if self.C_K is None:
             return conservative_constants()
         return BoundConstants(korn=self.C_K, dev_div=self.C_A)
+
+    def adaptive(self) -> AdaptiveConfig:
+        """The loop parameters of this run; raises ConfigError on a value
+        the loop does not accept."""
+        return AdaptiveConfig(
+            k=self.k,
+            theta=self.theta,
+            max_steps=self.steps,
+            max_dofs=self.max_dofs,
+            estimator=self.estimator,
+            mode=self.mode,
+            constants=self.constants(),
+        )
 
 
 def _parse_bool(raw: str) -> bool:
@@ -152,9 +165,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"mu {cfg.mu} is not positive")
     if cfg.inv_lambda < 0.0:
         raise ConfigError(f"inv_lambda {cfg.inv_lambda} is negative")
-    if cfg.steps < 1:
-        raise ConfigError(f"steps {cfg.steps} is below 1")
-    cfg.constants()
+    cfg.adaptive()
 
 
 def emit_config(cfg: RunConfig) -> str:
@@ -188,15 +199,15 @@ def _fmt(v) -> str:
     return _FLOAT % v
 
 
-def emit_history(history: RunHistory, path) -> None:
-    """Write the per-step convergence table."""
+def emit_history(history: list[Step], path) -> None:
+    """Write the per-step convergence table, one row per step in order."""
     rows = ["step,N,eta_A,eta_B,eta_C,eta_total,bound,error,effectivity"]
-    for rec in history.records:
-        rep = rec.report
-        err = "" if rec.error is None else _fmt(rec.error)
-        eff = "" if rec.effectivity is None else _fmt(rec.effectivity)
+    for i, step in enumerate(history):
+        rep = step.report
+        err = "" if step.error is None else _fmt(step.error)
+        eff = "" if step.effectivity is None else _fmt(step.effectivity)
         rows.append(
-            f"{rec.step},{rec.n_dofs},{_fmt(rep.eta_A_total)},"
+            f"{i},{step.n_dofs},{_fmt(rep.eta_A_total)},"
             f"{_fmt(rep.eta_B_total)},{_fmt(rep.eta_C_total)},"
             f"{_fmt(rep.eta_total)},{_fmt(rep.bound)},{err},{eff}"
         )
@@ -211,8 +222,8 @@ def _write_text(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit_final_report(history: RunHistory, path) -> None:
-    rep = history.records[-1].report
+def _emit_final_report(history: list[Step], path) -> None:
+    rep = history[-1].report
     rows = ["element,eta_A,eta_B,eta_C,eta_T,eta_R"]
     eta_t = rep.eta_T
     for e in range(len(rep.eta_A)):
@@ -223,13 +234,13 @@ def _emit_final_report(history: RunHistory, path) -> None:
     _write_text(path, "\n".join(rows) + "\n")
 
 
-def _emit_summary(history: RunHistory, path) -> None:
-    rec = history.records[-1]
-    rep = rec.report
+def _emit_summary(history: list[Step], path) -> None:
+    final = history[-1]
+    rep = final.report
     c = rep.constants
     pairs = [
         ("steps", str(len(history))),
-        ("N_final", str(rec.n_dofs)),
+        ("N_final", str(final.n_dofs)),
         ("eta_A", _fmt(rep.eta_A_total)),
         ("eta_B", _fmt(rep.eta_B_total)),
         ("eta_C", _fmt(rep.eta_C_total)),
@@ -243,9 +254,9 @@ def _emit_summary(history: RunHistory, path) -> None:
         ("mu", _fmt(rep.material.mu)),
         ("inv_lambda", _fmt(rep.material.inv_lambda)),
     ]
-    if rec.error is not None:
-        pairs.append(("error", _fmt(rec.error)))
-        pairs.append(("effectivity", _fmt(rec.effectivity)))
+    if final.error is not None:
+        pairs.append(("error", _fmt(final.error)))
+        pairs.append(("effectivity", _fmt(final.effectivity)))
     rows = ["quantity,value"] + [f"{k},{v}" for k, v in pairs]
     _write_text(path, "\n".join(rows) + "\n")
 
@@ -291,16 +302,7 @@ def run(config_path) -> None:
     """Execute one config: adaptive run plus result files."""
     cfg = load_config(config_path)
     problem = _build_problem(cfg)
-    acfg = AdaptiveConfig(
-        k=cfg.k,
-        theta=cfg.theta,
-        max_steps=cfg.steps,
-        max_dofs=cfg.max_dofs,
-        estimator=cfg.estimator,
-        mode=cfg.mode,
-        constants=cfg.constants(),
-    )
-    history = adaptive_loop(problem, acfg)
+    history = adaptive_loop(problem, cfg.adaptive())
     if problem.exact is None and len(history) > 3:
         attach_reference_errors(history, problem.material)
     out = _output_dir(cfg)
@@ -308,9 +310,9 @@ def run(config_path) -> None:
     _emit_final_report(history, os.path.join(out, "estimator_final.csv"))
     _emit_summary(history, os.path.join(out, "summary.csv"))
 
-    final = history.records[-1]
+    final = history[-1]
     diag = verify_equilibration(
-        final.fields.disc, final.sigma_r, problem.load, scale=final.scale
+        final.disc, final.sigma_r, problem.load, scale=final.scale
     )
     _emit_equilibration(diag, os.path.join(out, "equilibration.txt"))
     if cfg.save_mesh:
@@ -324,7 +326,7 @@ def verify(config_path) -> None:
     problem = _build_problem(cfg)
     step = solve_step(problem, problem.mesh, cfg.k, cfg.constants())
     diag = verify_equilibration(
-        step.disc, step.sigma_r, problem.load, scale=step.eq.scale
+        step.disc, step.sigma_r, problem.load, scale=step.scale
     )
     ok = diag.max_residual <= 1e-9 * diag.scale
     print("\n".join(_equilibration_lines(diag)) + f" ({'ok' if ok else 'FAIL'})")

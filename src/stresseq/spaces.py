@@ -35,6 +35,8 @@ _CHUNK = 4096
 __all__ = [
     "segment_rule",
     "triangle_rule",
+    "volume_rule",
+    "side_rule",
     "legendre01",
     "skew_tensor",
     "lagrange_values",
@@ -78,6 +80,18 @@ def triangle_rule(degree: int):
     pts = np.column_stack([u, v * (1.0 - u)])
     w = np.repeat(uw, n) * np.tile(vw, n)
     return pts, w
+
+
+def volume_rule(k: int):
+    """The element rule of every degree-k table, moment and norm:
+    triangle_rule(2k + 4)."""
+    return triangle_rule(2 * k + 4)
+
+
+def side_rule(k: int):
+    """The side rule of every degree-k trace, moment and projection:
+    segment_rule(2k + 5)."""
+    return segment_rule(2 * k + 5)
 
 
 @lru_cache(maxsize=None)
@@ -418,7 +432,7 @@ class StressTables:
         ne = len(self.elems)
         lg = legendre01(k + 1, self.side_t)
         side = _normal_moments(side_vals, self.side_normal, self.side_w, lg)
-        _, rw = triangle_rule(2 * k + 4)
+        _, rw = volume_rule(k)
         mq = monomial_values(_exps_array(k - 1), self.vol_xi)
         inter = _interior_moments(vol_vals, mq, rw).reshape(ne, -1, 2, 2)
         out = np.empty((ne, 2, rt_dim(k)))
@@ -472,7 +486,7 @@ def build_stress_tables(mesh: Mesh, k: int, elems=None) -> StressTables:
     centers = pts.mean(axis=1)
     hs = mesh.h[elems]
 
-    rq, rw = triangle_rule(2 * k + 4)
+    rq, rw = volume_rule(k)
     p0 = pts[:, 0]
     e1 = pts[:, 1] - pts[:, 0]
     e2 = pts[:, 2] - pts[:, 0]
@@ -484,7 +498,7 @@ def build_stress_tables(mesh: Mesh, k: int, elems=None) -> StressTables:
     vol_xi = (vol_x - centers[:, None, :]) / hs[:, None, None]
     vol_w = 2.0 * mesh.areas[elems][:, None] * rw[None, :]
 
-    tq, tw = segment_rule(2 * k + 5)
+    tq, tw = side_rule(k)
     sids = mesh.tri_sides[elems]
     side_x = mesh.side_points(sids, tq)
     side_xi = (side_x - centers[:, None, None, :]) / hs[:, None, None, None]
@@ -692,13 +706,13 @@ def eval_volume_poly(tables: StressTables, coeff: np.ndarray, k: int) -> np.ndar
     return mk @ coeff.swapaxes(1, 2)
 
 
-def project_side(mesh: Mesh, side_ids, values: np.ndarray, k: int):
+def project_side(values: np.ndarray, k: int):
     """Side-wise L2 projection onto P_k as orthonormal Legendre coefficients.
 
-    values: (ns, nqs, ncomp) at the parameter points of segment_rule(2k+5).
+    values: (ns, nqs, ncomp) at the parameter points of side_rule(k).
     Returns coefficients (ns, ncomp, k+1); evaluation is coeff @ legendre.
     """
-    tq, tw = segment_rule(2 * k + 5)
+    tq, tw = side_rule(k)
     lg = legendre01(k + 1, tq)
     # einsum "q,qm,sqc->scm"
     return values.swapaxes(1, 2) @ (tw[:, None] * lg)

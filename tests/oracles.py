@@ -147,12 +147,12 @@ def uniform_reference_errors(history, problem) -> np.ndarray:
     at least that many uniform rounds, so the last steps are not measured
     against a solution that is barely finer than themselves.
     """
-    chain = list(history.meshes)
+    chain = [step.mesh for step in history]
     for _ in range(REFERENCE_ROUNDS):
         chain.append(refine(chain[-1], np.arange(chain[-1].n_triangles)))
     disc = Discretization(chain[-1], history[-1].fields.disc.k)
     reference = solve(assemble_system(disc, problem.material, problem.load))
     return reference_energy_errors(
-        [rec.fields for rec in history.records], reference, chain,
+        [step.fields for step in history], reference, chain,
         problem.material,
     )

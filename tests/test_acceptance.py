@@ -23,7 +23,6 @@ from oracles import dense_kkt_minimizer, mass_norm, uniform_reference_errors
 from stresseq import (
     AdaptiveConfig,
     Material,
-    RunHistory,
     adaptive_loop,
     conservative_constants,
     cook,
@@ -45,6 +44,11 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     verdict = "PASS" if ok else "FAIL"
     print(f"\n[acceptance {num}] {name}: {verdict} ({detail})")
     assert ok, f"[acceptance {num}] {name}: {detail}"
+
+
+def _totals(history, name):
+    """Per-step global value ``name`` of the estimator reports."""
+    return np.array([getattr(step.report, name) for step in history])
 
 
 def _twice_refined(mesh):
@@ -135,7 +139,7 @@ def test_1_reconstruction_residuals_at_rounding_level():
             1,
             conservative_constants(),
         )
-        scale = step.eq.scale
+        scale = step.scale
         rep = verify_equilibration(step.disc, step.sigma_r, problem.load, scale=scale)
         for fam in ("div", "jump", "neumann", "symmetry"):
             rel = getattr(rep, f"{fam}_residual") / scale
@@ -254,14 +258,16 @@ def test_5_adaptive_run_recovers_optimal_rate(cook_history):
     The rate is read on the first 14 steps; the time budget applies to the
     whole 22-step run."""
     run, elapsed, _ = cook_history
-    history = RunHistory(records=run.records[:14])
-    n = history.n_dofs.astype(float)
+    history = run[:14]
+    n = np.array([s.n_dofs for s in history], dtype=float)
     log_n = np.log(n[-6:])
     slope_total = float(
-        np.polyfit(log_n, np.log(history.totals("eta_total")[-6:]), 1)[0]
+        np.polyfit(log_n, np.log(_totals(history, "eta_total")[-6:]), 1)[0]
     )
     comp_slopes = {
-        name: float(np.polyfit(log_n, np.log(history.totals(name)[-6:]), 1)[0])
+        name: float(
+            np.polyfit(log_n, np.log(_totals(history, f"{name}_total")[-6:]), 1)[0]
+        )
         for name in ("eta_A", "eta_B", "eta_C")
     }
     ok = (
@@ -301,15 +307,15 @@ def test_6_effectivity_bounded_and_trending_down(cook_history):
     reconstruction without the weak-symmetry rows, fails the clause.
     """
     history, _, errors = cook_history
-    effs = np.sqrt(history.totals("bound")) / errors
-    steps = np.array([r.step for r in history.records])
+    effs = np.sqrt(_totals(history, "bound")) / errors
+    steps = np.arange(len(history))
     in_range = bool(np.all((1.0 <= effs) & (effs <= 50.0)))
     late = steps >= len(steps) // 2
     fit = linregress(steps[late], effs[late])
     no_upward_trend = fit.slope - 2.0 * fit.stderr <= 0.0
     early = (steps >= 4) & (steps <= 10)
     early_slope = linregress(steps[early], effs[early]).slope
-    dominance = history.totals("eta_A") / errors
+    dominance = _totals(history, "eta_A_total") / errors
     dominates = bool(np.all(dominance >= 1.0))
     ok = in_range and no_upward_trend and dominates
     _report(
@@ -341,7 +347,7 @@ def test_7_estimator_efficiency_tracks_residual_indicator():
             neighborhood_ratio(
                 r.mesh, r.report.eta_A, r.report.eta_B, r.report.eta_C, r.report.eta_R
             )
-            for r in history.records
+            for r in history
         ]
         growth = ratios[-1] / ratios[2]
         results[problem.name] = growth

@@ -1,5 +1,7 @@
 """Marking, refinement-loop, and history tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,10 +10,9 @@ from hypothesis import strategies as st
 from stresseq import (
     AdaptiveConfig,
     ConfigError,
+    LoadData,
     Material,
     ProblemError,
-    RunHistory,
-    StepRecord,
     StressEqError,
     adaptive_loop,
     attach_reference_errors,
@@ -147,16 +148,15 @@ def test_single_step_records_initial_mesh():
     problem = manufactured_smooth(Material(mu=1.0, inv_lambda=0.0), cells=2)
     history = adaptive_loop(problem, AdaptiveConfig(max_steps=1))
     assert len(history) == 1
-    rec = history[0]
-    assert rec.step == 0
-    assert rec.mesh is problem.mesh
-    assert rec.marked is None
-    assert rec.error is not None  # analytic solution available
-    assert rec.report.bound >= rec.error**2
+    step = history[0]
+    assert step.mesh is problem.mesh
+    assert step.marked is None
+    assert step.error is not None  # analytic solution available
+    assert step.report.bound >= step.error**2
 
 
 def test_loop_keeps_tables_of_the_last_step_only(cook_history):
-    discs = [rec.fields.disc for rec in cook_history.records]
+    discs = [step.disc for step in cook_history]
     for disc in discs[:-1]:
         assert disc.stress_chunks() is not disc.stress_chunks()
     assert discs[-1].stress_chunks() is discs[-1].stress_chunks()
@@ -169,19 +169,19 @@ def test_max_dofs_stops_early():
     )
     assert len(history) < 50
     assert history[-1].n_dofs >= 500
-    assert all(r.n_dofs < 500 for r in history.records[:-1])
+    assert all(s.n_dofs < 500 for s in history[:-1])
 
 
 def test_marking_concentrates_at_singular_corner(cook_history):
     """Every marked element sits at the clamped top corner of the panel."""
-    for rec in cook_history.records[:-1]:
-        mids = rec.mesh.vertices[rec.mesh.triangles[rec.marked]].mean(axis=1)
+    for i, step in enumerate(cook_history[:-1]):
+        mids = step.mesh.vertices[step.mesh.triangles[step.marked]].mean(axis=1)
         dist = np.linalg.norm(mids - np.array([0.0, 0.44]), axis=1)
-        assert np.mean(dist < 0.1) >= 0.9, f"step {rec.step}"
+        assert np.mean(dist < 0.1) >= 0.9, f"step {i}"
 
 
 def test_eta_total_trends_down_with_small_wobble(cook_history):
-    eta = cook_history.totals("eta_total")
+    eta = [s.report.eta_total for s in cook_history]
     for i in range(1, len(eta) - 1):
         assert eta[i + 1] <= 1.05 * eta[i], f"step {i} -> {i + 1}"
     assert eta[-1] < eta[0]
@@ -189,9 +189,16 @@ def test_eta_total_trends_down_with_small_wobble(cook_history):
 
 def test_residual_sum_decreases(cook_history):
     sums = np.array(
-        [float(np.sum(r.report.eta_R**2)) for r in cook_history.records]
+        [float(np.sum(s.report.eta_R**2)) for s in cook_history]
     )
     assert np.all(np.diff(sums) < 0.0)
+
+
+def _eta_total_slope(steps):
+    """Log-log slope of eta_total against the dof count."""
+    n_dofs = [s.n_dofs for s in steps]
+    eta = [s.report.eta_total for s in steps]
+    return np.polyfit(np.log(n_dofs), np.log(eta), 1)[0]
 
 
 def test_adaptive_matches_uniform_rate_on_smooth_problem():
@@ -201,16 +208,12 @@ def test_adaptive_matches_uniform_rate_on_smooth_problem():
         manufactured_smooth(mat, cells=4),
         AdaptiveConfig(k=1, theta=0.7, max_steps=11),
     )
-    sl_a = np.polyfit(
-        np.log(hist_a.n_dofs[-6:]), np.log(hist_a.totals("eta_total")[-6:]), 1
-    )[0]
+    sl_a = _eta_total_slope(hist_a[-6:])
     hist_u = adaptive_loop(
         manufactured_smooth(mat, cells=4),
         AdaptiveConfig(k=1, max_steps=6, mode="uniform", uniform_rounds=1),
     )
-    sl_u = np.polyfit(
-        np.log(hist_u.n_dofs[-4:]), np.log(hist_u.totals("eta_total")[-4:]), 1
-    )[0]
+    sl_u = _eta_total_slope(hist_u[-4:])
     assert abs(sl_a - sl_u) <= 0.1 * abs(sl_u)
     assert sl_u < -0.9  # the uniform rate itself is the optimal one
 
@@ -220,26 +223,19 @@ def test_uniform_mode_squares_mesh_size():
     history = adaptive_loop(
         problem, AdaptiveConfig(max_steps=3, mode="uniform", uniform_rounds=2)
     )
-    counts = [r.mesh.n_triangles for r in history.records]
+    counts = [s.mesh.n_triangles for s in history]
     assert counts == [8, 32, 128]
-    for rec in history.records:
-        assert rec.marked is None
+    for step in history:
+        assert step.marked is None
 
 
-def test_history_rejects_stalled_dof_counts(cook_history):
-    history = RunHistory()
-    history.append(cook_history[1])
-    with pytest.raises(StressEqError):
-        history.append(cook_history[0])
-
-
-def test_history_total_names(cook_history):
-    for name in ("eta_A", "eta_B", "eta_C", "eta_total", "bound"):
-        vals = cook_history.totals(name)
-        assert vals.shape == (len(cook_history),)
-        assert np.all(vals > 0.0)
-    with pytest.raises(KeyError):
-        cook_history.totals("mystery")
+def test_loop_rejects_stalled_dof_counts():
+    """Without load every indicator is zero, so nothing is marked and the
+    second mesh has the dof count of the first."""
+    base = manufactured_smooth(Material(mu=1.0, inv_lambda=0.0), cells=2)
+    problem = dataclasses.replace(base, load=LoadData(), exact=None)
+    with pytest.raises(StressEqError, match=r"^step 1: dof count stalled"):
+        adaptive_loop(problem, AdaptiveConfig(max_steps=3))
 
 
 def test_loop_errors_carry_step_prefix():
@@ -265,16 +261,16 @@ def test_loop_errors_carry_step_prefix():
 def test_attach_reference_errors_skips_finest(cook_history):
     attach_reference_errors(cook_history, cook().material)
     n = len(cook_history)
-    for rec in cook_history.records[: n - 2]:
-        assert rec.error is not None and rec.error > 0.0
-        assert rec.effectivity is not None
+    for step in cook_history[: n - 2]:
+        assert step.error is not None and step.error > 0.0
+        assert step.effectivity is not None
     assert cook_history[n - 2].error is None
     assert cook_history[n - 1].error is None
-    errors = np.array([r.error for r in cook_history.records[: n - 2]])
+    errors = np.array([s.error for s in cook_history[: n - 2]])
     assert np.all(np.diff(errors) < 0.0)  # errors shrink under refinement
     # the guaranteed bound holds against the proxy at every reported step
-    for rec in cook_history.records[: n - 2]:
-        assert rec.error**2 <= rec.report.bound
+    for step in cook_history[: n - 2]:
+        assert step.error**2 <= step.report.bound
 
 
 def test_reference_fields_evaluated_once_per_fine_chunk(cook_history, monkeypatch):
@@ -292,7 +288,7 @@ def test_reference_fields_evaluated_once_per_fine_chunk(cook_history, monkeypatc
     monkeypatch.setattr(estimator, "fields_at", counting)
     attach_reference_errors(cook_history, cook().material)
     n_chunks = -(-cook_history[-1].mesh.n_triangles // 1024)
-    reported = [rec.fields for rec in cook_history.records[:-2]]
+    reported = [step.fields for step in cook_history[:-2]]
     assert len(reported) > n_chunks
     expected = [cook_history[-1].fields, *reported] * n_chunks
     assert [id(f) for f in calls] == [id(f) for f in expected]
@@ -301,6 +297,6 @@ def test_reference_fields_evaluated_once_per_fine_chunk(cook_history, monkeypatc
 def test_attach_reference_errors_short_history_noop():
     problem = manufactured_smooth(Material(mu=1.0, inv_lambda=0.0), cells=2)
     history = adaptive_loop(problem, AdaptiveConfig(max_steps=2, theta=0.9))
-    before = [r.error for r in history.records]
+    before = [s.error for s in history]
     attach_reference_errors(history, problem.material)
-    assert [r.error for r in history.records] == before
+    assert [s.error for s in history] == before

@@ -425,7 +425,7 @@ def test_uniform_reference_errors_match_analytic_errors():
     for t in (0.0, 0.5):
         problem = manufactured_smooth(Material(mu=1.0, inv_lambda=t), cells=2)
         history = adaptive_loop(problem, AdaptiveConfig(theta=0.5, max_steps=8))
-        exact = np.array([r.error for r in history.records])
+        exact = np.array([s.error for s in history])
         errors = uniform_reference_errors(history, problem)
         assert np.all(np.abs(errors / exact - 1.0) <= 0.01), (t, errors / exact)
 

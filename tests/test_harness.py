@@ -63,10 +63,10 @@ _pos_float = st.floats(
 @settings(max_examples=100, deadline=None)
 @given(
     problem=_safe_text,
-    k=st.integers(min_value=-5, max_value=5),
+    k=st.sampled_from([1, 2]),
     mu=_pos_float,
     inv_lambda=st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
-    theta=_pos_float,
+    theta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
     steps=st.integers(min_value=1, max_value=100),
     constants=st.one_of(
         st.none(),
@@ -322,6 +322,24 @@ def test_exit_code_io_error(tmp_path, capsys):
     )
     assert main(["run", cfg_path]) == 4
     assert "io" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["k = 3", "theta = 5", "estimator = bogus", "mode = sideways", "max_dofs = 0"],
+    ids=["k", "theta", "estimator", "mode", "max_dofs"],
+)
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_run_and_verify_reject_the_same_configs(tmp_path, capsys, command, line):
+    """Values the adaptive loop rejects are config errors of both commands,
+    found before anything is solved."""
+    cfg_path = write_config(
+        tmp_path,
+        f"problem = manufactured-smooth\n{line}\noutput_dir = {tmp_path / 'out'}\n",
+    )
+    assert main([command, cfg_path]) == 2
+    assert "config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_other_solver_error(tmp_path, capsys):

@@ -1,9 +1,11 @@
-"""Smoke tests of the reproduction scripts and of the benchmark's self-test."""
+"""Smoke tests of the reproduction scripts, the README's code and the
+benchmark's self-test."""
 
 import csv
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -30,6 +32,16 @@ def test_benchmark_self_test_passes(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     checks = importlib.import_module("checks")
     assert checks.self_test() == []
+
+
+def test_readme_python_blocks_run():
+    """Every ``python`` block of README.md runs as written, each in a fresh
+    namespace, so a documented call that goes stale fails here."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_run_cook_script(tmp_path):
