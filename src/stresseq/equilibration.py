@@ -17,7 +17,7 @@ non-polynomial data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +41,7 @@ from .spaces import (
 _QR_RTOL = 1e-10       # rank threshold relative to the largest row norm
 _RESIDUAL_RTOL = 1e-9  # constraint residual vs. problem scale
 _ROW_NORM_SPAN = 1e-8  # smallest / largest row norm the Schur path accepts
-_BATCH_BYTES = 2_200_000  # stacked local blocks per batch
+_BATCH_BYTES = 1_800_000  # stacked local blocks per chunk of patches
 
 
 @dataclass
@@ -226,67 +226,74 @@ def _n_local(k: int) -> int:
 
 @dataclass
 class PatchBatch:
-    """Problems of patches of one condensed shape (element count, jump
-    sides, scalar nodes), stacked along a leading axis.
+    """Problems of consecutive patches, stacked by (patch, element) pair.
 
-    The constraints are kept as local blocks, one per element and tensor
-    row: ``blocks[p, e, r]`` holds the block's local rows (its divergence
-    moments, the moment selectors of its three sides signed by the side's
+    The pairs of a patch are consecutive, its elements ascending.  The
+    constraints are kept as local blocks, one per pair and tensor row:
+    ``blocks[q, r]`` holds the block's local rows (its divergence moments,
+    the moment selectors of its three sides signed by the side's
     orientation, its symmetry rows) over all nd element dofs, zero on the
-    dofs that are not free.  ``block_rows`` maps each local row to its
-    constraint row, or to n_rows for a side without jump rows.  The free
-    dofs ``free[p, e]`` are the same for both tensor rows.  The dense
+    dofs that are not free.  The constraint rows of all patches are stacked
+    in patch order, patch i's from ``row_offsets[i]`` on, each patch's in
+    the order of :class:`PatchProblem`; ``block_rows`` maps each local row
+    to its stacked row, or to the number of stacked rows for a side without
+    jump rows.  The free dofs ``free[q]`` are the same for both tensor
+    rows.  Jump sides and scalar nodes are stacked the same way.  The dense
     matrices of :class:`PatchProblem` are assembled per patch on request
     (:meth:`problem`).
     """
 
     patches: list[VertexPatch]
     k: int
-    elements: np.ndarray       # (P, ne)
-    free: np.ndarray           # (P, ne, nd) bool
-    gram: np.ndarray           # (P, ne, nd, nd)
-    blocks: np.ndarray         # (P, ne, 2, n_loc, nd)
-    block_rows: np.ndarray     # (P, ne, 2, n_loc)
-    rhs: np.ndarray            # (P, n_rows)
-    jump_sides: np.ndarray     # (P, n_active)
-    sym_nodes: np.ndarray      # (P, n_sym)
+    pair_patch: np.ndarray     # (n_pairs,) patch index, ascending
+    elements: np.ndarray       # (n_pairs,)
+    free: np.ndarray           # (n_pairs, nd) bool
+    gram: np.ndarray           # (n_pairs, nd, nd)
+    blocks: np.ndarray         # (n_pairs, 2, n_loc, nd)
+    block_rows: np.ndarray     # (n_pairs, 2, n_loc)
+    row_offsets: np.ndarray    # (P + 1,)
+    rhs: np.ndarray            # (n_rows,) stacked rows
+    jump_sides: np.ndarray     # stacked, ascending per patch
+    side_offsets: np.ndarray   # (P + 1,)
+    sym_nodes: np.ndarray      # stacked, ascending per patch
+    node_offsets: np.ndarray   # (P + 1,)
+
+    def pairs(self, i: int) -> slice:
+        """The pairs of patch ``i``."""
+        lo, hi = np.searchsorted(self.pair_patch, [i, i + 1])
+        return slice(int(lo), int(hi))
 
     def problem(self, i: int) -> PatchProblem:
         """The dense problem of patch ``i``, assembled from its blocks."""
-        ne, nd = self.free.shape[1:]
-        live = np.broadcast_to(self.free[i][:, None, :], (ne, 2, nd))
+        pairs = self.pairs(i)
+        lo, hi = self.row_offsets[i : i + 2]
+        n_rows = hi - lo
+        free = self.free[pairs]
+        live = np.broadcast_to(free[:, None, :], (len(free), 2, free.shape[1]))
         order = np.flatnonzero(live)
         n_free = len(order)
-        n_rows = self.rhs.shape[1]
         free_col = np.full(live.shape, -1, dtype=np.int64)
         free_col[live] = np.arange(n_free)
         col_elem, col_row, col_dof = np.unravel_index(order, live.shape)
+        block_rows = np.minimum(self.block_rows[pairs] - lo, n_rows)
         # the padding row and column collect the absent rows and dead dofs
         dense = np.zeros((n_rows + 1, n_free + 1))
         cols = np.where(live, free_col, n_free)
-        dense[self.block_rows[i][..., :, None], cols[:, :, None, :]] = self.blocks[i]
+        dense[block_rows[..., :, None], cols[:, :, None, :]] = self.blocks[pairs]
         return PatchProblem(
             patch=self.patches[i],
             k=self.k,
-            elements=self.elements[i],
+            elements=self.elements[pairs],
             free_col=free_col,
-            gram=self.gram[i],
+            gram=self.gram[pairs],
             constraints=np.ascontiguousarray(dense[:n_rows, :n_free]),
-            rhs=self.rhs[i],
-            jump_sides=self.jump_sides[i],
-            sym_nodes=self.sym_nodes[i],
-            block_rows=self.block_rows[i],
+            rhs=self.rhs[lo:hi],
+            jump_sides=self.jump_sides[self.side_offsets[i] : self.side_offsets[i + 1]],
+            sym_nodes=self.sym_nodes[self.node_offsets[i] : self.node_offsets[i + 1]],
+            block_rows=block_rows,
             col_elem=col_elem,
             col_row=col_row,
             col_dof=col_dof,
-        )
-
-    def take(self, ids: np.ndarray) -> PatchBatch:
-        """The batch of the patches ``ids`` (indices into this batch)."""
-        return PatchBatch(
-            patches=[self.patches[i] for i in ids],
-            k=self.k,
-            **{name: getattr(self, name)[ids] for name in _STACKED},
         )
 
     @classmethod
@@ -297,89 +304,79 @@ class PatchBatch:
         dense = np.zeros((n_rows + 1, n_free + 1))
         dense[:n_rows, :n_free] = problem.constraints
         cols = np.where(problem.free_col >= 0, problem.free_col, n_free)
-        blocks = dense[problem.block_rows[..., :, None], cols[:, :, None, :]]
         return cls(
             patches=[problem.patch],
             k=problem.k,
-            elements=problem.elements[None],
-            free=(problem.free_col[:, 0] >= 0)[None],
-            gram=problem.gram[None],
-            blocks=blocks[None],
-            block_rows=problem.block_rows[None],
-            rhs=problem.rhs[None],
-            jump_sides=problem.jump_sides[None],
-            sym_nodes=problem.sym_nodes[None],
+            pair_patch=np.zeros(len(problem.elements), dtype=np.int64),
+            elements=problem.elements,
+            free=problem.free_col[:, 0] >= 0,
+            gram=problem.gram,
+            blocks=dense[problem.block_rows[..., :, None], cols[:, :, None, :]],
+            block_rows=problem.block_rows,
+            row_offsets=np.array([0, n_rows]),
+            rhs=problem.rhs,
+            jump_sides=problem.jump_sides,
+            side_offsets=np.array([0, len(problem.jump_sides)]),
+            sym_nodes=problem.sym_nodes,
+            node_offsets=np.array([0, len(problem.sym_nodes)]),
         )
 
 
-_STACKED = [f.name for f in fields(PatchBatch) if f.name not in ("patches", "k")]
-
-
 class BatchSolution(NamedTuple):
-    """Patch solutions of one batch, one entry per patch."""
+    """Patch solutions of one batch: the minimizers per pair, the rest per
+    patch."""
 
-    x: np.ndarray          # (P, ne, 2, nd) minimizers, zero on dofs not free
+    x: np.ndarray          # (n_pairs, 2, nd) minimizers, zero on dofs not free
     rank: np.ndarray       # (P,) rows kept by the rank decision
     fallback: np.ndarray   # (P,) solved by QR+LU instead of the condensed path
     residual: np.ndarray   # (P,) max |B x - r|
     kkt: np.ndarray        # (P,) relative KKT residual on the kept rows
 
 
-def _no_solution(shape: tuple, fallback: bool) -> BatchSolution:
-    n = shape[0]
-    return BatchSolution(
-        np.zeros(shape), np.zeros(n, dtype=np.int64), np.full(n, fallback),
-        np.zeros(n), np.zeros(n),
-    )
+def _stacked_unique(values: np.ndarray, owner: np.ndarray, n_owners: int, bound: int):
+    """Distinct ``values`` (in [0, bound)) per owner, ascending, stacked in
+    owner order: the stacked values, the offsets (n_owners + 1) of each
+    owner's run, and the stacked index of each entry of ``values``."""
+    keys, index = np.unique(owner * bound + values, return_inverse=True)
+    offsets = np.searchsorted(keys, np.arange(n_owners + 1) * bound)
+    return keys % bound, offsets, index.reshape(values.shape)
 
 
-def _n_distinct(values: np.ndarray) -> np.ndarray:
-    """Number of distinct entries per row of a 2-d array."""
-    v = np.sort(values, axis=1)
-    return 1 + np.count_nonzero(v[:, 1:] != v[:, :-1], axis=1)
+def _scatter_rows(values: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum the local-row values into rows 0..n_rows-1; ``rows`` has the
+    shape of ``values``, n_rows for a padding row."""
+    return np.bincount(rows.ravel(), values.ravel(), minlength=n_rows + 1)[:n_rows]
 
 
-def _row_unique(values: np.ndarray, drop: int | None = None) -> np.ndarray:
-    """Distinct entries per row other than ``drop``, ascending; every row
-    has as many."""
-    v = np.sort(values, axis=1)
-    first = np.ones(v.shape, dtype=bool)
-    first[:, 1:] = v[:, 1:] != v[:, :-1]
-    if drop is not None:
-        first &= v != drop
-    return v[first].reshape(len(v), -1)
+def _gather_rows(values: np.ndarray, rows: np.ndarray, pad=0.0) -> np.ndarray:
+    """The row values at the local rows ``rows``, ``pad`` at the padding
+    row len(values)."""
+    return np.append(values, pad)[rows]
 
 
-def _flat_rows(rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """Local-row map (P, ...) into rows 0..n_rows of each patch, n_rows
-    padding, as indices into the flattened (P, n_rows + 1) row values."""
-    return rows + (n_rows + 1) * np.arange(len(rows)).reshape((-1,) + (1,) * (rows.ndim - 1))
+def _segment_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Largest entry of each run of the rows of ``values`` that begin at
+    ``starts``."""
+    return np.maximum.reduceat(values.reshape(len(values), -1).max(axis=1), starts)
 
 
-def _scatter_rows(values: np.ndarray, flat: np.ndarray, n_rows: int) -> np.ndarray:
-    """Sum the local-row values (P, ...) into the rows (P, n_rows) of each
-    patch; ``flat`` (see _flat_rows) has the shape of ``values``."""
-    n = len(values)
-    out = np.bincount(flat.ravel(), values.ravel(), minlength=n * (n_rows + 1))
-    return out.reshape(n, n_rows + 1)[:, :n_rows]
-
-
-def _gather_rows(values: np.ndarray, flat: np.ndarray, pad=0.0) -> np.ndarray:
-    """The row values (P, n_rows) at the local rows ``flat`` (see
-    _flat_rows), ``pad`` at the padding row."""
-    padded = np.concatenate([values, np.full((len(values), 1), pad)], axis=1)
-    return padded.ravel()[flat]
+def _segment_norm(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """2-norm of each run of ``values`` (stacked along the first axis) that
+    begins at ``starts``."""
+    sq = (values * values).reshape(len(values), -1).sum(axis=1)
+    return np.sqrt(np.add.reduceat(sq, starts))
 
 
 class Equilibrator:
     """Builds, solves, and sums the patch corrections for one solution.
 
     :meth:`correction` leaves plain counters of its step: ``n_patches``,
-    ``n_batches`` (stacked solves), ``n_fallbacks`` (patches solved by
-    QR+LU), ``worst_residual``, the largest max|B x - r| / scale of a
-    patch, with ``worst_vertex``, that patch's vertex, ``worst_kkt``, the
-    largest relative KKT residual of a patch, and ``dropped_rows``, the
-    number of patches per number of constraint rows dropped as redundant.
+    ``n_batches`` (stacked solves, one per chunk of consecutive patches),
+    ``n_fallbacks`` (patches solved by QR+LU), ``worst_residual``, the
+    largest max|B x - r| / scale of a patch, with ``worst_vertex``, that
+    patch's vertex, ``worst_kkt``, the largest relative KKT residual of a
+    patch, and ``dropped_rows``, the number of patches per number of
+    constraint rows dropped as redundant.
     """
 
     def __init__(
@@ -407,134 +404,139 @@ class Equilibrator:
     def build_patch_problem(self, patch: VertexPatch) -> PatchProblem:
         return self._build_batch([patch]).problem(0)
 
-    def _topology(self, elements: np.ndarray):
-        """Side data of stacked patches (P, ne): the element sides
-        (P, ne, 3), which of them carry jump rows (interior to the patch,
-        or on the traction boundary), and the free dofs (P, ne, nd): all
-        but the side moments on patch-boundary sides interior to the mesh.
-        """
-        mesh, k = self.disc.mesh, self.disc.k
-        sides = mesh.tri_sides[elements]
-        # the boundary partner -1 matches no element
-        partner = mesh.side_tri[sides][..., None]              # (P, ne, 3, 2, 1)
-        both_in = (partner == elements[:, None, None, None, :]).any(4).all(3)
-        labels = mesh.side_label[sides]
-        free = np.ones(elements.shape + (rt_dim(k),), dtype=bool)
-        free[..., : 3 * (k + 1)] = np.repeat(
-            both_in | (labels != INTERIOR), k + 1, axis=2
-        )
-        return sides, both_in | (labels == NEUMANN), free
-
     def _batches(self, patches: list[VertexPatch]):
-        """Yield (patch indices, PatchBatch) for the patches grouped by
-        condensed shape: element count, jump sides and scalar nodes.  A
-        group is cut into chunks whose stacked local blocks take at most
-        _BATCH_BYTES (at least one patch each)."""
+        """Yield (first patch index, PatchBatch) for chunks of consecutive
+        patches whose stacked local blocks take at most _BATCH_BYTES (at
+        least one patch each)."""
         k = self.disc.k
-        by_size: dict[int, list[int]] = {}
-        for i, patch in enumerate(patches):
-            by_size.setdefault(len(patch.elements), []).append(i)
-        for ne, ids in by_size.items():
-            ids = np.asarray(ids)
-            elements = np.stack([patches[i].elements for i in ids])
-            sides, on_active, _ = self._topology(elements)
-            jump = np.where(on_active, sides, -1).reshape(len(ids), -1)
-            n_sym = _n_distinct(
-                self.disc.pressure.element_dofs[elements].reshape(len(ids), -1)
-            )
-            key = np.column_stack([_n_distinct(jump) - (jump < 0).any(axis=1), n_sym])
-            _, group = np.unique(key, axis=0, return_inverse=True)
-            size = max(1, _BATCH_BYTES // (8 * ne * 2 * _n_local(k) * rt_dim(k)))
-            for g in range(group.max() + 1):
-                members = ids[group.ravel() == g]
-                for start in range(0, len(members), size):
-                    chunk = members[start : start + size]
-                    yield chunk, self._build_batch([patches[j] for j in chunk])
+        pair_bytes = 8 * 2 * _n_local(k) * rt_dim(k)
+        end = np.cumsum([len(p.elements) for p in patches]) * pair_bytes
+        start = 0
+        while start < len(patches):
+            base = end[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(end, base + _BATCH_BYTES, side="right")))
+            yield start, self._build_batch(patches[start:stop])
+            start = stop
 
     def _build_batch(self, patches: list[VertexPatch]) -> PatchBatch:
-        """Stack the local blocks of patches of one condensed shape (see
-        _batches), by index arithmetic on the constraint tables."""
+        """Stack the local blocks of the patches by (patch, element) pair,
+        by index arithmetic on the constraint tables."""
         mesh, k = self.disc.mesh, self.disc.k
         assert not self._neumann_only[[p.vertex for p in patches]].any(), (
             "patch centered on a traction-only vertex is not admissible"
         )
-        elements = np.stack([p.elements for p in patches])     # (P, ne)
-        n, ne = elements.shape
+        n = len(patches)
+        n_elems = np.array([len(p.elements) for p in patches])
+        pair_patch = np.repeat(np.arange(n), n_elems)
+        elements = np.concatenate([p.elements for p in patches])
+        n_pairs = len(elements)
         nd = rt_dim(k)
         nmk = len(_exps_array(k))
         nsel = 3 * (k + 1)
-        sides, on_active, free = self._topology(elements)
+
+        # a side carries jump rows when the patch holds both of its elements
+        # (the boundary partner -1 matches none) or when it is a traction
+        # side; the free dofs are all but the side moments on patch-boundary
+        # sides interior to the mesh
+        sides = mesh.tri_sides[elements]                       # (n_pairs, 3)
+        key = pair_patch * mesh.n_triangles + elements         # ascending
+        partner = mesh.side_tri[sides]                         # (n_pairs, 3, 2)
+        partner_key = pair_patch[:, None, None] * mesh.n_triangles + partner
+        found = key[np.minimum(np.searchsorted(key, partner_key), n_pairs - 1)]
+        both_in = ((found == partner_key) & (partner >= 0)).all(axis=2)
+        labels = mesh.side_label[sides]
+        on_active = both_in | (labels == NEUMANN)
+        free = np.ones((n_pairs, nd), dtype=bool)
+        free[:, :nsel] = np.repeat(both_in | (labels != INTERIOR), k + 1, axis=1)
 
         # jump sides and scalar nodes of each patch, ascending
-        active = _row_unique(
-            np.where(on_active, sides, mesh.n_sides).reshape(n, -1), mesh.n_sides
+        side_patch = np.broadcast_to(pair_patch[:, None], sides.shape)[on_active]
+        active, side_offsets, side_index = _stacked_unique(
+            sides[on_active], side_patch, n, mesh.n_sides
         )
-        ed_p = self.disc.pressure.element_dofs[elements]        # (P, ne, nlk)
-        nodes = _row_unique(ed_p.reshape(n, -1))
-        n_div = ne * 2 * nmk
-        n_jump = active.shape[1] * 2 * (k + 1)
-        n_rows = n_div + n_jump + nodes.shape[1]
+        ed_p = self.disc.pressure.element_dofs[elements]       # (n_pairs, nlk)
+        nodes, node_offsets, node_index = _stacked_unique(
+            ed_p, pair_patch[:, None], n, self.disc.pressure.n_scalar
+        )
+        n_div = n_elems * 2 * nmk
+        n_jump = np.diff(side_offsets) * 2 * (k + 1)
+        n_rows = n_div + n_jump + np.diff(node_offsets)
+        row_offsets = np.concatenate([[0], np.cumsum(n_rows)])
+        first_jump = row_offsets[:-1] + n_div                  # per patch
 
-        # row map of the local rows; divergence rows (element, tensor row,
-        # monomial); jump rows per active side, tensor rows then Legendre
-        # moments; symmetry rows per scalar node
+        # stacked row of each local row; divergence rows (element, tensor
+        # row, monomial); jump rows per active side, tensor rows then
+        # Legendre moments; symmetry rows per scalar node
         r = np.arange(2)[:, None]
-        rows_div = (np.arange(ne)[:, None, None] * 2 + r) * nmk + np.arange(nmk)
-        si = np.count_nonzero(active[:, None, None, :] < sides[..., None], axis=3)
-        rows_sel = n_div + (si[:, :, None, :, None] * 2 + r[..., None]) * (k + 1)
-        rows_sel = rows_sel + np.arange(k + 1)                 # (P, ne, 2, 3, k+1)
-        rows_sel = np.where(on_active[:, :, None, :, None], rows_sel, n_rows)
-        rows_sym = n_div + n_jump + np.count_nonzero(
-            nodes[:, None, None, :] < ed_p[..., None], axis=3
+        e_loc = np.arange(n_pairs) - (np.cumsum(n_elems) - n_elems)[pair_patch]
+        rows_div = row_offsets[pair_patch][:, None, None] + (
+            (e_loc[:, None, None] * 2 + r) * nmk + np.arange(nmk)
+        )
+        si = np.zeros(sides.shape, dtype=np.int64)
+        si[on_active] = side_index - side_offsets[side_patch]
+        rows_sel = first_jump[pair_patch][:, None, None, None] + (
+            (si[:, None, :, None] * 2 + r[..., None]) * (k + 1) + np.arange(k + 1)
+        )                                                      # (n_pairs, 2, 3, k+1)
+        rows_sel = np.where(on_active[:, None, :, None], rows_sel, row_offsets[-1])
+        rows_sym = (first_jump + n_jump)[pair_patch][:, None] + (
+            node_index - node_offsets[pair_patch][:, None]
         )
         block_rows = np.concatenate(
             [
-                np.broadcast_to(rows_div, (n, ne, 2, nmk)),
-                rows_sel.reshape(n, ne, 2, nsel),
-                np.broadcast_to(rows_sym[:, :, None, :], (n, ne, 2, ed_p.shape[2])),
+                rows_div,
+                rows_sel.reshape(n_pairs, 2, nsel),
+                np.broadcast_to(rows_sym[:, None, :], (n_pairs, 2, ed_p.shape[1])),
             ],
-            axis=3,
+            axis=2,
         )
 
         # local blocks: the tables on the free dofs; each side moment is
         # selected with +1 from the side's minus element and -1 from its
         # plus element
         blocks = np.zeros(block_rows.shape + (nd,))
-        fr = free[:, :, None, :]
-        blocks[:, :, :, :nmk] = np.where(fr, self.tables.divm[elements], 0.0)[:, :, None]
-        sign = np.where(mesh.side_tri[sides, 0] == elements[..., None], 1.0, -1.0)
+        fr = free[:, None, :]
+        blocks[:, :, :nmk] = np.where(fr, self.tables.divm[elements], 0.0)[:, None]
+        sign = np.where(mesh.side_tri[sides, 0] == elements[:, None], 1.0, -1.0)
         sel = np.arange(nsel)
-        blocks[:, :, :, nmk + sel, sel] = np.repeat(
-            np.where(on_active, sign, 0.0), k + 1, axis=2
-        )[:, :, None, :]
-        blocks[:, :, 0, nmk + nsel :] = np.where(fr, self.tables.symy[elements], 0.0)
-        blocks[:, :, 1, nmk + nsel :] = np.where(fr, -self.tables.symx[elements], 0.0)
+        blocks[:, :, nmk + sel, sel] = np.repeat(
+            np.where(on_active, sign, 0.0), k + 1, axis=1
+        )[:, None, :]
+        blocks[:, 0, nmk + nsel :] = np.where(fr, self.tables.symy[elements], 0.0)
+        blocks[:, 1, nmk + nsel :] = np.where(fr, -self.tables.symx[elements], 0.0)
 
         # right-hand side: jump moments weighted by the hats of the patch group
         group = np.full((n, 1 + max(len(p.absorbed) for p in patches)), -1)
         for i, p in enumerate(patches):
             group[i, 0] = p.vertex
             group[i, 1 : 1 + len(p.absorbed)] = p.absorbed
-        w = (mesh.sides[active][..., None] == group[:, None, None, :]).any(axis=3)
-        rhs = np.zeros((n, n_rows))
-        weights = np.stack([p.weights for p in patches])
-        rdiv = self.rhs_tables.rdiv[elements]                  # (P, ne, 3, 2, nmk)
-        rhs[:, :n_div] = np.einsum("pea,pearb->perb", weights, rdiv).reshape(n, -1)
-        rhs[:, n_div : n_div + n_jump] = np.einsum(
-            "psa,psarm->psrm", w, self.rhs_tables.rjump[active]
-        ).reshape(n, -1)
+        owner = np.repeat(np.arange(n), np.diff(side_offsets))
+        w = (mesh.sides[active][..., None] == group[owner][:, None, :]).any(axis=2)
+        rhs = np.zeros(row_offsets[-1])
+        weights = np.concatenate([p.weights for p in patches])
+        rdiv = self.rhs_tables.rdiv[elements]                  # (n_pairs, 3, 2, nmk)
+        rhs[rows_div] = np.einsum("ea,earb->erb", weights, rdiv)
+        rows_jump = (first_jump[owner] + (np.arange(len(active)) - side_offsets[owner]) * 2 * (k + 1))[
+            :, None
+        ] + np.arange(2 * (k + 1))
+        rhs[rows_jump] = np.einsum(
+            "sa,sarm->srm", w, self.rhs_tables.rjump[active]
+        ).reshape(len(active), -1)
 
         return PatchBatch(
             patches=list(patches),
             k=k,
+            pair_patch=pair_patch,
             elements=elements,
             free=free,
             gram=self.tables.gram[elements],
             blocks=blocks,
             block_rows=block_rows,
+            row_offsets=row_offsets,
             rhs=rhs,
             jump_sides=active,
+            side_offsets=side_offsets,
             sym_nodes=nodes,
+            node_offsets=node_offsets,
         )
 
     # -- patch solve -----------------------------------------------------------
@@ -542,43 +544,42 @@ class Equilibrator:
     def solve_patch(self, problem: PatchProblem) -> np.ndarray:
         """Minimize the patch L2 norm subject to the constraint rows: the
         patch solve of :meth:`_solve_batch` on a batch of one."""
-        x = self._solve_batch(PatchBatch.of(problem)).x[0]
+        x = self._solve_batch(PatchBatch.of(problem)).x
         return x[problem.free_col >= 0]
 
     def _solve_batch(self, batch: PatchBatch) -> BatchSolution:
         """Minimize every patch L2 norm of a batch subject to its rows.
 
-        The fast path (:meth:`_condensed_stack`) eliminates the unknowns
-        block by block through the block-diagonal mass matrix, condenses
-        the divergence rows of each block onto its jump and symmetry rows,
-        and factors the Jacobi-scaled reduced Schur complement with a
-        pivoted Cholesky, whose rank drops the redundant rows (exactly
-        three on patches away from the displacement boundary).  It must
-        pass the same KKT and constraint residual gates, on the unreduced
-        rows, as the QR+LU path (:meth:`_solve_patch_qr_lu`).  A patch goes
-        alone to that path when it fails them, when a block factorization
-        or its pivoted Cholesky fails, or when the row norms of its
-        constraint matrix span more than 8 decades (there the QR rank rule
-        drops rows of tiny norm, and the fallback keeps that behaviour).  A
-        failure of the fallback indicates incompatible data and raises
-        IncompatiblePatch.
+        The fast path (:meth:`_condensed_stack`) runs on all patches of the
+        batch at once.  It eliminates the unknowns block by block through
+        the block-diagonal mass matrix, condenses the divergence rows of
+        each block onto its jump and symmetry rows, and factors the
+        Jacobi-scaled reduced Schur complement of each patch with a pivoted
+        Cholesky, whose rank drops the redundant rows (exactly three on
+        patches away from the displacement boundary).  It must pass the
+        same KKT and constraint residual gates, on the unreduced rows, as
+        the QR+LU path (:meth:`_solve_patch_qr_lu`).  A patch is solved
+        again alone on that path, its fast result overwritten, when it
+        fails them, when a block factorization or its pivoted Cholesky
+        fails, or when the row norms of its constraint matrix span more
+        than 8 decades (there the QR rank rule drops rows of tiny norm, and
+        the fallback keeps that behaviour).  A failure of the fallback
+        indicates incompatible data and raises IncompatiblePatch.
         """
-        n, ne, _, _, nd = batch.blocks.shape
-        sq = np.einsum("perld,perld->perl", batch.blocks, batch.blocks)
-        n_rows = batch.rhs.shape[1]
-        row_norms = np.sqrt(_scatter_rows(sq, _flat_rows(batch.block_rows, n_rows), n_rows))
-        fast = np.flatnonzero(
-            ~(row_norms.min(axis=1) < _ROW_NORM_SPAN * row_norms.max(axis=1))
+        sq = np.einsum("qrld,qrld->qrl", batch.blocks, batch.blocks)
+        row_norms = np.sqrt(_scatter_rows(sq, batch.block_rows, len(batch.rhs)))
+        starts = batch.row_offsets[:-1]
+        wide = np.minimum.reduceat(row_norms, starts) < _ROW_NORM_SPAN * np.maximum.reduceat(
+            row_norms, starts
         )
-        sol = _no_solution((n, ne, 2, nd), fallback=True)
-        if len(fast):
-            part = self._condensed_stack(batch if len(fast) == n else batch.take(fast))
-            for whole, value in zip(sol, part):
-                whole[fast] = value
+        sol = self._condensed_stack(batch)
+        sol.fallback[wide] = True
         for i in np.flatnonzero(sol.fallback):
             problem = batch.problem(i)
             x, sol.rank[i], sol.kkt[i] = self._solve_patch_qr_lu(problem)
-            sol.x[i][problem.free_col >= 0] = x
+            xi = np.zeros(problem.free_col.shape)
+            xi[problem.free_col >= 0] = x
+            sol.x[batch.pairs(i)] = xi
             sol.residual[i] = np.max(np.abs(problem.constraints @ x - problem.rhs))
         return sol
 
@@ -588,108 +589,145 @@ class Equilibrator:
         failed.  Only the pivoted Cholesky and its solves run patch by
         patch.
 
-        Per block b (element, tensor row) with local rows L_b and mass
-        M_b: H_b = M_b^-1 L_b^T and K_b = L_b H_b.  The divergence rows d
-        of a block touch no other block, so the Schur complement B M^-1 B^T
-        condenses onto the jump and symmetry rows c as the sum of the
-        block complements K_cc - K_cd K_dd^-1 K_dc.  The multipliers of
-        the d rows follow per block, and x_b = H_b lam_b.
+        Per block b (pair, tensor row) with local rows L_b and mass M_b:
+        H_b = M_b^-1 L_b^T and K_b = L_b H_b.  The divergence rows d of a
+        block touch no other block, so the Schur complement B M^-1 B^T of a
+        patch condenses onto its jump and symmetry rows c as the sum of its
+        block complements K_cc - K_cd K_dd^-1 K_dc.  The c rows of all
+        patches are stacked in patch order (``c_start``), and so are their
+        reduced matrices (``s_start``).  The multipliers of the d rows
+        follow per block, and x_b = H_b lam_b.
         """
         L, rows, rhs = batch.blocks, batch.block_rows, batch.rhs
-        n, ne, _, n_loc, nd = L.shape
+        n_pairs, _, _, nd = L.shape
+        n = len(batch.patches)
+        pp = batch.pair_patch
         nmk = len(_exps_array(batch.k))
-        n_div = ne * 2 * nmk
-        n_c = rhs.shape[1] - n_div
-        rows_c = rows[..., nmk:] - n_div                        # n_c pads
-        flat_c = _flat_rows(rows_c, n_c)
-        live = batch.free[..., :, None] & batch.free[..., None, :]
-        mass = np.where(live, batch.gram, np.eye(nd))           # (P, ne, nd, nd)
+        n_elems = np.bincount(pp, minlength=n)
+        pair_start = np.cumsum(n_elems) - n_elems
+        n_div = n_elems * 2 * nmk
+        n_c = np.diff(batch.row_offsets) - n_div
+        c_start = np.cumsum(n_c) - n_c
+        n_c_all = int(n_c.sum())
+        # stacked row minus stacked c row, per patch, on its c rows
+        shift = batch.row_offsets[:-1] + n_div - c_start
+        c_rows = np.repeat(shift, n_c) + np.arange(n_c_all)   # stacked row per c row
+        rows_c = np.where(
+            rows[..., nmk:] < len(rhs), rows[..., nmk:] - shift[pp][:, None, None], n_c_all
+        )
+        rhs_d, rhs_c = rhs[rows[..., :nmk]], rhs[c_rows]
+        live = batch.free[:, :, None] & batch.free[:, None, :]
         try:
-            # one inverse per element for both tensor rows: at these sizes a
+            # one inverse per pair for both tensor rows: at these sizes a
             # stacked inverse and product take half the time of a solve
-            H = np.linalg.inv(mass)[:, :, None] @ L.swapaxes(3, 4)
-            K = L @ H                                           # (P, ne, 2, n_loc, n_loc)
+            H = np.linalg.inv(np.where(live, batch.gram, np.eye(nd)))[:, None] @ L.swapaxes(2, 3)
+            K = L @ H                                           # (n_pairs, 2, n_loc, n_loc)
             kdd_inv = np.linalg.inv(K[..., :nmk, :nmk])
         except np.linalg.LinAlgError:
             # find the failing patches one by one
             if n == 1:
-                return _no_solution((1, ne, 2, nd), fallback=True)
-            parts = [self._condensed_stack(batch.take([i])) for i in range(n)]
+                return BatchSolution(
+                    np.zeros((n_pairs, 2, nd)), np.zeros(1, dtype=np.int64),
+                    np.ones(1, dtype=bool), np.zeros(1), np.zeros(1),
+                )
+            parts = [self._condensed_stack(PatchBatch.of(batch.problem(i))) for i in range(n)]
             return BatchSolution(*(np.concatenate(f) for f in zip(*parts)))
-        kcd = K[..., nmk:, :nmk]
+        # a chunk's stacked arrays set the peak memory of a step: K is freed
+        # here, and no view of it is kept
+        kcd = K[..., nmk:, :nmk].copy()
         W = kdd_inv @ K[..., :nmk, nmk:]                        # K_dd^-1 K_dc
-        reduced = K[..., nmk:, nmk:] - kcd @ W
-        m = n_c + 1
-        pairs = flat_c[..., :, None] * m + rows_c[..., None, :]
-        S = np.bincount(pairs.ravel(), reduced.ravel(), minlength=n * m * m)
-        S = np.ascontiguousarray(S.reshape(n, m, m)[:, :n_c, :n_c])
-        del K, reduced, pairs
-        d = 1.0 / np.sqrt(np.einsum("pii->pi", S))
-        S *= d[:, :, None]
-        S *= d[:, None, :]
+        reduced = kcd @ W
+        np.subtract(K[..., nmk:, nmk:], reduced, out=reduced)   # K_cc - K_cd W
+        del K
+        # entry (i, j) of patch p's reduced matrix sits at s_start[p] + i
+        # n_c[p] + j of S; the padding rows go to one entry past the end
+        s_start = np.cumsum(n_c * n_c) - n_c * n_c
+        n_s = int((n_c * n_c).sum())
+        local = rows_c - c_start[pp][:, None, None]
+        entry = local[..., :, None] * n_c[pp, None, None, None] + local[..., None, :]
+        entry += s_start[pp, None, None, None]
+        pad = rows_c == n_c_all
+        entry[pad[..., :, None] | pad[..., None, :]] = n_s
+        S = _scatter_rows(reduced, entry, n_s)
+        del reduced, entry
+        c_patch = np.repeat(np.arange(n), n_c)
+        diagonal = s_start[c_patch] + (np.arange(n_c_all) - c_start[c_patch]) * (n_c[c_patch] + 1)
+        d = 1.0 / np.sqrt(S[diagonal])
         rank = np.zeros(n, dtype=np.int64)
         ok = np.ones(n, dtype=bool)
-        kept = np.zeros((n, n_c), dtype=bool)
+        kept = np.zeros(n_c_all, dtype=bool)
         factors = []
         for p in range(n):
+            m, c0 = n_c[p], c_start[p]
+            Sp = S[s_start[p] : s_start[p] + m * m].reshape(m, m)
+            Sp *= d[c0 : c0 + m, None]
+            Sp *= d[c0 : c0 + m]
             c, piv, rank[p], info = scipy.linalg.lapack.dpstrf(
-                S[p], tol=1e-12, lower=1, overwrite_a=1
+                Sp, tol=1e-12, lower=1, overwrite_a=1
             )
             ok[p] = info >= 0
-            keep = piv[: rank[p]] - 1 if ok[p] else piv[:0]
-            kept[p, keep] = True
+            keep = c0 + piv[: rank[p]] - 1 if ok[p] else piv[:0]
+            kept[keep] = True
             factors.append((np.asfortranarray(c[: len(keep), : len(keep)]), keep))
-        del S
+        del S, Sp
 
-        def multipliers(res):
-            """Multipliers (d rows (P, ne, 2, nmk), c rows (P, n_c)) of the
-            residual ``res``: zero on the dropped c rows."""
-            yd = kdd_inv @ res[:, :n_div].reshape(n, ne, 2, nmk, 1)
-            scaled = d * (res[:, n_div:] - _scatter_rows((kcd @ yd)[..., 0], flat_c, n_c))
-            lam_c = np.zeros((n, n_c))
-            for p, (c, keep) in enumerate(factors):
+        def multipliers(res_d, res_c):
+            """Multipliers (d rows (n_pairs, 2, nmk), c rows (n_c_all,)) of
+            the residual: zero on the dropped c rows."""
+            yd = kdd_inv @ res_d[..., None]
+            scaled = d * (res_c - _scatter_rows((kcd @ yd)[..., 0], rows_c, n_c_all))
+            lam_c = np.zeros(n_c_all)
+            for c, keep in factors:
                 if len(keep):
-                    step, _ = scipy.linalg.lapack.dpotrs(c, scaled[p, keep], lower=1)
-                    lam_c[p, keep] = d[p, keep] * step
-            local = _gather_rows(lam_c, flat_c)[..., None]
+                    step, _ = scipy.linalg.lapack.dpotrs(c, scaled[keep], lower=1)
+                    lam_c[keep] = d[keep] * step
+            local = _gather_rows(lam_c, rows_c)[..., None]
             return (yd - W @ local)[..., 0], lam_c
 
         # x = H lam; one refinement step
-        lam_d = np.zeros((n, ne, 2, nmk))
-        lam_c = np.zeros((n, n_c))
-        resid = rhs
+        lam_d = np.zeros((n_pairs, 2, nmk))
+        lam_c = np.zeros(n_c_all)
+        res_d, res_c = rhs_d, rhs_c
         for _ in range(2):
-            step_d, step_c = multipliers(resid)
+            step_d, step_c = multipliers(res_d, res_c)
             lam_d += step_d
             lam_c += step_c
-            lam = np.concatenate([lam_d, _gather_rows(lam_c, flat_c)], axis=3)
-            x = (H @ lam[..., None])[..., 0]                    # (P, ne, 2, nd)
-            lx = (L @ x[..., None])[..., 0]                     # (P, ne, 2, n_loc)
-            resid = rhs - np.concatenate(
-                [lx[..., :nmk].reshape(n, n_div), _scatter_rows(lx[..., nmk:], flat_c, n_c)],
-                axis=1,
-            )
+            lam = np.concatenate([lam_d, _gather_rows(lam_c, rows_c)], axis=2)
+            x = (H @ lam[..., None])[..., 0]                    # (n_pairs, 2, nd)
+            lx = (L @ x[..., None])[..., 0]                     # (n_pairs, 2, n_loc)
+            res_d = rhs_d - lx[..., :nmk]
+            res_c = rhs_c - _scatter_rows(lx[..., nmk:], rows_c, n_c_all)
+        del H
         # the gates of the QR+LU path, on its KKT system of the kept rows
-        # (multipliers -lam), evaluated block by block
-        kept = np.concatenate([np.ones((n, n_div), dtype=bool), kept], axis=1)
-        kept_local = _gather_rows(kept, _flat_rows(rows, n_div + n_c), pad=False)
-        stationarity = (mass[:, :, None] @ x[..., None])[..., 0] - (lam[..., None, :] @ L)[..., 0, :]
-        m_max = (np.abs(batch.gram) * live).reshape(n, -1).max(axis=1)
-        b_max = (np.abs(L) * kept_local[..., None]).reshape(n, -1).max(axis=1)
-        lam_max = np.maximum(np.abs(lam_d).max(axis=(1, 2, 3)), np.abs(lam_c).max(axis=1))
+        # (multipliers -lam), evaluated block by block; patch p's rows are
+        # stacked from row_offsets[p] on, its pairs from pair_start[p] on
+        resid = np.empty(len(rhs))
+        resid[rows[..., :nmk]] = res_d
+        resid[c_rows] = res_c
+        kept_rows = np.ones(len(rhs), dtype=bool)
+        kept_rows[c_rows] = kept
+        kept_local = _gather_rows(kept_rows, rows, pad=False)
+        mass = np.where(live, batch.gram, np.eye(nd))[:, None]
+        stationarity = (mass @ x[..., None])[..., 0] - (lam[..., None, :] @ L)[..., 0, :]
+        starts = batch.row_offsets[:-1]
+        m_max = _segment_max(np.abs(batch.gram) * live, pair_start)
+        b_max = _segment_max(np.maximum(L.max(axis=3), -L.min(axis=3)) * kept_local, pair_start)
+        lam_max = np.maximum(
+            _segment_max(np.abs(lam_d), pair_start), np.maximum.reduceat(np.abs(lam_c), c_start)
+        )
         denom = np.maximum(
             np.maximum(
-                np.linalg.norm(np.where(kept, rhs, 0.0), axis=1),
+                _segment_norm(np.where(kept_rows, rhs, 0.0), starts),
                 np.maximum(m_max, b_max)
-                * np.maximum(np.abs(x).max(axis=(1, 2, 3)), lam_max),
+                * np.maximum(_segment_max(np.abs(x), pair_start), lam_max),
             ),
             1e-300,
         )
         kkt_rel = np.hypot(
-            np.linalg.norm(stationarity.reshape(n, -1), axis=1),
-            np.linalg.norm(np.where(kept, resid, 0.0), axis=1),
+            _segment_norm(stationarity, pair_start),
+            _segment_norm(np.where(kept_rows, resid, 0.0), starts),
         ) / denom
-        residual = np.abs(resid).max(axis=1)
+        residual = np.maximum.reduceat(np.abs(resid), starts)
         ok &= (kkt_rel <= 1e-10) & (residual <= _RESIDUAL_RTOL * self.scale)
         return BatchSolution(x, n_div + rank, ~ok, residual, kkt_rel)
 
@@ -744,31 +782,29 @@ class Equilibrator:
     # -- reconstruction ---------------------------------------------------------
 
     def correction(self) -> BrokenField:
-        """Sum of all patch corrections, solved in batches of one condensed
-        shape and scattered in patch-vertex order."""
+        """Sum of all patch corrections, solved in chunks of consecutive
+        patches and scattered in patch-vertex order."""
         disc = self.disc
         nd = rt_dim(disc.k)
         patches = modified_patches(disc.mesh)
-        targets: list = [None] * len(patches)
-        values: list = [None] * len(patches)
+        targets, values = [], []
         residual = np.zeros(len(patches))
         dropped = np.zeros(len(patches), dtype=np.int64)
         self.n_patches = len(patches)
         self.n_batches = self.n_fallbacks = 0
         self.worst_kkt = 0.0
-        for ids, batch in self._batches(patches):
+        for start, batch in self._batches(patches):
             sol = self._solve_batch(batch)
+            ids = slice(start, start + len(batch.patches))
             self.n_batches += 1
             self.n_fallbacks += int(sol.fallback.sum())
             self.worst_kkt = max(self.worst_kkt, float(sol.kkt.max()))
             residual[ids] = sol.residual
-            dropped[ids] = batch.rhs.shape[1] - sol.rank
-            live = np.broadcast_to(batch.free[:, :, None, :], sol.x.shape)
-            row = batch.elements[:, :, None, None] * 2 + np.arange(2)[:, None]
-            flat = row * nd + np.arange(nd)
-            for j, i in enumerate(ids):
-                targets[i] = flat[j][live[j]]
-                values[i] = sol.x[j][live[j]]
+            dropped[ids] = np.diff(batch.row_offsets) - sol.rank
+            live = np.broadcast_to(batch.free[:, None, :], sol.x.shape)
+            row = batch.elements[:, None, None] * 2 + np.arange(2)[:, None]
+            targets.append((row * nd + np.arange(nd))[live])
+            values.append(sol.x[live])
             del batch  # before the next batch is built
         dofs = np.zeros((disc.mesh.n_triangles, 2, nd))
         self.dropped_rows = dict(zip(*(v.tolist() for v in np.unique(dropped, return_counts=True))))

@@ -21,6 +21,7 @@ from stresseq import (
     uniform_refine,
     verify_equilibration,
 )
+import stresseq.equilibration as equilibration
 from stresseq.equilibration import (
     _BATCH_BYTES,
     PatchBatch,
@@ -286,11 +287,11 @@ def test_schur_path_matches_qr_lu_fallback(setup, request):
     seen = set()
     for _, batch in eq._batches(modified_patches(disc.mesh)):
         sol = eq._solve_batch(batch)
-        n_rows = batch.rhs.shape[1]
         for i, patch in enumerate(batch.patches):
+            n_rows = batch.row_offsets[i + 1] - batch.row_offsets[i]
             assert not sol.fallback[i], f"patch {patch.vertex} failed the fast path"
             pp = batch.problem(i)
-            x = sol.x[i][pp.free_col >= 0]
+            x = sol.x[batch.pairs(i)][pp.free_col >= 0]
             for x_ref in (eq._solve_patch_qr_lu(pp)[0], dense_kkt_minimizer(pp)):
                 assert np.max(np.abs(x - x_ref)) <= 1e-8 * np.max(np.abs(x_ref)), (
                     f"patch {patch.vertex}"
@@ -309,14 +310,15 @@ def test_batched_patches_match_batch_of_one(setup, request):
     the correction sums the patch solutions in patch-vertex order."""
     _, disc, eq = request.getfixturevalue(setup)
     patches = modified_patches(disc.mesh)
-    for ids, batch in eq._batches(patches):
-        assert len(ids) == 1 or batch.blocks.nbytes <= _BATCH_BYTES
+    for _, batch in eq._batches(patches):
+        assert len(batch.patches) == 1 or batch.blocks.nbytes <= _BATCH_BYTES
         sol = eq._solve_batch(batch)
         for i, patch in enumerate(batch.patches):
             pp = eq.build_patch_problem(patch)
             assert np.array_equal(batch.problem(i).constraints, pp.constraints)
-            assert np.array_equal(batch.rhs[i], pp.rhs)
-            x = sol.x[i][pp.free_col >= 0]
+            rows = slice(batch.row_offsets[i], batch.row_offsets[i + 1])
+            assert np.array_equal(batch.rhs[rows], pp.rhs)
+            x = sol.x[batch.pairs(i)][pp.free_col >= 0]
             assert np.array_equal(x, eq.solve_patch(pp)), f"patch {patch.vertex}"
     dofs = np.zeros((disc.mesh.n_triangles, 2, rt_dim(disc.k)))
     for patch in patches:
@@ -327,40 +329,47 @@ def test_batched_patches_match_batch_of_one(setup, request):
     assert np.array_equal(eq.correction().dofs, dofs)
 
 
+def _mixed_batch(eq, mesh, n_patches):
+    """The first batch of at least ``n_patches`` patches that holds patches
+    of two or more element counts."""
+    return next(
+        b for _, b in eq._batches(modified_patches(mesh))
+        if len(b.patches) >= n_patches and len(np.unique(np.bincount(b.pair_patch))) > 1
+    )
+
+
 def test_batch_fallback_is_per_patch(cook_eq, monkeypatch):
     """A patch over the row-norm span and a patch failing its gate take
     QR+LU alone; the other patches of the batch are bitwise unchanged."""
     _, disc, eq = cook_eq
-    ids, batch = next(
-        (ids, b) for ids, b in eq._batches(modified_patches(disc.mesh)) if len(ids) >= 4
-    )
+    batch = _mixed_batch(eq, disc.mesh, 4)
     base = eq._solve_batch(batch)
     assert not base.fallback.any()
     pp = batch.problem(0)
     n_sym = len(pp.sym_nodes)
     blocks, rhs = batch.blocks.copy(), batch.rhs.copy()
-    blocks[0, :, :, -3 * disc.k :] *= 1e-9   # the symmetry rows of each block
-    rhs[0, -n_sym:] *= 1e-9
+    blocks[batch.pairs(0), :, -3 * disc.k :] *= 1e-9   # the symmetry rows of each block
+    rhs[batch.row_offsets[1] - n_sym : batch.row_offsets[1]] *= 1e-9
     modified = dataclasses.replace(batch, blocks=blocks, rhs=rhs)
 
-    # patch 0 leaves the Schur stack by the row-norm rule, so patch 2 is the
-    # second solve of each of the two passes over the stack
-    n_stack = len(ids) - 1
+    # patch 0 rides along in the Schur stack and leaves it by the row-norm
+    # rule, so patch 2 is the third solve of each of the two passes over it
+    n_stack = len(batch.patches)
     calls = itertools.count()
     dpotrs = scipy.linalg.lapack.dpotrs
 
     def perturbed(c, b, lower):
         x, info = dpotrs(c, b, lower=lower)
-        return (1.01 * x if next(calls) % n_stack == 1 else x), info
+        return (1.01 * x if next(calls) % n_stack == 2 else x), info
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", perturbed)
     sol = eq._solve_batch(modified)
     assert np.flatnonzero(sol.fallback).tolist() == [0, 2]
     for i in (0, 2):
         problem = modified.problem(i)
-        x = sol.x[i][problem.free_col >= 0]
+        x = sol.x[batch.pairs(i)][problem.free_col >= 0]
         assert np.array_equal(x, eq._solve_patch_qr_lu(problem)[0])
-    others = np.setdiff1d(np.arange(len(ids)), [0, 2])
+    others = ~np.isin(batch.pair_patch, [0, 2])
     assert np.array_equal(sol.x[others], base.x[others])
 
 
@@ -397,29 +406,31 @@ def test_dense_view_matches_dense_builder(setup, request):
     """The dense constraint matrix assembled from the local blocks is
     bitwise the one that the dense index arithmetic writes."""
     _, disc, eq = request.getfixturevalue(setup)
+    mixed = False
     for _, batch in eq._batches(modified_patches(disc.mesh)):
+        mixed |= len(np.unique(np.bincount(batch.pair_patch))) > 1
         for i, patch in enumerate(batch.patches):
             b, rhs = dense_patch_constraints(eq, patch)
             pp = batch.problem(i)
             assert np.array_equal(pp.constraints, b), f"patch {patch.vertex}"
             assert np.array_equal(pp.rhs, rhs), f"patch {patch.vertex}"
             back = PatchBatch.of(pp)
-            assert np.array_equal(back.blocks[0], batch.blocks[i])
+            assert np.array_equal(back.blocks, batch.blocks[batch.pairs(i)])
+    assert mixed
 
 
 def test_singular_divergence_block_takes_the_fallback_alone(cook_eq, monkeypatch):
     """A patch whose local divergence block is singular goes to QR+LU; the
     other patches of its batch are bitwise unchanged."""
     _, disc, eq = cook_eq
-    ids, batch = next(
-        (ids, b) for ids, b in eq._batches(modified_patches(disc.mesh)) if len(ids) >= 3
-    )
+    batch = _mixed_batch(eq, disc.mesh, 3)
     base = eq._solve_batch(batch)
-    # a repeated divergence row, with its repeated right-hand side
+    # a repeated divergence row of patch 1, with its repeated right-hand side
+    q = batch.pairs(1).start
     blocks, rhs = batch.blocks.copy(), batch.rhs.copy()
-    blocks[1, 0, 0, 1] = blocks[1, 0, 0, 0]
-    rows = batch.block_rows[1, 0, 0]
-    rhs[1, rows[1]] = rhs[1, rows[0]]
+    blocks[q, 0, 1] = blocks[q, 0, 0]
+    rows = batch.block_rows[q, 0]
+    rhs[rows[1]] = rhs[rows[0]]
     modified = dataclasses.replace(batch, blocks=blocks, rhs=rhs)
 
     inv = np.linalg.inv
@@ -434,12 +445,36 @@ def test_singular_divergence_block_takes_the_fallback_alone(cook_eq, monkeypatch
 
     monkeypatch.setattr(np.linalg, "inv", spy)
     sol = eq._solve_batch(modified)
-    assert raised[0] == len(ids)
+    assert raised[0] == len(batch.elements)
     assert np.flatnonzero(sol.fallback).tolist() == [1]
     problem = modified.problem(1)
-    assert np.array_equal(sol.x[1][problem.free_col >= 0], eq._solve_patch_qr_lu(problem)[0])
-    others = np.setdiff1d(np.arange(len(ids)), [1])
+    x = sol.x[batch.pairs(1)][problem.free_col >= 0]
+    assert np.array_equal(x, eq._solve_patch_qr_lu(problem)[0])
+    others = batch.pair_patch != 1
     assert np.array_equal(sol.x[others], base.x[others])
+
+
+@pytest.mark.parametrize("setup", ["cook_eq", "cook2_eq", "lshape2_eq"])
+def test_correction_does_not_depend_on_chunking(setup, request, monkeypatch):
+    """One patch per chunk, the default chunks and one chunk per step give
+    bitwise the same correction and the same counters; some default chunk
+    holds patches of different element counts."""
+    _, disc, eq = request.getfixturevalue(setup)
+    results, chunks = [], []
+    for size in (1, _BATCH_BYTES, 1 << 40):
+        monkeypatch.setattr(equilibration, "_BATCH_BYTES", size)
+        dofs = eq.correction().dofs
+        chunks.append(eq.n_batches)
+        results.append(
+            (dofs.tobytes(), eq.n_fallbacks, eq.dropped_rows, eq.worst_residual, eq.worst_vertex)
+        )
+    assert results[0] == results[1] == results[2]
+    assert chunks[0] == eq.n_patches and chunks[2] == 1
+    monkeypatch.setattr(equilibration, "_BATCH_BYTES", _BATCH_BYTES)
+    assert any(
+        len(np.unique(np.bincount(b.pair_patch))) > 1
+        for _, b in eq._batches(modified_patches(disc.mesh))
+    )
 
 
 def _loaded_patch(eq, mesh):

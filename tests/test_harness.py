@@ -1,6 +1,8 @@
 """CLI harness tests: config parsing, result files, exit codes."""
 
 import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -597,6 +599,31 @@ def test_verify_subcommand(smooth_cfg, capsys):
     assert main(["verify", cfg_path]) == 0
     out = capsys.readouterr().out
     assert "max_residual" in out and "ok" in out
+
+
+def test_python_dash_m_runs_the_cli(smooth_cfg, tmp_path):
+    """``python -m stresseq`` returns the CLI's exit code without a
+    ``RuntimeWarning`` about the package's own modules."""
+    cfg_path, _ = smooth_cfg
+    src = pathlib.Path(main.__code__.co_filename).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "stresseq", *args],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    proc = cli("verify", cfg_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "max_residual" in proc.stdout
+    (tmp_path / "k3").mkdir()
+    bad = write_config(tmp_path / "k3", "problem = cook\nk = 3\n")
+    proc = cli("verify", bad)
+    assert proc.returncode == 2
+    assert "config" in proc.stderr
 
 
 def test_mesh_info_subcommand(tmp_path, capsys):
