@@ -386,3 +386,7 @@ def main(argv=None) -> int:
         print(f"error: solver: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
