@@ -1,17 +1,25 @@
 #!/usr/bin/env python3
-"""Time ``equilibrate`` from two source trees in one process.
+"""Time the patch and mesh layers from two source trees in one process.
 
     python scripts/ab_layer.py SRC_A SRC_B WORKLOAD [--reps 6]
 
 SRC_A and SRC_B are directories holding a ``stresseq`` package (the
 ``src`` directory of two checkouts); WORKLOAD is a name from
 ``perfbench/workloads.py``.  Each tree runs the workload's config once
-through its own ``harness.main``, and the ``(disc, sigma_h, load)`` of every
-step is captured on the way, with the step tables kept.  Each repetition
-then calls ``equilibrate`` on all captured steps of one tree and then of the
-other, alternating which tree goes first, and records the CPU time of the
-pass.  The script prints each tree's median and quartiles, the ratio of
-the medians, and whether the sigma_r of every step is bitwise equal.
+through its own ``harness.main``, and two things are captured on the way:
+the ``(disc, sigma_h, load)`` of every step, with the step tables kept,
+and the steps the loop returns.  Each repetition then runs three timed
+passes per tree, alternating which tree goes first:
+
+* ``equilibrate`` on all captured steps;
+* ``refine(step.mesh, step.marked)`` on every step that marked elements;
+* ``uniform_refine(cook().mesh, 7)`` and ``write_mesh`` of the result, the
+  mesh that perfbench builds for ``cook-large``.
+
+The script prints, per pass, each tree's median and quartiles of the CPU
+time and the ratio of the medians, and whether the two trees' results are
+bitwise equal: the sigma_r of every step, the refined meshes (vertices,
+triangles, parents, sides and labels) and the mesh files.
 
 Timings taken in separate processes on a shared 2-core machine swing by
 about 10 %, which hides layer gains of that size; two trees in one
@@ -37,6 +45,11 @@ import time
 import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+MESH_FIELDS = ("triangles", "parent", "sides", "side_tri", "side_label", "tri_sides")
 
 
 def load_tree(src: pathlib.Path, alias: str):
@@ -51,16 +64,18 @@ def load_tree(src: pathlib.Path, alias: str):
     return module
 
 
+def submodule(tree, name: str):
+    return sys.modules[f"{tree.__name__}.{name}"]
+
+
 def workload_config(name: str, work_dir: pathlib.Path, src: pathlib.Path) -> pathlib.Path:
     """Write the workload's inputs (seed 1) under ``work_dir``; the mesh
     file of ``cook-large`` is written by the package under ``src``."""
-    sys.path[:0] = [str(ROOT / "perfbench"), str(src)]
+    sys.path.insert(0, str(src))
     try:
-        import workloads
-
         config, _ = workloads.write_inputs(name, 1, work_dir)
     finally:
-        del sys.path[:2]
+        sys.path.remove(str(src))
     return config
 
 
@@ -74,36 +89,67 @@ def _replaced(obj, name, value):
         setattr(obj, name, old)
 
 
-def capture(tree, config: pathlib.Path) -> list[tuple]:
-    """(disc, sigma_h, load) of every step of one run of ``config``."""
-    adaptivity = sys.modules[tree.__name__ + ".adaptivity"]
-    spaces = sys.modules[tree.__name__ + ".spaces"]
-    steps: list[tuple] = []
-    inner = adaptivity.equilibrate
+def capture(tree, config: pathlib.Path) -> dict[str, list]:
+    """The ``(disc, sigma_h, load)`` of every step of one run of ``config``
+    and the ``(mesh, marked)`` of every step that marked elements."""
+    adaptivity = submodule(tree, "adaptivity")
+    harness = submodule(tree, "harness")
+    solves, steps = [], []
+    inner_equilibrate, inner_loop = adaptivity.equilibrate, harness.adaptive_loop
 
     def capturing(disc, sigma_h, load):
-        steps.append((disc, sigma_h, load))
-        return inner(disc, sigma_h, load)
+        solves.append((disc, sigma_h, load))
+        return inner_equilibrate(disc, sigma_h, load)
 
-    harness = sys.modules[tree.__name__ + ".harness"]
+    def recording(problem, config):
+        history = inner_loop(problem, config)
+        steps.extend(history)
+        return history
+
     # the tables stay kept, as they are while a step is solved
     with _replaced(adaptivity, "equilibrate", capturing), _replaced(
-        spaces.Discretization, "release_tables", lambda self: None
-    ):
+        harness, "adaptive_loop", recording
+    ), _replaced(submodule(tree, "spaces").Discretization, "release_tables", lambda self: None):
         code = harness.main(["run", str(config)])
     if code != 0:
         raise SystemExit(f"{tree.__name__}: run exited {code}")
-    return steps
+    marks = [(step.mesh, step.marked) for step in steps if step.marked is not None]
+    return {"equilibrate": solves, "refine": marks}
 
 
-def timed_pass(tree, steps) -> tuple[float, list[np.ndarray]]:
-    """CPU seconds of ``equilibrate`` over all steps, and each sigma_r."""
-    equilibrate = sys.modules[tree.__name__ + ".equilibration"].equilibrate
-    dofs = []
-    start = time.process_time()
-    for disc, sigma_h, load in steps:
-        dofs.append(equilibrate(disc, sigma_h, load)[1].dofs)
-    return time.process_time() - start, dofs
+def equilibrate_pass(tree, captured, _path):
+    equilibrate = submodule(tree, "equilibration").equilibrate
+    return [equilibrate(*solve)[1].dofs for solve in captured["equilibrate"]]
+
+
+def refine_pass(tree, captured, _path):
+    refine = submodule(tree, "mesh").refine
+    return [refine(mesh, marked) for mesh, marked in captured["refine"]]
+
+
+def cook_large_pass(tree, _captured, path):
+    mesh_module = submodule(tree, "mesh")
+    mesh = mesh_module.uniform_refine(
+        submodule(tree, "problems").cook().mesh, workloads.COOK_LARGE_ROUNDS
+    )
+    mesh_module.write_mesh(mesh, path)
+    return [mesh]
+
+
+PASSES = {
+    "equilibrate": equilibrate_pass,
+    "refine": refine_pass,
+    "uniform_refine + write_mesh": cook_large_pass,
+}
+
+
+def bitwise_equal(a, b) -> bool:
+    """Equal bytes of two sigma_r arrays or of two meshes' tables."""
+    if isinstance(a, np.ndarray):
+        return a.tobytes() == b.tobytes()
+    return a.vertices.tobytes() == b.vertices.tobytes() and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in MESH_FIELDS
+    )
 
 
 def main(argv=None) -> int:
@@ -116,27 +162,42 @@ def main(argv=None) -> int:
 
     trees = {"A": load_tree(args.src_a.resolve(), "stresseq_a"),
              "B": load_tree(args.src_b.resolve(), "stresseq_b")}
-    steps, times, results = {}, {"A": [], "B": []}, {}
+    captured = {}
+    times = {name: {"A": [], "B": []} for name in PASSES}
+    results = {name: {} for name in PASSES}
     with tempfile.TemporaryDirectory() as tmp:
+        paths = {label: pathlib.Path(tmp) / f"mesh_{label}.txt" for label in trees}
         for label, tree in trees.items():
             work = pathlib.Path(tmp) / label
-            steps[label] = capture(tree, workload_config(args.workload, work, args.src_a))
-            timed_pass(tree, steps[label])  # warm-up
-    if len(steps["A"]) != len(steps["B"]):
-        raise SystemExit("the two trees solved different numbers of steps")
-    for rep in range(args.reps):
-        order = "AB" if rep % 2 == 0 else "BA"
-        for label in order:
-            seconds, results[label] = timed_pass(trees[label], steps[label])
-            times[label].append(seconds)
+            captured[label] = capture(tree, workload_config(args.workload, work, args.src_a))
+            for run_pass in PASSES.values():  # warm-up
+                run_pass(tree, captured[label], paths[label])
+        if len(captured["A"]["equilibrate"]) != len(captured["B"]["equilibrate"]):
+            raise SystemExit("the two trees solved different numbers of steps")
+        for rep in range(args.reps):
+            order = "AB" if rep % 2 == 0 else "BA"
+            for name, run_pass in PASSES.items():
+                for label in order:
+                    start = time.process_time()
+                    out = run_pass(trees[label], captured[label], paths[label])
+                    times[name][label].append(time.process_time() - start)
+                    results[name][label] = out
+        files_equal = paths["A"].read_bytes() == paths["B"].read_bytes()
 
-    print(f"{args.workload}: {len(steps['A'])} steps, {args.reps} passes per tree (CPU s)")
-    for label, src in (("A", args.src_a), ("B", args.src_b)):
-        q1, med, q3 = np.percentile(times[label], [25, 50, 75])
-        print(f"  {label} {src}: median {med:.3f}  quartiles {q1:.3f} {q3:.3f}")
-    print(f"  median A / median B: {np.median(times['A']) / np.median(times['B']):.3f}")
-    equal = all(a.tobytes() == b.tobytes() for a, b in zip(results["A"], results["B"]))
-    print(f"  sigma_r bitwise equal: {equal}")
+    n_steps, n_marks = len(captured["A"]["equilibrate"]), len(captured["A"]["refine"])
+    print(f"{args.workload}: {n_steps} steps, {n_marks} refinements, "
+          f"{args.reps} passes per tree (CPU s)")
+    for name in PASSES:
+        print(f"  {name}:")
+        for label, src in (("A", args.src_a), ("B", args.src_b)):
+            q1, med, q3 = np.percentile(times[name][label], [25, 50, 75])
+            print(f"    {label} {src}: median {med:.3f}  quartiles {q1:.3f} {q3:.3f}")
+        ratio = np.median(times[name]["A"]) / np.median(times[name]["B"])
+        equal = len(results[name]["A"]) == len(results[name]["B"]) and all(
+            bitwise_equal(a, b) for a, b in zip(results[name]["A"], results[name]["B"])
+        )
+        print(f"    median A / median B: {ratio:.3f}  bitwise equal: {equal}")
+    print(f"  mesh files byte-identical: {files_equal}")
     return 0
 
 

@@ -146,13 +146,16 @@ class Mesh:
 
 
 def _side_table(triangles, n_vertices):
-    """Enumerate unique sides; raise NonConforming on >2 incidences."""
+    """Enumerate unique sides; raise NonConforming on >2 incidences.
+
+    Sides are found by their packed keys ``lo * n_vertices + hi``, which
+    ascend in the lexicographic order of the pairs."""
     nt = triangles.shape[0]
-    local = triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
-    local_sorted = np.sort(local, axis=1)
-    sides, inverse, counts = np.unique(
-        local_sorted, axis=0, return_inverse=True, return_counts=True
+    local = np.sort(triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
+    keys, inverse, counts = np.unique(
+        local[:, 0] * n_vertices + local[:, 1], return_inverse=True, return_counts=True
     )
+    sides = np.column_stack([keys // n_vertices, keys % n_vertices])
     if counts.max(initial=0) > 2:
         bad = sides[np.argmax(counts)]
         raise NonConforming(
@@ -167,6 +170,47 @@ def _side_table(triangles, n_vertices):
     two = counts == 2
     side_tri[two, 1] = elems[offsets[:-1][two] + 1]
     return sides, side_tri, inverse
+
+
+def _side_labels(sides, boundary, n_vertices, dirichlet, neumann):
+    """Label the sides named by the dirichlet and neumann vertex pairs.
+
+    The pairs are checked in order, dirichlet first; the first pair that
+    names no side, an interior side or a side named before it raises
+    NonConforming, and so does a boundary side that no pair names."""
+    try:
+        given = [np.asarray(p, dtype=np.int64) for p in (dirichlet, neumann)]
+        if any(p.size and (p.ndim != 2 or p.shape[1] != 2) for p in given):
+            raise ValueError
+    except ValueError:  # also raised for rows of unequal length
+        raise ValueError("boundary sides must be vertex pairs") from None
+    pairs = np.sort(np.concatenate([p.reshape(-1, 2) for p in given]), axis=1)
+    keys = sides[:, 0] * n_vertices + sides[:, 1]  # ascending
+    in_range = (pairs[:, 0] >= 0) & (pairs[:, 1] < n_vertices)
+    want = np.where(in_range, pairs[:, 0] * n_vertices + pairs[:, 1], -1)
+    s = np.searchsorted(keys, want)
+    found = in_range & (np.append(keys, -1)[s] == want)
+    interior = found & ~np.append(boundary, True)[s]
+    order = np.argsort(s, kind="stable")
+    repeat = np.zeros(len(s), dtype=bool)
+    repeat[order[1:]] = s[order[1:]] == s[order[:-1]]
+    bad = ~found | interior | repeat
+    if bad.any():
+        i = int(np.argmax(bad))
+        name = "dirichlet" if i < len(given[0]) else "neumann"
+        key = tuple(pairs[i].tolist())
+        if not found[i]:
+            raise NonConforming(f"{name} side {key} is not a mesh side")
+        if interior[i]:
+            raise NonConforming(f"{name} side {key} is not on the boundary")
+        raise NonConforming(f"side {key} classified twice")
+    side_label = np.zeros(len(sides), dtype=np.int64)
+    side_label[s] = np.where(np.arange(len(s)) < len(given[0]), DIRICHLET, NEUMANN)
+    unclassified = boundary & (side_label == INTERIOR)
+    if unclassified.any():
+        s = int(np.flatnonzero(unclassified)[0])
+        raise NonConforming(f"boundary side {tuple(sides[s].tolist())} is unclassified")
+    return side_label
 
 
 _SCAN_BATCH = 1 << 15  # (side, candidate) pairs tested at once
@@ -343,8 +387,8 @@ def _assemble(
         raise InvertedElement(f"triangle {e} has non-positive area")
 
     canon = np.sort(triangles, axis=1)
-    uniq = np.unique(canon, axis=0)
-    if len(uniq) != len(canon):
+    canon = canon[np.lexsort(canon.T[::-1])]
+    if (canon[1:] == canon[:-1]).all(axis=1).any():
         raise NonConforming("duplicate triangle")
 
     sides, side_tri, tri_sides = _side_table(triangles, nv)
@@ -371,28 +415,7 @@ def _assemble(
         if dup_counts.max(initial=0) > 1:
             raise NonConforming("duplicate vertex coordinates")
 
-    boundary = side_tri[:, 1] < 0
-    side_label = np.zeros(len(sides), dtype=np.int64)
-    lookup = {(int(lo), int(hi)): i for i, (lo, hi) in enumerate(sides)}
-
-    def _mark(pairs, label, name):
-        for i, j in pairs:
-            key = (min(int(i), int(j)), max(int(i), int(j)))
-            s = lookup.get(key)
-            if s is None:
-                raise NonConforming(f"{name} side {key} is not a mesh side")
-            if not boundary[s]:
-                raise NonConforming(f"{name} side {key} is not on the boundary")
-            if side_label[s] != INTERIOR:
-                raise NonConforming(f"side {key} classified twice")
-            side_label[s] = label
-
-    _mark(dirichlet, DIRICHLET, "dirichlet")
-    _mark(neumann, NEUMANN, "neumann")
-    unclassified = boundary & (side_label == INTERIOR)
-    if unclassified.any():
-        s = int(np.flatnonzero(unclassified)[0])
-        raise NonConforming(f"boundary side {tuple(sides[s].tolist())} is unclassified")
+    side_label = _side_labels(sides, side_tri[:, 1] < 0, nv, dirichlet, neumann)
     if not (side_label == DIRICHLET).any():
         raise EmptyDirichlet("no dirichlet sides: displacement boundary is empty")
 
@@ -451,10 +474,10 @@ def write_mesh(mesh: Mesh, path):
         f"vertices {mesh.n_vertices} / triangles {mesh.n_triangles}"
         f" / sides_dirichlet {len(d)} / sides_neumann {len(n)}"
     ]
-    lines += [f"{_FMT % x} {_FMT % y}" for x, y in mesh.vertices]
-    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
-    lines += [f"{i} {j}" for i, j in d]
-    lines += [f"{i} {j}" for i, j in n]
+    lines += [f"{_FMT % x} {_FMT % y}" for x, y in mesh.vertices.tolist()]
+    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles.tolist()]
+    lines += [f"{i} {j}" for i, j in d.tolist()]
+    lines += [f"{i} {j}" for i, j in n.tolist()]
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -503,7 +526,7 @@ def read_mesh(path) -> Mesh:
         if not np.isfinite(vertices).all():
             raise ValueError("non-finite vertex coordinate")
         return _assemble(vertices, triangles, dirichlet, neumann)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         raise IoError(f"malformed mesh file {path}: {exc}") from exc
     except (
         NonConforming, InvertedElement, EmptyDirichlet, IsolatedNeumannVertex
@@ -523,6 +546,14 @@ def refine(mesh: Mesh, marked) -> Mesh:
     the parent.  An edge is only split when every triangle sharing it has
     it as its refinement edge, which the recursion establishes first.
 
+    The closure works on flat neighbour lists: for local edge ``j`` of
+    triangle ``t`` (edge 0 is ``(a, b)``, 1 is ``(b, c)``, 2 is ``(c, a)``),
+    ``nbr[3t + j]`` is the triangle across it (-1 on the boundary) and
+    ``lab[3t + j]`` its boundary label.  New vertices and triangles are
+    numbered in traversal order: the marked roots ascending, each split
+    appending the midpoint, then the two children of the triangle on the
+    stack, then those of its partner across the refinement edge.
+
     Returns a new mesh whose ``parent`` array maps each element to the
     element of ``mesh`` containing it.  ``refine(mesh, [])`` returns an
     equal mesh.  Raises ProblemError when the stored refinement edges admit
@@ -532,56 +563,51 @@ def refine(mesh: Mesh, marked) -> Mesh:
     if marked and (marked[0] < 0 or marked[-1] >= mesh.n_triangles):
         raise ValueError("marked element index out of range")
 
-    verts = [tuple(p) for p in mesh.vertices]
-    tris = [list(t) for t in mesh.triangles]
-    alive = [True] * len(tris)
-    ancestor = list(range(len(tris)))
+    # the side of local edge j is the side opposite local vertex (j + 2) % 3
+    edge_side = mesh.tri_sides[:, [2, 0, 1]]
+    pair = mesh.side_tri[edge_side]
+    own = np.arange(mesh.n_triangles)[:, None]
+    verts = mesh.vertices.tolist()
+    tri = mesh.triangles.ravel().tolist()
+    nbr = np.where(pair[..., 0] == own, pair[..., 1], pair[..., 0]).ravel().tolist()
+    lab = mesh.side_label[edge_side].ravel().tolist()
+    alive = [True] * mesh.n_triangles
+    ancestor = list(range(mesh.n_triangles))
 
-    adj: dict[tuple[int, int], list[int]] = {}
-    for e, t in enumerate(tris):
-        for i, j in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            adj.setdefault((min(i, j), max(i, j)), []).append(e)
-    labels = {
-        (int(lo), int(hi)): int(lab)
-        for (lo, hi), lab in zip(mesh.sides, mesh.side_label)
-        if lab != INTERIOR
-    }
+    def relink(q, old, new):
+        if q >= 0:
+            nbr[3 * q + nbr[3 * q : 3 * q + 3].index(old)] = new
 
-    def refedge(t):
-        a, b = tris[t][0], tris[t][1]
-        return (min(a, b), max(a, b))
+    def halve(t, m):
+        """Replace ``t`` by its children ``(c, a, m)`` and ``(b, c, m)``;
+        return the first child's id.  The halves of edge 0 stay unlinked."""
+        a, b, c = tri[3 * t : 3 * t + 3]
+        _, n1, n2 = nbr[3 * t : 3 * t + 3]
+        l0, l1, l2 = lab[3 * t : 3 * t + 3]
+        left = len(alive)
+        tri.extend((c, a, m, b, c, m))
+        nbr.extend((n2, -1, left + 1, n1, left, -1))
+        lab.extend((l2, l0, INTERIOR, l1, INTERIOR, l0))
+        relink(n2, t, left)
+        relink(n1, t, left + 1)
+        alive[t] = False
+        alive.extend((True, True))
+        ancestor.extend((ancestor[t], ancestor[t]))
+        return left
 
-    def split(edge, members):
-        """Bisect all triangles in `members`, each having `edge` as its
-        refinement edge."""
+    def split(t, p):
+        """Bisect ``t`` and its partner ``p`` (-1 on the boundary) at the
+        midpoint of their common refinement edge."""
+        (xa, ya), (xb, yb) = verts[tri[3 * t]], verts[tri[3 * t + 1]]
         m = len(verts)
-        pa, pb = verts[edge[0]], verts[edge[1]]
-        verts.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
-        lab = labels.pop(edge, None)
-        if lab is not None:
-            labels[(min(edge[0], m), max(edge[0], m))] = lab
-            labels[(min(edge[1], m), max(edge[1], m))] = lab
-        adj.pop(edge)
-        for t in members:
-            a, b, c = tris[t]
-            alive[t] = False
-            for i, j in ((a, b), (b, c), (c, a)):
-                key = (min(i, j), max(i, j))
-                if key in adj:
-                    adj[key] = [x for x in adj[key] if x != t]
-                    if not adj[key]:
-                        del adj[key]
-            for child in ([c, a, m], [b, c, m]):
-                cid = len(tris)
-                tris.append(child)
-                alive.append(True)
-                ancestor.append(ancestor[t])
-                for i, j in (
-                    (child[0], child[1]),
-                    (child[1], child[2]),
-                    (child[2], child[0]),
-                ):
-                    adj.setdefault((min(i, j), max(i, j)), []).append(cid)
+        verts.append(((xa + xb) / 2.0, (ya + yb) / 2.0))
+        left = halve(t, m)
+        if p >= 0:
+            # positive orientation: p runs from b to a, so its first child
+            # holds the half (b, m) and its second the half (m, a)
+            other = halve(p, m)
+            nbr[3 * left + 1], nbr[3 * left + 5] = other + 1, other
+            nbr[3 * other + 1], nbr[3 * other + 5] = left + 1, left
 
     budget = 64 * (mesh.n_triangles + len(marked)) + 4096
     for root in marked:
@@ -591,13 +617,11 @@ def refine(mesh: Mesh, marked) -> Mesh:
             if not alive[t]:
                 stack.pop()
                 continue
-            e = refedge(t)
-            partners = [x for x in adj.get(e, ()) if x != t and alive[x]]
-            incompatible = [x for x in partners if refedge(x) != e]
-            if incompatible:
-                stack.append(incompatible[0])
+            p = nbr[3 * t]
+            if p >= 0 and nbr[3 * p] != t:
+                stack.append(p)
             else:
-                split(e, [t] + partners)
+                split(t, p)
                 stack.pop()
             budget -= 1
             if budget < 0:
@@ -606,22 +630,16 @@ def refine(mesh: Mesh, marked) -> Mesh:
                     "inconsistent refinement-edge labels"
                 )
 
-    new_tris = np.array(
-        [t for t, a in zip(tris, alive) if a], dtype=np.int64
-    ).reshape(-1, 3)
-    new_parent = np.array(
-        [p for p, a in zip(ancestor, alive) if a], dtype=np.int64
-    )
-    dirichlet = [e for e, lab in labels.items() if lab == DIRICHLET]
-    neumann = [e for e, lab in labels.items() if lab == NEUMANN]
-    dirichlet.sort()
-    neumann.sort()
+    keep = np.array(alive)
+    triangles = np.array(tri, dtype=np.int64).reshape(-1, 3)[keep]
+    labels = np.array(lab, dtype=np.int64).reshape(-1, 3)[keep]
+    edges = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2)
     return _assemble(
         np.array(verts, dtype=np.float64),
-        new_tris,
-        dirichlet,
-        neumann,
-        parent=new_parent,
+        triangles,
+        edges[labels == DIRICHLET],
+        edges[labels == NEUMANN],
+        parent=np.array(ancestor, dtype=np.int64)[keep],
         geometric_check=False,
     )
 

@@ -38,6 +38,27 @@ def random_points_in_elements(mesh, n, rng):
     return elems, x
 
 
+# Four triangles around the centre of the unit square, each stored as
+# (p_{i+1}, centre, p_i): every refinement edge is the next triangle's
+# second edge, so the refinement edges form a cycle and admit no closure.
+CYCLIC_MESH_TEXT = """\
+vertices 5 / triangles 4 / sides_dirichlet 4 / sides_neumann 0
+0 0
+1 0
+1 1
+0 1
+0.5 0.5
+1 4 0
+2 4 1
+3 4 2
+0 4 3
+0 1
+1 2
+2 3
+3 0
+"""
+
+
 def min_angle_deg(mesh) -> float:
     p = mesh.vertices[mesh.triangles]
     worst = np.inf

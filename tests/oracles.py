@@ -17,7 +17,15 @@ from stresseq import (
     solve,
 )
 from stresseq.equilibration import Equilibrator, PatchProblem
-from stresseq.mesh import INTERIOR, NEUMANN, Mesh, VertexPatch
+from stresseq.errors import ProblemError
+from stresseq.mesh import (
+    DIRICHLET,
+    INTERIOR,
+    NEUMANN,
+    Mesh,
+    VertexPatch,
+    _assemble,
+)
 from stresseq.spaces import _exps_array, rt_dim, triangle_rule
 
 
@@ -155,4 +163,120 @@ def uniform_reference_errors(history, problem) -> np.ndarray:
     return reference_energy_errors(
         [step.fields for step in history], reference, chain,
         problem.material,
+    )
+
+
+def reference_refine(mesh: Mesh, marked) -> Mesh:
+    """Bisect the marked elements; close recursively to stay conforming.
+
+    The dict-based form of :func:`stresseq.refine`: an edge -> triangles
+    map rebuilt on every split, and boundary labels kept per vertex pair.
+    Both must give bitwise the same mesh.
+
+    Newest-vertex bisection: a triangle ``(a, b, c)`` with refinement edge
+    ``(a, b)`` splits at the edge midpoint ``m`` into ``(c, a, m)`` and
+    ``(b, c, m)``, so each child's refinement edge is an unsplit edge of
+    the parent.  An edge is only split when every triangle sharing it has
+    it as its refinement edge, which the recursion establishes first.
+
+    Returns a new mesh whose ``parent`` array maps each element to the
+    element of ``mesh`` containing it.  ``refine(mesh, [])`` returns an
+    equal mesh.  Raises ProblemError when the stored refinement edges admit
+    no closure (for instance when they form a cycle).
+    """
+    marked = sorted({int(m) for m in np.asarray(marked, dtype=np.int64).ravel()})
+    if marked and (marked[0] < 0 or marked[-1] >= mesh.n_triangles):
+        raise ValueError("marked element index out of range")
+
+    verts = [tuple(p) for p in mesh.vertices]
+    tris = [list(t) for t in mesh.triangles]
+    alive = [True] * len(tris)
+    ancestor = list(range(len(tris)))
+
+    adj: dict[tuple[int, int], list[int]] = {}
+    for e, t in enumerate(tris):
+        for i, j in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            adj.setdefault((min(i, j), max(i, j)), []).append(e)
+    labels = {
+        (int(lo), int(hi)): int(lab)
+        for (lo, hi), lab in zip(mesh.sides, mesh.side_label)
+        if lab != INTERIOR
+    }
+
+    def refedge(t):
+        a, b = tris[t][0], tris[t][1]
+        return (min(a, b), max(a, b))
+
+    def split(edge, members):
+        """Bisect all triangles in `members`, each having `edge` as its
+        refinement edge."""
+        m = len(verts)
+        pa, pb = verts[edge[0]], verts[edge[1]]
+        verts.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
+        lab = labels.pop(edge, None)
+        if lab is not None:
+            labels[(min(edge[0], m), max(edge[0], m))] = lab
+            labels[(min(edge[1], m), max(edge[1], m))] = lab
+        adj.pop(edge)
+        for t in members:
+            a, b, c = tris[t]
+            alive[t] = False
+            for i, j in ((a, b), (b, c), (c, a)):
+                key = (min(i, j), max(i, j))
+                if key in adj:
+                    adj[key] = [x for x in adj[key] if x != t]
+                    if not adj[key]:
+                        del adj[key]
+            for child in ([c, a, m], [b, c, m]):
+                cid = len(tris)
+                tris.append(child)
+                alive.append(True)
+                ancestor.append(ancestor[t])
+                for i, j in (
+                    (child[0], child[1]),
+                    (child[1], child[2]),
+                    (child[2], child[0]),
+                ):
+                    adj.setdefault((min(i, j), max(i, j)), []).append(cid)
+
+    budget = 64 * (mesh.n_triangles + len(marked)) + 4096
+    for root in marked:
+        stack = [root]
+        while stack:
+            t = stack[-1]
+            if not alive[t]:
+                stack.pop()
+                continue
+            e = refedge(t)
+            partners = [x for x in adj.get(e, ()) if x != t and alive[x]]
+            incompatible = [x for x in partners if refedge(x) != e]
+            if incompatible:
+                stack.append(incompatible[0])
+            else:
+                split(e, [t] + partners)
+                stack.pop()
+            budget -= 1
+            if budget < 0:
+                raise ProblemError(
+                    "bisection closure did not terminate; "
+                    "inconsistent refinement-edge labels"
+                )
+
+    new_tris = np.array(
+        [t for t, a in zip(tris, alive) if a], dtype=np.int64
+    ).reshape(-1, 3)
+    new_parent = np.array(
+        [p for p, a in zip(ancestor, alive) if a], dtype=np.int64
+    )
+    dirichlet = [e for e, lab in labels.items() if lab == DIRICHLET]
+    neumann = [e for e, lab in labels.items() if lab == NEUMANN]
+    dirichlet.sort()
+    neumann.sort()
+    return _assemble(
+        np.array(verts, dtype=np.float64),
+        new_tris,
+        dirichlet,
+        neumann,
+        parent=new_parent,
+        geometric_check=False,
     )

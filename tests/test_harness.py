@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import CYCLIC_MESH_TEXT
 from stresseq import (
     ConfigError,
     InvalidConstants,
@@ -367,8 +368,9 @@ def _corrupt_mesh_file(tmp_path, line_of):
     [
         lambda nv: (1 + nv, f"0 1 {nv}"),  # triangle vertex index out of range
         lambda nv: (1, "nan 0.5"),          # non-finite vertex coordinate
+        lambda nv: (1 + nv, "0 1 99999999999999999999"),  # beyond int64
     ],
-    ids=["index-out-of-range", "nan-coordinate"],
+    ids=["index-out-of-range", "nan-coordinate", "index-beyond-int64"],
 )
 def test_exit_code_bad_mesh_file(tmp_path, capsys, line_of):
     mesh_path = _corrupt_mesh_file(tmp_path, line_of)
@@ -379,6 +381,22 @@ def test_exit_code_bad_mesh_file(tmp_path, capsys, line_of):
     )
     assert main(["run", cfg_path]) == 4
     assert "io" in capsys.readouterr().err
+
+
+def test_exit_code_misclassified_side_in_mesh_file(tmp_path, capsys):
+    """A displacement side that is an interior side of the mesh is named in
+    the one-line error of ``mesh-info``."""
+    mesh = cook_mesh()
+    lo, hi = mesh.sides[mesh.side_tri[:, 1] >= 0][0].tolist()
+    path = tmp_path / "misclassified.txt"
+    write_mesh(mesh, str(path))
+    lines = path.read_text().splitlines()
+    lines[1 + mesh.n_vertices + mesh.n_triangles] = f"{hi} {lo}"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["mesh-info", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: io: invalid mesh in file")
+    assert err.rstrip().endswith(f"dirichlet side ({lo}, {hi}) is not on the boundary")
 
 
 @pytest.mark.parametrize(
@@ -405,38 +423,23 @@ def test_exit_code_sliver_mesh_file(tmp_path, capsys, vertex, axis):
     assert len(err.splitlines()) == 1 and "degenerate to rounding" in err
 
 
-_CYCLIC_MESH = """\
-vertices 5 / triangles 4 / sides_dirichlet 4 / sides_neumann 0
-0 0
-1 0
-1 1
-0 1
-0.5 0.5
-1 4 0
-2 4 1
-3 4 2
-0 4 3
-0 1
-1 2
-2 3
-3 0
-"""
-
-
 def test_exit_code_cyclic_refinement_edges(tmp_path, capsys):
     """Refinement edges that form a cycle around the centre vertex admit no
-    bisection closure: the refinement budget runs out on the first step."""
+    bisection closure: the refinement budget runs out on the first step,
+    whether the step marks by the estimator or marks every element."""
     mesh_path = tmp_path / "cyclic.txt"
-    mesh_path.write_text(_CYCLIC_MESH)
-    cfg_path = write_config(
-        tmp_path,
-        f"problem = manufactured-smooth\nsteps = 3\nmesh_file = {mesh_path}\n"
-        f"output_dir = {tmp_path / 'out'}\n",
-    )
-    assert main(["run", cfg_path]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: problem:") and "bisection" in err
-    assert len(err.splitlines()) == 1
+    mesh_path.write_text(CYCLIC_MESH_TEXT)
+    for mode in ("adaptive", "uniform"):
+        cfg_path = write_config(
+            tmp_path,
+            f"problem = manufactured-smooth\nsteps = 3\nmode = {mode}\n"
+            f"mesh_file = {mesh_path}\noutput_dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", cfg_path]) == 3
+        assert capsys.readouterr().err == (
+            "error: problem: step 0: bisection closure did not terminate; "
+            "inconsistent refinement-edge labels\n"
+        )
 
 
 _SMOOTH = "problem = manufactured-smooth\n"

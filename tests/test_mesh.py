@@ -1,11 +1,14 @@
 """Mesh construction, refinement, file IO, and vertex-patch tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import min_angle_deg, random_points_in_elements
+from conftest import CYCLIC_MESH_TEXT, min_angle_deg, random_points_in_elements
+from oracles import reference_refine
 from stresseq import (
     DIRICHLET,
     INTERIOR,
@@ -18,8 +21,10 @@ from stresseq import (
     IsolatedNeumannVertex,
     Mesh,
     NonConforming,
+    ProblemError,
     build_mesh,
     compose_ancestry,
+    cook,
     cook_mesh,
     lshape_mesh,
     modified_patches,
@@ -217,12 +222,52 @@ def test_hanging_node_scan_matches_the_loop_on_refined_meshes():
 
 
 def test_nonconforming_boundary_classification():
-    with pytest.raises(NonConforming):
+    with pytest.raises(NonConforming, match=r"^dirichlet side \(0, 2\) is not on the boundary$"):
         build_mesh(SQUARE_V, SQUARE_T, [(0, 3), (0, 2)], SQUARE_N)
-    with pytest.raises(NonConforming):
+    with pytest.raises(NonConforming, match=r"^boundary side \(2, 3\) is unclassified$"):
         build_mesh(SQUARE_V, SQUARE_T, [(0, 3)], [(0, 1), (1, 2)])
-    with pytest.raises(NonConforming):
+    with pytest.raises(NonConforming, match=r"^side \(0, 1\) classified twice$"):
         build_mesh(SQUARE_V, SQUARE_T, [(0, 3), (0, 1)], SQUARE_N)
+
+
+@pytest.mark.parametrize(
+    "dirichlet, neumann, message",
+    [
+        ([(3, 1)], SQUARE_N, "dirichlet side (1, 3) is not a mesh side"),
+        # 0 * 4 + 6 would be the packed key of side (1, 2) of the 4 vertices
+        (SQUARE_D, [(0, 6)] + SQUARE_N, "neumann side (0, 6) is not a mesh side"),
+        (SQUARE_D, [(-1, 0)] + SQUARE_N, "neumann side (-1, 0) is not a mesh side"),
+        (SQUARE_D, SQUARE_N + [(2, 0)], "neumann side (0, 2) is not on the boundary"),
+        (SQUARE_D, SQUARE_N + [(3, 2)], "side (2, 3) classified twice"),
+        # the first offending pair is named, in order, dirichlet first
+        ([(0, 3), (1, 3), (0, 2)], [(0, 3)], "dirichlet side (1, 3) is not a mesh side"),
+        ([(0, 3), (0, 2), (1, 3)], [(0, 3)], "dirichlet side (0, 2) is not on the boundary"),
+        (SQUARE_D + [(3, 0)], [(0, 2)], "side (0, 3) classified twice"),
+        ([(1, 2)], [(0, 1)], "boundary side (0, 3) is unclassified"),
+    ],
+)
+def test_boundary_classification_names_the_first_offending_pair(
+    dirichlet, neumann, message
+):
+    with pytest.raises(NonConforming, match=f"^{re.escape(message)}$"):
+        build_mesh(SQUARE_V, SQUARE_T, dirichlet, neumann)
+
+
+def test_duplicate_triangle_is_rejected():
+    """The same triangle stored twice, the second time rotated."""
+    with pytest.raises(NonConforming, match="^duplicate triangle$"):
+        build_mesh(SQUARE_V, SQUARE_T + [(1, 2, 0)], SQUARE_D, SQUARE_N)
+
+
+def test_read_mesh_names_the_misclassified_side(tmp_path):
+    path = tmp_path / "square.txt"
+    write_mesh(two_triangle_square(), path)
+    text = path.read_text().replace("\n0 3\n", "\n0 2\n")
+    path.write_text(text)
+    with pytest.raises(
+        IoError, match=r"invalid mesh in file .*: dirichlet side \(0, 2\) is not on the boundary$"
+    ):
+        read_mesh(path)
 
 
 def test_inverted_element():
@@ -369,6 +414,64 @@ def test_refinement_edge_is_first_two_vertices():
     kid_verts = out.vertices[out.triangles[kids].ravel()]
     dist = np.linalg.norm(kid_verts - midpoint, axis=1)
     assert dist.min() < 1e-12
+
+
+def assert_bitwise_equal(mesh: Mesh, other: Mesh):
+    assert mesh.vertices.tobytes() == other.vertices.tobytes()
+    for name in ("triangles", "parent", "sides", "side_tri", "side_label", "tri_sides"):
+        a, b = getattr(mesh, name), getattr(other, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize(
+    "make", [cook_mesh, lshape_mesh, lambda: unit_square_mesh(4)],
+    ids=["cook", "lshape", "square4"],
+)
+def test_refine_matches_the_dict_oracle(make):
+    """Random marked sets of 3-60 % of the elements, 12 refinements in a
+    row: the neighbour-list closure numbers vertices and triangles as the
+    dict-based one does, and gives the same parents, sides and labels."""
+    rng = np.random.default_rng(15)
+    mesh = make()
+    for _ in range(12):
+        n = max(1, int(rng.uniform(0.03, 0.6) * mesh.n_triangles))
+        marked = rng.choice(mesh.n_triangles, n, replace=False)
+        fine = refine(mesh, marked)
+        assert_bitwise_equal(fine, reference_refine(mesh, marked))
+        mesh = fine
+    assert mesh.n_triangles > 20 * make().n_triangles
+
+
+def test_uniform_refine_matches_the_dict_oracle_on_cook_large(tmp_path):
+    """The 7,641-triangle mesh of seven uniform rounds of the Cook mesh,
+    and its mesh file, byte for byte."""
+    mesh = reference = cook().mesh
+    lineage = np.arange(mesh.n_triangles)
+    for _ in range(7):
+        reference = reference_refine(reference, np.arange(reference.n_triangles))
+        lineage = lineage[reference.parent]
+    reference.parent = lineage
+    fine = uniform_refine(mesh, 7)
+    assert fine.n_triangles == 7641
+    assert_bitwise_equal(fine, reference)
+    write_mesh(fine, tmp_path / "fine.txt")
+    write_mesh(reference, tmp_path / "reference.txt")
+    assert (tmp_path / "fine.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+
+def test_cyclic_refinement_edges_admit_no_closure(tmp_path):
+    """The closure runs out of its budget, as the dict-based one does."""
+    path = tmp_path / "cyclic.txt"
+    path.write_text(CYCLIC_MESH_TEXT)
+    mesh = read_mesh(path)
+    message = (
+        "^bisection closure did not terminate; inconsistent refinement-edge labels$"
+    )
+    with pytest.raises(ProblemError, match=message):
+        refine(mesh, [0])
+    with pytest.raises(ProblemError, match=message):
+        reference_refine(mesh, [0])
+    assert refine(mesh, []) == mesh
 
 
 # -- file round-trip ----------------------------------------------------------
