@@ -25,7 +25,7 @@ import scipy.linalg
 
 from .elasticity import LoadData
 from .errors import IncompatiblePatch, StressEqError
-from .mesh import INTERIOR, NEUMANN, Mesh, VertexPatch, modified_patches
+from .mesh import INTERIOR, NEUMANN, Mesh, Patches, _batches, modified_patches
 from .spaces import (
     BrokenField,
     Discretization,
@@ -182,7 +182,7 @@ class PatchProblem:
     (element, tensor row) block (see :class:`PatchBatch`) to these rows.
     """
 
-    patch: VertexPatch
+    vertex: int                # the patch vertex
     k: int
     elements: np.ndarray       # (ne,) global element ids, ascending
     col_elem: np.ndarray       # (n_free,) local element index per column
@@ -243,7 +243,7 @@ class PatchBatch:
     (:meth:`problem`).
     """
 
-    patches: list[VertexPatch]
+    vertex: np.ndarray         # (P,) patch vertices
     k: int
     pair_patch: np.ndarray     # (n_pairs,) patch index, ascending
     elements: np.ndarray       # (n_pairs,)
@@ -281,7 +281,7 @@ class PatchBatch:
         cols = np.where(live, free_col, n_free)
         dense[block_rows[..., :, None], cols[:, :, None, :]] = self.blocks[pairs]
         return PatchProblem(
-            patch=self.patches[i],
+            vertex=int(self.vertex[i]),
             k=self.k,
             elements=self.elements[pairs],
             free_col=free_col,
@@ -305,7 +305,7 @@ class PatchBatch:
         dense[:n_rows, :n_free] = problem.constraints
         cols = np.where(problem.free_col >= 0, problem.free_col, n_free)
         return cls(
-            patches=[problem.patch],
+            vertex=np.array([problem.vertex]),
             k=problem.k,
             pair_patch=np.zeros(len(problem.elements), dtype=np.int64),
             elements=problem.elements,
@@ -368,7 +368,8 @@ def _segment_norm(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 class Equilibrator:
-    """Builds, solves, and sums the patch corrections for one solution.
+    """Builds, solves, and sums the patch corrections for one solution, on
+    the patches of :func:`modified_patches` (``patches``, built once).
 
     :meth:`correction` leaves plain counters of its step: ``n_patches``,
     ``n_batches`` (stacked solves, one per chunk of consecutive patches),
@@ -389,7 +390,7 @@ class Equilibrator:
         self.sigma_h = sigma_h
         self.tables = disc.constraints
         self.rhs_tables = build_rhs_tables(disc, sigma_h, load)
-        self._neumann_only = disc.mesh.vertex_flags()[1]
+        self.patches: Patches = modified_patches(disc.mesh)
         self.n_patches = self.n_batches = self.n_fallbacks = 0
         self.worst_residual = self.worst_kkt = 0.0
         self.worst_vertex = -1
@@ -401,49 +402,42 @@ class Equilibrator:
 
     # -- patch problem construction ------------------------------------------
 
-    def build_patch_problem(self, patch: VertexPatch) -> PatchProblem:
-        return self._build_batch([patch]).problem(0)
+    def build_patch_problem(self, i: int) -> PatchProblem:
+        """The problem of patch ``i`` of :attr:`patches`."""
+        return self._build_batch(i, i + 1).problem(0)
 
-    def _batches(self, patches: list[VertexPatch]):
+    def _batches(self):
         """Yield (first patch index, PatchBatch) for chunks of consecutive
         patches whose stacked local blocks take at most _BATCH_BYTES (at
         least one patch each)."""
-        k = self.disc.k
-        pair_bytes = 8 * 2 * _n_local(k) * rt_dim(k)
-        end = np.cumsum([len(p.elements) for p in patches]) * pair_bytes
-        start = 0
-        while start < len(patches):
-            base = end[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(end, base + _BATCH_BYTES, side="right")))
-            yield start, self._build_batch(patches[start:stop])
-            start = stop
+        pair_bytes = 8 * 2 * _n_local(self.disc.k) * rt_dim(self.disc.k)
+        for start, stop in _batches(np.diff(self.patches.offsets) * pair_bytes, _BATCH_BYTES):
+            yield start, self._build_batch(start, stop)
 
-    def _build_batch(self, patches: list[VertexPatch]) -> PatchBatch:
-        """Stack the local blocks of the patches by (patch, element) pair,
-        by index arithmetic on the constraint tables."""
+    def _build_batch(self, lo: int, hi: int) -> PatchBatch:
+        """Stack the local blocks of the patches lo..hi-1 by (patch, element)
+        pair, by index arithmetic on the constraint tables."""
         mesh, k = self.disc.mesh, self.disc.k
-        assert not self._neumann_only[[p.vertex for p in patches]].any(), (
-            "patch centered on a traction-only vertex is not admissible"
-        )
-        n = len(patches)
-        n_elems = np.array([len(p.elements) for p in patches])
+        patches = self.patches
+        pairs = slice(patches.offsets[lo], patches.offsets[hi])
+        n = hi - lo
+        n_elems = np.diff(patches.offsets[lo : hi + 1])
         pair_patch = np.repeat(np.arange(n), n_elems)
-        elements = np.concatenate([p.elements for p in patches])
+        elements = patches.elements[pairs]
+        vertex = patches.vertex[lo:hi]
         n_pairs = len(elements)
         nd = rt_dim(k)
         nmk = len(_exps_array(k))
         nsel = 3 * (k + 1)
 
         # a side carries jump rows when the patch holds both of its elements
-        # (the boundary partner -1 matches none) or when it is a traction
-        # side; the free dofs are all but the side moments on patch-boundary
-        # sides interior to the mesh
+        # (a triangle is in the patch when the patch vertex owns one of its
+        # vertices) or when it is a traction side; the free dofs are all but
+        # the side moments on patch-boundary sides interior to the mesh
         sides = mesh.tri_sides[elements]                       # (n_pairs, 3)
-        key = pair_patch * mesh.n_triangles + elements         # ascending
         partner = mesh.side_tri[sides]                         # (n_pairs, 3, 2)
-        partner_key = pair_patch[:, None, None] * mesh.n_triangles + partner
-        found = key[np.minimum(np.searchsorted(key, partner_key), n_pairs - 1)]
-        both_in = ((found == partner_key) & (partner >= 0)).all(axis=2)
+        owned = patches.owner[mesh.triangles[partner]] == vertex[pair_patch, None, None, None]
+        both_in = (owned.any(axis=3) & (partner >= 0)).all(axis=2)
         labels = mesh.side_label[sides]
         on_active = both_in | (labels == NEUMANN)
         free = np.ones((n_pairs, nd), dtype=bool)
@@ -504,26 +498,23 @@ class Equilibrator:
         blocks[:, 0, nmk + nsel :] = np.where(fr, self.tables.symy[elements], 0.0)
         blocks[:, 1, nmk + nsel :] = np.where(fr, -self.tables.symx[elements], 0.0)
 
-        # right-hand side: jump moments weighted by the hats of the patch group
-        group = np.full((n, 1 + max(len(p.absorbed) for p in patches)), -1)
-        for i, p in enumerate(patches):
-            group[i, 0] = p.vertex
-            group[i, 1 : 1 + len(p.absorbed)] = p.absorbed
-        owner = np.repeat(np.arange(n), np.diff(side_offsets))
-        w = (mesh.sides[active][..., None] == group[owner][:, None, :]).any(axis=2)
+        # right-hand side: the residual moments weighted by the patch weight;
+        # a side's endpoint hats count where the patch vertex owns them
+        active_patch = np.repeat(np.arange(n), np.diff(side_offsets))
+        w = patches.owner[mesh.sides[active]] == vertex[active_patch][:, None]
         rhs = np.zeros(row_offsets[-1])
-        weights = np.concatenate([p.weights for p in patches])
         rdiv = self.rhs_tables.rdiv[elements]                  # (n_pairs, 3, 2, nmk)
-        rhs[rows_div] = np.einsum("ea,earb->erb", weights, rdiv)
-        rows_jump = (first_jump[owner] + (np.arange(len(active)) - side_offsets[owner]) * 2 * (k + 1))[
-            :, None
-        ] + np.arange(2 * (k + 1))
+        rhs[rows_div] = np.einsum("ea,earb->erb", patches.weights[pairs], rdiv)
+        rows_jump = (
+            first_jump[active_patch]
+            + (np.arange(len(active)) - side_offsets[active_patch]) * 2 * (k + 1)
+        )[:, None] + np.arange(2 * (k + 1))
         rhs[rows_jump] = np.einsum(
             "sa,sarm->srm", w, self.rhs_tables.rjump[active]
         ).reshape(len(active), -1)
 
         return PatchBatch(
-            patches=list(patches),
+            vertex=vertex,
             k=k,
             pair_patch=pair_patch,
             elements=elements,
@@ -600,7 +591,7 @@ class Equilibrator:
         """
         L, rows, rhs = batch.blocks, batch.block_rows, batch.rhs
         n_pairs, _, _, nd = L.shape
-        n = len(batch.patches)
+        n = len(batch.vertex)
         pp = batch.pair_patch
         nmk = len(_exps_array(batch.k))
         n_elems = np.bincount(pp, minlength=n)
@@ -756,7 +747,7 @@ class Equilibrator:
             sol += scipy.linalg.lu_solve(lu, full_rhs - kkt @ sol)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise IncompatiblePatch(
-                f"patch at vertex {problem.patch.vertex}: KKT solve failed ({exc})"
+                f"patch at vertex {problem.vertex}: KKT solve failed ({exc})"
             )
         denom = max(
             float(np.linalg.norm(full_rhs)),
@@ -766,14 +757,14 @@ class Equilibrator:
         kkt_rel = float(np.linalg.norm(kkt @ sol - full_rhs)) / denom
         if not np.isfinite(kkt_rel) or kkt_rel > 1e-10:
             raise IncompatiblePatch(
-                f"patch at vertex {problem.patch.vertex}: KKT relative residual "
+                f"patch at vertex {problem.vertex}: KKT relative residual "
                 f"{kkt_rel:.3e} exceeds 1e-10"
             )
         x = sol[:n_free]
         resid = float(np.max(np.abs(B @ x - rhs))) if B.size else 0.0
         if resid > _RESIDUAL_RTOL * self.scale:
             raise IncompatiblePatch(
-                f"patch at vertex {problem.patch.vertex}: constraint residual "
+                f"patch at vertex {problem.vertex}: constraint residual "
                 f"{resid:.3e} exceeds {_RESIDUAL_RTOL:g} * scale "
                 f"(scale {self.scale:.3e})"
             )
@@ -786,16 +777,16 @@ class Equilibrator:
         patches and scattered in patch-vertex order."""
         disc = self.disc
         nd = rt_dim(disc.k)
-        patches = modified_patches(disc.mesh)
+        patches = self.patches
         targets, values = [], []
         residual = np.zeros(len(patches))
         dropped = np.zeros(len(patches), dtype=np.int64)
         self.n_patches = len(patches)
         self.n_batches = self.n_fallbacks = 0
         self.worst_kkt = 0.0
-        for start, batch in self._batches(patches):
+        for start, batch in self._batches():
             sol = self._solve_batch(batch)
-            ids = slice(start, start + len(batch.patches))
+            ids = slice(start, start + len(batch.vertex))
             self.n_batches += 1
             self.n_fallbacks += int(sol.fallback.sum())
             self.worst_kkt = max(self.worst_kkt, float(sol.kkt.max()))
@@ -812,7 +803,7 @@ class Equilibrator:
             np.add.at(dofs.reshape(-1), np.concatenate(targets), np.concatenate(values))
             worst = int(np.argmax(residual))
             self.worst_residual = float(residual[worst]) / self.scale
-            self.worst_vertex = patches[worst].vertex
+            self.worst_vertex = int(patches.vertex[worst])
         return BrokenField(disc.mesh, disc.k, dofs)
 
 
@@ -851,7 +842,7 @@ def null_space_vectors(problem: PatchProblem, mesh: Mesh) -> np.ndarray:
     n_jump = problem.n_jump
     n_rows = problem.constraints.shape[0]
     out = np.zeros((3, n_rows))
-    zc = mesh.vertices[problem.patch.vertex]
+    zc = mesh.vertices[problem.vertex]
     centers = mesh.vertices[mesh.triangles[problem.elements]].mean(axis=1)
     hs = mesh.h[problem.elements]
 

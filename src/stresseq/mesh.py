@@ -12,6 +12,7 @@ side table with deterministic orientation conventions:
   stored vertices.
 
 Refinement is newest-vertex bisection with recursive conformity closure.
+The vertex patches of a partition of unity are one :class:`Patches` record.
 """
 
 from __future__ import annotations
@@ -337,24 +338,6 @@ def _rotate_to_longest_edge(vertices, triangles):
     return out
 
 
-def _check_neumann_vertices(mesh: Mesh):
-    """Every pure-traction vertex needs an edge to a non-traction vertex,
-    so its hat weight has somewhere to be folded (see modified_patches)."""
-    _, on_n_only = mesh.vertex_flags()
-    if not on_n_only.any():
-        return
-    a, b = mesh.sides[:, 0], mesh.sides[:, 1]
-    satisfied = np.zeros(mesh.n_vertices, bool)
-    np.logical_or.at(satisfied, a, ~on_n_only[b])
-    np.logical_or.at(satisfied, b, ~on_n_only[a])
-    bad = np.flatnonzero(on_n_only & ~satisfied)
-    if bad.size:
-        raise IsolatedNeumannVertex(
-            f"traction-boundary vertex {int(bad[0])} has no edge to an"
-            " interior or displacement-boundary vertex"
-        )
-
-
 def _assemble(
     vertices,
     triangles,
@@ -429,7 +412,7 @@ def _assemble(
         parent=None if parent is None else np.asarray(parent, dtype=np.int64),
     )
     mesh._finalize()
-    _check_neumann_vertices(mesh)
+    _traction_hosts(mesh)  # every traction-only vertex needs a host
     return mesh
 
 
@@ -660,75 +643,76 @@ def uniform_refine(mesh: Mesh, rounds: int = 2) -> Mesh:
 
 
 @dataclass
-class VertexPatch:
-    """Support of one partition-of-unity weight.
+class Patches:
+    """The supports of a partition of unity's weights, stacked in vertex order.
 
-    Attributes
-    ----------
-    vertex : int
-        The vertex carrying the weight.
-    elements : (ne,) int array
-        Triangles of the patch, ascending.
-    weights : (ne, 3) float array
-        Nodal values of the (possibly extended) hat weight on each element;
-        the weight is affine on each triangle.
-    absorbed : (na,) int array
-        Traction-boundary vertices whose hat was folded into this weight.
-    dirichlet_touching : bool
-        True when some side of the closed patch lies on the displacement
-        boundary.
+    Patch i carries the weight of ``vertex[i]``, the sum of the hats of the
+    vertices v with ``owner[v] == vertex[i]``.  Its (patch, element) pairs
+    are ``offsets[i]`` to ``offsets[i + 1]`` of ``elements``, ascending, and
+    of ``weights``, the nodal values of the weight, which is affine on each
+    triangle.  ``dirichlet_touching[i]`` is true when some side of the
+    closed patch lies on the displacement boundary.
     """
 
-    vertex: int
-    elements: np.ndarray
-    weights: np.ndarray
-    absorbed: np.ndarray
-    dirichlet_touching: bool
+    vertex: np.ndarray              # (P,) ascending
+    offsets: np.ndarray             # (P + 1,)
+    elements: np.ndarray            # (n_pairs,)
+    weights: np.ndarray             # (n_pairs, 3)
+    owner: np.ndarray               # (nv,)
+    dirichlet_touching: np.ndarray  # (P,) bool
+
+    def __len__(self) -> int:
+        return len(self.vertex)
+
+    def pairs(self, i: int) -> slice:
+        """The (patch, element) pairs of patch ``i``."""
+        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
 
-def _patch_from_vertices(mesh, z, group, offsets, ids):
-    members = np.unique(
-        np.concatenate([ids[offsets[v] : offsets[v + 1]] for v in group])
+def _patches(mesh: Mesh, owner: np.ndarray) -> Patches:
+    """The patches of the weights that ``owner`` defines, in one pass: the
+    keys ``owner * nt + element`` of the triangles' vertices sort the
+    (patch, element) pairs by patch vertex, then by element."""
+    nt = mesh.n_triangles
+    keys = np.unique(owner[mesh.triangles] * nt + np.arange(nt)[:, None])
+    pair_vertex, elements = keys // nt, keys % nt
+    vertex, first = np.unique(pair_vertex, return_index=True)
+    on_d = (mesh.side_label[mesh.tri_sides[elements]] == DIRICHLET).any(axis=1)
+    return Patches(
+        vertex=vertex,
+        offsets=np.append(first, len(keys)),
+        elements=elements,
+        weights=(owner[mesh.triangles[elements]] == pair_vertex[:, None]).astype(np.float64),
+        owner=owner,
+        dirichlet_touching=np.logical_or.reduceat(on_d, first),
     )
-    tri = mesh.triangles[members]
-    weights = np.isin(tri, group).astype(np.float64)
-    labels = mesh.side_label[mesh.tri_sides[members]]
-    return VertexPatch(
-        vertex=int(z),
-        elements=members,
-        weights=weights,
-        absorbed=np.array(sorted(set(group) - {int(z)}), dtype=np.int64),
-        dirichlet_touching=bool((labels == DIRICHLET).any()),
-    )
 
 
-def _hat_patches(mesh, offsets, ids) -> list[VertexPatch]:
-    """The patch of every vertex's own hat, as ``_patch_from_vertices``
-    builds it for the group [z], from one pass over the vertex map."""
-    owner = np.repeat(np.arange(mesh.n_vertices), np.diff(offsets))
-    weights = (mesh.triangles[ids] == owner[:, None]).astype(np.float64)
-    touching = np.zeros(mesh.n_vertices, dtype=bool)
-    on_d = (mesh.side_label[mesh.tri_sides[ids]] == DIRICHLET).any(axis=1)
-    touching[owner[on_d]] = True
-    none = np.zeros(0, dtype=np.int64)
-    return [
-        VertexPatch(
-            vertex=z,
-            elements=ids[lo:hi],
-            weights=weights[lo:hi],
-            absorbed=none,
-            dirichlet_touching=bool(touching[z]),
+def _traction_hosts(mesh: Mesh) -> np.ndarray:
+    """The ``owner`` of :func:`modified_patches`: each vertex, or the
+    host of each traction-only vertex; raises IsolatedNeumannVertex when a
+    traction-only vertex has no eligible neighbour to host it."""
+    _, on_n_only = mesh.vertex_flags()
+    nv = mesh.n_vertices
+    ends = mesh.sides[on_n_only[mesh.sides[:, 0]] != on_n_only[mesh.sides[:, 1]]]
+    traction = np.where(on_n_only[ends[:, 0]], ends[:, 0], ends[:, 1])
+    host = np.full(nv, nv)
+    np.minimum.at(host, traction, ends[:, 0] + ends[:, 1] - traction)
+    bad = np.flatnonzero(on_n_only & (host == nv))
+    if bad.size:
+        raise IsolatedNeumannVertex(
+            f"traction-boundary vertex {int(bad[0])} has no edge to an"
+            " interior or displacement-boundary vertex"
         )
-        for z, (lo, hi) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-    ]
+    return np.where(on_n_only, host, np.arange(nv))
 
 
-def standard_patches(mesh: Mesh) -> list[VertexPatch]:
+def standard_patches(mesh: Mesh) -> Patches:
     """One hat-function patch per mesh vertex; the weights sum to one."""
-    return _hat_patches(mesh, *mesh.vertex_triangles())
+    return _patches(mesh, np.arange(mesh.n_vertices))
 
 
-def modified_patches(mesh: Mesh) -> list[VertexPatch]:
+def modified_patches(mesh: Mesh) -> Patches:
     """Patches for the traction-adjusted partition of unity.
 
     Vertices lying on the traction boundary only (no displacement side)
@@ -743,33 +727,7 @@ def modified_patches(mesh: Mesh) -> list[VertexPatch]:
     IsolatedNeumannVertex
         If some traction vertex has no eligible neighbour.
     """
-    on_d, on_n_only = mesh.vertex_flags()
-    offsets, ids = mesh.vertex_triangles()
-    assigned: dict[int, list[int]] = {}
-    for z_n in np.flatnonzero(on_n_only):
-        nbrs = np.concatenate(
-            [
-                mesh.sides[mesh.sides[:, 0] == z_n, 1],
-                mesh.sides[mesh.sides[:, 1] == z_n, 0],
-            ]
-        )
-        eligible = nbrs[~on_n_only[nbrs]]
-        if eligible.size == 0:
-            raise IsolatedNeumannVertex(
-                f"traction vertex {int(z_n)} has no eligible neighbour"
-            )
-        assigned.setdefault(int(eligible.min()), []).append(int(z_n))
-    hats = _hat_patches(mesh, offsets, ids)
-    patches = []
-    for z in range(mesh.n_vertices):
-        if on_n_only[z]:
-            continue
-        if z in assigned:
-            group = [z] + sorted(assigned[z])
-            patches.append(_patch_from_vertices(mesh, z, group, offsets, ids))
-        else:
-            patches.append(hats[z])
-    return patches
+    return _patches(mesh, _traction_hosts(mesh))
 
 
 # -- quality -----------------------------------------------------------------

@@ -17,13 +17,13 @@ from stresseq import (
     solve,
 )
 from stresseq.equilibration import Equilibrator, PatchProblem
-from stresseq.errors import ProblemError
+from stresseq.errors import IsolatedNeumannVertex, ProblemError
 from stresseq.mesh import (
     DIRICHLET,
     INTERIOR,
     NEUMANN,
     Mesh,
-    VertexPatch,
+    Patches,
     _assemble,
 )
 from stresseq.spaces import _exps_array, rt_dim, triangle_rule
@@ -48,18 +48,19 @@ def dense_kkt_minimizer(problem: PatchProblem) -> np.ndarray:
     return sol[:n]
 
 
-def dense_patch_constraints(
-    eq: Equilibrator, patch: VertexPatch
-) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint matrix and right-hand side of one patch, written straight
-    into the dense matrix by index arithmetic on the constraint tables.
+def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint matrix and right-hand side of patch ``i`` of
+    ``eq.patches``, written straight into the dense matrix by index
+    arithmetic on the constraint tables.
 
     Rows and columns are ordered as in :class:`PatchProblem`; the columns
     are the free dofs in (element, tensor row, dof) order.
     """
     disc, tables = eq.disc, eq.tables
     mesh, k = disc.mesh, disc.k
-    elements = patch.elements
+    patches = eq.patches
+    elements = patches.elements[patches.pairs(i)]
+    z = patches.vertex[i]
     ne, nd, nmk = len(elements), rt_dim(k), len(_exps_array(k))
 
     sides = mesh.tri_sides[elements]                             # (ne, 3)
@@ -101,15 +102,79 @@ def dense_patch_constraints(
     B[rows_sym[..., None], cols[:, None, 0, :]] = tables.symy[elements]
     B[rows_sym[..., None], cols[:, None, 1, :]] = -tables.symx[elements]
 
-    group = np.concatenate([[patch.vertex], patch.absorbed])
+    group = np.concatenate([[z], absorbed(patches, i)])
     w = np.isin(mesh.sides[active], group)
     rhs = np.zeros(n_rows)
     rdiv = eq.rhs_tables.rdiv[elements]                          # (ne, 3, 2, nmk)
-    rhs[:n_div] = np.einsum("ea,earb->erb", patch.weights, rdiv).ravel()
+    weights = patches.weights[patches.pairs(i)]
+    rhs[:n_div] = np.einsum("ea,earb->erb", weights, rdiv).ravel()
     rhs[n_div : n_div + n_jump] = np.einsum(
         "sa,sarm->srm", w, eq.rhs_tables.rjump[active]
     ).ravel()
     return np.ascontiguousarray(B[:, :n_free]), rhs
+
+
+def absorbed(patches: Patches, i: int) -> np.ndarray:
+    """The vertices, ascending, whose hats are folded into the weight of
+    patch ``i``."""
+    z = patches.vertex[i]
+    folded = np.flatnonzero(patches.owner == z)
+    return folded[folded != z]
+
+
+def reference_patches(mesh: Mesh, modified: bool) -> Patches:
+    """The vertex patches, built one vertex group at a time.
+
+    The per-vertex form of :func:`stresseq.mesh.standard_patches` and, when
+    ``modified``, of :func:`stresseq.mesh.modified_patches`: each
+    traction-only vertex is assigned, by a scan of the side table, to the
+    lowest-numbered neighbour off the traction boundary; each remaining
+    vertex z gets the group of z and the vertices assigned to it, whose
+    patch is the union of the group's vertex stars, weighted by the hats of
+    the group.  Vertices in no triangle carry no patch.  Both must give
+    bitwise the same record.
+    """
+    _, on_n_only = mesh.vertex_flags()
+    if not modified:
+        on_n_only[:] = False
+    offsets, ids = mesh.vertex_triangles()
+    assigned: dict[int, list[int]] = {}
+    for z_n in np.flatnonzero(on_n_only):
+        nbrs = np.concatenate(
+            [
+                mesh.sides[mesh.sides[:, 0] == z_n, 1],
+                mesh.sides[mesh.sides[:, 1] == z_n, 0],
+            ]
+        )
+        eligible = nbrs[~on_n_only[nbrs]]
+        if eligible.size == 0:
+            raise IsolatedNeumannVertex(
+                f"traction vertex {int(z_n)} has no eligible neighbour"
+            )
+        assigned.setdefault(int(eligible.min()), []).append(int(z_n))
+    owner = np.arange(mesh.n_vertices)
+    vertex, elements, weights, touching = [], [], [], []
+    for z in np.flatnonzero(~on_n_only):
+        group = [int(z)] + sorted(assigned.get(int(z), []))
+        owner[group] = z
+        members = np.unique(
+            np.concatenate([ids[offsets[v] : offsets[v + 1]] for v in group])
+        )
+        if not members.size:
+            continue
+        labels = mesh.side_label[mesh.tri_sides[members]]
+        vertex.append(z)
+        elements.append(members)
+        weights.append(np.isin(mesh.triangles[members], group).astype(np.float64))
+        touching.append(bool((labels == DIRICHLET).any()))
+    return Patches(
+        vertex=np.array(vertex, dtype=np.int64),
+        offsets=np.concatenate([[0], np.cumsum([len(e) for e in elements])]),
+        elements=np.concatenate(elements),
+        weights=np.concatenate(weights),
+        owner=owner,
+        dirichlet_touching=np.array(touching),
+    )
 
 
 def production_minimizer(eq: Equilibrator, problem: PatchProblem) -> np.ndarray:

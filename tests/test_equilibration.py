@@ -16,7 +16,6 @@ from stresseq import (
     cook,
     equilibrate,
     manufactured_smooth,
-    modified_patches,
     square_lshape,
     uniform_refine,
     verify_equilibration,
@@ -40,7 +39,7 @@ from stresseq.spaces import (
 )
 
 from conftest import solve_problem
-from oracles import dense_kkt_minimizer, dense_patch_constraints, mass_norm
+from oracles import absorbed, dense_kkt_minimizer, dense_patch_constraints, mass_norm
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +149,13 @@ def dense_row_actions(mesh, k, pp, dofs):
 def test_constraint_rows_match_dense_integration(setup, request, rng):
     problem, disc, eq = request.getfixturevalue(setup)
     mesh, k = disc.mesh, disc.k
-    patches = modified_patches(mesh)
-    interior = [p for p in patches if not p.dirichlet_touching]
-    touching = [p for p in patches if p.dirichlet_touching]
-    absorbed = [p for p in patches if len(p.absorbed)]
-    chosen = [interior[0], touching[0]] + (absorbed[:1] if absorbed else [])
-    for patch in chosen:
-        pp = eq.build_patch_problem(patch)
+    patches = eq.patches
+    interior = np.flatnonzero(~patches.dirichlet_touching)
+    touching = np.flatnonzero(patches.dirichlet_touching)
+    folding = [i for i in range(len(patches)) if len(absorbed(patches, i))]
+    chosen = [interior[0], touching[0]] + folding[:1]
+    for i in chosen:
+        pp = eq.build_patch_problem(i)
         x = rng.standard_normal(pp.n_free)
         y = pp.constraints @ x
         dofs = patch_field(pp, x)
@@ -188,14 +187,14 @@ def test_zero_data_gives_zero_correction(manu_eq):
 def test_patch_minimizer_matches_dense_kkt(setup, request):
     """Production rank-handling solve equals the all-rows pseudo-inverse."""
     problem, disc, eq = request.getfixturevalue(setup)
-    for patch in modified_patches(disc.mesh):
-        pp = eq.build_patch_problem(patch)
+    for i in range(len(eq.patches)):
+        pp = eq.build_patch_problem(i)
         x = eq.solve_patch(pp)
         x_ref = dense_kkt_minimizer(pp)
         ref = mass_norm(pp, x_ref)
         diff = mass_norm(pp, x - x_ref)
         assert diff <= 1e-10 * max(ref, 1e-12), (
-            f"patch {patch.vertex}: |x - x_ref|_M = {diff:.3e}, "
+            f"patch {pp.vertex}: |x - x_ref|_M = {diff:.3e}, "
             f"|x_ref|_M = {ref:.3e}"
         )
 
@@ -203,15 +202,15 @@ def test_patch_minimizer_matches_dense_kkt(setup, request):
 def test_interior_patch_rank_deficiency_exactly_three(manu_eq):
     _, disc, eq = manu_eq
     seen_interior = 0
-    for patch in modified_patches(disc.mesh):
-        pp = eq.build_patch_problem(patch)
+    for i, touching in enumerate(eq.patches.dirichlet_touching):
+        pp = eq.build_patch_problem(i)
         sv = np.linalg.svd(pp.constraints, compute_uv=False)
         rank = int(np.sum(sv > 1e-10 * sv[0]))
         deficiency = pp.constraints.shape[0] - rank
-        if patch.dirichlet_touching:
-            assert deficiency == 0, f"patch {patch.vertex}"
+        if touching:
+            assert deficiency == 0, f"patch {pp.vertex}"
         else:
-            assert deficiency == 3, f"patch {patch.vertex}"
+            assert deficiency == 3, f"patch {pp.vertex}"
             seen_interior += 1
     # 5x5 grid: three interior columns, but patches in the column nearest
     # the clamped edge touch it through their triangles
@@ -223,10 +222,8 @@ def test_null_vectors_annihilate_constraints(setup, request):
     """Rigid-motion row combinations vanish on displacement-free patches."""
     problem, disc, eq = request.getfixturevalue(setup)
     mesh = disc.mesh
-    for patch in modified_patches(mesh):
-        if patch.dirichlet_touching:
-            continue
-        pp = eq.build_patch_problem(patch)
+    for i in np.flatnonzero(~eq.patches.dirichlet_touching):
+        pp = eq.build_patch_problem(i)
         nv = null_space_vectors(pp, mesh)
         resid = np.abs(nv @ pp.constraints)
         scale = np.linalg.norm(nv, axis=1) * np.linalg.norm(pp.constraints)
@@ -235,20 +232,18 @@ def test_null_vectors_annihilate_constraints(setup, request):
 
 def test_interior_patch_rhs_is_compatible(cook_eq):
     problem, disc, eq = cook_eq
-    for patch in modified_patches(disc.mesh):
-        if patch.dirichlet_touching:
-            continue
-        pp = eq.build_patch_problem(patch)
+    for i in np.flatnonzero(~eq.patches.dirichlet_touching):
+        pp = eq.build_patch_problem(i)
         _, proj = compatibility_residual(pp, disc.mesh)
-        assert proj <= 1e-10 * eq.scale, f"patch {patch.vertex}: {proj:.3e}"
+        assert proj <= 1e-10 * eq.scale, f"patch {pp.vertex}: {proj:.3e}"
 
 
 def test_minimizer_is_mass_orthogonal_to_constraint_null_space(cook_eq):
     """KKT stationarity: M x lies in the row space of the constraints."""
     problem, disc, eq = cook_eq
     checked = 0
-    for patch in modified_patches(disc.mesh):
-        pp = eq.build_patch_problem(patch)
+    for i in range(len(eq.patches)):
+        pp = eq.build_patch_problem(i)
         if pp.n_free <= pp.constraints.shape[0]:
             continue
         x = eq.solve_patch(pp)
@@ -266,10 +261,7 @@ def test_minimizer_is_mass_orthogonal_to_constraint_null_space(cook_eq):
 
 def test_incompatible_rhs_raises(manu_eq):
     problem, disc, eq = manu_eq
-    patch = next(
-        p for p in modified_patches(disc.mesh) if not p.dirichlet_touching
-    )
-    pp = eq.build_patch_problem(patch)
+    pp = eq.build_patch_problem(np.flatnonzero(~eq.patches.dirichlet_touching)[0])
     nv = null_space_vectors(pp, disc.mesh)
     bad = nv[0] / np.linalg.norm(nv[0]) * eq.scale
     broken = dataclasses.replace(pp, rhs=pp.rhs + bad)
@@ -285,22 +277,22 @@ def test_schur_path_matches_qr_lu_fallback(setup, request):
     Cholesky keeps exactly the structural rank."""
     _, disc, eq = request.getfixturevalue(setup)
     seen = set()
-    for _, batch in eq._batches(modified_patches(disc.mesh)):
+    patches = eq.patches
+    for start, batch in eq._batches():
         sol = eq._solve_batch(batch)
-        for i, patch in enumerate(batch.patches):
+        for i, z in enumerate(batch.vertex):
+            touching = patches.dirichlet_touching[start + i]
             n_rows = batch.row_offsets[i + 1] - batch.row_offsets[i]
-            assert not sol.fallback[i], f"patch {patch.vertex} failed the fast path"
+            assert not sol.fallback[i], f"patch {z} failed the fast path"
             pp = batch.problem(i)
             x = sol.x[batch.pairs(i)][pp.free_col >= 0]
             for x_ref in (eq._solve_patch_qr_lu(pp)[0], dense_kkt_minimizer(pp)):
                 assert np.max(np.abs(x - x_ref)) <= 1e-8 * np.max(np.abs(x_ref)), (
-                    f"patch {patch.vertex}"
+                    f"patch {z}"
                 )
-            assert sol.rank[i] == (
-                n_rows if patch.dirichlet_touching else n_rows - 3
-            ), f"patch {patch.vertex}"
+            assert sol.rank[i] == (n_rows if touching else n_rows - 3), f"patch {z}"
             assert sol.kkt[i] <= 1e-10
-            seen.add((patch.dirichlet_touching, len(patch.absorbed) > 0))
+            seen.add((touching, len(absorbed(patches, start + i)) > 0))
     assert {(True, False), (False, False), (False, True)} <= seen
 
 
@@ -309,32 +301,32 @@ def test_batched_patches_match_batch_of_one(setup, request):
     """Each patch of a batch is built and solved bitwise as on its own, and
     the correction sums the patch solutions in patch-vertex order."""
     _, disc, eq = request.getfixturevalue(setup)
-    patches = modified_patches(disc.mesh)
-    for _, batch in eq._batches(patches):
-        assert len(batch.patches) == 1 or batch.blocks.nbytes <= _BATCH_BYTES
+    for start, batch in eq._batches():
+        assert len(batch.vertex) == 1 or batch.blocks.nbytes <= _BATCH_BYTES
         sol = eq._solve_batch(batch)
-        for i, patch in enumerate(batch.patches):
-            pp = eq.build_patch_problem(patch)
+        for i in range(len(batch.vertex)):
+            pp = eq.build_patch_problem(start + i)
+            assert pp.vertex == batch.vertex[i]
             assert np.array_equal(batch.problem(i).constraints, pp.constraints)
             rows = slice(batch.row_offsets[i], batch.row_offsets[i + 1])
             assert np.array_equal(batch.rhs[rows], pp.rhs)
             x = sol.x[batch.pairs(i)][pp.free_col >= 0]
-            assert np.array_equal(x, eq.solve_patch(pp)), f"patch {patch.vertex}"
+            assert np.array_equal(x, eq.solve_patch(pp)), f"patch {pp.vertex}"
     dofs = np.zeros((disc.mesh.n_triangles, 2, rt_dim(disc.k)))
-    for patch in patches:
-        pp = eq.build_patch_problem(patch)
+    for i in range(len(eq.patches)):
+        pp = eq.build_patch_problem(i)
         np.add.at(
             dofs, (pp.elements[pp.col_elem], pp.col_row, pp.col_dof), eq.solve_patch(pp)
         )
     assert np.array_equal(eq.correction().dofs, dofs)
 
 
-def _mixed_batch(eq, mesh, n_patches):
+def _mixed_batch(eq, n_patches):
     """The first batch of at least ``n_patches`` patches that holds patches
     of two or more element counts."""
     return next(
-        b for _, b in eq._batches(modified_patches(mesh))
-        if len(b.patches) >= n_patches and len(np.unique(np.bincount(b.pair_patch))) > 1
+        b for _, b in eq._batches()
+        if len(b.vertex) >= n_patches and len(np.unique(np.bincount(b.pair_patch))) > 1
     )
 
 
@@ -342,7 +334,7 @@ def test_batch_fallback_is_per_patch(cook_eq, monkeypatch):
     """A patch over the row-norm span and a patch failing its gate take
     QR+LU alone; the other patches of the batch are bitwise unchanged."""
     _, disc, eq = cook_eq
-    batch = _mixed_batch(eq, disc.mesh, 4)
+    batch = _mixed_batch(eq, 4)
     base = eq._solve_batch(batch)
     assert not base.fallback.any()
     pp = batch.problem(0)
@@ -354,7 +346,7 @@ def test_batch_fallback_is_per_patch(cook_eq, monkeypatch):
 
     # patch 0 rides along in the Schur stack and leaves it by the row-norm
     # rule, so patch 2 is the third solve of each of the two passes over it
-    n_stack = len(batch.patches)
+    n_stack = len(batch.vertex)
     calls = itertools.count()
     dpotrs = scipy.linalg.lapack.dpotrs
 
@@ -380,12 +372,12 @@ def test_correction_counts_its_patches():
     disc, fields, sigma = solve_problem(problem, mesh=uniform_refine(problem.mesh, 2))
     eq = Equilibrator(disc, sigma, problem.load)
     eq.correction()
-    patches = modified_patches(disc.mesh)
+    patches = eq.patches
     assert eq.n_patches == len(patches)
     assert 0 < eq.n_batches < eq.n_patches
     assert eq.n_fallbacks == 0
     assert 0.0 < eq.worst_residual <= 1e-9
-    assert eq.worst_vertex in {p.vertex for p in patches}
+    assert eq.worst_vertex in patches.vertex
     assert 0.0 < eq.worst_kkt <= 1e-10
 
 
@@ -394,8 +386,8 @@ def test_correction_counts_the_dropped_rows(cook_eq):
     rigid-motion rows, and every other patch drops none."""
     _, disc, eq = cook_eq
     eq.correction()
-    patches = modified_patches(disc.mesh)
-    touching = sum(p.dirichlet_touching for p in patches)
+    patches = eq.patches
+    touching = int(patches.dirichlet_touching.sum())
     assert 0 < touching < len(patches)
     assert eq.dropped_rows == {0: touching, 3: len(patches) - touching}
     assert 0.0 < eq.worst_kkt <= 1e-10
@@ -407,13 +399,13 @@ def test_dense_view_matches_dense_builder(setup, request):
     bitwise the one that the dense index arithmetic writes."""
     _, disc, eq = request.getfixturevalue(setup)
     mixed = False
-    for _, batch in eq._batches(modified_patches(disc.mesh)):
+    for start, batch in eq._batches():
         mixed |= len(np.unique(np.bincount(batch.pair_patch))) > 1
-        for i, patch in enumerate(batch.patches):
-            b, rhs = dense_patch_constraints(eq, patch)
+        for i in range(len(batch.vertex)):
+            b, rhs = dense_patch_constraints(eq, start + i)
             pp = batch.problem(i)
-            assert np.array_equal(pp.constraints, b), f"patch {patch.vertex}"
-            assert np.array_equal(pp.rhs, rhs), f"patch {patch.vertex}"
+            assert np.array_equal(pp.constraints, b), f"patch {pp.vertex}"
+            assert np.array_equal(pp.rhs, rhs), f"patch {pp.vertex}"
             back = PatchBatch.of(pp)
             assert np.array_equal(back.blocks, batch.blocks[batch.pairs(i)])
     assert mixed
@@ -423,7 +415,7 @@ def test_singular_divergence_block_takes_the_fallback_alone(cook_eq, monkeypatch
     """A patch whose local divergence block is singular goes to QR+LU; the
     other patches of its batch are bitwise unchanged."""
     _, disc, eq = cook_eq
-    batch = _mixed_batch(eq, disc.mesh, 3)
+    batch = _mixed_batch(eq, 3)
     base = eq._solve_batch(batch)
     # a repeated divergence row of patch 1, with its repeated right-hand side
     q = batch.pairs(1).start
@@ -473,19 +465,19 @@ def test_correction_does_not_depend_on_chunking(setup, request, monkeypatch):
     monkeypatch.setattr(equilibration, "_BATCH_BYTES", _BATCH_BYTES)
     assert any(
         len(np.unique(np.bincount(b.pair_patch))) > 1
-        for _, b in eq._batches(modified_patches(disc.mesh))
+        for _, b in eq._batches()
     )
 
 
-def _loaded_patch(eq, mesh):
+def _loaded_patch(eq):
     """The patch problem with the largest right-hand side."""
-    problems = [eq.build_patch_problem(p) for p in modified_patches(mesh)]
+    problems = [eq.build_patch_problem(i) for i in range(len(eq.patches))]
     return max(problems, key=lambda pp: np.max(np.abs(pp.rhs)))
 
 
 def test_wide_row_norm_span_takes_the_fallback(cook_eq):
     _, disc, eq = cook_eq
-    pp = _loaded_patch(eq, disc.mesh)
+    pp = _loaded_patch(eq)
     b, rhs = pp.constraints.copy(), pp.rhs.copy()
     sym = slice(pp.n_div + pp.n_jump, None)
     b[sym] *= 1e-9
@@ -498,7 +490,7 @@ def test_wide_row_norm_span_takes_the_fallback(cook_eq):
 @pytest.mark.parametrize("failure", ["gate", "linalg"])
 def test_fast_path_failure_takes_the_fallback(cook_eq, monkeypatch, failure):
     _, disc, eq = cook_eq
-    pp = _loaded_patch(eq, disc.mesh)
+    pp = _loaded_patch(eq)
     expected = eq._solve_patch_qr_lu(pp)[0]
     assert not np.array_equal(eq.solve_patch(pp), expected)
     if failure == "gate":

@@ -40,8 +40,8 @@ from stresseq.spaces import (
     project_side,
     project_volume,
     rt_dim,
-    segment_rule,
-    triangle_rule,
+    side_rule,
+    volume_rule,
 )
 
 
@@ -116,8 +116,8 @@ def test_stress_table_coefficients(case):
     disc, tb, _, _ = case
     k = disc.k
     exps1, S = _rt_span(k)
-    rq, rw = triangle_rule(2 * k + 4)
-    tq, tw = segment_rule(2 * k + 5)
+    rq, rw = volume_rule(k)
+    tq, tw = side_rule(k)
     lg = legendre01(k + 1, tq)
     mq = monomial_values(_exps_array(k - 1), tb.vol_xi)
     f_vol = np.einsum("fcm,eqm->eqfc", S, monomial_values(exps1, tb.vol_xi))
@@ -163,7 +163,7 @@ def test_projections(case):
     coeff = np.linalg.solve(G[:, None], rhs[..., None])[..., 0]
     assert_close(project_volume(tb, values, k), coeff)
     assert_close(eval_volume_poly(tb, coeff, k), np.einsum("eca,eqa->eqc", coeff, mk))
-    tq, tw = segment_rule(2 * k + 5)
+    tq, tw = side_rule(k)
     side_vals = rng.standard_normal((5, len(tq), 2))
     want = np.einsum("q,qm,sqc->scm", tw, legendre01(k + 1, tq), side_vals)
     assert_close(project_side(side_vals, k), want)
@@ -205,7 +205,7 @@ def test_assembled_matrix(case):
     k, mesh = disc.k, disc.mesh
     material = Material(mu=1.7, inv_lambda=0.3)
     system = assemble_system(disc, material, cook().load)
-    rq, rw = triangle_rule(2 * k + 4)
+    rq, rw = volume_rule(k)
     elems = np.arange(mesh.n_triangles)
     _, jinv = element_jacobians(mesh, elems)
     grads = np.einsum("qir,erd->eqid", lagrange_grads(k + 1, rq), jinv)

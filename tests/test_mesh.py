@@ -1,5 +1,6 @@
 """Mesh construction, refinement, file IO, and vertex-patch tests."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CYCLIC_MESH_TEXT, min_angle_deg, random_points_in_elements
-from oracles import reference_refine
+from oracles import absorbed, reference_patches, reference_refine
 from stresseq import (
     DIRICHLET,
     INTERIOR,
@@ -21,6 +22,7 @@ from stresseq import (
     IsolatedNeumannVertex,
     Mesh,
     NonConforming,
+    Patches,
     ProblemError,
     build_mesh,
     compose_ancestry,
@@ -36,7 +38,7 @@ from stresseq import (
     write_mesh,
 )
 from stresseq.equilibration import side_traces
-from stresseq.mesh import _hanging_node_scan, _patch_from_vertices
+from stresseq.mesh import _hanging_node_scan
 
 SQUARE_V = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_T = [(0, 1, 2), (0, 2, 3)]
@@ -95,7 +97,7 @@ def test_shared_vertex_with_reachable_host_is_admissible():
     n = [(2, 3), (3, 4), (4, 2)]
     mesh = build_mesh(v, t, d, n)
     patches = modified_patches(mesh)
-    assert {p.vertex for p in patches} == {0, 1, 2}
+    assert patches.vertex.tolist() == [0, 1, 2]
 
 
 def test_nonconforming_triple_side():
@@ -524,7 +526,7 @@ def test_standard_patch_sizes():
     mesh = fixed_diagonal_grid()
     patches = standard_patches(mesh)
     assert len(patches) == mesh.n_vertices
-    sizes = {p.vertex: len(p.elements) for p in patches}
+    sizes = dict(zip(patches.vertex.tolist(), np.diff(patches.offsets).tolist()))
     assert sizes[4] == 6  # interior vertex of the structured grid
     assert sizes[2] == 1  # corner the diagonals avoid
     assert sizes[6] == 1
@@ -532,47 +534,67 @@ def test_standard_patch_sizes():
 
 def test_each_element_in_three_standard_patches():
     for mesh in (cook_mesh(), fixed_diagonal_grid()):
-        count = np.zeros(mesh.n_triangles, dtype=int)
-        for p in standard_patches(mesh):
-            count[p.elements] += 1
+        count = np.bincount(standard_patches(mesh).elements, minlength=mesh.n_triangles)
         assert np.all(count == 3)
+
+
+def randomly_refined(mesh: Mesh, seed: int, rounds: int = 6) -> Mesh:
+    """``mesh`` refined ``rounds`` times on random marked sets of 3-60 %
+    of the elements."""
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        n = max(1, int(rng.uniform(0.03, 0.6) * mesh.n_triangles))
+        mesh = refine(mesh, rng.choice(mesh.n_triangles, n, replace=False))
+    return mesh
 
 
 @pytest.mark.parametrize(
     "mesh",
-    [cook_mesh(), uniform_refine(cook_mesh(), 2), lshape_mesh(), unit_square_mesh(4)],
-    ids=["cook", "cook-refined", "lshape", "square"],
+    [
+        cook_mesh(),
+        uniform_refine(cook_mesh(), 2),
+        lshape_mesh(),
+        unit_square_mesh(4),
+        randomly_refined(cook_mesh(), 16),
+        randomly_refined(lshape_mesh(), 17),
+        randomly_refined(fixed_diagonal_grid(), 18),
+    ],
+    ids=["cook", "cook-refined", "lshape", "square", "cook-random", "lshape-random", "grid-random"],
 )
 def test_patches_match_the_per_vertex_reference(mesh):
-    """Hat patches built in one pass equal the per-group construction."""
-    offsets, ids = mesh.vertex_triangles()
-    got = [(p, [p.vertex, *p.absorbed.tolist()]) for p in modified_patches(mesh)]
-    got += [(p, [p.vertex]) for p in standard_patches(mesh)]
-    for patch, group in got:
-        ref = _patch_from_vertices(mesh, patch.vertex, group, offsets, ids)
-        assert patch.vertex == ref.vertex
-        assert patch.dirichlet_touching == ref.dirichlet_touching
-        for name in ("elements", "weights", "absorbed"):
-            a, b = getattr(patch, name), getattr(ref, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    """The patch records built in one pass equal the per-group construction,
+    field by field and dtype by dtype."""
+    for build, modified in ((standard_patches, False), (modified_patches, True)):
+        patches, ref = build(mesh), reference_patches(mesh, modified)
+        for field in dataclasses.fields(Patches):
+            a, b = getattr(patches, field.name), getattr(ref, field.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (build.__name__, field.name)
 
 
-def test_partition_of_unity_standard(rng):
-    mesh = cook_mesh()
-    elems, x = random_points_in_elements(mesh, 100, rng)
-    total = np.zeros(100)
-    for p in standard_patches(mesh):
-        pos = {int(e): i for i, e in enumerate(p.elements)}
-        for q in range(100):
-            i = pos.get(int(elems[q]))
-            if i is None:
+def weight_sums(mesh: Mesh, patches: Patches, elems, x) -> np.ndarray:
+    """Sum of all patch weights at the points ``x`` in the elements
+    ``elems``."""
+    total = np.zeros(len(x))
+    for i in range(len(patches)):
+        pairs = patches.pairs(i)
+        pos = {int(e): j for j, e in enumerate(patches.elements[pairs])}
+        for q in range(len(x)):
+            j = pos.get(int(elems[q]))
+            if j is None:
                 continue
             tri = mesh.triangles[elems[q]]
             pts = mesh.vertices[tri]
             T = np.column_stack([pts[1] - pts[0], pts[2] - pts[0]])
             lam = np.linalg.solve(T, x[q] - pts[0])
             bary = np.array([1 - lam.sum(), lam[0], lam[1]])
-            total[q] += float(p.weights[i] @ bary)
+            total[q] += float(patches.weights[pairs][j] @ bary)
+    return total
+
+
+def test_partition_of_unity_standard(rng):
+    mesh = cook_mesh()
+    elems, x = random_points_in_elements(mesh, 100, rng)
+    total = weight_sums(mesh, standard_patches(mesh), elems, x)
     assert np.max(np.abs(total - 1.0)) < 1e-13
 
 
@@ -580,21 +602,9 @@ def test_partition_of_unity_modified(rng):
     mesh = cook_mesh()
     patches = modified_patches(mesh)
     on_d, n_only = mesh.vertex_flags()
-    assert {p.vertex for p in patches} == set(np.flatnonzero(~n_only))
+    assert set(patches.vertex.tolist()) == set(np.flatnonzero(~n_only))
     elems, x = random_points_in_elements(mesh, 100, rng)
-    total = np.zeros(100)
-    for p in patches:
-        pos = {int(e): i for i, e in enumerate(p.elements)}
-        for q in range(100):
-            i = pos.get(int(elems[q]))
-            if i is None:
-                continue
-            tri = mesh.triangles[elems[q]]
-            pts = mesh.vertices[tri]
-            T = np.column_stack([pts[1] - pts[0], pts[2] - pts[0]])
-            lam = np.linalg.solve(T, x[q] - pts[0])
-            bary = np.array([1 - lam.sum(), lam[0], lam[1]])
-            total[q] += float(p.weights[i] @ bary)
+    total = weight_sums(mesh, patches, elems, x)
     assert np.max(np.abs(total - 1.0)) < 1e-13
 
 
@@ -605,34 +615,37 @@ def test_modified_equals_standard_without_neumann():
     std = standard_patches(mesh)
     mod = modified_patches(mesh)
     assert len(std) == len(mod)
-    for a, b in zip(std, mod):
-        assert a.vertex == b.vertex
-        assert np.array_equal(a.elements, b.elements)
-        assert np.allclose(a.weights, b.weights)
+    assert np.array_equal(std.vertex, mod.vertex)
+    assert np.array_equal(std.offsets, mod.offsets)
+    assert np.array_equal(std.elements, mod.elements)
+    assert np.allclose(std.weights, mod.weights)
 
 
 def test_modified_patch_covers_extended_support():
     mesh = cook_mesh()
-    for p in modified_patches(mesh):
-        if len(p.absorbed) == 0:
+    patches = modified_patches(mesh)
+    offsets, ids = mesh.vertex_triangles()
+    for i in range(len(patches)):
+        folded = absorbed(patches, i)
+        if len(folded) == 0:
             continue
         # the extended weight equals one at each absorbed vertex, so every
         # triangle with weight one at some vertex must belong to the patch
-        ones = np.isclose(p.weights, 1.0)
+        pairs = patches.pairs(i)
+        ones = np.isclose(patches.weights[pairs], 1.0)
         assert ones.any()
-        offsets, ids = mesh.vertex_triangles()
-        for za in p.absorbed:
+        for za in folded:
             star = ids[offsets[za] : offsets[za + 1]]
-            assert np.all(np.isin(star, p.elements))
+            assert np.all(np.isin(star, patches.elements[pairs]))
 
 
 def test_absorbed_vertices_unique_host():
     mesh = cook_mesh()
     patches = modified_patches(mesh)
-    absorbed = np.concatenate([p.absorbed for p in patches])
-    assert len(absorbed) == len(set(absorbed.tolist()))
+    folded = np.concatenate([absorbed(patches, i) for i in range(len(patches))])
+    assert len(folded) == len(set(folded.tolist()))
     _, n_only = mesh.vertex_flags()
-    assert set(absorbed.tolist()) == set(np.flatnonzero(n_only).tolist())
+    assert set(folded.tolist()) == set(np.flatnonzero(n_only).tolist())
 
 
 def test_continuous_field_has_zero_side_jumps():
