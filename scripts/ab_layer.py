@@ -19,7 +19,11 @@ passes per tree, alternating which tree goes first:
 The script prints, per pass, each tree's median and quartiles of the CPU
 time and the ratio of the medians, and whether the two trees' results are
 bitwise equal: the sigma_r of every step, the refined meshes (vertices,
-triangles, parents, sides and labels) and the mesh files.
+triangles, parents, sides and labels) and the mesh files.  For
+``equilibrate`` it also prints the largest sigma_r difference relative to
+the step's largest |dof|, and each tree's ``Equilibrator`` counters summed
+over the steps: ``n_batches``, ``n_fallbacks``, ``dropped_rows`` (patches
+per number of dropped rows) and the largest ``worst_kkt``.
 
 Timings taken in separate processes on a shared 2-core machine swing by
 about 10 %, which hides layer gains of that size; two trees in one
@@ -41,6 +45,7 @@ import pathlib
 import sys
 import tempfile
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,9 +122,16 @@ def capture(tree, config: pathlib.Path) -> dict[str, list]:
     return {"equilibrate": solves, "refine": marks}
 
 
+class Solved(NamedTuple):
+    """The sigma_r of one step and the Equilibrator that built it."""
+
+    sigma_r: object
+    eq: object
+
+
 def equilibrate_pass(tree, captured, _path):
     equilibrate = submodule(tree, "equilibration").equilibrate
-    return [equilibrate(*solve)[1].dofs for solve in captured["equilibrate"]]
+    return [Solved(*equilibrate(*solve)[1:]) for solve in captured["equilibrate"]]
 
 
 def refine_pass(tree, captured, _path):
@@ -144,11 +156,35 @@ PASSES = {
 
 
 def bitwise_equal(a, b) -> bool:
-    """Equal bytes of two sigma_r arrays or of two meshes' tables."""
-    if isinstance(a, np.ndarray):
-        return a.tobytes() == b.tobytes()
+    """Equal bytes of two steps' sigma_r or of two meshes' tables."""
+    if isinstance(a, Solved):
+        return a.sigma_r.dofs.tobytes() == b.sigma_r.dofs.tobytes()
     return a.vertices.tobytes() == b.vertices.tobytes() and all(
         np.array_equal(getattr(a, name), getattr(b, name)) for name in MESH_FIELDS
+    )
+
+
+def sigma_r_drift(solved_a, solved_b) -> float:
+    """Largest difference of two runs' sigma_r dofs, relative to the largest
+    |dof| of the step, over the steps."""
+    return max(
+        float(np.max(np.abs(a.sigma_r.dofs - b.sigma_r.dofs)) / np.max(np.abs(a.sigma_r.dofs)))
+        for a, b in zip(solved_a, solved_b)
+    )
+
+
+def counters(solved) -> str:
+    """The Equilibrator counters summed over the steps (worst_kkt: the
+    largest)."""
+    dropped: dict[int, int] = {}
+    for s in solved:
+        for rows, count in s.eq.dropped_rows.items():
+            dropped[rows] = dropped.get(rows, 0) + count
+    return (
+        f"n_batches {sum(s.eq.n_batches for s in solved)}  "
+        f"n_fallbacks {sum(s.eq.n_fallbacks for s in solved)}  "
+        f"dropped_rows {dict(sorted(dropped.items()))}  "
+        f"worst_kkt {max(s.eq.worst_kkt for s in solved):.2e}"
     )
 
 
@@ -197,6 +233,11 @@ def main(argv=None) -> int:
             bitwise_equal(a, b) for a, b in zip(results[name]["A"], results[name]["B"])
         )
         print(f"    median A / median B: {ratio:.3f}  bitwise equal: {equal}")
+        if name == "equilibrate":
+            drift = sigma_r_drift(results[name]["A"], results[name]["B"])
+            print(f"    largest relative sigma_r difference: {drift:.2e}")
+            for label in "AB":
+                print(f"    {label} counters: {counters(results[name][label])}")
     print(f"  mesh files byte-identical: {files_equal}")
     return 0
 

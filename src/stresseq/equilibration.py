@@ -17,6 +17,7 @@ non-polynomial data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -224,20 +225,34 @@ def _n_local(k: int) -> int:
     return len(_exps_array(k)) + 3 * (k + 1) + 3 * k
 
 
+def _selectors(k: int) -> tuple[int, np.ndarray]:
+    """The first selector row nmk of an (element, tensor row) block and the
+    selector dofs 0..3(k+1)-1: selector row nmk + j picks dof j, the side
+    moments being the first 3(k+1) dofs, side by side."""
+    return len(_exps_array(k)), np.arange(3 * (k + 1))
+
+
 @dataclass
 class PatchBatch:
     """Problems of consecutive patches, stacked by (patch, element) pair.
 
     The pairs of a patch are consecutive, its elements ascending.  The
-    constraints are kept as local blocks, one per pair and tensor row:
-    ``blocks[q, r]`` holds the block's local rows (its divergence moments,
-    the moment selectors of its three sides signed by the side's
-    orientation, its symmetry rows) over all nd element dofs, zero on the
-    dofs that are not free.  The constraint rows of all patches are stacked
-    in patch order, patch i's from ``row_offsets[i]`` on, each patch's in
-    the order of :class:`PatchProblem`; ``block_rows`` maps each local row
-    to its stacked row, or to the number of stacked rows for a side without
-    jump rows.  The free dofs ``free[q]`` are the same for both tensor
+    constraints are kept per element table: ``table_rows[t, r]`` holds the
+    local rows of tensor row r (the divergence moments, the moment
+    selectors of all three sides signed by the side's orientation, the
+    symmetry rows) over all nd dofs, and ``table_gram[t]`` the Gram
+    matrix; pair q reads table ``table[q]``.  A pair's local block is its
+    table's rows on its free dofs, zero on the rows without a stacked row
+    (:meth:`blocks`).  The free dofs ``free[q]`` are the same for both
+    tensor rows: all but the moments of at most one masked side, a
+    patch-boundary side interior to the mesh.  The pairs of one table have
+    distinct ``slot`` (< 3), their column when the condensed solve applies
+    the table to all of them at once.
+
+    The constraint rows of all patches are stacked in patch order, patch
+    i's from ``row_offsets[i]`` on, each patch's in the order of
+    :class:`PatchProblem`; ``block_rows`` maps each local row to its
+    stacked row, or to the number of stacked rows for a side without jump
     rows.  Jump sides and scalar nodes are stacked the same way.  The dense
     matrices of :class:`PatchProblem` are assembled per patch on request
     (:meth:`problem`).
@@ -248,8 +263,10 @@ class PatchBatch:
     pair_patch: np.ndarray     # (n_pairs,) patch index, ascending
     elements: np.ndarray       # (n_pairs,)
     free: np.ndarray           # (n_pairs, nd) bool
-    gram: np.ndarray           # (n_pairs, nd, nd)
-    blocks: np.ndarray         # (n_pairs, 2, n_loc, nd)
+    table: np.ndarray          # (n_pairs,) element table of each pair
+    slot: np.ndarray           # (n_pairs,) column of each pair in its table
+    table_gram: np.ndarray     # (n_tables, nd, nd)
+    table_rows: np.ndarray     # (n_tables, 2, n_loc, nd)
     block_rows: np.ndarray     # (n_pairs, 2, n_loc)
     row_offsets: np.ndarray    # (P + 1,)
     rhs: np.ndarray            # (n_rows,) stacked rows
@@ -263,74 +280,141 @@ class PatchBatch:
         lo, hi = np.searchsorted(self.pair_patch, [i, i + 1])
         return slice(int(lo), int(hi))
 
-    def problem(self, i: int) -> PatchProblem:
-        """The dense problem of patch ``i``, assembled from its blocks."""
+    @property
+    def masked_side(self) -> np.ndarray:
+        """(n_pairs,) the local side whose moments are not free, or -1."""
+        masked = ~self.free[:, : 3 * (self.k + 1) : self.k + 1]
+        return np.where(masked.any(axis=1), np.argmax(masked, axis=1), -1)
+
+    def blocks(self, pairs) -> np.ndarray:
+        """The local blocks (n, 2, n_loc, nd) of the pairs ``pairs``."""
+        live = self.free[pairs][:, None, None, :] & (
+            self.block_rows[pairs] < len(self.rhs)
+        )[..., None]
+        return np.where(live, self.table_rows[self.table[pairs]], 0.0)
+
+    def patch(self, i: int) -> PatchBatch:
+        """The batch of patch ``i`` alone, on the tables that it reads."""
         pairs = self.pairs(i)
         lo, hi = self.row_offsets[i : i + 2]
-        n_rows = hi - lo
-        free = self.free[pairs]
+        tables, table = np.unique(self.table[pairs], return_inverse=True)
+        sides = slice(self.side_offsets[i], self.side_offsets[i + 1])
+        nodes = slice(self.node_offsets[i], self.node_offsets[i + 1])
+        return PatchBatch(
+            vertex=self.vertex[i : i + 1],
+            k=self.k,
+            pair_patch=np.zeros(pairs.stop - pairs.start, dtype=np.int64),
+            elements=self.elements[pairs],
+            free=self.free[pairs],
+            table=table,
+            slot=self.slot[pairs],
+            table_gram=self.table_gram[tables],
+            table_rows=self.table_rows[tables],
+            block_rows=np.minimum(self.block_rows[pairs] - lo, hi - lo),
+            row_offsets=np.array([0, hi - lo]),
+            rhs=self.rhs[lo:hi],
+            jump_sides=self.jump_sides[sides],
+            side_offsets=np.array([0, sides.stop - sides.start]),
+            sym_nodes=self.sym_nodes[nodes],
+            node_offsets=np.array([0, nodes.stop - nodes.start]),
+        )
+
+    def problem(self, i: int) -> PatchProblem:
+        """The dense problem of patch ``i``, assembled from its blocks."""
+        one = self.patch(i)
+        n_rows = len(one.rhs)
+        free = one.free
         live = np.broadcast_to(free[:, None, :], (len(free), 2, free.shape[1]))
         order = np.flatnonzero(live)
         n_free = len(order)
         free_col = np.full(live.shape, -1, dtype=np.int64)
         free_col[live] = np.arange(n_free)
         col_elem, col_row, col_dof = np.unravel_index(order, live.shape)
-        block_rows = np.minimum(self.block_rows[pairs] - lo, n_rows)
         # the padding row and column collect the absent rows and dead dofs
         dense = np.zeros((n_rows + 1, n_free + 1))
         cols = np.where(live, free_col, n_free)
-        dense[block_rows[..., :, None], cols[:, :, None, :]] = self.blocks[pairs]
+        dense[one.block_rows[..., :, None], cols[:, :, None, :]] = one.blocks(slice(None))
         return PatchProblem(
-            vertex=int(self.vertex[i]),
+            vertex=int(one.vertex[0]),
             k=self.k,
-            elements=self.elements[pairs],
+            elements=one.elements,
             free_col=free_col,
-            gram=self.gram[pairs],
+            gram=one.table_gram[one.table],
             constraints=np.ascontiguousarray(dense[:n_rows, :n_free]),
-            rhs=self.rhs[lo:hi],
-            jump_sides=self.jump_sides[self.side_offsets[i] : self.side_offsets[i + 1]],
-            sym_nodes=self.sym_nodes[self.node_offsets[i] : self.node_offsets[i + 1]],
-            block_rows=block_rows,
+            rhs=one.rhs,
+            jump_sides=one.jump_sides,
+            sym_nodes=one.sym_nodes,
+            block_rows=one.block_rows,
             col_elem=col_elem,
             col_row=col_row,
             col_dof=col_dof,
         )
 
     @classmethod
-    def of(cls, problem: PatchProblem) -> PatchBatch:
-        """The batch of one patch problem, its blocks read from the dense
-        constraint matrix."""
-        n_rows, n_free = problem.constraints.shape
-        dense = np.zeros((n_rows + 1, n_free + 1))
-        dense[:n_rows, :n_free] = problem.constraints
-        cols = np.where(problem.free_col >= 0, problem.free_col, n_free)
+    def of(cls, *problems: PatchProblem) -> PatchBatch:
+        """The batch of the patch problems, in order, each pair on a table
+        of its own: the rows read from the dense constraint matrix, and a
+        unit selector on each side without jump rows."""
+        nmk, sel = _selectors(problems[0].k)
+        n_rows = np.array([len(p.rhs) for p in problems])
+        row_offsets = np.concatenate([[0], np.cumsum(n_rows)])
+        rows, block_rows = [], []
+        for p, lo in zip(problems, row_offsets):
+            n, n_free = p.constraints.shape
+            dense = np.zeros((n + 1, n_free + 1))
+            dense[:n, :n_free] = p.constraints
+            cols = np.where(p.free_col >= 0, p.free_col, n_free)
+            rows.append(dense[p.block_rows[..., :, None], cols[:, :, None, :]])
+            pad = p.block_rows[..., nmk + sel] == n
+            rows[-1][..., nmk + sel, sel] += pad
+            block_rows.append(np.where(p.block_rows == n, row_offsets[-1], p.block_rows + lo))
+        n_elems = [len(p.elements) for p in problems]
         return cls(
-            vertex=np.array([problem.vertex]),
-            k=problem.k,
-            pair_patch=np.zeros(len(problem.elements), dtype=np.int64),
-            elements=problem.elements,
-            free=problem.free_col[:, 0] >= 0,
-            gram=problem.gram,
-            blocks=dense[problem.block_rows[..., :, None], cols[:, :, None, :]],
-            block_rows=problem.block_rows,
-            row_offsets=np.array([0, n_rows]),
-            rhs=problem.rhs,
-            jump_sides=problem.jump_sides,
-            side_offsets=np.array([0, len(problem.jump_sides)]),
-            sym_nodes=problem.sym_nodes,
-            node_offsets=np.array([0, len(problem.sym_nodes)]),
+            vertex=np.array([p.vertex for p in problems]),
+            k=problems[0].k,
+            pair_patch=np.repeat(np.arange(len(problems)), n_elems),
+            elements=np.concatenate([p.elements for p in problems]),
+            free=np.concatenate([p.free_col[:, 0] >= 0 for p in problems]),
+            table=np.arange(sum(n_elems)),
+            slot=np.zeros(sum(n_elems), dtype=np.int64),
+            table_gram=np.concatenate([p.gram for p in problems]),
+            table_rows=np.concatenate(rows),
+            block_rows=np.concatenate(block_rows),
+            row_offsets=row_offsets,
+            rhs=np.concatenate([p.rhs for p in problems]),
+            jump_sides=np.concatenate([p.jump_sides for p in problems]),
+            side_offsets=np.cumsum([0] + [len(p.jump_sides) for p in problems]),
+            sym_nodes=np.concatenate([p.sym_nodes for p in problems]),
+            node_offsets=np.cumsum([0] + [len(p.sym_nodes) for p in problems]),
         )
 
 
 class BatchSolution(NamedTuple):
-    """Patch solutions of one batch: the minimizers per pair, the rest per
-    patch."""
+    """Patch solutions of one batch: the minimizers and multipliers per
+    pair, the rest per patch."""
 
     x: np.ndarray          # (n_pairs, 2, nd) minimizers, zero on dofs not free
+    lam: np.ndarray        # (n_pairs, 2, n_loc) multipliers of the condensed path
     rank: np.ndarray       # (P,) rows kept by the rank decision
     fallback: np.ndarray   # (P,) solved by QR+LU instead of the condensed path
     residual: np.ndarray   # (P,) max |B x - r|
     kkt: np.ndarray        # (P,) relative KKT residual on the kept rows
+
+
+class Reduction(NamedTuple):
+    """The condensed system of a batch (:meth:`Equilibrator._reduce`): per
+    table, per pair (d rows, then c rows per local row) and per patch."""
+
+    R: np.ndarray          # (n_tables, nd, nd) inverse Cholesky factor, M^-1 = R^T R
+    kdd_inv: np.ndarray    # (n_pairs, 1, n_d, n_d), both tensor rows
+    kcd: np.ndarray        # (n_pairs, 2, n_loc - nmk, n_d), K_dc = K_cd^T
+    side: np.ndarray       # (n_pairs,) masked side, or -1
+    rows_c: np.ndarray     # (n_pairs, 2, n_loc - nmk) c row, or the c row count
+    c_rows: np.ndarray     # (n_c_all,) stacked row of each c row
+    S: np.ndarray          # reduced matrices, flat, patch p's from s_start[p]
+    s_start: np.ndarray    # (P,)
+    n_c: np.ndarray        # (P,) c rows per patch
+    c_start: np.ndarray    # (P,) first c row per patch
 
 
 def _stacked_unique(values: np.ndarray, owner: np.ndarray, n_owners: int, bound: int):
@@ -365,6 +449,46 @@ def _segment_norm(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     begins at ``starts``."""
     sq = (values * values).reshape(len(values), -1).sum(axis=1)
     return np.sqrt(np.add.reduceat(sq, starts))
+
+
+def _lower_inverse(G: np.ndarray) -> np.ndarray:
+    """The inverses of stacked lower-triangular matrices, by forward
+    substitution on all of them at once (a few times faster than a stacked
+    ``np.linalg.inv`` at 8 to 15 rows)."""
+    n = G.shape[-1]
+    R = np.zeros_like(G)
+    for i in range(n):
+        R[:, i, i] = 1.0
+        R[:, i, :i] -= np.einsum("tj,tjc->tc", G[:, i, :i], R[:, :i, :i])
+        R[:, i, : i + 1] /= G[:, i, i, None]
+    return R
+
+
+def _pair_maxima(batch: PatchBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per pair, on its free dofs: the largest |entry| of its Gram matrix,
+    and per local row the largest |entry| and the squared norm (n_pairs, 2,
+    n_loc).  The maxima are taken per table over each group of dofs (the
+    moments of side 0, 1 or 2, the other dofs), then per pair over the
+    groups that are not masked; the squared norm is the table row's minus
+    the masked dofs'."""
+    k, L, t, side = batch.k, batch.table_rows, batch.table, batch.masked_side
+    _, sel = _selectors(k)
+    groups = [*sel.reshape(3, -1), range(len(sel), L.shape[3])]
+
+    def group_max(a):
+        """(4, ...) the largest entry of ``a`` over each group of its last axis."""
+        return np.stack([functools.reduce(np.maximum, (a[..., j] for j in g)) for g in groups])
+
+    q = np.flatnonzero(side >= 0)
+    gram = group_max(group_max(np.abs(batch.table_gram)))[:, :, t]      # (4, 4, n_pairs)
+    gram[side[q], :, q] = 0.0
+    gram[:, side[q], q] = 0.0
+    row_max = group_max(np.abs(L))[:, t]                                # (4, n_pairs, 2, n_loc)
+    row_max[side[q], q] = 0.0
+    masked = L[t[:, None], :, :, sel.reshape(3, -1)[np.maximum(side, 0)]]   # (n_pairs, k+1, 2, n_loc)
+    masked[side < 0] = 0.0
+    row_sq = np.einsum("trld,trld->trl", L, L)[t] - np.einsum("qmrl,qmrl->qrl", masked, masked)
+    return gram.reshape(16, -1).max(axis=0), row_max.max(axis=0), row_sq
 
 
 class Equilibrator:
@@ -408,15 +532,18 @@ class Equilibrator:
 
     def _batches(self):
         """Yield (first patch index, PatchBatch) for chunks of consecutive
-        patches whose stacked local blocks take at most _BATCH_BYTES (at
-        least one patch each)."""
+        patches whose local blocks, were they stacked, would take at most
+        _BATCH_BYTES (at least one patch each).  The condensed solve of a
+        chunk holds per-pair arrays of about that size, so the cut bounds
+        its memory."""
         pair_bytes = 8 * 2 * _n_local(self.disc.k) * rt_dim(self.disc.k)
         for start, stop in _batches(np.diff(self.patches.offsets) * pair_bytes, _BATCH_BYTES):
             yield start, self._build_batch(start, stop)
 
     def _build_batch(self, lo: int, hi: int) -> PatchBatch:
-        """Stack the local blocks of the patches lo..hi-1 by (patch, element)
-        pair, by index arithmetic on the constraint tables."""
+        """Stack the patches lo..hi-1 by (patch, element) pair, by index
+        arithmetic on the constraint tables, with one element table per
+        distinct element."""
         mesh, k = self.disc.mesh, self.disc.k
         patches = self.patches
         pairs = slice(patches.offsets[lo], patches.offsets[hi])
@@ -427,8 +554,8 @@ class Equilibrator:
         vertex = patches.vertex[lo:hi]
         n_pairs = len(elements)
         nd = rt_dim(k)
-        nmk = len(_exps_array(k))
-        nsel = 3 * (k + 1)
+        nmk, sel = _selectors(k)
+        nsel = len(sel)
 
         # a side carries jump rows when the patch holds both of its elements
         # (a triangle is in the patch when the patch vertex owns one of its
@@ -484,19 +611,16 @@ class Equilibrator:
             axis=2,
         )
 
-        # local blocks: the tables on the free dofs; each side moment is
-        # selected with +1 from the side's minus element and -1 from its
-        # plus element
-        blocks = np.zeros(block_rows.shape + (nd,))
-        fr = free[:, None, :]
-        blocks[:, :, :nmk] = np.where(fr, self.tables.divm[elements], 0.0)[:, None]
-        sign = np.where(mesh.side_tri[sides, 0] == elements[:, None], 1.0, -1.0)
-        sel = np.arange(nsel)
-        blocks[:, :, nmk + sel, sel] = np.repeat(
-            np.where(on_active, sign, 0.0), k + 1, axis=1
-        )[:, None, :]
-        blocks[:, 0, nmk + nsel :] = np.where(fr, self.tables.symy[elements], 0.0)
-        blocks[:, 1, nmk + nsel :] = np.where(fr, -self.tables.symx[elements], 0.0)
+        # element tables: each side moment is selected with +1 from the
+        # side's minus element and -1 from its plus element; the pairs of an
+        # element take the slot of their first vertex that the patch owns
+        unique, table = np.unique(elements, return_inverse=True)
+        rows = np.zeros((len(unique), 2, block_rows.shape[2], nd))
+        rows[:, :, :nmk] = self.tables.divm[unique][:, None]
+        sign = np.where(mesh.side_tri[mesh.tri_sides[unique], 0] == unique[:, None], 1.0, -1.0)
+        rows[:, :, nmk + sel, sel] = np.repeat(sign, k + 1, axis=1)[:, None, :]
+        rows[:, 0, nmk + nsel :] = self.tables.symy[unique]
+        rows[:, 1, nmk + nsel :] = -self.tables.symx[unique]
 
         # right-hand side: the residual moments weighted by the patch weight;
         # a side's endpoint hats count where the patch vertex owns them
@@ -519,8 +643,10 @@ class Equilibrator:
             pair_patch=pair_patch,
             elements=elements,
             free=free,
-            gram=self.tables.gram[elements],
-            blocks=blocks,
+            table=table,
+            slot=np.argmax(patches.weights[pairs], axis=1),
+            table_gram=self.tables.gram[unique],
+            table_rows=rows,
             block_rows=block_rows,
             row_offsets=row_offsets,
             rhs=rhs,
@@ -542,29 +668,21 @@ class Equilibrator:
         """Minimize every patch L2 norm of a batch subject to its rows.
 
         The fast path (:meth:`_condensed_stack`) runs on all patches of the
-        batch at once.  It eliminates the unknowns block by block through
-        the block-diagonal mass matrix, condenses the divergence rows of
-        each block onto its jump and symmetry rows, and factors the
-        Jacobi-scaled reduced Schur complement of each patch with a pivoted
-        Cholesky, whose rank drops the redundant rows (exactly three on
-        patches away from the displacement boundary).  It must pass the
+        batch at once.  It condenses the divergence rows of each block onto
+        its jump and symmetry rows through the element tables, and factors
+        the Jacobi-scaled reduced Schur complement of each patch with a
+        pivoted Cholesky, whose rank drops the redundant rows (exactly three
+        on patches away from the displacement boundary).  It must pass the
         same KKT and constraint residual gates, on the unreduced rows, as
         the QR+LU path (:meth:`_solve_patch_qr_lu`).  A patch is solved
         again alone on that path, its fast result overwritten, when it
-        fails them, when a block factorization or its pivoted Cholesky
-        fails, or when the row norms of its constraint matrix span more
-        than 8 decades (there the QR rank rule drops rows of tiny norm, and
-        the fallback keeps that behaviour).  A failure of the fallback
-        indicates incompatible data and raises IncompatiblePatch.
+        fails them, when a factorization fails, or when the row norms of
+        its constraint matrix span more than 8 decades (there the QR rank
+        rule drops rows of tiny norm, and the fallback keeps that
+        behaviour).  A failure of the fallback indicates incompatible data
+        and raises IncompatiblePatch.
         """
-        sq = np.einsum("qrld,qrld->qrl", batch.blocks, batch.blocks)
-        row_norms = np.sqrt(_scatter_rows(sq, batch.block_rows, len(batch.rhs)))
-        starts = batch.row_offsets[:-1]
-        wide = np.minimum.reduceat(row_norms, starts) < _ROW_NORM_SPAN * np.maximum.reduceat(
-            row_norms, starts
-        )
         sol = self._condensed_stack(batch)
-        sol.fallback[wide] = True
         for i in np.flatnonzero(sol.fallback):
             problem = batch.problem(i)
             x, sol.rank[i], sol.kkt[i] = self._solve_patch_qr_lu(problem)
@@ -574,78 +692,127 @@ class Equilibrator:
             sol.residual[i] = np.max(np.abs(problem.constraints @ x - problem.rhs))
         return sol
 
-    def _condensed_stack(self, batch: PatchBatch) -> BatchSolution:
-        """Condensed Schur-complement solve of a batch, without fallback:
-        ``fallback`` marks the patches whose factorizations or gates
-        failed.  Only the pivoted Cholesky and its solves run patch by
-        patch.
+    def _reduce(self, batch: PatchBatch) -> Reduction:
+        """The condensed system of a batch, from its element tables; raises
+        LinAlgError when a Gram matrix or a condensed block is singular.
 
-        Per block b (pair, tensor row) with local rows L_b and mass M_b:
-        H_b = M_b^-1 L_b^T and K_b = L_b H_b.  The divergence rows d of a
-        block touch no other block, so the Schur complement B M^-1 B^T of a
-        patch condenses onto its jump and symmetry rows c as the sum of its
-        block complements K_cc - K_cd K_dd^-1 K_dc.  The c rows of all
-        patches are stacked in patch order (``c_start``), and so are their
-        reduced matrices (``s_start``).  The multipliers of the d rows
-        follow per block, and x_b = H_b lam_b.
+        Per table t and tensor row r, with rows L and Gram matrix M = G G^T
+        (Cholesky): R = G^-1, C = R L^T and K = C^T C, once per element.
+        K is exactly symmetric, so K_dc = K_cd^T.  A pair's problem is
+        its element's on the free dofs.  Its d rows, the divergence moments
+        and the k+1 moments of its masked side as rows with zero right-hand
+        side (a unit block without coupling on a pair without one), touch
+        no other pair; its c rows are its other rows.  The Schur complement
+        of a patch then condenses onto its c rows as the sum over its pairs
+        of K_cc - K_cd K_dd^-1 K_dc, gathered from K.  Entry (i, j) of patch
+        p's reduced matrix sits at ``s_start[p] + i n_c[p] + j`` of ``S``.
         """
-        L, rows, rhs = batch.blocks, batch.block_rows, batch.rhs
-        n_pairs, _, _, nd = L.shape
+        k = batch.k
+        nmk = len(_exps_array(k))
+        rows, rhs, pp = batch.block_rows, batch.rhs, batch.pair_patch
         n = len(batch.vertex)
-        pp = batch.pair_patch
-        nmk = len(_exps_array(batch.k))
         n_elems = np.bincount(pp, minlength=n)
-        pair_start = np.cumsum(n_elems) - n_elems
         n_div = n_elems * 2 * nmk
         n_c = np.diff(batch.row_offsets) - n_div
         c_start = np.cumsum(n_c) - n_c
         n_c_all = int(n_c.sum())
         # stacked row minus stacked c row, per patch, on its c rows
         shift = batch.row_offsets[:-1] + n_div - c_start
-        c_rows = np.repeat(shift, n_c) + np.arange(n_c_all)   # stacked row per c row
         rows_c = np.where(
             rows[..., nmk:] < len(rhs), rows[..., nmk:] - shift[pp][:, None, None], n_c_all
         )
-        rhs_d, rhs_c = rhs[rows[..., :nmk]], rhs[c_rows]
-        live = batch.free[:, :, None] & batch.free[:, None, :]
+        c_rows = np.repeat(shift, n_c) + np.arange(n_c_all)   # stacked row per c row
+        side = batch.masked_side
+
+        # M = G G^T, R = G^-1: C = R L^T and K = C^T C = L M^-1 L^T
+        R = _lower_inverse(np.linalg.cholesky(batch.table_gram))
+        C = R[:, None] @ batch.table_rows.swapaxes(2, 3)      # (n_tables, 2, nd, n_loc)
+        K = C.swapaxes(2, 3) @ C
+        del C
+        t = batch.table[:, None, None, None]
+        r = np.arange(2)[:, None, None]
+        d_idx = np.concatenate(
+            [
+                np.broadcast_to(np.arange(nmk), (len(side), nmk)),
+                nmk + (k + 1) * np.maximum(side, 0)[:, None] + np.arange(k + 1),
+            ],
+            axis=1,
+        )[:, None, None, :]                                   # (n_pairs, 1, 1, n_d)
+        # the d rows are the same in both tensor rows
+        kdd = K[t, r[:1], d_idx.swapaxes(2, 3), d_idx]
+        kcd = K[t, r, np.arange(nmk, K.shape[-1])[:, None], d_idx]
+        reduced = K[batch.table, :, nmk:, nmk:]
+        del K
+        unmasked = side < 0
+        kdd[unmasked, :, nmk:] = 0.0
+        kdd[unmasked, :, :, nmk:] = np.eye(d_idx.shape[-1])[:, nmk:]
+        kcd[unmasked, :, :, nmk:] = 0.0
+        kdd_inv = np.linalg.inv(kdd)
+        del kdd
+        # K_cc - K_cd K_dd^-1 K_dc; a chunk's per-pair arrays set the peak
+        # memory of a step, so K_dd^-1 K_dc is not kept
+        np.subtract(reduced, kcd @ (kdd_inv @ kcd.swapaxes(2, 3)), out=reduced)
+        s_offsets = np.concatenate([[0], np.cumsum(n_c * n_c)])
+        pair_offsets = np.concatenate([[0], np.cumsum(n_elems)])
+        S = np.empty(s_offsets[-1])
+        # scattered a quarter of the pairs at a time, in whole patches, so
+        # that each entry of S sums the same terms in the same order
+        for lo, hi in _batches(n_elems, max(len(pp) // 4, 1)):
+            q = slice(pair_offsets[lo], pair_offsets[hi])
+            n_s = s_offsets[hi] - s_offsets[lo]
+            local = rows_c[q] - c_start[pp[q]][:, None, None]
+            entry = local[..., :, None] * n_c[pp[q], None, None, None] + local[..., None, :]
+            entry += (s_offsets[:-1] - s_offsets[lo])[pp[q], None, None, None]
+            pad = rows_c[q] == n_c_all
+            entry[pad[..., :, None] | pad[..., None, :]] = n_s
+            S[s_offsets[lo] : s_offsets[hi]] = _scatter_rows(reduced[q], entry, n_s)
+        return Reduction(R, kdd_inv, kcd, side, rows_c, c_rows, S, s_offsets[:-1], n_c, c_start)
+
+    def _condensed_stack(self, batch: PatchBatch) -> BatchSolution:
+        """Condensed Schur-complement solve of a batch (:meth:`_reduce`),
+        without fallback: ``fallback`` marks the patches whose row norms
+        span too wide, whose factorizations failed or that fail a gate.
+        Only the pivoted Cholesky and its solves run patch by patch.
+
+        The multipliers of the d rows follow per block, and x = M^-1 L^T lam
+        by products per element table over the pairs that read it; the
+        masked entries of x are set to 0 before the gates.  The row norms
+        and the scales of the gates are those of the dense problem, read
+        from the tables by :func:`_pair_maxima`.
+        """
+        k, rows, rhs = batch.k, batch.block_rows, batch.rhs
+        n = len(batch.vertex)
+        n_pairs, nd = batch.free.shape
+        pp, t, slot = batch.pair_patch, batch.table, batch.slot
+        nmk = len(_exps_array(k))
+        L = batch.table_rows
+        n_elems = np.bincount(pp, minlength=n)
+        pair_start = np.cumsum(n_elems) - n_elems
+        starts = batch.row_offsets[:-1]
+
+        gram_max, row_max, row_sq = _pair_maxima(batch)
+        row_norms = np.sqrt(_scatter_rows(row_sq, rows, len(rhs)))
+        wide = np.minimum.reduceat(row_norms, starts) < _ROW_NORM_SPAN * np.maximum.reduceat(
+            row_norms, starts
+        )
+        del row_sq, row_norms
         try:
-            # one inverse per pair for both tensor rows: at these sizes a
-            # stacked inverse and product take half the time of a solve
-            H = np.linalg.inv(np.where(live, batch.gram, np.eye(nd)))[:, None] @ L.swapaxes(2, 3)
-            K = L @ H                                           # (n_pairs, 2, n_loc, n_loc)
-            kdd_inv = np.linalg.inv(K[..., :nmk, :nmk])
+            R, kdd_inv, kcd, side, rows_c, c_rows, S, s_start, n_c, c_start = self._reduce(batch)
         except np.linalg.LinAlgError:
             # find the failing patches one by one
             if n == 1:
                 return BatchSolution(
-                    np.zeros((n_pairs, 2, nd)), np.zeros(1, dtype=np.int64),
-                    np.ones(1, dtype=bool), np.zeros(1), np.zeros(1),
+                    np.zeros((n_pairs, 2, nd)), np.zeros((n_pairs,) + L.shape[1:3]),
+                    np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool), np.zeros(1), np.zeros(1),
                 )
-            parts = [self._condensed_stack(PatchBatch.of(batch.problem(i))) for i in range(n)]
+            parts = [self._condensed_stack(batch.patch(i)) for i in range(n)]
             return BatchSolution(*(np.concatenate(f) for f in zip(*parts)))
-        # a chunk's stacked arrays set the peak memory of a step: K is freed
-        # here, and no view of it is kept
-        kcd = K[..., nmk:, :nmk].copy()
-        W = kdd_inv @ K[..., :nmk, nmk:]                        # K_dd^-1 K_dc
-        reduced = kcd @ W
-        np.subtract(K[..., nmk:, nmk:], reduced, out=reduced)   # K_cc - K_cd W
-        del K
-        # entry (i, j) of patch p's reduced matrix sits at s_start[p] + i
-        # n_c[p] + j of S; the padding rows go to one entry past the end
-        s_start = np.cumsum(n_c * n_c) - n_c * n_c
-        n_s = int((n_c * n_c).sum())
-        local = rows_c - c_start[pp][:, None, None]
-        entry = local[..., :, None] * n_c[pp, None, None, None] + local[..., None, :]
-        entry += s_start[pp, None, None, None]
-        pad = rows_c == n_c_all
-        entry[pad[..., :, None] | pad[..., None, :]] = n_s
-        S = _scatter_rows(reduced, entry, n_s)
-        del reduced, entry
+        n_c_all = len(c_rows)
         c_patch = np.repeat(np.arange(n), n_c)
         diagonal = s_start[c_patch] + (np.arange(n_c_all) - c_start[c_patch]) * (n_c[c_patch] + 1)
         d = 1.0 / np.sqrt(S[diagonal])
         rank = np.zeros(n, dtype=np.int64)
-        ok = np.ones(n, dtype=bool)
+        ok = ~wide
         kept = np.zeros(n_c_all, dtype=bool)
         factors = []
         for p in range(n):
@@ -656,14 +823,17 @@ class Equilibrator:
             c, piv, rank[p], info = scipy.linalg.lapack.dpstrf(
                 Sp, tol=1e-12, lower=1, overwrite_a=1
             )
-            ok[p] = info >= 0
-            keep = c0 + piv[: rank[p]] - 1 if ok[p] else piv[:0]
+            ok[p] &= info >= 0
+            keep = c0 + piv[: rank[p]] - 1 if info >= 0 else piv[:0]
             kept[keep] = True
-            factors.append((np.asfortranarray(c[: len(keep), : len(keep)]), keep))
-        del S, Sp
+            # the kept factor, column-major, in the first entries of Sp
+            r = len(keep)
+            factor = S[s_start[p] : s_start[p] + r * r].reshape(r, r).T
+            factor[...] = c[:r, :r]
+            factors.append((factor, keep))
 
         def multipliers(res_d, res_c):
-            """Multipliers (d rows (n_pairs, 2, nmk), c rows (n_c_all,)) of
+            """Multipliers (d rows (n_pairs, 2, n_d), c rows (n_c_all,)) of
             the residual: zero on the dropped c rows."""
             yd = kdd_inv @ res_d[..., None]
             scaled = d * (res_c - _scatter_rows((kcd @ yd)[..., 0], rows_c, n_c_all))
@@ -673,44 +843,69 @@ class Equilibrator:
                     step, _ = scipy.linalg.lapack.dpotrs(c, scaled[keep], lower=1)
                     lam_c[keep] = d[keep] * step
             local = _gather_rows(lam_c, rows_c)[..., None]
-            return (yd - W @ local)[..., 0], lam_c
+            return (yd - kdd_inv @ (kcd.swapaxes(2, 3) @ local))[..., 0], lam_c
 
-        # x = H lam; one refinement step
-        lam_d = np.zeros((n_pairs, 2, nmk))
-        lam_c = np.zeros(n_c_all)
+        def per_table(v, *tables):
+            """The product of the tables of each pair with v, as products
+            per table whose columns are the slots of its pairs."""
+            V = np.zeros((len(L), 2, v.shape[2], 3))
+            V[t, :, :, slot] = v
+            for A in reversed(tables):
+                V = A @ V
+            return V[t, :, :, slot]
+
+        q_m = np.flatnonzero(side >= 0)
+        m_pos = nmk + (k + 1) * side[q_m, None, None] + np.arange(k + 1)
+        Lt, R = L.swapaxes(2, 3), R[:, None]
+
+        def primal(lam_d, lam_c):
+            """x, zero on the masked dofs, and the multipliers of the
+            constraint rows per local row."""
+            lam = np.concatenate([lam_d[..., :nmk], _gather_rows(lam_c, rows_c)], axis=2)
+            full = lam.copy()
+            full[q_m[:, None, None], np.arange(2)[:, None], m_pos] = lam_d[q_m, :, nmk:]
+            x = per_table(full, R.swapaxes(2, 3), R, Lt)
+            x[~np.broadcast_to(batch.free[:, None], x.shape)] = 0.0
+            return x, lam
+
+        rhs_d, rhs_c = rhs[rows[..., :nmk]], rhs[c_rows]
+
+        def residuals(x):
+            lx = per_table(x, L)                                # (n_pairs, 2, n_loc)
+            return rhs_d - lx[..., :nmk], rhs_c - _scatter_rows(lx[..., nmk:], rows_c, n_c_all)
+
+        # one refinement step; the masked moments keep a zero residual
+        zero_m = np.zeros((n_pairs, 2, kdd_inv.shape[-1] - nmk))
+        lam_d, lam_c = 0.0, 0.0
         res_d, res_c = rhs_d, rhs_c
         for _ in range(2):
-            step_d, step_c = multipliers(res_d, res_c)
-            lam_d += step_d
-            lam_c += step_c
-            lam = np.concatenate([lam_d, _gather_rows(lam_c, rows_c)], axis=2)
-            x = (H @ lam[..., None])[..., 0]                    # (n_pairs, 2, nd)
-            lx = (L @ x[..., None])[..., 0]                     # (n_pairs, 2, n_loc)
-            res_d = rhs_d - lx[..., :nmk]
-            res_c = rhs_c - _scatter_rows(lx[..., nmk:], rows_c, n_c_all)
-        del H
+            step_d, step_c = multipliers(np.concatenate([res_d, zero_m], axis=2), res_c)
+            lam_d, lam_c = lam_d + step_d, lam_c + step_c
+            x, lam = primal(lam_d, lam_c)
+            res_d, res_c = residuals(x)
+
         # the gates of the QR+LU path, on its KKT system of the kept rows
         # (multipliers -lam), evaluated block by block; patch p's rows are
         # stacked from row_offsets[p] on, its pairs from pair_start[p] on
+        kept_rows = np.ones(len(rhs), dtype=bool)
+        kept_rows[c_rows] = kept
         resid = np.empty(len(rhs))
         resid[rows[..., :nmk]] = res_d
         resid[c_rows] = res_c
-        kept_rows = np.ones(len(rhs), dtype=bool)
-        kept_rows[c_rows] = kept
-        kept_local = _gather_rows(kept_rows, rows, pad=False)
-        mass = np.where(live, batch.gram, np.eye(nd))[:, None]
-        stationarity = (mass @ x[..., None])[..., 0] - (lam[..., None, :] @ L)[..., 0, :]
-        starts = batch.row_offsets[:-1]
-        m_max = _segment_max(np.abs(batch.gram) * live, pair_start)
-        b_max = _segment_max(np.maximum(L.max(axis=3), -L.min(axis=3)) * kept_local, pair_start)
+        stationarity = per_table(x, batch.table_gram[:, None]) - per_table(lam, Lt)
+        stationarity[~np.broadcast_to(batch.free[:, None], x.shape)] = 0.0
+        a_max = np.maximum(
+            np.maximum.reduceat(gram_max, pair_start),
+            _segment_max(row_max * _gather_rows(kept_rows, rows, pad=False), pair_start),
+        )
         lam_max = np.maximum(
-            _segment_max(np.abs(lam_d), pair_start), np.maximum.reduceat(np.abs(lam_c), c_start)
+            _segment_max(np.abs(lam[..., :nmk]), pair_start),
+            np.maximum.reduceat(np.abs(lam_c), c_start),
         )
         denom = np.maximum(
             np.maximum(
                 _segment_norm(np.where(kept_rows, rhs, 0.0), starts),
-                np.maximum(m_max, b_max)
-                * np.maximum(_segment_max(np.abs(x), pair_start), lam_max),
+                a_max * np.maximum(_segment_max(np.abs(x), pair_start), lam_max),
             ),
             1e-300,
         )
@@ -720,7 +915,7 @@ class Equilibrator:
         ) / denom
         residual = np.maximum.reduceat(np.abs(resid), starts)
         ok &= (kkt_rel <= 1e-10) & (residual <= _RESIDUAL_RTOL * self.scale)
-        return BatchSolution(x, n_div + rank, ~ok, residual, kkt_rel)
+        return BatchSolution(x, lam, n_elems * 2 * nmk + rank, ~ok, residual, kkt_rel)
 
     def _solve_patch_qr_lu(self, problem: PatchProblem) -> tuple[np.ndarray, int, float]:
         """Drop redundant rows by rank-revealing QR with a threshold relative

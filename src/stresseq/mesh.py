@@ -268,27 +268,18 @@ def _hanging_node_scan(vertices, triangles, sides):
     n_cols = np.searchsorted(cols, hi[:, 0], "right") - c0
     n_cols[r1 <= r0] = 0
 
-    def column_ranges(start, stop):
-        """(side, first, end) into the sorted vertices, per occupied column
-        of each side's box, for the sides start..stop-1."""
-        n = n_cols[start:stop]
-        side = np.repeat(np.arange(start, stop), n)
-        col = c0[side] + np.arange(len(side)) - np.repeat(np.cumsum(n) - n, n)
-        first = np.searchsorted(packed, col * len(rows) + r0[side])
-        end = np.searchsorted(packed, col * len(rows) + r1[side])
-        return side, first, end
-
-    n_cand = np.zeros(len(sides), dtype=np.int64)
-    for start, stop in _batches(n_cols, _SCAN_BATCH):
-        side, first, end = column_ranges(start, stop)
-        n_cand += np.bincount(side, end - first, len(sides)).astype(np.int64)
+    # (side, first candidate, candidate count) into the sorted vertices per
+    # occupied column of each side's box, in side order: about three per side
+    side = np.repeat(np.arange(len(sides)), n_cols)
+    col = c0[side] + np.arange(len(side)) - np.repeat(np.cumsum(n_cols) - n_cols, n_cols)
+    first = np.searchsorted(packed, col * len(rows) + r0[side])
+    n_cand = np.searchsorted(packed, col * len(rows) + r1[side]) - first
 
     eps = 1e-12
-    for start, stop in _batches(n_cand + n_cols, _SCAN_BATCH):
-        side, first, end = column_ranges(start, stop)
-        m = end - first
-        s = np.repeat(side, m)
-        cand = vids[np.arange(m.sum()) + np.repeat(first - np.cumsum(m) + m, m)]
+    for start, stop in _batches(n_cand, _SCAN_BATCH):
+        m = n_cand[start:stop]
+        s = np.repeat(side[start:stop], m)
+        cand = vids[np.arange(m.sum()) + np.repeat(first[start:stop] - np.cumsum(m) + m, m)]
         keep = (cand != sides[s, 0]) & (cand != sides[s, 1])
         s, cand = s[keep], cand[keep]
         p = vertices[cand]

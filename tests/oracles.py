@@ -7,7 +7,10 @@ inverses), sharing as little code as possible with the production path.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+import scipy.linalg
 
 from stresseq import (
     Discretization,
@@ -16,7 +19,7 @@ from stresseq import (
     refine,
     solve,
 )
-from stresseq.equilibration import Equilibrator, PatchProblem
+from stresseq.equilibration import Equilibrator, PatchBatch, PatchProblem
 from stresseq.errors import IsolatedNeumannVertex, ProblemError
 from stresseq.mesh import (
     DIRICHLET,
@@ -175,6 +178,147 @@ def reference_patches(mesh: Mesh, modified: bool) -> Patches:
         owner=owner,
         dirichlet_touching=np.array(touching),
     )
+
+
+class CondensedReference(NamedTuple):
+    """The condensed solve of a batch, built pair by pair."""
+
+    wide: np.ndarray        # (P,) row norms spanning more than 8 decades
+    reduced: list           # per patch, its reduced matrix (unscaled)
+    lam: np.ndarray         # (n_pairs, 2, n_loc) multipliers
+    x: np.ndarray           # (n_pairs, 2, nd)
+    rank: np.ndarray        # (P,) rows kept
+    fallback: np.ndarray    # (P,) wide, or failing a factorization or a gate
+
+
+def reference_condensed(eq: Equilibrator, batch: PatchBatch) -> CondensedReference:
+    """The condensed patch solve of a batch with one masked Gram matrix per
+    (patch, element) pair.
+
+    Each pair inverts its element's Gram matrix with the masked dofs
+    replaced by the identity, H = M^-1 L^T and K = L H on its local block
+    L (the element rows on the free dofs), condenses the divergence rows
+    onto the jump and symmetry rows, and sums the complements into each
+    patch's reduced matrix; the pivoted Cholesky, the Jacobi scaling, the
+    two multiplier passes and the KKT and residual gates follow as in the
+    production path, whose thresholds this repeats.
+    """
+    L, rows, rhs = batch.blocks(slice(None)), batch.block_rows, batch.rhs
+    gram = batch.table_gram[batch.table]
+    n_pairs, _, _, nd = L.shape
+    n = len(batch.vertex)
+    pp = batch.pair_patch
+    nmk = len(_exps_array(batch.k))
+    starts = batch.row_offsets[:-1]
+    sq = np.einsum("qrld,qrld->qrl", L, L)
+    row_norms = np.sqrt(np.bincount(rows.ravel(), sq.ravel(), minlength=len(rhs) + 1)[:-1])
+    wide = np.minimum.reduceat(row_norms, starts) < 1e-8 * np.maximum.reduceat(row_norms, starts)
+
+    n_elems = np.bincount(pp, minlength=n)
+    pair_start = np.cumsum(n_elems) - n_elems
+    n_div = n_elems * 2 * nmk
+    n_c = np.diff(batch.row_offsets) - n_div
+    c_start = np.cumsum(n_c) - n_c
+    n_c_all = int(n_c.sum())
+    shift = starts + n_div - c_start
+    c_rows = np.repeat(shift, n_c) + np.arange(n_c_all)
+    rows_c = np.where(
+        rows[..., nmk:] < len(rhs), rows[..., nmk:] - shift[pp][:, None, None], n_c_all
+    )
+
+    def scatter(values, at):
+        return np.bincount(at.ravel(), values.ravel(), minlength=n_c_all + 1)[:n_c_all]
+
+    def gather(values, at, pad=0.0):
+        return np.append(values, pad)[at]
+
+    rhs_d, rhs_c = rhs[rows[..., :nmk]], rhs[c_rows]
+    live = batch.free[:, :, None] & batch.free[:, None, :]
+    mass = np.where(live, gram, np.eye(nd))[:, None]
+    H = np.linalg.inv(mass) @ L.swapaxes(2, 3)
+    K = L @ H
+    kdd_inv = np.linalg.inv(K[..., :nmk, :nmk])
+    kcd = K[..., nmk:, :nmk]
+    W = kdd_inv @ K[..., :nmk, nmk:]
+    complements = K[..., nmk:, nmk:] - kcd @ W
+    reduced = [np.zeros((m, m)) for m in n_c]
+    for q in range(n_pairs):
+        p = pp[q]
+        for r in range(2):
+            at = rows_c[q, r] - c_start[p]
+            on = rows_c[q, r] < n_c_all
+            reduced[p][np.ix_(at[on], at[on])] += complements[q, r][np.ix_(on, on)]
+
+    d = np.concatenate([1.0 / np.sqrt(np.diag(S)) for S in reduced])
+    rank = np.zeros(n, dtype=np.int64)
+    ok = np.ones(n, dtype=bool)
+    kept = np.zeros(n_c_all, dtype=bool)
+    factors = []
+    for p, S in enumerate(reduced):
+        c0, m = c_start[p], n_c[p]
+        scaled = S * d[c0 : c0 + m, None] * d[c0 : c0 + m]
+        c, piv, rank[p], info = scipy.linalg.lapack.dpstrf(scaled, tol=1e-12, lower=1)
+        ok[p] = info >= 0
+        keep = c0 + piv[: rank[p]] - 1 if ok[p] else piv[:0]
+        kept[keep] = True
+        factors.append((c[: len(keep), : len(keep)], keep))
+
+    def multipliers(res_d, res_c):
+        yd = kdd_inv @ res_d[..., None]
+        scaled = d * (res_c - scatter((kcd @ yd)[..., 0], rows_c))
+        lam_c = np.zeros(n_c_all)
+        for c, keep in factors:
+            if len(keep):
+                lam_c[keep] = d[keep] * scipy.linalg.lapack.dpotrs(c, scaled[keep], lower=1)[0]
+        return (yd - W @ gather(lam_c, rows_c)[..., None])[..., 0], lam_c
+
+    lam_d = np.zeros((n_pairs, 2, nmk))
+    lam_c = np.zeros(n_c_all)
+    res_d, res_c = rhs_d, rhs_c
+    for _ in range(2):
+        step_d, step_c = multipliers(res_d, res_c)
+        lam_d += step_d
+        lam_c += step_c
+        lam = np.concatenate([lam_d, gather(lam_c, rows_c)], axis=2)
+        x = (H @ lam[..., None])[..., 0]
+        lx = (L @ x[..., None])[..., 0]
+        res_d = rhs_d - lx[..., :nmk]
+        res_c = rhs_c - scatter(lx[..., nmk:], rows_c)
+
+    def segment_max(values, at):
+        return np.maximum.reduceat(values.reshape(len(values), -1).max(axis=1), at)
+
+    def segment_norm(values, at):
+        return np.sqrt(np.add.reduceat((values * values).reshape(len(values), -1).sum(axis=1), at))
+
+    resid = np.empty(len(rhs))
+    resid[rows[..., :nmk]] = res_d
+    resid[c_rows] = res_c
+    kept_rows = np.ones(len(rhs), dtype=bool)
+    kept_rows[c_rows] = kept
+    kept_local = gather(kept_rows, rows, pad=False)
+    stationarity = (mass @ x[..., None])[..., 0] - (lam[..., None, :] @ L)[..., 0, :]
+    a_max = np.maximum(
+        segment_max(np.abs(gram) * live, pair_start),
+        segment_max(np.abs(L).max(axis=3) * kept_local, pair_start),
+    )
+    lam_max = np.maximum(
+        segment_max(np.abs(lam_d), pair_start), np.maximum.reduceat(np.abs(lam_c), c_start)
+    )
+    denom = np.maximum(
+        np.maximum(
+            segment_norm(np.where(kept_rows, rhs, 0.0), starts),
+            a_max * np.maximum(segment_max(np.abs(x), pair_start), lam_max),
+        ),
+        1e-300,
+    )
+    kkt_rel = np.hypot(
+        segment_norm(stationarity, pair_start),
+        segment_norm(np.where(kept_rows, resid, 0.0), starts),
+    ) / denom
+    residual = np.maximum.reduceat(np.abs(resid), starts)
+    ok &= (kkt_rel <= 1e-10) & (residual <= 1e-9 * eq.scale)
+    return CondensedReference(wide, reduced, lam, x, n_div + rank, ~ok | wide)
 
 
 def production_minimizer(eq: Equilibrator, problem: PatchProblem) -> np.ndarray:

@@ -14,9 +14,13 @@ from stresseq import (
     LoadData,
     Material,
     cook,
+    cook_mesh,
     equilibrate,
+    lshape_mesh,
     manufactured_smooth,
+    modified_patches,
     square_lshape,
+    standard_patches,
     uniform_refine,
     verify_equilibration,
 )
@@ -24,6 +28,7 @@ import stresseq.equilibration as equilibration
 from stresseq.equilibration import (
     _BATCH_BYTES,
     PatchBatch,
+    _n_local,
     compatibility_residual,
     null_space_vectors,
 )
@@ -39,7 +44,14 @@ from stresseq.spaces import (
 )
 
 from conftest import solve_problem
-from oracles import absorbed, dense_kkt_minimizer, dense_patch_constraints, mass_norm
+from oracles import (
+    absorbed,
+    dense_kkt_minimizer,
+    dense_patch_constraints,
+    mass_norm,
+    reference_condensed,
+)
+from test_mesh import randomly_refined
 
 
 @pytest.fixture(scope="module")
@@ -298,11 +310,14 @@ def test_schur_path_matches_qr_lu_fallback(setup, request):
 
 @pytest.mark.parametrize("setup", ["cook_eq", "cook2_eq", "lshape2_eq"])
 def test_batched_patches_match_batch_of_one(setup, request):
-    """Each patch of a batch is built and solved bitwise as on its own, and
-    the correction sums the patch solutions in patch-vertex order."""
+    """Each patch of a batch is built and solved bitwise as in a batch of
+    its own, the correction sums the patch solutions in patch-vertex order,
+    and the solve of the dense patch problem agrees to rounding."""
     _, disc, eq = request.getfixturevalue(setup)
+    pair_bytes = 16 * _n_local(disc.k) * rt_dim(disc.k)
+    dofs = np.zeros((disc.mesh.n_triangles, 2, rt_dim(disc.k)))
     for start, batch in eq._batches():
-        assert len(batch.vertex) == 1 or batch.blocks.nbytes <= _BATCH_BYTES
+        assert len(batch.vertex) == 1 or len(batch.elements) * pair_bytes <= _BATCH_BYTES
         sol = eq._solve_batch(batch)
         for i in range(len(batch.vertex)):
             pp = eq.build_patch_problem(start + i)
@@ -310,15 +325,90 @@ def test_batched_patches_match_batch_of_one(setup, request):
             assert np.array_equal(batch.problem(i).constraints, pp.constraints)
             rows = slice(batch.row_offsets[i], batch.row_offsets[i + 1])
             assert np.array_equal(batch.rhs[rows], pp.rhs)
-            x = sol.x[batch.pairs(i)][pp.free_col >= 0]
-            assert np.array_equal(x, eq.solve_patch(pp)), f"patch {pp.vertex}"
-    dofs = np.zeros((disc.mesh.n_triangles, 2, rt_dim(disc.k)))
-    for i in range(len(eq.patches)):
-        pp = eq.build_patch_problem(i)
-        np.add.at(
-            dofs, (pp.elements[pp.col_elem], pp.col_row, pp.col_dof), eq.solve_patch(pp)
-        )
+            alone = eq._solve_batch(eq._build_batch(start + i, start + i + 1)).x
+            assert np.array_equal(sol.x[batch.pairs(i)], alone), f"patch {pp.vertex}"
+            x = alone[pp.free_col >= 0]
+            x_dense = eq.solve_patch(pp)
+            assert np.max(np.abs(x - x_dense)) <= 1e-10 * np.max(np.abs(x_dense)), (
+                f"patch {pp.vertex}"
+            )
+            np.add.at(dofs, (pp.elements[pp.col_elem], pp.col_row, pp.col_dof), x)
     assert np.array_equal(eq.correction().dofs, dofs)
+
+
+def _table_cases():
+    cook_random = randomly_refined(cook_mesh(), 16)
+    lshape_random = randomly_refined(lshape_mesh(), 17)
+    lshape = square_lshape(Material(mu=1.0, inv_lambda=0.002))
+    for k in (1, 2):
+        yield pytest.param(cook(), None, k, id=f"cook-k{k}")
+        yield pytest.param(lshape, None, k, id=f"square-lshape-k{k}")
+        yield pytest.param(cook(), cook_random, k, id=f"cook-random-k{k}")
+        yield pytest.param(lshape, lshape_random, k, id=f"lshape-random-k{k}")
+
+
+def _pivoting(reduced: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """The rows that the Jacobi-scaled pivoted Cholesky of ``reduced``
+    keeps, ascending, the condition number of the scaled matrix on them,
+    and whether its rank is decided: no eigenvalue of the scaled matrix
+    lies within four decades of the 1e-12 pivot tolerance."""
+    d = 1.0 / np.sqrt(np.diag(reduced))
+    scaled = reduced * d[:, None] * d
+    _, piv, rank, _ = scipy.linalg.lapack.dpstrf(scaled, tol=1e-12, lower=1)
+    keep = np.sort(piv[:rank] - 1)
+    ev = np.abs(np.linalg.eigvalsh(scaled))
+    decided = not ((ev > 1e-14) & (ev < 1e-10)).any()
+    return keep, float(np.linalg.cond(scaled[np.ix_(keep, keep)])), decided
+
+
+@pytest.mark.parametrize("build", [standard_patches, modified_patches])
+@pytest.mark.parametrize("problem, mesh, k", list(_table_cases()))
+def test_element_tables_match_the_pair_oracle(problem, mesh, k, build):
+    """The reduced matrices built from the element tables agree with the
+    masked-Gram construction per pair to 1e-12 relative, and so do the
+    multipliers, times the condition number of the scaled reduced matrix,
+    and the fallback flags are the same wherever both pivoted Choleskys
+    keep the same rows; the ranks, and so the dropped rows, are the same
+    wherever the rank is decided.  No pair has more than one masked side,
+    and the masked entries of x are 0.
+
+    After the Jacobi scaling every diagonal entry is 1 up to rounding, so
+    which redundant rows a pivoted Cholesky drops is decided by rounding;
+    where the two drop different ones, their multipliers differ by a left
+    null vector of the constraints, and on a patch whose rows are not
+    consistent (a standard patch at a traction-only vertex) so does the
+    residual of the dropped rows.  At k = 2 on the Cook meshes the null
+    eigenvalues of about half of the scaled reduced matrices reach 1e-13
+    to 1e-12, at the pivot tolerance, and there the rank itself is decided
+    by rounding."""
+    disc, fields, sigma = solve_problem(problem, k=k, mesh=mesh)
+    eq = Equilibrator(disc, sigma, problem.load)
+    eq.patches = build(disc.mesh)
+    n_masked = n_compared = n_decided = 0
+    for start, batch in eq._batches():
+        ref = reference_condensed(eq, batch)
+        red = eq._reduce(batch)
+        sol = eq._condensed_stack(batch)
+        masked = ~batch.free[:, : 3 * (k + 1) : k + 1]
+        assert masked.sum(axis=1).max() <= 1
+        n_masked += int(masked.sum())
+        assert not sol.x[~np.broadcast_to(batch.free[:, None], sol.x.shape)].any()
+        for i, S_ref in enumerate(ref.reduced):
+            S = red.S[red.s_start[i] : red.s_start[i] + S_ref.size].reshape(S_ref.shape)
+            assert np.max(np.abs(S - S_ref)) <= 1e-12 * np.max(np.abs(S_ref)), f"patch {i}"
+            keep, cond, decided = _pivoting(S_ref)
+            if decided:
+                assert sol.rank[i] == ref.rank[i], f"patch {i}"
+                n_decided += 1
+            if not np.array_equal(_pivoting(S)[0], keep):
+                continue
+            assert sol.fallback[i] == ref.fallback[i], f"patch {i}"
+            if not sol.fallback[i]:
+                lam, lam_ref = sol.lam[batch.pairs(i)], ref.lam[batch.pairs(i)]
+                bound = 1e-12 * cond * np.max(np.abs(lam_ref))
+                assert np.max(np.abs(lam - lam_ref)) <= bound, f"patch {i}"
+                n_compared += 1
+    assert n_masked > 0 and n_compared > 0 and n_decided > 0
 
 
 def _mixed_batch(eq, n_patches):
@@ -335,14 +425,15 @@ def test_batch_fallback_is_per_patch(cook_eq, monkeypatch):
     QR+LU alone; the other patches of the batch are bitwise unchanged."""
     _, disc, eq = cook_eq
     batch = _mixed_batch(eq, 4)
-    base = eq._solve_batch(batch)
+    problems = [batch.problem(i) for i in range(len(batch.vertex))]
+    base = eq._solve_batch(PatchBatch.of(*problems))
     assert not base.fallback.any()
-    pp = batch.problem(0)
-    n_sym = len(pp.sym_nodes)
-    blocks, rhs = batch.blocks.copy(), batch.rhs.copy()
-    blocks[batch.pairs(0), :, -3 * disc.k :] *= 1e-9   # the symmetry rows of each block
-    rhs[batch.row_offsets[1] - n_sym : batch.row_offsets[1]] *= 1e-9
-    modified = dataclasses.replace(batch, blocks=blocks, rhs=rhs)
+    pp = problems[0]
+    sym = slice(pp.n_div + pp.n_jump, None)             # the symmetry rows
+    b, rhs = pp.constraints.copy(), pp.rhs.copy()
+    b[sym] *= 1e-9
+    rhs[sym] *= 1e-9
+    modified = PatchBatch.of(dataclasses.replace(pp, constraints=b, rhs=rhs), *problems[1:])
 
     # patch 0 rides along in the Schur stack and leaves it by the row-norm
     # rule, so patch 2 is the third solve of each of the two passes over it
@@ -396,7 +487,8 @@ def test_correction_counts_the_dropped_rows(cook_eq):
 @pytest.mark.parametrize("setup", ["cook_eq", "lshape2_eq"])
 def test_dense_view_matches_dense_builder(setup, request):
     """The dense constraint matrix assembled from the local blocks is
-    bitwise the one that the dense index arithmetic writes."""
+    bitwise the one that the dense index arithmetic writes, and the blocks
+    read back from it are the element tables' on the free dofs."""
     _, disc, eq = request.getfixturevalue(setup)
     mixed = False
     for start, batch in eq._batches():
@@ -407,7 +499,8 @@ def test_dense_view_matches_dense_builder(setup, request):
             assert np.array_equal(pp.constraints, b), f"patch {pp.vertex}"
             assert np.array_equal(pp.rhs, rhs), f"patch {pp.vertex}"
             back = PatchBatch.of(pp)
-            assert np.array_equal(back.blocks, batch.blocks[batch.pairs(i)])
+            assert np.array_equal(back.blocks(slice(None)), batch.blocks(batch.pairs(i)))
+            assert np.array_equal(back.problem(0).constraints, pp.constraints)
     assert mixed
 
 
@@ -416,14 +509,13 @@ def test_singular_divergence_block_takes_the_fallback_alone(cook_eq, monkeypatch
     other patches of its batch are bitwise unchanged."""
     _, disc, eq = cook_eq
     batch = _mixed_batch(eq, 3)
-    base = eq._solve_batch(batch)
+    problems = [batch.problem(i) for i in range(len(batch.vertex))]
+    base = eq._solve_batch(PatchBatch.of(*problems))
     # a repeated divergence row of patch 1, with its repeated right-hand side
-    q = batch.pairs(1).start
-    blocks, rhs = batch.blocks.copy(), batch.rhs.copy()
-    blocks[q, 0, 1] = blocks[q, 0, 0]
-    rows = batch.block_rows[q, 0]
-    rhs[rows[1]] = rhs[rows[0]]
-    modified = dataclasses.replace(batch, blocks=blocks, rhs=rhs)
+    pp = problems[1]
+    b, rhs = pp.constraints.copy(), pp.rhs.copy()
+    b[1], rhs[1] = b[0], rhs[0]
+    modified = PatchBatch.of(problems[0], dataclasses.replace(pp, constraints=b, rhs=rhs), *problems[2:])
 
     inv = np.linalg.inv
     raised = []

@@ -38,6 +38,7 @@ from stresseq import (
     write_mesh,
 )
 from stresseq.equilibration import side_traces
+import stresseq.mesh
 from stresseq.mesh import _hanging_node_scan
 
 SQUARE_V = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -203,6 +204,25 @@ def test_hanging_node_scan_matches_the_loop(seed, n_tri, grid, scale):
         [rng.choice(len(vertices), 3, replace=False) for _ in range(n_tri)]
     )
     _scans_agree(vertices, triangles)
+
+
+def test_hanging_node_scan_does_not_depend_on_its_batches(monkeypatch):
+    """Batches of one, a few or all stacked candidates name the same first
+    hanging vertex, on meshes with and without one."""
+    coarse = cook_mesh()
+    fine = refine(coarse, [3, 17])
+    meshes = [fine.triangles] + [
+        np.vstack([fine.triangles[fine.parent != e], coarse.triangles[e]])
+        for e in np.flatnonzero(np.bincount(fine.parent) > 1)
+    ]
+    outcomes = []
+    for size in (1, 5, 1 << 15):
+        monkeypatch.setattr(stresseq.mesh, "_SCAN_BATCH", size)
+        outcomes.append(
+            [_scan_outcome(_hanging_node_scan, fine.vertices, t, _sides_of(t)) for t in meshes]
+        )
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][0] is None and any(o is not None for o in outcomes[0])
 
 
 def test_hanging_node_scan_matches_the_loop_on_refined_meshes():
