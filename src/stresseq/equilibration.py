@@ -168,7 +168,8 @@ def _check_scale(scale: float) -> None:
 
 @dataclass
 class PatchProblem:
-    """Dense constrained-least-squares data of one patch correction.
+    """Dense constrained-least-squares data of one patch correction, the
+    input of :meth:`Equilibrator.solve_patch`.
 
     Unknowns are the free broken-stress dofs of the patch: all element
     dofs except the normal-trace moments on sides of the patch boundary
@@ -348,44 +349,6 @@ class PatchBatch:
             col_elem=col_elem,
             col_row=col_row,
             col_dof=col_dof,
-        )
-
-    @classmethod
-    def of(cls, *problems: PatchProblem) -> PatchBatch:
-        """The batch of the patch problems, in order, each pair on a table
-        of its own: the rows read from the dense constraint matrix, and a
-        unit selector on each side without jump rows."""
-        nmk, sel = _selectors(problems[0].k)
-        n_rows = np.array([len(p.rhs) for p in problems])
-        row_offsets = np.concatenate([[0], np.cumsum(n_rows)])
-        rows, block_rows = [], []
-        for p, lo in zip(problems, row_offsets):
-            n, n_free = p.constraints.shape
-            dense = np.zeros((n + 1, n_free + 1))
-            dense[:n, :n_free] = p.constraints
-            cols = np.where(p.free_col >= 0, p.free_col, n_free)
-            rows.append(dense[p.block_rows[..., :, None], cols[:, :, None, :]])
-            pad = p.block_rows[..., nmk + sel] == n
-            rows[-1][..., nmk + sel, sel] += pad
-            block_rows.append(np.where(p.block_rows == n, row_offsets[-1], p.block_rows + lo))
-        n_elems = [len(p.elements) for p in problems]
-        return cls(
-            vertex=np.array([p.vertex for p in problems]),
-            k=problems[0].k,
-            pair_patch=np.repeat(np.arange(len(problems)), n_elems),
-            elements=np.concatenate([p.elements for p in problems]),
-            free=np.concatenate([p.free_col[:, 0] >= 0 for p in problems]),
-            table=np.arange(sum(n_elems)),
-            slot=np.zeros(sum(n_elems), dtype=np.int64),
-            table_gram=np.concatenate([p.gram for p in problems]),
-            table_rows=np.concatenate(rows),
-            block_rows=np.concatenate(block_rows),
-            row_offsets=row_offsets,
-            rhs=np.concatenate([p.rhs for p in problems]),
-            jump_sides=np.concatenate([p.jump_sides for p in problems]),
-            side_offsets=np.cumsum([0] + [len(p.jump_sides) for p in problems]),
-            sym_nodes=np.concatenate([p.sym_nodes for p in problems]),
-            node_offsets=np.cumsum([0] + [len(p.sym_nodes) for p in problems]),
         )
 
 
@@ -658,12 +621,6 @@ class Equilibrator:
 
     # -- patch solve -----------------------------------------------------------
 
-    def solve_patch(self, problem: PatchProblem) -> np.ndarray:
-        """Minimize the patch L2 norm subject to the constraint rows: the
-        patch solve of :meth:`_solve_batch` on a batch of one."""
-        x = self._solve_batch(PatchBatch.of(problem)).x
-        return x[problem.free_col >= 0]
-
     def _solve_batch(self, batch: PatchBatch) -> BatchSolution:
         """Minimize every patch L2 norm of a batch subject to its rows.
 
@@ -674,18 +631,18 @@ class Equilibrator:
         pivoted Cholesky, whose rank drops the redundant rows (exactly three
         on patches away from the displacement boundary).  It must pass the
         same KKT and constraint residual gates, on the unreduced rows, as
-        the QR+LU path (:meth:`_solve_patch_qr_lu`).  A patch is solved
-        again alone on that path, its fast result overwritten, when it
-        fails them, when a factorization fails, or when the row norms of
-        its constraint matrix span more than 8 decades (there the QR rank
-        rule drops rows of tiny norm, and the fallback keeps that
-        behaviour).  A failure of the fallback indicates incompatible data
-        and raises IncompatiblePatch.
+        :meth:`solve_patch`.  A patch is solved again alone by
+        :meth:`solve_patch`, on its dense problem, its fast result
+        overwritten, when it fails them, when a factorization fails, or when
+        the row norms of its constraint matrix span more than 8 decades
+        (there the QR rank rule drops rows of tiny norm, and the fallback
+        keeps that behaviour).  A failure of the fallback indicates
+        incompatible data and raises IncompatiblePatch.
         """
         sol = self._condensed_stack(batch)
         for i in np.flatnonzero(sol.fallback):
             problem = batch.problem(i)
-            x, sol.rank[i], sol.kkt[i] = self._solve_patch_qr_lu(problem)
+            x, sol.rank[i], sol.kkt[i] = self.solve_patch(problem)
             xi = np.zeros(problem.free_col.shape)
             xi[problem.free_col >= 0] = x
             sol.x[batch.pairs(i)] = xi
@@ -917,11 +874,12 @@ class Equilibrator:
         ok &= (kkt_rel <= 1e-10) & (residual <= _RESIDUAL_RTOL * self.scale)
         return BatchSolution(x, lam, n_elems * 2 * nmk + rank, ~ok, residual, kkt_rel)
 
-    def _solve_patch_qr_lu(self, problem: PatchProblem) -> tuple[np.ndarray, int, float]:
-        """Drop redundant rows by rank-revealing QR with a threshold relative
-        to the largest row norm, then solve the reduced KKT system by dense
-        LU.  Returns the minimizer, the rank and the relative KKT residual;
-        raises IncompatiblePatch when a residual gate fails."""
+    def solve_patch(self, problem: PatchProblem) -> tuple[np.ndarray, int, float]:
+        """The dense patch solve, the fallback of :meth:`_solve_batch`: drop
+        redundant rows by rank-revealing QR with a threshold relative to the
+        largest row norm, then solve the reduced KKT system by dense LU.
+        Returns the minimizer on the free columns, the rank and the relative
+        KKT residual; raises IncompatiblePatch when a residual gate fails."""
         B, rhs, M = problem.constraints, problem.rhs, problem.mass
         n_free = problem.n_free
         row_norms = np.linalg.norm(B, axis=1)
@@ -1015,73 +973,6 @@ def equilibrate(
     eq = Equilibrator(disc, sigma_h, load)
     delta = eq.correction()
     return delta, sigma_h + delta, eq
-
-
-# -- null space of patch constraints (rigid motions) ---------------------------
-
-
-def null_space_vectors(problem: PatchProblem, mesh: Mesh) -> np.ndarray:
-    """Left null vectors of the constraint matrix on displacement-free patches.
-
-    Rows combine like the virtual work of a rigid motion rho: divergence
-    rows by the monomial expansion of rho, jump rows by minus the side
-    length times the Legendre expansion of rho on the side, symmetry rows
-    by the (constant) off-diagonal entry of grad rho.  Returns (3, n_rows)
-    for the two translations and one rotation about the patch vertex.
-    Only valid when the patch does not touch the displacement boundary.
-    """
-    k = problem.k
-    nmk = len(_exps_array(k))
-    ne = len(problem.elements)
-    n_div = problem.n_div
-    n_jump = problem.n_jump
-    n_rows = problem.constraints.shape[0]
-    out = np.zeros((3, n_rows))
-    zc = mesh.vertices[problem.vertex]
-    centers = mesh.vertices[mesh.triangles[problem.elements]].mean(axis=1)
-    hs = mesh.h[problem.elements]
-
-    # rho candidates: e_x, e_y, rotation (-(y-z_y), x-z_x)
-    # divergence-row coefficients: expansion of rho_r over scaled monomials
-    div = np.zeros((3, ne, 2, nmk))
-    div[0, :, 0, 0] = 1.0
-    div[1, :, 1, 0] = 1.0
-    div[2, :, 0, 0] = -(centers[:, 1] - zc[1])
-    div[2, :, 0, 2] = -hs                      # monomial order: 1, x, y
-    div[2, :, 1, 0] = centers[:, 0] - zc[0]
-    div[2, :, 1, 1] = hs
-    out[:, :n_div] = div.reshape(3, -1)
-
-    # jump-row coefficients: -|S| * Legendre expansion of rho on the side
-    tq, tw = side_rule(k)
-    lg = legendre01(k + 1, tq)
-    sides = problem.jump_sides
-    xq = mesh.side_points(sides, tq)                # (ns, nqs, 2)
-    rho = np.zeros((3,) + xq.shape)
-    rho[0, ..., 0] = 1.0
-    rho[1, ..., 1] = 1.0
-    rho[2, ..., 0] = -(xq[..., 1] - zc[1])
-    rho[2, ..., 1] = xq[..., 0] - zc[0]
-    coeff = np.einsum("q,qm,vsqr->vsrm", tw, lg, rho)
-    out[:, n_div : n_div + n_jump] = (
-        -mesh.side_length[sides][:, None, None] * coeff
-    ).reshape(3, -1)
-
-    # symmetry rows: grad rho off-diagonal (0 for translations, -1 for rotation)
-    out[2, n_div + n_jump :] = -1.0
-    return out
-
-
-def compatibility_residual(
-    problem: PatchProblem, mesh: Mesh
-) -> tuple[np.ndarray, float]:
-    """Dot products of the rhs with the three null vectors, and the norm of
-    the rhs projection onto their (orthonormalized) span."""
-    nv = null_space_vectors(problem, mesh)
-    dots = nv @ problem.rhs
-    q, _ = np.linalg.qr(nv.T)
-    proj = float(np.linalg.norm(q.T @ problem.rhs))
-    return dots, proj
 
 
 # -- verification -----------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .elasticity import (
     FieldPair,
@@ -379,21 +380,20 @@ def neighborhood_ratio(
     eta_r: np.ndarray,
 ) -> float:
     """max over elements of (eta_A^2+eta_B^2+eta_C^2) / sum of eta_R^2 over
-    the vertex-neighborhood of the element; the efficiency constant."""
-    offsets, ids = mesh.vertex_triangles()
+    the vertex-neighborhood of the element; the efficiency constant.
+
+    The neighborhood of an element is every element that shares a vertex
+    with it: the nonzeros of its row of T T^T, with T the triangle-vertex
+    incidence matrix."""
+    nt = mesh.n_triangles
+    incidence = scipy.sparse.csr_matrix(
+        (np.ones(3 * nt), mesh.triangles.ravel(), np.arange(0, 3 * nt + 1, 3)),
+        shape=(nt, mesh.n_vertices),
+    )
+    den = ((incidence @ incidence.T) > 0) @ eta_r**2
     num = eta_a**2 + eta_b**2 + eta_c**2
-    r_sq = eta_r**2
-    worst = 0.0
-    for e in range(mesh.n_triangles):
-        nbrs = np.unique(
-            np.concatenate(
-                [ids[offsets[v] : offsets[v + 1]] for v in mesh.triangles[e]]
-            )
-        )
-        den = float(np.sum(r_sq[nbrs]))
-        if den > 0.0:
-            worst = max(worst, num[e] / den)
-    return worst
+    pos = den > 0.0
+    return float(np.max(num[pos] / den[pos], initial=0.0))
 
 
 # -- report -------------------------------------------------------------------------

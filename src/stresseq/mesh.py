@@ -298,35 +298,12 @@ def _hanging_node_scan(vertices, triangles, sides):
 def _rotate_to_longest_edge(vertices, triangles):
     """Cyclically rotate each triple so the refinement edge (t0, t1) is the
     longest edge, ties broken by the sorted vertex pair."""
-    tri = triangles.copy()
-    pts = vertices[tri]                                  # (nt, 3, 2)
     # edge j is (t[j], t[j+1]) for j = 0, 1, 2 (cyclic)
-    nxt = np.roll(pts, -1, axis=1)
-    lens = np.linalg.norm(nxt - pts, axis=2)             # (nt, 3)
-    pair_lo = np.minimum(tri, np.roll(tri, -1, axis=1))
-    pair_hi = np.maximum(tri, np.roll(tri, -1, axis=1))
-    best = np.zeros(len(tri), dtype=np.int64)
-    cur = np.zeros(len(tri))
-    cur[:] = -np.inf
-    cur_lo = np.zeros(len(tri), dtype=np.int64)
-    cur_hi = np.zeros(len(tri), dtype=np.int64)
-    for j in range(3):
-        better = (lens[:, j] > cur) | (
-            (lens[:, j] == cur)
-            & (
-                (pair_lo[:, j] > cur_lo)
-                | ((pair_lo[:, j] == cur_lo) & (pair_hi[:, j] > cur_hi))
-            )
-        )
-        best[better] = j
-        cur[better] = lens[better, j]
-        cur_lo[better] = pair_lo[better, j]
-        cur_hi[better] = pair_hi[better, j]
-    out = tri.copy()
-    for j in (1, 2):
-        rows = best == j
-        out[rows] = np.roll(tri[rows], -j, axis=1)
-    return out
+    nxt = np.roll(triangles, -1, axis=1)
+    length = np.linalg.norm(vertices[nxt] - vertices[triangles], axis=2)
+    lo, hi = np.minimum(triangles, nxt), np.maximum(triangles, nxt)
+    best = np.lexsort((hi, lo, length), axis=1)[:, -1:]
+    return np.take_along_axis(triangles, (best + np.arange(3)) % 3, axis=1)
 
 
 def _assemble(

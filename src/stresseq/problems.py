@@ -21,7 +21,7 @@ import numpy as np
 
 from .elasticity import LoadData, Material
 from .errors import ProblemError
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh, _side_table, build_mesh
 
 _EDGE_TOL = 1e-9
 
@@ -96,19 +96,13 @@ def _compact(verts: np.ndarray, tris: np.ndarray):
 
 
 def _boundary_split(verts: np.ndarray, tris: np.ndarray, clamped):
-    """Boundary edges split into (clamped, traction) by an endpoint test."""
-    count: dict = {}
-    for tri in tris:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(int(a), int(b)), max(int(a), int(b)))
-            count[key] = count.get(key, 0) + 1
-    dirichlet, neumann = [], []
-    for a, b in sorted(e for e, c in count.items() if c == 1):
-        if clamped(verts[a]) and clamped(verts[b]):
-            dirichlet.append((a, b))
-        else:
-            neumann.append((a, b))
-    return np.array(dirichlet, dtype=np.int64), np.array(neumann, dtype=np.int64)
+    """Boundary sides, in the lexicographic order of their vertex pairs,
+    split into (clamped, traction) by a test on both endpoints; ``clamped``
+    maps (n, 2) points to n booleans."""
+    sides, side_tri, _ = _side_table(tris, len(verts))
+    boundary = sides[side_tri[:, 1] < 0]
+    on = clamped(verts[boundary[:, 0]]) & clamped(verts[boundary[:, 1]])
+    return boundary[on], boundary[~on]
 
 
 def _require_even(cells: int) -> None:
@@ -139,7 +133,7 @@ def cook_mesh(cells: int = 4) -> Mesh:
     verts = np.stack([x.ravel(), y.ravel()], axis=1)
     tris = _union_jack(cells)
     dirichlet, neumann = _boundary_split(
-        verts, tris, lambda v: abs(v[0]) < _EDGE_TOL
+        verts, tris, lambda v: np.abs(v[:, 0]) < _EDGE_TOL
     )
     return build_mesh(verts, tris, dirichlet, neumann)
 
@@ -175,7 +169,7 @@ def unit_square_mesh(cells: int = 2) -> Mesh:
     verts = np.stack([xv.ravel(), yv.ravel()], axis=1)
     tris = _union_jack(cells)
     dirichlet, neumann = _boundary_split(
-        verts, tris, lambda v: abs(v[0]) < _EDGE_TOL
+        verts, tris, lambda v: np.abs(v[:, 0]) < _EDGE_TOL
     )
     return build_mesh(verts, tris, dirichlet, neumann)
 
@@ -302,7 +296,7 @@ def lshape_mesh(cells: int = 4) -> Mesh:
     )
     verts, tris = _compact(verts, tris)
     dirichlet, neumann = _boundary_split(
-        verts, tris, lambda v: abs(v[0] + 1.0) < _EDGE_TOL
+        verts, tris, lambda v: np.abs(v[:, 0] + 1.0) < _EDGE_TOL
     )
     return build_mesh(verts, tris, dirichlet, neumann)
 

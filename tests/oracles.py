@@ -19,7 +19,7 @@ from stresseq import (
     refine,
     solve,
 )
-from stresseq.equilibration import Equilibrator, PatchBatch, PatchProblem
+from stresseq.equilibration import Equilibrator, PatchBatch, PatchProblem, _selectors
 from stresseq.errors import IsolatedNeumannVertex, ProblemError
 from stresseq.mesh import (
     DIRICHLET,
@@ -29,7 +29,7 @@ from stresseq.mesh import (
     Patches,
     _assemble,
 )
-from stresseq.spaces import _exps_array, rt_dim, triangle_rule
+from stresseq.spaces import _exps_array, legendre01, rt_dim, side_rule, triangle_rule
 
 
 def dense_kkt_minimizer(problem: PatchProblem) -> np.ndarray:
@@ -321,12 +321,115 @@ def reference_condensed(eq: Equilibrator, batch: PatchBatch) -> CondensedReferen
     return CondensedReference(wide, reduced, lam, x, n_div + rank, ~ok | wide)
 
 
+def batch_of(*problems: PatchProblem) -> PatchBatch:
+    """The batch of the patch problems, in order, each pair on a table of
+    its own: the rows read from the dense constraint matrix, and a unit
+    selector on each side without jump rows.  The inverse of
+    :meth:`PatchBatch.problem`, for feeding modified dense problems to the
+    batch solve."""
+    nmk, sel = _selectors(problems[0].k)
+    n_rows = np.array([len(p.rhs) for p in problems])
+    row_offsets = np.concatenate([[0], np.cumsum(n_rows)])
+    rows, block_rows = [], []
+    for p, lo in zip(problems, row_offsets):
+        n, n_free = p.constraints.shape
+        dense = np.zeros((n + 1, n_free + 1))
+        dense[:n, :n_free] = p.constraints
+        cols = np.where(p.free_col >= 0, p.free_col, n_free)
+        rows.append(dense[p.block_rows[..., :, None], cols[:, :, None, :]])
+        pad = p.block_rows[..., nmk + sel] == n
+        rows[-1][..., nmk + sel, sel] += pad
+        block_rows.append(np.where(p.block_rows == n, row_offsets[-1], p.block_rows + lo))
+    n_elems = [len(p.elements) for p in problems]
+    return PatchBatch(
+        vertex=np.array([p.vertex for p in problems]),
+        k=problems[0].k,
+        pair_patch=np.repeat(np.arange(len(problems)), n_elems),
+        elements=np.concatenate([p.elements for p in problems]),
+        free=np.concatenate([p.free_col[:, 0] >= 0 for p in problems]),
+        table=np.arange(sum(n_elems)),
+        slot=np.zeros(sum(n_elems), dtype=np.int64),
+        table_gram=np.concatenate([p.gram for p in problems]),
+        table_rows=np.concatenate(rows),
+        block_rows=np.concatenate(block_rows),
+        row_offsets=row_offsets,
+        rhs=np.concatenate([p.rhs for p in problems]),
+        jump_sides=np.concatenate([p.jump_sides for p in problems]),
+        side_offsets=np.cumsum([0] + [len(p.jump_sides) for p in problems]),
+        sym_nodes=np.concatenate([p.sym_nodes for p in problems]),
+        node_offsets=np.cumsum([0] + [len(p.sym_nodes) for p in problems]),
+    )
+
+
 def production_minimizer(eq: Equilibrator, problem: PatchProblem) -> np.ndarray:
-    return eq.solve_patch(problem)
+    """The minimizer of the production batch solve, fallback included, on
+    the free columns of ``problem``."""
+    return eq._solve_batch(batch_of(problem)).x[problem.free_col >= 0]
 
 
 def mass_norm(problem: PatchProblem, x: np.ndarray) -> float:
     return float(np.sqrt(x @ problem.mass @ x))
+
+
+def null_space_vectors(problem: PatchProblem, mesh: Mesh) -> np.ndarray:
+    """Left null vectors of the constraint matrix on displacement-free patches.
+
+    Rows combine like the virtual work of a rigid motion rho: divergence
+    rows by the monomial expansion of rho, jump rows by minus the side
+    length times the Legendre expansion of rho on the side, symmetry rows
+    by the (constant) off-diagonal entry of grad rho.  Returns (3, n_rows)
+    for the two translations and one rotation about the patch vertex.
+    Only valid when the patch does not touch the displacement boundary.
+    """
+    k = problem.k
+    nmk = len(_exps_array(k))
+    ne = len(problem.elements)
+    n_div = problem.n_div
+    n_jump = problem.n_jump
+    out = np.zeros((3, problem.constraints.shape[0]))
+    zc = mesh.vertices[problem.vertex]
+    centers = mesh.vertices[mesh.triangles[problem.elements]].mean(axis=1)
+    hs = mesh.h[problem.elements]
+
+    # rho candidates: e_x, e_y, rotation (-(y-z_y), x-z_x)
+    # divergence-row coefficients: expansion of rho_r over scaled monomials
+    div = np.zeros((3, ne, 2, nmk))
+    div[0, :, 0, 0] = 1.0
+    div[1, :, 1, 0] = 1.0
+    div[2, :, 0, 0] = -(centers[:, 1] - zc[1])
+    div[2, :, 0, 2] = -hs                      # monomial order: 1, x, y
+    div[2, :, 1, 0] = centers[:, 0] - zc[0]
+    div[2, :, 1, 1] = hs
+    out[:, :n_div] = div.reshape(3, -1)
+
+    # jump-row coefficients: -|S| * Legendre expansion of rho on the side
+    tq, tw = side_rule(k)
+    lg = legendre01(k + 1, tq)
+    sides = problem.jump_sides
+    xq = mesh.side_points(sides, tq)                # (ns, nqs, 2)
+    rho = np.zeros((3,) + xq.shape)
+    rho[0, ..., 0] = 1.0
+    rho[1, ..., 1] = 1.0
+    rho[2, ..., 0] = -(xq[..., 1] - zc[1])
+    rho[2, ..., 1] = xq[..., 0] - zc[0]
+    coeff = np.einsum("q,qm,vsqr->vsrm", tw, lg, rho)
+    out[:, n_div : n_div + n_jump] = (
+        -mesh.side_length[sides][:, None, None] * coeff
+    ).reshape(3, -1)
+
+    # symmetry rows: grad rho off-diagonal (0 for translations, -1 for rotation)
+    out[2, n_div + n_jump :] = -1.0
+    return out
+
+
+def compatibility_residual(problem: PatchProblem, mesh: Mesh) -> tuple[np.ndarray, float]:
+    """Dot products of the rhs with the three null vectors, and the norm of
+    the rhs projection onto their (orthonormalized) span."""
+    nv = null_space_vectors(problem, mesh)
+    dots = nv @ problem.rhs
+    q, _ = np.linalg.qr(nv.T)
+    proj = float(np.linalg.norm(q.T @ problem.rhs))
+    return dots, proj
 
 
 def quad_integrate(mesh: Mesh, elems, func, degree: int = 20) -> np.ndarray:
@@ -373,6 +476,59 @@ def uniform_reference_errors(history, problem) -> np.ndarray:
         [step.fields for step in history], reference, chain,
         problem.material,
     )
+
+
+def reference_rotate_to_longest_edge(vertices, triangles):
+    """The three-pass form of :func:`stresseq.mesh._rotate_to_longest_edge`:
+    each edge in turn replaces the best one so far when it is longer, or as
+    long with a larger sorted vertex pair.  Both must give bitwise the same
+    triangles."""
+    tri = triangles.copy()
+    pts = vertices[tri]                                  # (nt, 3, 2)
+    # edge j is (t[j], t[j+1]) for j = 0, 1, 2 (cyclic)
+    nxt = np.roll(pts, -1, axis=1)
+    lens = np.linalg.norm(nxt - pts, axis=2)             # (nt, 3)
+    pair_lo = np.minimum(tri, np.roll(tri, -1, axis=1))
+    pair_hi = np.maximum(tri, np.roll(tri, -1, axis=1))
+    best = np.zeros(len(tri), dtype=np.int64)
+    cur = np.full(len(tri), -np.inf)
+    cur_lo = np.zeros(len(tri), dtype=np.int64)
+    cur_hi = np.zeros(len(tri), dtype=np.int64)
+    for j in range(3):
+        better = (lens[:, j] > cur) | (
+            (lens[:, j] == cur)
+            & (
+                (pair_lo[:, j] > cur_lo)
+                | ((pair_lo[:, j] == cur_lo) & (pair_hi[:, j] > cur_hi))
+            )
+        )
+        best[better] = j
+        cur[better] = lens[better, j]
+        cur_lo[better] = pair_lo[better, j]
+        cur_hi[better] = pair_hi[better, j]
+    out = tri.copy()
+    for j in (1, 2):
+        rows = best == j
+        out[rows] = np.roll(tri[rows], -j, axis=1)
+    return out
+
+
+def reference_neighborhood_ratio(mesh: Mesh, eta_a, eta_b, eta_c, eta_r) -> float:
+    """The per-element loop of :func:`stresseq.neighborhood_ratio`: each
+    element's neighbours gathered from the vertex-to-triangle lists.  The
+    sums run in another order, so the two agree to rounding."""
+    offsets, ids = mesh.vertex_triangles()
+    num = eta_a**2 + eta_b**2 + eta_c**2
+    r_sq = eta_r**2
+    worst = 0.0
+    for e in range(mesh.n_triangles):
+        nbrs = np.unique(
+            np.concatenate([ids[offsets[v] : offsets[v + 1]] for v in mesh.triangles[e]])
+        )
+        den = float(np.sum(r_sq[nbrs]))
+        if den > 0.0:
+            worst = max(worst, num[e] / den)
+    return worst
 
 
 def reference_refine(mesh: Mesh, marked) -> Mesh:

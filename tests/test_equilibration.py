@@ -25,13 +25,7 @@ from stresseq import (
     verify_equilibration,
 )
 import stresseq.equilibration as equilibration
-from stresseq.equilibration import (
-    _BATCH_BYTES,
-    PatchBatch,
-    _n_local,
-    compatibility_residual,
-    null_space_vectors,
-)
+from stresseq.equilibration import _BATCH_BYTES, _n_local
 from stresseq.spaces import (
     _exps_array,
     _rt_span,
@@ -46,9 +40,13 @@ from stresseq.spaces import (
 from conftest import solve_problem
 from oracles import (
     absorbed,
+    batch_of,
+    compatibility_residual,
     dense_kkt_minimizer,
     dense_patch_constraints,
     mass_norm,
+    null_space_vectors,
+    production_minimizer,
     reference_condensed,
 )
 from test_mesh import randomly_refined
@@ -201,7 +199,7 @@ def test_patch_minimizer_matches_dense_kkt(setup, request):
     problem, disc, eq = request.getfixturevalue(setup)
     for i in range(len(eq.patches)):
         pp = eq.build_patch_problem(i)
-        x = eq.solve_patch(pp)
+        x = production_minimizer(eq, pp)
         x_ref = dense_kkt_minimizer(pp)
         ref = mass_norm(pp, x_ref)
         diff = mass_norm(pp, x - x_ref)
@@ -258,7 +256,7 @@ def test_minimizer_is_mass_orthogonal_to_constraint_null_space(cook_eq):
         pp = eq.build_patch_problem(i)
         if pp.n_free <= pp.constraints.shape[0]:
             continue
-        x = eq.solve_patch(pp)
+        x = production_minimizer(eq, pp)
         _, sv, vt = np.linalg.svd(pp.constraints)
         rank = int(np.sum(sv > 1e-10 * sv[0]))
         null_basis = vt[rank:]
@@ -278,7 +276,7 @@ def test_incompatible_rhs_raises(manu_eq):
     bad = nv[0] / np.linalg.norm(nv[0]) * eq.scale
     broken = dataclasses.replace(pp, rhs=pp.rhs + bad)
     with pytest.raises(IncompatiblePatch):
-        eq.solve_patch(broken)
+        production_minimizer(eq, broken)
 
 
 @pytest.mark.parametrize("setup", ["cook_eq", "cook2_eq", "lshape2_eq"])
@@ -298,7 +296,7 @@ def test_schur_path_matches_qr_lu_fallback(setup, request):
             assert not sol.fallback[i], f"patch {z} failed the fast path"
             pp = batch.problem(i)
             x = sol.x[batch.pairs(i)][pp.free_col >= 0]
-            for x_ref in (eq._solve_patch_qr_lu(pp)[0], dense_kkt_minimizer(pp)):
+            for x_ref in (eq.solve_patch(pp)[0], dense_kkt_minimizer(pp)):
                 assert np.max(np.abs(x - x_ref)) <= 1e-8 * np.max(np.abs(x_ref)), (
                     f"patch {z}"
                 )
@@ -328,7 +326,7 @@ def test_batched_patches_match_batch_of_one(setup, request):
             alone = eq._solve_batch(eq._build_batch(start + i, start + i + 1)).x
             assert np.array_equal(sol.x[batch.pairs(i)], alone), f"patch {pp.vertex}"
             x = alone[pp.free_col >= 0]
-            x_dense = eq.solve_patch(pp)
+            x_dense = production_minimizer(eq, pp)
             assert np.max(np.abs(x - x_dense)) <= 1e-10 * np.max(np.abs(x_dense)), (
                 f"patch {pp.vertex}"
             )
@@ -426,14 +424,14 @@ def test_batch_fallback_is_per_patch(cook_eq, monkeypatch):
     _, disc, eq = cook_eq
     batch = _mixed_batch(eq, 4)
     problems = [batch.problem(i) for i in range(len(batch.vertex))]
-    base = eq._solve_batch(PatchBatch.of(*problems))
+    base = eq._solve_batch(batch_of(*problems))
     assert not base.fallback.any()
     pp = problems[0]
     sym = slice(pp.n_div + pp.n_jump, None)             # the symmetry rows
     b, rhs = pp.constraints.copy(), pp.rhs.copy()
     b[sym] *= 1e-9
     rhs[sym] *= 1e-9
-    modified = PatchBatch.of(dataclasses.replace(pp, constraints=b, rhs=rhs), *problems[1:])
+    modified = batch_of(dataclasses.replace(pp, constraints=b, rhs=rhs), *problems[1:])
 
     # patch 0 rides along in the Schur stack and leaves it by the row-norm
     # rule, so patch 2 is the third solve of each of the two passes over it
@@ -451,7 +449,7 @@ def test_batch_fallback_is_per_patch(cook_eq, monkeypatch):
     for i in (0, 2):
         problem = modified.problem(i)
         x = sol.x[batch.pairs(i)][problem.free_col >= 0]
-        assert np.array_equal(x, eq._solve_patch_qr_lu(problem)[0])
+        assert np.array_equal(x, eq.solve_patch(problem)[0])
     others = ~np.isin(batch.pair_patch, [0, 2])
     assert np.array_equal(sol.x[others], base.x[others])
 
@@ -498,7 +496,7 @@ def test_dense_view_matches_dense_builder(setup, request):
             pp = batch.problem(i)
             assert np.array_equal(pp.constraints, b), f"patch {pp.vertex}"
             assert np.array_equal(pp.rhs, rhs), f"patch {pp.vertex}"
-            back = PatchBatch.of(pp)
+            back = batch_of(pp)
             assert np.array_equal(back.blocks(slice(None)), batch.blocks(batch.pairs(i)))
             assert np.array_equal(back.problem(0).constraints, pp.constraints)
     assert mixed
@@ -510,12 +508,12 @@ def test_singular_divergence_block_takes_the_fallback_alone(cook_eq, monkeypatch
     _, disc, eq = cook_eq
     batch = _mixed_batch(eq, 3)
     problems = [batch.problem(i) for i in range(len(batch.vertex))]
-    base = eq._solve_batch(PatchBatch.of(*problems))
+    base = eq._solve_batch(batch_of(*problems))
     # a repeated divergence row of patch 1, with its repeated right-hand side
     pp = problems[1]
     b, rhs = pp.constraints.copy(), pp.rhs.copy()
     b[1], rhs[1] = b[0], rhs[0]
-    modified = PatchBatch.of(problems[0], dataclasses.replace(pp, constraints=b, rhs=rhs), *problems[2:])
+    modified = batch_of(problems[0], dataclasses.replace(pp, constraints=b, rhs=rhs), *problems[2:])
 
     inv = np.linalg.inv
     raised = []
@@ -533,7 +531,7 @@ def test_singular_divergence_block_takes_the_fallback_alone(cook_eq, monkeypatch
     assert np.flatnonzero(sol.fallback).tolist() == [1]
     problem = modified.problem(1)
     x = sol.x[batch.pairs(1)][problem.free_col >= 0]
-    assert np.array_equal(x, eq._solve_patch_qr_lu(problem)[0])
+    assert np.array_equal(x, eq.solve_patch(problem)[0])
     others = batch.pair_patch != 1
     assert np.array_equal(sol.x[others], base.x[others])
 
@@ -567,24 +565,30 @@ def _loaded_patch(eq):
     return max(problems, key=lambda pp: np.max(np.abs(pp.rhs)))
 
 
-def test_wide_row_norm_span_takes_the_fallback(cook_eq):
-    _, disc, eq = cook_eq
+def wide_span_problem(eq):
+    """The loaded patch problem with its symmetry rows and their right-hand
+    side scaled by 1e-9: its row norms span more than 8 decades."""
     pp = _loaded_patch(eq)
     b, rhs = pp.constraints.copy(), pp.rhs.copy()
     sym = slice(pp.n_div + pp.n_jump, None)
     b[sym] *= 1e-9
     rhs[sym] *= 1e-9
-    scaled = dataclasses.replace(pp, constraints=b, rhs=rhs)
-    assert eq._solve_batch(PatchBatch.of(scaled)).fallback[0]
-    assert np.array_equal(eq.solve_patch(scaled), eq._solve_patch_qr_lu(scaled)[0])
+    return dataclasses.replace(pp, constraints=b, rhs=rhs)
+
+
+def test_wide_row_norm_span_takes_the_fallback(cook_eq):
+    _, disc, eq = cook_eq
+    scaled = wide_span_problem(eq)
+    assert eq._solve_batch(batch_of(scaled)).fallback[0]
+    assert np.array_equal(production_minimizer(eq, scaled), eq.solve_patch(scaled)[0])
 
 
 @pytest.mark.parametrize("failure", ["gate", "linalg"])
 def test_fast_path_failure_takes_the_fallback(cook_eq, monkeypatch, failure):
     _, disc, eq = cook_eq
     pp = _loaded_patch(eq)
-    expected = eq._solve_patch_qr_lu(pp)[0]
-    assert not np.array_equal(eq.solve_patch(pp), expected)
+    expected = eq.solve_patch(pp)[0]
+    assert not np.array_equal(production_minimizer(eq, pp), expected)
     if failure == "gate":
         dpotrs = scipy.linalg.lapack.dpotrs
 
@@ -599,8 +603,8 @@ def test_fast_path_failure_takes_the_fallback(cook_eq, monkeypatch, failure):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "inv", singular)
-    assert eq._solve_batch(PatchBatch.of(pp)).fallback[0]
-    assert np.array_equal(eq.solve_patch(pp), expected)
+    assert eq._solve_batch(batch_of(pp)).fallback[0]
+    assert np.array_equal(production_minimizer(eq, pp), expected)
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from stresseq import (
     estimate,
     eta_components,
     guaranteed_bound,
+    lshape_mesh,
     manufactured_smooth,
     neighborhood_ratio,
     reference_energy_errors,
@@ -45,7 +46,7 @@ from stresseq.spaces import (
 )
 
 from conftest import solve_problem
-from oracles import uniform_reference_errors
+from oracles import reference_neighborhood_ratio, uniform_reference_errors
 from test_mesh import two_triangle_square
 
 D = 2
@@ -467,6 +468,21 @@ def test_neighborhood_ratio_respects_locality():
     )
     expect = 1.0 / len(nbrs)
     assert np.isclose(neighborhood_ratio(mesh, eta_a, z, z, eta_r), expect)
+
+
+def test_neighborhood_ratio_matches_the_loop_oracle():
+    """Random indicators on a graded L-shape mesh, with eta_R zero on about
+    nine tenths of the elements so that some neighbourhoods sum to zero:
+    the sparse neighbourhood sums give the loop's ratio to rounding (a
+    sum of about ten positive terms, in another order)."""
+    rng = np.random.default_rng(21)
+    coarse = lshape_mesh()
+    mesh = refine(coarse, np.arange(0, coarse.n_triangles, 3))
+    for _ in range(20):
+        eta = rng.random((4, mesh.n_triangles))
+        eta[3, rng.random(mesh.n_triangles) < 0.9] = 0.0
+        got = neighborhood_ratio(mesh, *eta)
+        assert got == pytest.approx(reference_neighborhood_ratio(mesh, *eta), rel=1e-13, abs=0)
 
 
 # -- assembled report ------------------------------------------------------------

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CYCLIC_MESH_TEXT, min_angle_deg, random_points_in_elements
-from oracles import absorbed, reference_patches, reference_refine
+from oracles import (
+    absorbed,
+    reference_patches,
+    reference_refine,
+    reference_rotate_to_longest_edge,
+)
 from stresseq import (
     DIRICHLET,
     INTERIOR,
@@ -39,7 +44,7 @@ from stresseq import (
 )
 from stresseq.equilibration import side_traces
 import stresseq.mesh
-from stresseq.mesh import _hanging_node_scan
+from stresseq.mesh import _hanging_node_scan, _rotate_to_longest_edge
 
 SQUARE_V = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_T = [(0, 1, 2), (0, 2, 3)]
@@ -443,6 +448,25 @@ def assert_bitwise_equal(mesh: Mesh, other: Mesh):
     for name in ("triangles", "parent", "sides", "side_tri", "side_label", "tri_sides"):
         a, b = getattr(mesh, name), getattr(other, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_rotation_to_longest_edge_matches_the_three_pass_oracle():
+    """Vertices on a 3 x 3 integer grid, so that many triangles have two or
+    three edges of one length and the vertex pairs break the tie: the
+    rotations are bitwise those of the three-pass loop."""
+    rng = np.random.default_rng(18)
+    grid = np.stack(np.meshgrid(np.arange(3.0), np.arange(3.0)), axis=-1).reshape(-1, 2)
+    tied = 0
+    for _ in range(200):
+        vertices = grid[rng.permutation(len(grid))] * rng.choice([1.0, 0.1, 3.7])
+        triangles = np.array([rng.choice(len(grid), 3, replace=False) for _ in range(40)])
+        rotated = _rotate_to_longest_edge(vertices, triangles)
+        assert np.array_equal(rotated, reference_rotate_to_longest_edge(vertices, triangles))
+        p = vertices[rotated]
+        lens = np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=2)
+        assert (lens[:, 0] == lens.max(axis=1)).all()
+        tied += int(((lens == lens.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert tied > 500
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,11 @@ import subprocess
 import sys
 
 import stresseq
+from stresseq import Equilibrator, cook
+
+from conftest import solve_problem
+from oracles import batch_of
+from test_equilibration import _loaded_patch, wide_span_problem
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = pathlib.Path(stresseq.__file__).resolve().parents[1]
@@ -32,6 +37,24 @@ def test_benchmark_self_test_passes(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     checks = importlib.import_module("checks")
     assert checks.self_test() == []
+
+
+def test_traced_fallback_records_one_solve_patch_span(monkeypatch):
+    """Each patch that falls back from the condensed path goes through
+    ``Equilibrator.solve_patch``, so perfbench's span on it counts the
+    fallbacks and notes their constraint shapes."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    problem = cook()
+    disc, _, sigma = solve_problem(problem)
+    eq = Equilibrator(disc, sigma, problem.load)
+    scaled = wide_span_problem(eq)
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        sol = eq._solve_batch(batch_of(scaled, _loaded_patch(eq)))
+    assert sol.fallback.tolist() == [True, False]
+    notes = [note for name, *_, note in tracer.spans if name == "equilibration.solve_patch"]
+    assert notes == [scaled.constraints.shape]
 
 
 def test_readme_python_blocks_run():
