@@ -2,6 +2,11 @@
 """Compare the outputs of two ``stresseq run`` calls column by column.
 
     python scripts/compare_outputs.py DIR_A DIR_B
+    python scripts/compare_outputs.py ROOT_A ROOT_B
+
+Given two run directories, it compares them; given two roots that hold run
+directories, it compares each pair of same-named runs, and a run present
+under only one root is a difference.
 
 For each output file of a run (``history.csv``, ``estimator_final.csv``,
 ``summary.csv``, ``equilibration.txt``) present in either directory, prints
@@ -15,7 +20,8 @@ is compared byte for byte.
 Exits 1 when a file is present in only one directory, when the row counts,
 the integer columns (``step``, ``N``, ``element``) or any non-numeric cell
 differ, or when the final meshes differ; exits 0 otherwise, whatever the
-drift.
+drift.  It also exits 1 when the arguments hold neither outputs nor run
+directories.
 """
 
 from __future__ import annotations
@@ -93,15 +99,17 @@ def compare_mesh(path_a: pathlib.Path, path_b: pathlib.Path) -> str | None:
     return f"{len(lines_a)} lines against {len(lines_b)}"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("dir_a", type=pathlib.Path)
-    ap.add_argument("dir_b", type=pathlib.Path)
-    args = ap.parse_args(argv)
+def is_run(directory: pathlib.Path) -> bool:
+    """True when ``directory`` holds at least one output file of a run."""
+    return any((directory / name).exists() for name in OUTPUTS)
 
+
+def compare_runs(dir_a: pathlib.Path, dir_b: pathlib.Path) -> bool:
+    """Print the drift between two runs; True when they differ in structure
+    or in their final meshes."""
     differs = False
     for name in OUTPUTS:
-        path_a, path_b = args.dir_a / name, args.dir_b / name
+        path_a, path_b = dir_a / name, dir_b / name
         if not path_a.exists() and not path_b.exists():
             continue
         if not (path_a.exists() and path_b.exists()):
@@ -115,11 +123,40 @@ def main(argv=None) -> int:
         for problem in problems:
             print(f"  DIFFERS: {problem}")
         differs = differs or bool(problems)
-    path_a, path_b = args.dir_a / MESH, args.dir_b / MESH
+    path_a, path_b = dir_a / MESH, dir_b / MESH
     if path_a.exists() and path_b.exists():
         problem = compare_mesh(path_a, path_b)
         print(f"{MESH}: " + ("byte-identical" if problem is None else f"DIFFERS: {problem}"))
         differs = differs or problem is not None
+    return differs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("dir_a", type=pathlib.Path)
+    ap.add_argument("dir_b", type=pathlib.Path)
+    args = ap.parse_args(argv)
+    for directory in (args.dir_a, args.dir_b):
+        if not directory.is_dir():
+            ap.error(f"{directory} is not a directory")
+
+    if is_run(args.dir_a) or is_run(args.dir_b):
+        return 1 if compare_runs(args.dir_a, args.dir_b) else 0
+    runs = sorted(
+        {p.name for root in (args.dir_a, args.dir_b) for p in root.iterdir() if is_run(p)}
+    )
+    if not runs:
+        print("no outputs or run directories to compare")
+        return 1
+    differs = False
+    for name in runs:
+        print(f"== {name}")
+        run_a, run_b = args.dir_a / name, args.dir_b / name
+        if not (is_run(run_a) and is_run(run_b)):
+            print("present in only one root")
+            differs = True
+            continue
+        differs = compare_runs(run_a, run_b) or differs
     return 1 if differs else 0
 
 

@@ -137,52 +137,6 @@ class LinearSystem:
     pinned_pressure: bool
 
 
-# -- element geometry helpers --------------------------------------------------
-
-
-def element_jacobians(mesh: Mesh, elems) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map Jacobians and inverses for the given elements.
-
-    Returns (jac, inv) with jac[e] = [d x / d ref]; inv maps physical
-    gradients: grad_phys = grad_ref @ inv.
-    """
-    pts = mesh.vertices[mesh.triangles[elems]]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    jac = np.stack([e1, e2], axis=-1)  # columns are edge vectors
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = e2[:, 1]
-    inv[:, 0, 1] = -e2[:, 0]
-    inv[:, 1, 0] = -e1[:, 1]
-    inv[:, 1, 1] = e1[:, 0]
-    inv /= det[:, None, None]
-    return jac, inv
-
-
-def rule_points(mesh: Mesh, elems, rq, rw):
-    """Physical points (ne, nq, 2) and weights (ne, nq) of the reference
-    rule (rq, rw) on ``elems``."""
-    jac, _ = element_jacobians(mesh, elems)
-    p0 = mesh.vertices[mesh.triangles[elems, 0]]
-    # einsum "qr,edr->eqd"
-    xq = p0[:, None, :] + (
-        rq[None, :, 0, None] * jac[:, None, :, 0]
-        + rq[None, :, 1, None] * jac[:, None, :, 1]
-    )
-    return xq, 2.0 * mesh.areas[elems][:, None] * rw[None, :]
-
-
-def reference_points(mesh: Mesh, elems, x: np.ndarray) -> np.ndarray:
-    """Reference coordinates of the physical points ``x`` (ne, ..., 2), one
-    set per element of ``elems``: the inverse of each element's affine map."""
-    _, jinv = element_jacobians(mesh, elems)
-    xc = x.reshape(len(elems), -1, 2) - mesh.vertices[mesh.triangles[elems, 0]][:, None, :]
-    # einsum "erd,eqd->eqr"
-    ref = xc[:, :, 0, None] * jinv[:, None, :, 0] + xc[:, :, 1, None] * jinv[:, None, :, 1]
-    return ref.reshape(x.shape)
-
-
 # -- assembly -------------------------------------------------------------------
 
 
@@ -233,8 +187,8 @@ def _element_triplets(
     for lo in range(0, nt, _CHUNK):
         elems = np.arange(lo, min(lo + _CHUNK, nt))
         ne = len(elems)
-        _, jinv = element_jacobians(mesh, elems)
-        xq, wq = rule_points(mesh, elems, rq, rw)
+        jinv = mesh.jac_inv[elems]
+        xq, wq = mesh.rule_points(elems, rq, rw)
         # einsum "qir,erd->eqid", laid out as (e, i, d, q)
         grads = gref[None, :, 0, None, :] * jinv[:, None, 0, :, None]
         grads += gref[None, :, 1, None, :] * jinv[:, None, 1, :, None]
@@ -311,7 +265,7 @@ def assemble_system(
         tq, tw = side_rule(k)
         owner = mesh.side_tri[nsides, 0]
         xs = mesh.side_points(nsides, tq)
-        bv = lagrange_values(k + 1, reference_points(mesh, owner, xs))  # (ns, nqs, nlu)
+        bv = lagrange_values(k + 1, mesh.reference_points(owner, xs))  # (ns, nqs, nlu)
         # einsum "s,q,sqc,sqi->sic"
         contrib = mesh.side_length[nsides, None, None] * (
             (tw[:, None] * bv).swapaxes(1, 2) @ load.traction_at(xs)
@@ -419,7 +373,7 @@ def fields_at(fields: FieldPair, elems, ref: np.ndarray):
     """
     disc = fields.disc
     k = disc.k
-    _, jinv = element_jacobians(disc.mesh, elems)
+    jinv = disc.mesh.jac_inv[elems]
     ue = fields.u[disc.displacement.vector_dofs(elems)]      # (ne, ni, 2)
     pe = fields.p[disc.pressure.element_dofs[elems]]         # (ne, np)
     gt = np.swapaxes(lagrange_grads(k + 1, ref), -1, -2)     # (..., nq, 2, ni)
@@ -457,7 +411,7 @@ def direct_stress(fields: FieldPair, material: Material) -> BrokenField:
     for tables in disc.stress_chunks():
         elems = tables.elems
         vol = _stress_from(*fields_at(fields, elems, tables.vol_ref), mu)
-        side_ref = reference_points(disc.mesh, elems, tables.side_x)
+        side_ref = disc.mesh.reference_points(elems, tables.side_x)
         side = _stress_from(
             *fields_at(fields, elems, side_ref.reshape(len(elems), -1, 2)), mu
         )

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .elasticity import (
-    FieldPair,
-    LoadData,
-    Material,
-    fields_at,
-    reference_points,
-    rule_points,
-)
+from .elasticity import FieldPair, LoadData, Material, fields_at
 from .equilibration import side_traces
 from .errors import InvalidConstants, StressEqError
 from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
@@ -309,7 +302,7 @@ def energy_error(
     total = 0.0
     for lo in range(0, mesh.n_triangles, _CHUNK):
         elems = np.arange(lo, min(lo + _CHUNK, mesh.n_triangles))
-        xq, wq = rule_points(mesh, elems, rq, rw)
+        xq, wq = mesh.rule_points(elems, rq, rw)
         grad_uh, ph = fields_at(fields, elems, rq)
         dg = exact.displacement_gradient(xq) - grad_uh
         total = _add_energy(total, wq, dg, exact.pressure(xq) - ph, material)
@@ -342,12 +335,12 @@ def reference_energy_errors(
     totals = [0.0] * len(coarse)
     for lo in range(0, fmesh.n_triangles, _FINE_CHUNK):
         elems = np.arange(lo, min(lo + _FINE_CHUNK, fmesh.n_triangles))
-        xq, wq = rule_points(fmesh, elems, rq, rw)
+        xq, wq = fmesh.rule_points(elems, rq, rw)
         grad_fine, p_fine = fields_at(reference, elems, rq)
         for i, fields in enumerate(coarse):
             # coarse fields at the same physical points
             ce = ancestors[i][elems]
-            ref_c = reference_points(fields.disc.mesh, ce, xq)
+            ref_c = fields.disc.mesh.reference_points(ce, xq)
             grad_coarse, p_coarse = fields_at(fields, ce, ref_c)
             totals[i] = _add_energy(
                 totals[i], wq, grad_fine - grad_coarse, p_fine - p_coarse, material

@@ -11,6 +11,11 @@ side table with deterministic orientation conventions:
 * the refinement edge of every triangle is the edge between its first two
   stored vertices.
 
+Each element is the affine image ``x = p0 + J r`` of the reference
+triangle; its Jacobian, inverse, area and centroid are computed once, when
+the mesh is built, and :meth:`Mesh.rule_points` and
+:meth:`Mesh.reference_points` are the map and its inverse.
+
 Refinement is newest-vertex bisection with recursive conformity closure.
 The vertex patches of a partition of unity are one :class:`Patches` record.
 """
@@ -66,23 +71,27 @@ class Mesh:
     tri_sides: np.ndarray
     parent: np.ndarray | None = None
 
-    # geometry caches filled by _finalize
+    # element geometry, set by _assemble: the affine map x = p0 + jac r of
+    # each element from the reference triangle, whose Jacobian's columns are
+    # the edge vectors p1 - p0 and p2 - p0; grad_phys = grad_ref @ jac_inv
+    jac: np.ndarray = field(default=None, repr=False)
+    jac_inv: np.ndarray = field(default=None, repr=False)
     areas: np.ndarray = field(default=None, repr=False)
+    centroids: np.ndarray = field(default=None, repr=False)
+    # side geometry and element diameters, filled by _finalize
     side_length: np.ndarray = field(default=None, repr=False)
     side_normal: np.ndarray = field(default=None, repr=False)
     h: np.ndarray = field(default=None, repr=False)
+    # the owner array of modified_patches (see _traction_hosts)
+    traction_hosts: np.ndarray = field(default=None, repr=False)
 
     def _finalize(self):
         v = self.vertices
-        t = self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
-        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         a, b = v[self.sides[:, 0]], v[self.sides[:, 1]]
         self.side_length = np.linalg.norm(b - a, axis=1)
         tang = (b - a) / self.side_length[:, None]
         n0 = np.column_stack([tang[:, 1], -tang[:, 0]])
-        centroids = v[t].mean(axis=1)
+        centroids = self.centroids
         mid = 0.5 * (a + b)
         ref = np.where(
             (self.side_tri[:, 1] >= 0)[:, None],
@@ -117,6 +126,28 @@ class Mesh:
         a = self.vertices[self.sides[sides, 0]]
         b = self.vertices[self.sides[sides, 1]]
         return a[..., None, :] + t[:, None] * (b - a)[..., None, :]
+
+    def rule_points(self, elems, rq, rw):
+        """Physical points (ne, nq, 2) and weights (ne, nq) of the reference
+        rule (rq, rw) on ``elems``: the affine map of each element."""
+        jac = self.jac[elems]
+        # einsum "qr,edr->eqd", added as (p0 + r0 jac[:, 0]) + r1 jac[:, 1]
+        xq = (
+            self.vertices[self.triangles[elems, 0]][:, None, :]
+            + rq[None, :, 0, None] * jac[:, None, :, 0]
+            + rq[None, :, 1, None] * jac[:, None, :, 1]
+        )
+        return xq, 2.0 * self.areas[elems][:, None] * rw[None, :]
+
+    def reference_points(self, elems, x: np.ndarray) -> np.ndarray:
+        """Reference coordinates of the physical points ``x`` (ne, ..., 2),
+        one set per element of ``elems``: the inverse of each element's
+        affine map."""
+        jinv = self.jac_inv[elems]
+        xc = x.reshape(len(elems), -1, 2) - self.vertices[self.triangles[elems, 0]][:, None, :]
+        # einsum "erd,eqd->eqr"
+        ref = xc[:, :, 0, None] * jinv[:, None, :, 0] + xc[:, :, 1, None] * jinv[:, None, :, 1]
+        return ref.reshape(x.shape)
 
     def vertex_triangles(self):
         """CSR-style map vertex -> incident triangle ids (ascending)."""
@@ -313,7 +344,11 @@ def _assemble(
     neumann,
     parent=None,
     geometric_check=True,
+    rotate=False,
 ) -> Mesh:
+    """Validate the arrays and build the mesh with its element and side
+    geometry.  With ``rotate``, each triangle is first rotated cyclically
+    so that its refinement edge is its longest edge."""
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -323,6 +358,8 @@ def _assemble(
     nv = len(vertices)
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= nv:
         raise ValueError("triangle vertex index out of range")
+    if rotate:
+        triangles = _rotate_to_longest_edge(vertices, triangles)
     if (
         (triangles[:, 0] == triangles[:, 1])
         | (triangles[:, 1] == triangles[:, 2])
@@ -330,9 +367,9 @@ def _assemble(
     ).any():
         raise InvertedElement("triangle with repeated vertex")
 
-    d1 = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
-    d2 = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
-    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    pts = vertices[triangles]
+    jac = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]], axis=-1)
+    area2 = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 1, 0] * jac[:, 0, 1]
     if (area2 <= 0.0).any():
         e = int(np.flatnonzero(area2 <= 0.0)[0])
         raise InvertedElement(f"triangle {e} has non-positive area")
@@ -348,8 +385,8 @@ def _assemble(
     # Slivers: twice the area over the longest edge squared (the height onto
     # that edge over its length) at rounding level.  Tested after the scan,
     # so that a vertex hanging on a sliver's side is still named.
-    d3 = d2 - d1
-    longest2 = np.max([np.sum(d * d, axis=1) for d in (d1, d2, d3)], axis=0)
+    d1, d2 = jac[:, :, 0], jac[:, :, 1]
+    longest2 = np.max([np.sum(d * d, axis=1) for d in (d1, d2, d2 - d1)], axis=0)
     flat = ~(area2 > 1e-12 * longest2)
     if flat.any():
         e = int(np.flatnonzero(flat)[0])
@@ -370,6 +407,8 @@ def _assemble(
     if not (side_label == DIRICHLET).any():
         raise EmptyDirichlet("no dirichlet sides: displacement boundary is empty")
 
+    # the adjugate of jac over its determinant
+    adj = np.stack([jac[:, 1, 1], -jac[:, 0, 1], -jac[:, 1, 0], jac[:, 0, 0]], axis=-1)
     mesh = Mesh(
         vertices=vertices,
         triangles=triangles,
@@ -378,9 +417,13 @@ def _assemble(
         side_label=side_label,
         tri_sides=tri_sides,
         parent=None if parent is None else np.asarray(parent, dtype=np.int64),
+        jac=jac,
+        jac_inv=adj.reshape(-1, 2, 2) / area2[:, None, None],
+        areas=0.5 * area2,
+        centroids=pts.mean(axis=1),
     )
     mesh._finalize()
-    _traction_hosts(mesh)  # every traction-only vertex needs a host
+    mesh.traction_hosts = _traction_hosts(mesh)
     return mesh
 
 
@@ -399,13 +442,10 @@ def build_mesh(vertices, triangles, dirichlet, neumann) -> Mesh:
 
     Raises
     ------
-    NonConforming, InvertedElement, EmptyDirichlet, IsolatedNeumannVertex
+    ValueError, NonConforming, InvertedElement, EmptyDirichlet,
+    IsolatedNeumannVertex
     """
-    vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-    triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-    if triangles.size:
-        triangles = _rotate_to_longest_edge(vertices, triangles)
-    return _assemble(vertices, triangles, dirichlet, neumann)
+    return _assemble(vertices, triangles, dirichlet, neumann, rotate=True)
 
 
 # -- file I/O --------------------------------------------------------------
@@ -695,7 +735,7 @@ def modified_patches(mesh: Mesh) -> Patches:
     IsolatedNeumannVertex
         If some traction vertex has no eligible neighbour.
     """
-    return _patches(mesh, _traction_hosts(mesh))
+    return _patches(mesh, mesh.traction_hosts)
 
 
 # -- quality -----------------------------------------------------------------

@@ -19,8 +19,8 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -246,10 +246,6 @@ class DofMap:
     def n_dofs(self) -> int:
         return self.n_scalar * self.ncomp
 
-    @property
-    def n_local(self) -> int:
-        return self.element_dofs.shape[1]
-
     def vector_dofs(self, elems) -> np.ndarray:
         """Global dofs of the elements' local nodes: (ne, n_local, ncomp)."""
         ed = self.element_dofs[elems]
@@ -296,7 +292,7 @@ def make_dofmap(mesh: Mesh, degree: int, ncomp: int = 1) -> DofMap:
             np.arange(ns), fracs
         ).reshape(-1, 2)
     if m == 3:
-        coords[nv + ns * (m - 1) :] = mesh.vertices[mesh.triangles].mean(axis=1)
+        coords[nv + ns * (m - 1) :] = mesh.centroids
     return DofMap(mesh, m, ncomp, ed, n_scalar, coords)
 
 
@@ -365,21 +361,21 @@ class StressTables:
     elems: np.ndarray
     centers: np.ndarray
     h: np.ndarray
-    C: np.ndarray
     vol_ref: np.ndarray  # (nq, 2) reference points
     vol_w: np.ndarray    # (ne, nq) physical weights (include 2|T|)
     vol_x: np.ndarray    # (ne, nq, 2) physical points
-    vol_xi: np.ndarray   # (ne, nq, 2) scaled points
     side_t: np.ndarray   # (nqs,) parameter points
     side_w: np.ndarray   # (nqs,) parameter weights
     side_x: np.ndarray   # (ne, 3, nqs, 2) physical points
-    side_xi: np.ndarray  # (ne, 3, nqs, 2) scaled points
     side_ids: np.ndarray  # (ne, 3) global side ids (opposite local vertex)
     side_normal: np.ndarray  # (ne, 3, 2) global side normals
+    vol_xi: np.ndarray = field(init=False)   # (ne, nq, 2) scaled points
+    side_xi: np.ndarray = field(init=False)  # (ne, 3, nqs, 2) scaled points
+    C: np.ndarray = field(init=False)        # set by build_stress_tables
 
-    @property
-    def n_dofs(self) -> int:
-        return rt_dim(self.k)
+    def __post_init__(self):
+        self.vol_xi = self.scaled(self.vol_x)
+        self.side_xi = self.scaled(self.side_x)
 
     def scaled(self, x: np.ndarray) -> np.ndarray:
         """Map physical points (ne, ..., 2) to scaled element coordinates."""
@@ -481,39 +477,35 @@ def build_stress_tables(mesh: Mesh, k: int, elems=None) -> StressTables:
     nd = rt_dim(k)
     exps1, S = _rt_span(k)
 
-    tri = mesh.triangles[elems]
-    pts = mesh.vertices[tri]
-    centers = pts.mean(axis=1)
-    hs = mesh.h[elems]
-
     rq, rw = volume_rule(k)
-    p0 = pts[:, 0]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    vol_x = (
-        p0[:, None, :]
-        + rq[None, :, 0, None] * e1[:, None, :]
-        + rq[None, :, 1, None] * e2[:, None, :]
-    )
-    vol_xi = (vol_x - centers[:, None, :]) / hs[:, None, None]
-    vol_w = 2.0 * mesh.areas[elems][:, None] * rw[None, :]
-
+    vol_x, vol_w = mesh.rule_points(elems, rq, rw)
     tq, tw = side_rule(k)
     sids = mesh.tri_sides[elems]
-    side_x = mesh.side_points(sids, tq)
-    side_xi = (side_x - centers[:, None, None, :]) / hs[:, None, None, None]
-    nrm = mesh.side_normal[sids]
+    tables = StressTables(
+        k=k,
+        elems=elems,
+        centers=mesh.centroids[elems],
+        h=mesh.h[elems],
+        vol_ref=rq,
+        vol_w=vol_w,
+        vol_x=vol_x,
+        side_t=tq,
+        side_w=tw,
+        side_x=mesh.side_points(sids, tq),
+        side_ids=sids,
+        side_normal=mesh.side_normal[sids],
+    )
 
-    mv_vol = monomial_values(exps1, vol_xi)
-    mv_side = monomial_values(exps1, side_xi)
+    mv_vol = monomial_values(exps1, tables.vol_xi)
+    mv_side = monomial_values(exps1, tables.side_xi)
     nm = len(exps1)
     st = S.reshape(2 * nd, nm).T
     # einsum "fcm,eqm->eqfc" and "fcm,esqm->esqfc"
-    f_vol = (mv_vol.reshape(-1, nm) @ st).reshape(vol_xi.shape[:-1] + (nd, 2))
-    f_side = (mv_side.reshape(-1, nm) @ st).reshape(side_xi.shape[:-1] + (nd, 2))
+    f_vol = (mv_vol.reshape(-1, nm) @ st).reshape(mv_vol.shape[:-1] + (nd, 2))
+    f_side = (mv_side.reshape(-1, nm) @ st).reshape(mv_side.shape[:-1] + (nd, 2))
 
-    v_side = _normal_moments(f_side, nrm, tw, legendre01(k + 1, tq))
-    mq = monomial_values(_exps_array(k - 1), vol_xi)
+    v_side = _normal_moments(f_side, tables.side_normal, tw, legendre01(k + 1, tq))
+    mq = monomial_values(_exps_array(k - 1), tables.vol_xi)
     v_int = _interior_moments(f_vol, mq, rw).reshape(ne, -1, nd, 2)
 
     vand = np.concatenate(
@@ -526,25 +518,8 @@ def build_stress_tables(mesh: Mesh, k: int, elems=None) -> StressTables:
     vinv = np.linalg.inv(vand)
     # einsum "efi,fcm->eicm"
     C = vinv.swapaxes(1, 2).reshape(-1, nd) @ S.reshape(nd, -1)
-    C = C.reshape(ne, nd, 2, nm)
-
-    return StressTables(
-        k=k,
-        elems=elems,
-        centers=centers,
-        h=hs,
-        C=C,
-        vol_ref=rq,
-        vol_w=vol_w,
-        vol_x=vol_x,
-        vol_xi=vol_xi,
-        side_t=tq,
-        side_w=tw,
-        side_x=side_x,
-        side_xi=side_xi,
-        side_ids=sids,
-        side_normal=nrm,
-    )
+    tables.C = C.reshape(ne, nd, 2, nm)
+    return tables
 
 
 @dataclass
@@ -638,22 +613,15 @@ class Discretization:
             raise UnsupportedDegree(f"stress degree {k} not supported")
         self.mesh = mesh
         self.k = k
-        self._dofmaps: dict[tuple[int, int], DofMap] = {}
         self._tables: dict | None = {}  # None once released
 
-    def dofmap(self, degree: int, ncomp: int = 1) -> DofMap:
-        key = (degree, ncomp)
-        if key not in self._dofmaps:
-            self._dofmaps[key] = make_dofmap(self.mesh, degree, ncomp)
-        return self._dofmaps[key]
-
-    @property
+    @cached_property
     def displacement(self) -> DofMap:
-        return self.dofmap(self.k + 1, 2)
+        return make_dofmap(self.mesh, self.k + 1, 2)
 
-    @property
+    @cached_property
     def pressure(self) -> DofMap:
-        return self.dofmap(self.k, 1)
+        return make_dofmap(self.mesh, self.k, 1)
 
     def _kept(self, name: str, build):
         if self._tables is None:

@@ -36,7 +36,6 @@ from stresseq import (
     unit_square_mesh,
 )
 from stresseq import elasticity, estimator
-from stresseq.elasticity import element_jacobians, reference_points, rule_points
 from stresseq.mesh import NEUMANN
 from stresseq.spaces import lagrange_grads, lagrange_values
 from test_mesh import two_triangle_square
@@ -285,7 +284,7 @@ def test_discrete_equilibrium_identity():
     dm_u = disc.displacement
     n_u = dm_u.n_dofs
     lhs = np.zeros(n_u)
-    jac, jinv = element_jacobians(mesh, np.arange(mesh.n_triangles))
+    jinv = mesh.jac_inv
     rq = tables.vol_ref
     gref = lagrange_grads(k + 1, rq)
     gphys = np.einsum("qir,erd->eqid", gref, jinv)
@@ -639,13 +638,13 @@ def test_element_jacobian_inverse_property(coords):
     if area2 < 0:
         p = p[[0, 2, 1]]
     mesh = build_mesh(p, [(0, 1, 2)], [(0, 1)], [(1, 2), (0, 2)])
-    jac, jinv = element_jacobians(mesh, np.array([0]))
+    jac, jinv = mesh.jac, mesh.jac_inv
     assert np.max(np.abs(jinv[0] @ jac[0] - np.eye(2))) < 1e-10
     assert np.max(np.abs(jac[0] @ jinv[0] - np.eye(2))) < 1e-10
     assert np.linalg.det(jac[0]) == pytest.approx(2 * mesh.areas[0], rel=1e-10)
     rq, rw = triangle_rule(6)
-    xq, _ = rule_points(mesh, np.array([0]), rq, rw)
-    assert np.max(np.abs(reference_points(mesh, np.array([0]), xq) - rq)) < 1e-12
+    xq, _ = mesh.rule_points(np.array([0]), rq, rw)
+    assert np.max(np.abs(mesh.reference_points(np.array([0]), xq) - rq)) < 1e-12
 
 
 # -- robustness and convergence -----------------------------------------------------

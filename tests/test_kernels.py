@@ -16,11 +16,7 @@ from stresseq import (
     cook,
     square_lshape,
 )
-from stresseq.elasticity import (
-    assemble_system,
-    element_jacobians,
-    fields_at,
-)
+from stresseq.elasticity import assemble_system, fields_at
 from stresseq.equilibration import build_rhs_tables, side_traces
 from stresseq.spaces import (
     Discretization,
@@ -173,7 +169,7 @@ def _einsum_fields(fields, elems, lg, lv):
     """(grad u_h, p_h) from reference gradients lg (..., nq, ni, 2) and
     values lv (..., nq, np) by the einsum chain."""
     disc = fields.disc
-    _, jinv = element_jacobians(disc.mesh, elems)
+    jinv = disc.mesh.jac_inv[elems]
     ue = fields.u[disc.displacement.vector_dofs(elems)]
     pe = fields.p[disc.pressure.element_dofs[elems]]
     if lg.ndim == 3:
@@ -207,7 +203,7 @@ def test_assembled_matrix(case):
     system = assemble_system(disc, material, cook().load)
     rq, rw = volume_rule(k)
     elems = np.arange(mesh.n_triangles)
-    _, jinv = element_jacobians(mesh, elems)
+    jinv = mesh.jac_inv[elems]
     grads = np.einsum("qir,erd->eqid", lagrange_grads(k + 1, rq), jinv)
     vals_p = lagrange_values(k, rq)
     wq = 2.0 * mesh.areas[:, None] * rw[None, :]

@@ -342,6 +342,23 @@ def test_empty_dirichlet():
         build_mesh(SQUARE_V, SQUARE_T, [], SQUARE_D + SQUARE_N)
 
 
+@pytest.mark.parametrize(
+    "triangles, message",
+    [
+        ([(0, 1, 5)], "triangle vertex index out of range"),
+        ([(0, 1, 3, 2), (0, 3, 2, 1)], r"triangles must be an \(nt, 3\) array"),
+    ],
+    ids=["index-out-of-range", "four-columns"],
+)
+def test_build_mesh_checks_the_arrays_before_rotating(triangles, message):
+    """The arrays are checked before the refinement edges are chosen, so an
+    index past the vertices is no IndexError and a fourth column is not cut
+    off."""
+    sides = [(0, 1), (1, 3), (3, 2), (2, 0)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_mesh([(0, 0), (1, 0), (0, 1), (1, 1)], triangles, sides, [])
+
+
 # -- refinement -------------------------------------------------------------
 
 
@@ -590,6 +607,22 @@ def randomly_refined(mesh: Mesh, seed: int, rounds: int = 6) -> Mesh:
         n = max(1, int(rng.uniform(0.03, 0.6) * mesh.n_triangles))
         mesh = refine(mesh, rng.choice(mesh.n_triangles, n, replace=False))
     return mesh
+
+
+def test_element_geometry_matches_the_per_element_formulas(tmp_path):
+    """The Jacobian, its inverse, twice the area and the centroid that the
+    mesh stores equal, bit for bit, the formulas evaluated one element at a
+    time, also on a mesh re-read from its file."""
+    mesh = randomly_refined(cook_mesh(), seed=7)
+    write_mesh(mesh, tmp_path / "mesh.txt")
+    for m in (mesh, read_mesh(tmp_path / "mesh.txt")):
+        for e, (p0, p1, p2) in enumerate(m.vertices[m.triangles]):
+            (a, c), (b, d) = p1 - p0, p2 - p0
+            det = a * d - c * b
+            assert m.jac[e].tolist() == [[a, b], [c, d]]
+            assert m.jac_inv[e].tolist() == [[d / det, -b / det], [-c / det, a / det]]
+            assert 2.0 * m.areas[e] == det
+            assert m.centroids[e].tolist() == ((p0 + p1 + p2) / 3.0).tolist()
 
 
 @pytest.mark.parametrize(

@@ -141,3 +141,30 @@ def test_compare_outputs_compares_final_meshes(tmp_path):
     proc = _run_script("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / "b"))
     assert proc.returncode == 1
     assert "mesh_final.txt: DIFFERS: line 3" in proc.stdout
+
+
+def test_compare_outputs_compares_same_named_runs_under_two_roots(tmp_path):
+    """Given two roots, each pair of same-named run directories is compared;
+    a mesh difference or a run under one root only exits 1."""
+    mesh = "vertices 3 / triangles 1\n0 0\n1 0\n0 1\n0 1 2\n"
+    for root in ("a", "b"):
+        (tmp_path / root).mkdir()
+        (tmp_path / root / "inputs").mkdir()  # not a run: skipped
+        for run in ("cook-k1", "lshape-k2"):
+            _write_outputs(tmp_path / root / run)
+            (tmp_path / root / run / "mesh_final.txt").write_text(mesh)
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    proc = _run_script("compare_outputs.py", a, b)
+    assert proc.returncode == 0, proc.stdout
+    assert "== cook-k1" in proc.stdout and "== lshape-k2" in proc.stdout
+    assert proc.stdout.count("mesh_final.txt: byte-identical") == 2
+    assert "inputs" not in proc.stdout
+    (tmp_path / "b" / "lshape-k2" / "mesh_final.txt").write_text(mesh.replace("0 1 2", "1 2 0"))
+    proc = _run_script("compare_outputs.py", a, b)
+    assert proc.returncode == 1
+    assert "mesh_final.txt: DIFFERS: line 5" in proc.stdout
+    (tmp_path / "b" / "lshape-k2" / "mesh_final.txt").write_text(mesh)
+    _write_outputs(tmp_path / "a" / "square-k2")
+    proc = _run_script("compare_outputs.py", a, b)
+    assert proc.returncode == 1
+    assert "== square-k2\npresent in only one root" in proc.stdout
