@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the patch and mesh layers from two source trees in one process.
+"""Time the solve, patch and mesh layers from two source trees in one process.
 
     python scripts/ab_layer.py SRC_A SRC_B WORKLOAD [--reps 6]
 
@@ -8,22 +8,29 @@ SRC_A and SRC_B are directories holding a ``stresseq`` package (the
 ``perfbench/workloads.py``.  Each tree runs the workload's config once
 through its own ``harness.main``, and two things are captured on the way:
 the ``(disc, sigma_h, load)`` of every step, with the step tables kept,
-and the steps the loop returns.  Each repetition then runs three timed
-passes per tree, alternating which tree goes first:
+together with the problem's material, and the steps the loop returns.
+Each repetition then runs four timed passes per tree, alternating which
+tree goes first:
 
 * ``equilibrate`` on all captured steps;
 * ``refine(step.mesh, step.marked)`` on every step that marked elements;
 * ``uniform_refine(cook().mesh, 7)`` and ``write_mesh`` of the result, the
-  mesh that perfbench builds for ``cook-large``.
+  mesh that perfbench builds for ``cook-large``;
+* ``solve(assemble_system(disc, material, load))`` on all captured steps.
 
 The script prints, per pass, each tree's median and quartiles of the CPU
 time and the ratio of the medians, and whether the two trees' results are
 bitwise equal: the sigma_r of every step, the refined meshes (vertices,
-triangles, parents, sides and labels) and the mesh files.  For
-``equilibrate`` it also prints the largest sigma_r difference relative to
-the step's largest |dof|, and each tree's ``Equilibrator`` counters summed
-over the steps: ``n_batches``, ``n_fallbacks``, ``dropped_rows`` (patches
-per number of dropped rows) and the largest ``worst_kkt``.
+triangles, parents, sides and labels), the mesh files and the (u, p) of
+every step.  For ``equilibrate`` it also prints the largest sigma_r
+difference relative to the step's largest |dof|, and each tree's
+``Equilibrator`` counters summed over the steps: ``n_batches``,
+``n_fallbacks``, ``dropped_rows`` (patches per number of dropped rows) and
+the largest ``worst_kkt``.  For the solve it also prints, for one more,
+untimed pass of each tree, the ``tracemalloc`` peak and the most memory
+traced at a call of ``splu``.  These count the NumPy and SciPy arrays
+only: SuperLU allocates its factors outside Python's allocator, so they
+do not show.
 
 Timings taken in separate processes on a shared 2-core machine swing by
 about 10 %, which hides layer gains of that size; two trees in one
@@ -45,6 +52,7 @@ import pathlib
 import sys
 import tempfile
 import time
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -95,11 +103,12 @@ def _replaced(obj, name, value):
 
 
 def capture(tree, config: pathlib.Path) -> dict[str, list]:
-    """The ``(disc, sigma_h, load)`` of every step of one run of ``config``
-    and the ``(mesh, marked)`` of every step that marked elements."""
+    """The ``(disc, sigma_h, load)`` and ``(disc, material, load)`` of every
+    step of one run of ``config`` and the ``(mesh, marked)`` of every step
+    that marked elements."""
     adaptivity = submodule(tree, "adaptivity")
     harness = submodule(tree, "harness")
-    solves, steps = [], []
+    solves, steps, materials = [], [], []
     inner_equilibrate, inner_loop = adaptivity.equilibrate, harness.adaptive_loop
 
     def capturing(disc, sigma_h, load):
@@ -107,6 +116,7 @@ def capture(tree, config: pathlib.Path) -> dict[str, list]:
         return inner_equilibrate(disc, sigma_h, load)
 
     def recording(problem, config):
+        materials.append(problem.material)
         history = inner_loop(problem, config)
         steps.extend(history)
         return history
@@ -119,7 +129,8 @@ def capture(tree, config: pathlib.Path) -> dict[str, list]:
     if code != 0:
         raise SystemExit(f"{tree.__name__}: run exited {code}")
     marks = [(step.mesh, step.marked) for step in steps if step.marked is not None]
-    return {"equilibrate": solves, "refine": marks}
+    systems = [(disc, materials[0], load) for disc, _, load in solves]
+    return {"equilibrate": solves, "refine": marks, "solve": systems}
 
 
 class Solved(NamedTuple):
@@ -148,17 +159,46 @@ def cook_large_pass(tree, _captured, path):
     return [mesh]
 
 
+def solve_pass(tree, captured, _path):
+    elasticity = submodule(tree, "elasticity")
+    return [elasticity.solve(elasticity.assemble_system(*system))
+            for system in captured["solve"]]
+
+
 PASSES = {
     "equilibrate": equilibrate_pass,
     "refine": refine_pass,
     "uniform_refine + write_mesh": cook_large_pass,
+    "solve(assemble_system)": solve_pass,
 }
 
 
+def traced_memory(tree, captured, path) -> tuple[int, int]:
+    """Bytes that ``tracemalloc`` counts over one untimed solve pass: the
+    peak, and the most alive at a call of ``splu``."""
+    spla = submodule(tree, "elasticity").spla
+    inner, at_splu = spla.splu, [0]
+
+    def counting(*args, **kwargs):
+        at_splu[0] = max(at_splu[0], tracemalloc.get_traced_memory()[0])
+        return inner(*args, **kwargs)
+
+    tracemalloc.start()
+    try:
+        with _replaced(spla, "splu", counting):
+            solve_pass(tree, captured, path)
+        return tracemalloc.get_traced_memory()[1], at_splu[0]
+    finally:
+        tracemalloc.stop()
+
+
 def bitwise_equal(a, b) -> bool:
-    """Equal bytes of two steps' sigma_r or of two meshes' tables."""
+    """Equal bytes of two steps' sigma_r, of two steps' (u, p) or of two
+    meshes' tables."""
     if isinstance(a, Solved):
         return a.sigma_r.dofs.tobytes() == b.sigma_r.dofs.tobytes()
+    if hasattr(a, "p"):  # a FieldPair
+        return a.u.tobytes() == b.u.tobytes() and a.p.tobytes() == b.p.tobytes()
     return a.vertices.tobytes() == b.vertices.tobytes() and all(
         np.array_equal(getattr(a, name), getattr(b, name)) for name in MESH_FIELDS
     )
@@ -219,6 +259,8 @@ def main(argv=None) -> int:
                     times[name][label].append(time.process_time() - start)
                     results[name][label] = out
         files_equal = paths["A"].read_bytes() == paths["B"].read_bytes()
+        traced = {label: traced_memory(tree, captured[label], paths[label])
+                  for label, tree in trees.items()}
 
     n_steps, n_marks = len(captured["A"]["equilibrate"]), len(captured["A"]["refine"])
     print(f"{args.workload}: {n_steps} steps, {n_marks} refinements, "
@@ -238,6 +280,10 @@ def main(argv=None) -> int:
             print(f"    largest relative sigma_r difference: {drift:.2e}")
             for label in "AB":
                 print(f"    {label} counters: {counters(results[name][label])}")
+        if name == "solve(assemble_system)":
+            for label in "AB":
+                peak, at_splu = (b / 2**20 for b in traced[label])
+                print(f"    {label} tracemalloc peak {peak:.1f} MB, at splu {at_splu:.1f} MB")
     print(f"  mesh files byte-identical: {files_equal}")
     return 0
 

@@ -129,7 +129,7 @@ class LinearSystem:
     """Assembled saddle-point system with boundary bookkeeping."""
 
     disc: Discretization
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix     # the free-dof block; rhs and free span all dofs
     rhs: np.ndarray
     free: np.ndarray          # boolean mask over all dofs
     n_u: int
@@ -242,9 +242,10 @@ def assemble_system(
     Block layout: displacement dofs first (interleaved components), then
     pressure dofs.  The matrix stores every (row, col) pair an element
     touches, also where the element contributions cancel to 0.0, so its
-    pattern does not depend on rounding.  Dirichlet dofs are kept in the
-    matrix but flagged in ``free``; elimination happens in :func:`solve`
-    (homogeneous data, so no right-hand-side correction is needed).
+    pattern does not depend on rounding.  Dirichlet dofs (and a pinned
+    pressure dof) are flagged in ``free`` and sliced out: the system keeps
+    only the free-dof block, in CSC for :func:`solve` (homogeneous data, so
+    no right-hand-side correction is needed).
     """
     mesh, k = disc.mesh, disc.k
     dm_u = disc.displacement
@@ -254,10 +255,6 @@ def assemble_system(
     (rows, cols, data), rhs, p_integrals = _element_triplets(disc, material, load)
     matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     del rows, cols, data
-    # the summed entries are views of arrays sized for all the triplets
-    # (scipy copies them only when they shrink below half); the copy frees
-    # the rest, about 8 MB on 7,641 triangles at k = 1
-    matrix = matrix.copy()
 
     # traction contributions on the Neumann boundary
     nsides = mesh.boundary_sides(NEUMANN)
@@ -285,7 +282,7 @@ def assemble_system(
 
     return LinearSystem(
         disc=disc,
-        matrix=matrix,
+        matrix=matrix[free][:, free].tocsc(),
         rhs=rhs,
         free=free,
         n_u=n_u,
@@ -322,18 +319,19 @@ def _refined_lu_solve(k_ff, b: np.ndarray, **splu_options):
 def solve(system: LinearSystem) -> FieldPair:
     """Solve the assembled system by sparse LU with one refinement step.
 
-    The saddle-point matrix is symmetric, so it is first factored in
-    SuperLU's symmetric mode: minimum-degree ordering of A + A^T
-    (``MMD_AT_PLUS_A``) and diagonal pivots only.  Diagonal pivoting is
-    not stable in general, so when that factorization fails or its
-    refined relative residual is not finite or exceeds 1e-10, the system
-    is factored again with the COLAMD ordering and partial pivoting.
-    Raises SingularSystem when that fallback fails the same tests.
+    The free-dof block ``system.matrix`` is factored as given, and the
+    solution scattered through ``system.free``.  The block is symmetric,
+    so it is first factored in SuperLU's symmetric mode: minimum-degree
+    ordering of A + A^T (``MMD_AT_PLUS_A``) and diagonal pivots only.
+    Diagonal pivoting is not stable in general, so when that factorization
+    fails or its refined relative residual is not finite or exceeds 1e-10,
+    the block is factored again with the COLAMD ordering and partial
+    pivoting.  Raises SingularSystem when that fallback fails the same
+    tests.
     """
-    free = system.free
-    k_ff = system.matrix[free][:, free].tocsc()
+    free, k_ff = system.free, system.matrix
     b = system.rhs[free]
-    x = np.zeros(system.matrix.shape[0])
+    x = np.zeros(free.size)
     if b.size:
         try:
             xf, rel = _refined_lu_solve(k_ff, b, **_SYMMETRIC_LU)

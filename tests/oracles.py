@@ -11,10 +11,12 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from stresseq import (
     Discretization,
     assemble_system,
+    elasticity,
     reference_energy_errors,
     refine,
     solve,
@@ -430,6 +432,15 @@ def compatibility_residual(problem: PatchProblem, mesh: Mesh) -> tuple[np.ndarra
     q, _ = np.linalg.qr(nv.T)
     proj = float(np.linalg.norm(q.T @ problem.rhs))
     return dots, proj
+
+
+def full_saddle_matrix(disc: Discretization, material, load) -> sp.csr_matrix:
+    """The saddle-point matrix over all dofs, Dirichlet rows and columns
+    included: the COO -> CSR sum of the element triplets, of which
+    ``assemble_system`` keeps only the free-dof block."""
+    (rows, cols, data), _, _ = elasticity._element_triplets(disc, material, load)
+    n = disc.displacement.n_dofs + disc.pressure.n_scalar
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def quad_integrate(mesh: Mesh, elems, func, degree: int = 20) -> np.ndarray:

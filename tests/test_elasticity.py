@@ -1,6 +1,7 @@
 """Saddle-point assembly, solve, and direct-stress tests."""
 
 import dataclasses
+import gc
 import platform
 import sys
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import solve_problem
+from oracles import full_saddle_matrix
 from stresseq import (
     AdaptiveConfig,
     BrokenField,
@@ -178,9 +180,12 @@ def test_assembly_matches_dense_oracle(name, k):
     disc = Discretization(mesh, k)
     system = assemble_system(disc, material, load)
     K, F = dense_assembly_oracle(mesh, k, material, load)
-    produced = system.matrix.toarray()
+    full = full_saddle_matrix(disc, material, load).toarray()
     scale = np.abs(K).max()
-    assert np.max(np.abs(produced - K)) < 1e-12 * scale
+    assert np.max(np.abs(full - K)) < 1e-12 * scale
+    free = system.free
+    produced = system.matrix.toarray()
+    assert np.max(np.abs(produced - K[np.ix_(free, free)])) < 1e-12 * scale
     assert np.max(np.abs(system.rhs - F)) < 1e-12 * max(1.0, np.abs(F).max())
 
 
@@ -198,8 +203,7 @@ def element_pattern(disc, inv_lambda):
     return np.unique(np.concatenate(keys))
 
 
-@pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize(
+ASSEMBLY_PROBLEMS = pytest.mark.parametrize(
     "factory",
     [
         lambda: cook(),
@@ -208,6 +212,10 @@ def element_pattern(disc, inv_lambda):
     ],
     ids=["cook", "smooth", "lshape"],
 )
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@ASSEMBLY_PROBLEMS
 def test_matrix_pattern_is_the_element_pattern(factory, k):
     """The saddle-point matrix stores exactly the (row, col) pairs the
     elements touch, entries that cancel to 0.0 included; its pattern does
@@ -217,8 +225,7 @@ def test_matrix_pattern_is_the_element_pattern(factory, k):
     disc = Discretization(problem.mesh, k)
     n_u = disc.displacement.n_dofs
     for material in (problem.material, Material(mu=problem.material.mu)):
-        system = assemble_system(disc, material, problem.load)
-        matrix = system.matrix
+        matrix = full_saddle_matrix(disc, material, problem.load)
         n = matrix.shape[0]
         rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
         keys = rows * n + matrix.indices
@@ -235,6 +242,46 @@ def test_matrix_pattern_is_the_element_pattern(factory, k):
         assert np.max(np.abs(shuffled.data - matrix.data)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@ASSEMBLY_PROBLEMS
+def test_system_matrix_is_the_free_block(factory, k):
+    """``assemble_system`` returns the free-dof block of the full matrix in
+    CSC, bit for bit as slicing the full matrix gives it."""
+    problem = factory()
+    disc = Discretization(problem.mesh, k)
+    for material in (problem.material, Material(mu=problem.material.mu)):
+        system = assemble_system(disc, material, problem.load)
+        free = system.free
+        want = full_saddle_matrix(disc, material, problem.load)[free][:, free].tocsc()
+        assert system.matrix.format == "csc"
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(system.matrix, name), getattr(want, name)
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_one_saddle_matrix_alive_at_the_factorization(monkeypatch):
+    """When ``splu`` factors the free-dof block, no other sparse matrix of
+    the system's full or free-dof shape is alive: neither the full matrix
+    nor a second copy of the block."""
+    problem = cook()
+    disc = Discretization(uniform_refine(problem.mesh, 2), 1)
+    n = disc.displacement.n_dofs + disc.pressure.n_scalar
+    scans = []
+    real = spla.splu
+
+    def scanning(a, **kwargs):
+        gc.collect()
+        shapes = {(n, n), a.shape}
+        alive = [o for o in gc.get_objects() if sp.issparse(o) and o.shape in shapes]
+        scans.append([o is a for o in alive])
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(elasticity.spla, "splu", scanning)
+    solve(assemble_system(disc, problem.material, problem.load))
+    assert scans == [[True]]
+
+
 def test_zero_load_zero_solution():
     mesh = unit_square_mesh(2)
     disc = Discretization(mesh, 1)
@@ -249,8 +296,8 @@ def test_incompressible_pressure_block_exactly_zero():
     mesh = unit_square_mesh(2)
     disc = Discretization(mesh, 1)
     system = assemble_system(disc, Material(inv_lambda=0.0), LoadData())
-    n_u = system.n_u
-    block = system.matrix.toarray()[n_u:, n_u:]
+    n_free_u = np.count_nonzero(system.free[: system.n_u])
+    block = system.matrix.toarray()[n_free_u:, n_free_u:]
     assert np.all(block == 0.0)
 
 
@@ -262,7 +309,7 @@ def galerkin_residual(problem, k=1):
     system = assemble_system(disc, problem.material, problem.load)
     fields = solve(system)
     x = np.concatenate([fields.u, fields.p])
-    r = system.rhs - system.matrix @ x
+    r = system.rhs - full_saddle_matrix(disc, problem.material, problem.load) @ x
     rel = np.linalg.norm(r[system.free]) / max(np.linalg.norm(system.rhs), 1e-300)
     return rel, disc, fields, system
 
@@ -308,7 +355,8 @@ def test_second_discrete_equation():
     )
     rel, disc, fields, system = galerkin_residual(problem)
     n_u = system.n_u
-    resid = (system.matrix @ np.concatenate([fields.u, fields.p]))[n_u:]
+    full = full_saddle_matrix(disc, problem.material, problem.load)
+    resid = (full @ np.concatenate([fields.u, fields.p]))[n_u:]
     rhs_p = system.rhs[n_u:]
     assert np.max(np.abs(resid - rhs_p)) < 1e-10 * max(
         1.0, np.abs(system.rhs).max()
@@ -351,11 +399,10 @@ def test_singular_system_guard():
     disc = Discretization(problem.mesh, 1)
     system = assemble_system(disc, problem.material, problem.load)
     broken = system.matrix.tolil()
-    free_ids = np.flatnonzero(system.free)
-    i = int(free_ids[3])
+    i = 3  # the fourth free dof
     broken[i, :] = 0.0
     broken[:, i] = 0.0
-    bad = dataclasses.replace(system, matrix=broken.tocsr())
+    bad = dataclasses.replace(system, matrix=broken.tocsc())
     with pytest.raises(SingularSystem):
         solve(bad)
 
@@ -388,13 +435,12 @@ def _is_symmetric(kwargs):
 
 def _colamd_solution(system):
     """What ``solve`` returns from the COLAMD factorization: (u, p)."""
-    free = system.free
-    k_ff = system.matrix[free][:, free].tocsc()
+    free, k_ff = system.free, system.matrix
     b = system.rhs[free]
     lu = spla.splu(k_ff)
     xf = lu.solve(b)
     xf += lu.solve(b - k_ff @ xf)
-    x = np.zeros(system.matrix.shape[0])
+    x = np.zeros(free.size)
     x[free] = xf
     return x[: system.n_u], x[system.n_u :]
 
@@ -486,14 +532,13 @@ def test_pinned_pressure_solve_by_symmetric_lu(monkeypatch, k):
     fields = solve(system)
     assert len(calls) == 1 and _is_symmetric(calls[0])
 
-    free = system.free
-    k_ff = system.matrix[free][:, free].tocsc()
+    free, k_ff = system.free, system.matrix
     b = system.rhs[free]
     # undo the zero-mean shift: the pinned pressure dof was solved as 0
     x = np.concatenate([fields.u, fields.p - fields.p[0]])
     assert np.linalg.norm(b - k_ff @ x[free]) <= 1e-10 * np.linalg.norm(b)
 
-    ref = np.zeros(system.matrix.shape[0])
+    ref = np.zeros(free.size)
     ref[free] = spla.spsolve(k_ff, b)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -523,9 +568,8 @@ def test_cook_tip_displacement_solver_agreement():
     system = assemble_system(disc, problem.material, problem.load)
     fields = solve(system)
 
-    free = system.free
-    k_ff = system.matrix[free][:, free].tocsc()
-    x = np.zeros(system.matrix.shape[0])
+    free, k_ff = system.free, system.matrix
+    x = np.zeros(free.size)
     x[free] = spla.spsolve(k_ff, system.rhs[free])
     alt_u = x[: system.n_u]
 

@@ -9,6 +9,7 @@ of the Cook problem at k = 1 and of the square L-shape at k = 2, within
 import numpy as np
 import pytest
 
+from oracles import full_saddle_matrix
 from stresseq import (
     BrokenField,
     FieldPair,
@@ -201,6 +202,7 @@ def test_assembled_matrix(case):
     k, mesh = disc.k, disc.mesh
     material = Material(mu=1.7, inv_lambda=0.3)
     system = assemble_system(disc, material, cook().load)
+    full = full_saddle_matrix(disc, material, cook().load)
     rq, rw = volume_rule(k)
     elems = np.arange(mesh.n_triangles)
     jinv = mesh.jac_inv[elems]
@@ -216,14 +218,16 @@ def test_assembled_matrix(case):
     n_u = system.n_u
     udofs = disc.displacement.vector_dofs(elems).reshape(len(elems), -1)
     pdofs = disc.pressure.element_dofs[elems] + n_u
-    want = np.zeros(system.matrix.shape)
+    want = np.zeros(full.shape)
     nlu2 = udofs.shape[1]
     np.add.at(want, (udofs[:, :, None], udofs[:, None, :]), ae.reshape(len(elems), nlu2, nlu2))
     bte = bte.reshape(len(elems), nlu2, -1)
     np.add.at(want, (udofs[:, :, None], pdofs[:, None, :]), bte)
     np.add.at(want, (pdofs[:, None, :], udofs[:, :, None]), bte)
     np.add.at(want, (pdofs[:, :, None], pdofs[:, None, :]), -material.inv_lambda * me)
-    assert_close(system.matrix.toarray(), want)
+    assert_close(full.toarray(), want)
+    free = system.free
+    assert_close(system.matrix.toarray(), want[np.ix_(free, free)])
 
 
 def test_side_traces_and_rhs_moments(case):
