@@ -58,10 +58,6 @@ class Material:
         if self.inv_lambda < 0.0:
             raise ValueError("inv_lambda must be nonnegative")
 
-    @property
-    def lam(self) -> float:
-        return np.inf if self.inv_lambda == 0.0 else 1.0 / self.inv_lambda
-
 
 @dataclass
 class LoadData:

@@ -260,6 +260,7 @@ class PatchBatch:
     """
 
     vertex: np.ndarray         # (P,) patch vertices
+    dirichlet_touching: np.ndarray  # (P,) bool, as in :class:`Patches`
     k: int
     pair_patch: np.ndarray     # (n_pairs,) patch index, ascending
     elements: np.ndarray       # (n_pairs,)
@@ -303,6 +304,7 @@ class PatchBatch:
         nodes = slice(self.node_offsets[i], self.node_offsets[i + 1])
         return PatchBatch(
             vertex=self.vertex[i : i + 1],
+            dirichlet_touching=self.dirichlet_touching[i : i + 1],
             k=self.k,
             pair_patch=np.zeros(pairs.stop - pairs.start, dtype=np.int64),
             elements=self.elements[pairs],
@@ -358,7 +360,7 @@ class BatchSolution(NamedTuple):
 
     x: np.ndarray          # (n_pairs, 2, nd) minimizers, zero on dofs not free
     lam: np.ndarray        # (n_pairs, 2, n_loc) multipliers of the condensed path
-    rank: np.ndarray       # (P,) rows kept by the rank decision
+    rank: np.ndarray       # (P,) rows kept: all but the rigid-motion rows
     fallback: np.ndarray   # (P,) solved by QR+LU instead of the condensed path
     residual: np.ndarray   # (P,) max |B x - r|
     kkt: np.ndarray        # (P,) relative KKT residual on the kept rows
@@ -474,7 +476,6 @@ class Equilibrator:
         load: LoadData,
     ):
         self.disc = disc
-        self.sigma_h = sigma_h
         self.tables = disc.constraints
         self.rhs_tables = build_rhs_tables(disc, sigma_h, load)
         self.patches: Patches = modified_patches(disc.mesh)
@@ -602,6 +603,7 @@ class Equilibrator:
 
         return PatchBatch(
             vertex=vertex,
+            dirichlet_touching=patches.dirichlet_touching[lo:hi],
             k=k,
             pair_patch=pair_patch,
             elements=elements,
@@ -628,16 +630,17 @@ class Equilibrator:
         batch at once.  It condenses the divergence rows of each block onto
         its jump and symmetry rows through the element tables, and factors
         the Jacobi-scaled reduced Schur complement of each patch with a
-        pivoted Cholesky, whose rank drops the redundant rows (exactly three
-        on patches away from the displacement boundary).  It must pass the
-        same KKT and constraint residual gates, on the unreduced rows, as
-        :meth:`solve_patch`.  A patch is solved again alone by
-        :meth:`solve_patch`, on its dense problem, its fast result
-        overwritten, when it fails them, when a factorization fails, or when
-        the row norms of its constraint matrix span more than 8 decades
-        (there the QR rank rule drops rows of tiny norm, and the fallback
-        keeps that behaviour).  A failure of the fallback indicates
-        incompatible data and raises IncompatiblePatch.
+        pivoted Cholesky.  Its rank is structural: a patch without a side on
+        the displacement boundary drops three rows, redundant by the rigid
+        motions, and any other patch none; the pivot order chooses which.
+        It must pass the same KKT and constraint residual gates, on the
+        unreduced rows, as :meth:`solve_patch`.  A patch is solved again
+        alone by :meth:`solve_patch`, on its dense problem, its fast result
+        overwritten, when it fails them, when a factorization fails or stops
+        before that rank, or when the row norms of its constraint matrix
+        span more than 8 decades (there the QR rank rule drops rows of tiny
+        norm, and the fallback keeps that behaviour).  A failure of the
+        fallback indicates incompatible data and raises IncompatiblePatch.
         """
         sol = self._condensed_stack(batch)
         for i in np.flatnonzero(sol.fallback):
@@ -728,7 +731,8 @@ class Equilibrator:
     def _condensed_stack(self, batch: PatchBatch) -> BatchSolution:
         """Condensed Schur-complement solve of a batch (:meth:`_reduce`),
         without fallback: ``fallback`` marks the patches whose row norms
-        span too wide, whose factorizations failed or that fail a gate.
+        span too wide, whose factorizations failed or stopped before the
+        structural rank, or that fail a gate.
         Only the pivoted Cholesky and its solves run patch by patch.
 
         The multipliers of the d rows follow per block, and x = M^-1 L^T lam
@@ -768,7 +772,8 @@ class Equilibrator:
         c_patch = np.repeat(np.arange(n), n_c)
         diagonal = s_start[c_patch] + (np.arange(n_c_all) - c_start[c_patch]) * (n_c[c_patch] + 1)
         d = 1.0 / np.sqrt(S[diagonal])
-        rank = np.zeros(n, dtype=np.int64)
+        # a patch without displacement side drops its three rigid-motion rows
+        rank = n_c - 3 * ~batch.dirichlet_touching
         ok = ~wide
         kept = np.zeros(n_c_all, dtype=bool)
         factors = []
@@ -777,14 +782,14 @@ class Equilibrator:
             Sp = S[s_start[p] : s_start[p] + m * m].reshape(m, m)
             Sp *= d[c0 : c0 + m, None]
             Sp *= d[c0 : c0 + m]
-            c, piv, rank[p], info = scipy.linalg.lapack.dpstrf(
-                Sp, tol=1e-12, lower=1, overwrite_a=1
-            )
-            ok[p] &= info >= 0
-            keep = c0 + piv[: rank[p]] - 1 if info >= 0 else piv[:0]
+            # tol 0: the pivots choose the rows, and only a non-positive
+            # pivot stops the factorization
+            c, piv, positive, _ = scipy.linalg.lapack.dpstrf(Sp, tol=0.0, lower=1, overwrite_a=1)
+            r = min(positive, rank[p])
+            ok[p] &= r == rank[p]
+            keep = c0 + piv[:r] - 1
             kept[keep] = True
             # the kept factor, column-major, in the first entries of Sp
-            r = len(keep)
             factor = S[s_start[p] : s_start[p] + r * r].reshape(r, r).T
             factor[...] = c[:r, :r]
             factors.append((factor, keep))

@@ -80,28 +80,13 @@ def conservative_constants() -> BoundConstants:
 # -- pointwise tensor algebra ---------------------------------------------------
 
 
-def apply_A(tau: np.ndarray, material: Material) -> np.ndarray:
-    """Compliance action: (1/2mu) (tau - tr(tau)/(2 mu/lambda + d) I).
-
-    Operates on value arrays of shape (..., 2, 2); the incompressible
-    limit divides the trace term by d exactly.
-    """
-    mu, t = material.mu, material.inv_lambda
+def a_norm_sq(tau: np.ndarray, material: Material) -> np.ndarray:
+    """Pointwise (A tau) : tau of value arrays (..., 2, 2), with the
+    compliance A tau = (1/2mu) (tau - tr(tau)/(2 mu/lambda + d) I); the
+    incompressible limit divides the trace term by d exactly."""
+    trace_coef = 1.0 / (2.0 * material.mu * material.inv_lambda + _DIM)
     tr = tau[..., 0, 0] + tau[..., 1, 1]
-    out = tau / (2.0 * mu)
-    coef = 1.0 / ((2.0 * mu * t + _DIM) * 2.0 * mu)
-    out[..., 0, 0] -= coef * tr
-    out[..., 1, 1] -= coef * tr
-    return out
-
-
-def deviatoric(tau: np.ndarray) -> np.ndarray:
-    """Trace-free part tau - (tr tau / d) I."""
-    tr = (tau[..., 0, 0] + tau[..., 1, 1]) / _DIM
-    out = tau.copy()
-    out[..., 0, 0] -= tr
-    out[..., 1, 1] -= tr
-    return out
+    return (np.einsum("...rc,...rc->...", tau, tau) - trace_coef * tr**2) / (2.0 * material.mu)
 
 
 def antisymmetric_norm_sq(tau: np.ndarray) -> np.ndarray:
@@ -136,15 +121,12 @@ def eta_components(
     ``b_sq`` is :func:`divergence_defect_sq` of the discrete pair.
     """
     mesh = disc.mesh
-    mu, t = material.mu, material.inv_lambda
+    mu = material.mu
     eta_a = np.empty(mesh.n_triangles)
     eta_c = np.empty(mesh.n_triangles)
-    trace_coef = 1.0 / (2.0 * mu * t + _DIM)
     for tb in disc.stress_chunks():
         vals = sigma_delta.values(tb)                       # (ne, nq, 2, 2)
-        frob = np.einsum("eqrc,eqrc->eq", vals, vals)
-        tr = vals[..., 0, 0] + vals[..., 1, 1]
-        a_sq = (frob - trace_coef * tr**2) / (2.0 * mu)
+        a_sq = a_norm_sq(vals, material)
         eta_a[tb.elems] = np.sqrt(
             np.maximum(np.einsum("eq,eq->e", tb.vol_w, a_sq), 0.0)
         )

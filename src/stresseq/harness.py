@@ -302,10 +302,11 @@ def run(config_path) -> None:
     """Execute one config: adaptive run plus result files."""
     cfg = load_config(config_path)
     problem = _build_problem(cfg)
-    history = adaptive_loop(problem, cfg.adaptive())
+    settings = cfg.adaptive()
+    out = _output_dir(cfg)
+    history = adaptive_loop(problem, settings)
     if problem.exact is None and len(history) > 3:
         attach_reference_errors(history, problem.material)
-    out = _output_dir(cfg)
     emit_history(history, os.path.join(out, "history.csv"))
     _emit_final_report(history, os.path.join(out, "estimator_final.csv"))
     _emit_summary(history, os.path.join(out, "summary.csv"))

@@ -38,6 +38,7 @@ from .errors import (
 INTERIOR, DIRICHLET, NEUMANN = 0, 1, 2
 
 _FMT = "%.17g"
+_HEADER = ("vertices", "triangles", "sides_dirichlet", "sides_neumann")
 
 
 @dataclass(eq=False)
@@ -148,14 +149,6 @@ class Mesh:
         # einsum "erd,eqd->eqr"
         ref = xc[:, :, 0, None] * jinv[:, None, :, 0] + xc[:, :, 1, None] * jinv[:, None, :, 1]
         return ref.reshape(x.shape)
-
-    def vertex_triangles(self):
-        """CSR-style map vertex -> incident triangle ids (ascending)."""
-        order = np.argsort(self.triangles.ravel(), kind="stable")
-        ids = np.repeat(np.arange(self.n_triangles), 3)[order]
-        counts = np.bincount(self.triangles.ravel(), minlength=self.n_vertices)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        return offsets, ids
 
     def vertex_flags(self):
         """Boolean masks (on_dirichlet, on_neumann_only) per vertex."""
@@ -461,10 +454,8 @@ def write_mesh(mesh: Mesh, path):
     """
     d = mesh.sides[mesh.side_label == DIRICHLET]
     n = mesh.sides[mesh.side_label == NEUMANN]
-    lines = [
-        f"vertices {mesh.n_vertices} / triangles {mesh.n_triangles}"
-        f" / sides_dirichlet {len(d)} / sides_neumann {len(n)}"
-    ]
+    counts = (mesh.n_vertices, mesh.n_triangles, len(d), len(n))
+    lines = [" / ".join(f"{name} {count}" for name, count in zip(_HEADER, counts))]
     lines += [f"{_FMT % x} {_FMT % y}" for x, y in mesh.vertices.tolist()]
     lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles.tolist()]
     lines += [f"{i} {j}" for i, j in d.tolist()]
@@ -491,13 +482,11 @@ def read_mesh(path) -> Mesh:
     if not raw:
         raise IoError(f"mesh file {path} is empty")
     try:
-        fields = raw[0].split("/")
-        counts = {}
-        for f in fields:
-            name, num = f.split()
-            counts[name] = int(num)
-        nv, nt = counts["vertices"], counts["triangles"]
-        nd, nn = counts["sides_dirichlet"], counts["sides_neumann"]
+        fields = [f.split() for f in raw[0].split("/")]
+        counts = {name: int(num) for name, num in fields}
+        if len(fields) != len(_HEADER) or set(counts) != set(_HEADER):
+            raise ValueError(f"header fields must be {', '.join(_HEADER)}, each once")
+        nv, nt, nd, nn = (counts[name] for name in _HEADER)
         rows = raw[1:]
         if len(rows) != nv + nt + nd + nn:
             raise ValueError(
@@ -671,10 +660,6 @@ class Patches:
 
     def __len__(self) -> int:
         return len(self.vertex)
-
-    def pairs(self, i: int) -> slice:
-        """The (patch, element) pairs of patch ``i``."""
-        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
 
 def _patches(mesh: Mesh, owner: np.ndarray) -> Patches:

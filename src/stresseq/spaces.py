@@ -38,7 +38,6 @@ __all__ = [
     "volume_rule",
     "side_rule",
     "legendre01",
-    "skew_tensor",
     "lagrange_values",
     "lagrange_grads",
     "DofMap",
@@ -105,19 +104,6 @@ def legendre01(n: int, t) -> np.ndarray:
     x = 2.0 * np.asarray(t) - 1.0
     cols = [np.polynomial.legendre.legval(x, c) for c in _legendre01_table(n)]
     return np.stack(cols, axis=-1)
-
-
-def skew_tensor(theta) -> np.ndarray:
-    """Skew 2x2 tensor generated by a scalar: [[0, theta], [-theta, 0]].
-
-    Broadcasts over any leading shape; the tensor pairs with a stress
-    through (tau, skew_tensor(theta)) = theta * (tau_01 - tau_10).
-    """
-    th = np.asarray(theta, dtype=float)
-    out = np.zeros(th.shape + (2, 2))
-    out[..., 0, 1] = th
-    out[..., 1, 0] = -th
-    return out
 
 
 # -- monomials ---------------------------------------------------------------
@@ -240,7 +226,6 @@ class DofMap:
     ncomp: int
     element_dofs: np.ndarray
     n_scalar: int
-    dof_coords: np.ndarray
 
     @property
     def n_dofs(self) -> int:
@@ -283,17 +268,7 @@ def make_dofmap(mesh: Mesh, degree: int, ncomp: int = 1) -> DofMap:
     if m == 3:
         ed[:, -1] = nv + ns * (m - 1) + np.arange(nt)
     n_scalar = nv + ns * (m - 1) + (nt if m == 3 else 0)
-
-    coords = np.empty((n_scalar, 2))
-    coords[:nv] = mesh.vertices
-    if m >= 2:
-        fracs = np.arange(1, m) / m
-        coords[nv : nv + ns * (m - 1)] = mesh.side_points(
-            np.arange(ns), fracs
-        ).reshape(-1, 2)
-    if m == 3:
-        coords[nv + ns * (m - 1) :] = mesh.centroids
-    return DofMap(mesh, m, ncomp, ed, n_scalar, coords)
+    return DofMap(mesh, m, ncomp, ed, n_scalar)
 
 
 # -- broken Raviart-Thomas stress space ----------------------------------------
@@ -634,14 +609,11 @@ class Discretization:
     def constraints(self) -> ConstraintTables:
         return self._kept("constraints", lambda: build_constraint_tables(self))
 
-    def stress_tables(self, elems=None) -> StressTables:
-        return build_stress_tables(self.mesh, self.k, elems)
-
     def stress_chunks(self) -> list[StressTables]:
         """Stress tables over element chunks covering the mesh."""
         nt = self.mesh.n_triangles
         return self._kept("chunks", lambda: [
-            self.stress_tables(np.arange(lo, min(lo + _CHUNK, nt)))
+            build_stress_tables(self.mesh, self.k, np.arange(lo, min(lo + _CHUNK, nt)))
             for lo in range(0, nt, _CHUNK)
         ])
 

@@ -64,7 +64,7 @@ def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.nd
     disc, tables = eq.disc, eq.tables
     mesh, k = disc.mesh, disc.k
     patches = eq.patches
-    elements = patches.elements[patches.pairs(i)]
+    elements = patches.elements[patch_pairs(patches, i)]
     z = patches.vertex[i]
     ne, nd, nmk = len(elements), rt_dim(k), len(_exps_array(k))
 
@@ -111,12 +111,25 @@ def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.nd
     w = np.isin(mesh.sides[active], group)
     rhs = np.zeros(n_rows)
     rdiv = eq.rhs_tables.rdiv[elements]                          # (ne, 3, 2, nmk)
-    weights = patches.weights[patches.pairs(i)]
+    weights = patches.weights[patch_pairs(patches, i)]
     rhs[:n_div] = np.einsum("ea,earb->erb", weights, rdiv).ravel()
     rhs[n_div : n_div + n_jump] = np.einsum(
         "sa,sarm->srm", w, eq.rhs_tables.rjump[active]
     ).ravel()
     return np.ascontiguousarray(B[:, :n_free]), rhs
+
+
+def vertex_triangles(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """CSR-style map vertex -> incident triangle ids (ascending)."""
+    order = np.argsort(mesh.triangles.ravel(), kind="stable")
+    ids = np.repeat(np.arange(mesh.n_triangles), 3)[order]
+    counts = np.bincount(mesh.triangles.ravel(), minlength=mesh.n_vertices)
+    return np.concatenate([[0], np.cumsum(counts)]), ids
+
+
+def patch_pairs(patches: Patches, i: int) -> slice:
+    """The (patch, element) pairs of patch ``i``."""
+    return slice(int(patches.offsets[i]), int(patches.offsets[i + 1]))
 
 
 def absorbed(patches: Patches, i: int) -> np.ndarray:
@@ -142,7 +155,7 @@ def reference_patches(mesh: Mesh, modified: bool) -> Patches:
     _, on_n_only = mesh.vertex_flags()
     if not modified:
         on_n_only[:] = False
-    offsets, ids = mesh.vertex_triangles()
+    offsets, ids = vertex_triangles(mesh)
     assigned: dict[int, list[int]] = {}
     for z_n in np.flatnonzero(on_n_only):
         nbrs = np.concatenate(
@@ -203,7 +216,9 @@ def reference_condensed(eq: Equilibrator, batch: PatchBatch) -> CondensedReferen
     onto the jump and symmetry rows, and sums the complements into each
     patch's reduced matrix; the pivoted Cholesky, the Jacobi scaling, the
     two multiplier passes and the KKT and residual gates follow as in the
-    production path, whose thresholds this repeats.
+    production path, whose thresholds this repeats.  A patch keeps all
+    rows but three when none of its elements has a side on the displacement
+    boundary, found from the side labels.
     """
     L, rows, rhs = batch.blocks(slice(None)), batch.block_rows, batch.rhs
     gram = batch.table_gram[batch.table]
@@ -252,16 +267,17 @@ def reference_condensed(eq: Equilibrator, batch: PatchBatch) -> CondensedReferen
             reduced[p][np.ix_(at[on], at[on])] += complements[q, r][np.ix_(on, on)]
 
     d = np.concatenate([1.0 / np.sqrt(np.diag(S)) for S in reduced])
-    rank = np.zeros(n, dtype=np.int64)
+    touching = [touches_displacement(eq.disc.mesh, batch.elements[pp == p]) for p in range(n)]
+    rank = n_c - 3 * ~np.array(touching)
     ok = np.ones(n, dtype=bool)
     kept = np.zeros(n_c_all, dtype=bool)
     factors = []
     for p, S in enumerate(reduced):
         c0, m = c_start[p], n_c[p]
         scaled = S * d[c0 : c0 + m, None] * d[c0 : c0 + m]
-        c, piv, rank[p], info = scipy.linalg.lapack.dpstrf(scaled, tol=1e-12, lower=1)
-        ok[p] = info >= 0
-        keep = c0 + piv[: rank[p]] - 1 if ok[p] else piv[:0]
+        c, piv, positive, _ = scipy.linalg.lapack.dpstrf(scaled, tol=0.0, lower=1)
+        ok[p] = positive >= rank[p]
+        keep = c0 + piv[: min(positive, rank[p])] - 1
         kept[keep] = True
         factors.append((c[: len(keep), : len(keep)], keep))
 
@@ -323,10 +339,16 @@ def reference_condensed(eq: Equilibrator, batch: PatchBatch) -> CondensedReferen
     return CondensedReference(wide, reduced, lam, x, n_div + rank, ~ok | wide)
 
 
-def batch_of(*problems: PatchProblem) -> PatchBatch:
-    """The batch of the patch problems, in order, each pair on a table of
-    its own: the rows read from the dense constraint matrix, and a unit
-    selector on each side without jump rows.  The inverse of
+def touches_displacement(mesh: Mesh, elements: np.ndarray) -> bool:
+    """Whether some side of the ``elements`` lies on the displacement
+    boundary."""
+    return bool((mesh.side_label[mesh.tri_sides[elements]] == DIRICHLET).any())
+
+
+def batch_of(mesh: Mesh, *problems: PatchProblem) -> PatchBatch:
+    """The batch of the patch problems on ``mesh``, in order, each pair on
+    a table of its own: the rows read from the dense constraint matrix, and
+    a unit selector on each side without jump rows.  The inverse of
     :meth:`PatchBatch.problem`, for feeding modified dense problems to the
     batch solve."""
     nmk, sel = _selectors(problems[0].k)
@@ -345,6 +367,7 @@ def batch_of(*problems: PatchProblem) -> PatchBatch:
     n_elems = [len(p.elements) for p in problems]
     return PatchBatch(
         vertex=np.array([p.vertex for p in problems]),
+        dirichlet_touching=np.array([touches_displacement(mesh, p.elements) for p in problems]),
         k=problems[0].k,
         pair_patch=np.repeat(np.arange(len(problems)), n_elems),
         elements=np.concatenate([p.elements for p in problems]),
@@ -366,7 +389,7 @@ def batch_of(*problems: PatchProblem) -> PatchBatch:
 def production_minimizer(eq: Equilibrator, problem: PatchProblem) -> np.ndarray:
     """The minimizer of the production batch solve, fallback included, on
     the free columns of ``problem``."""
-    return eq._solve_batch(batch_of(problem)).x[problem.free_col >= 0]
+    return eq._solve_batch(batch_of(eq.disc.mesh, problem)).x[problem.free_col >= 0]
 
 
 def mass_norm(problem: PatchProblem, x: np.ndarray) -> float:
@@ -528,7 +551,7 @@ def reference_neighborhood_ratio(mesh: Mesh, eta_a, eta_b, eta_c, eta_r) -> floa
     """The per-element loop of :func:`stresseq.neighborhood_ratio`: each
     element's neighbours gathered from the vertex-to-triangle lists.  The
     sums run in another order, so the two agree to rounding."""
-    offsets, ids = mesh.vertex_triangles()
+    offsets, ids = vertex_triangles(mesh)
     num = eta_a**2 + eta_b**2 + eta_c**2
     r_sq = eta_r**2
     worst = 0.0

@@ -8,11 +8,13 @@ import pytest
 import scipy.linalg
 
 from stresseq import (
+    AdaptiveConfig,
     BrokenField,
     Equilibrator,
     IncompatiblePatch,
     LoadData,
     Material,
+    adaptive_loop,
     cook,
     cook_mesh,
     equilibrate,
@@ -48,6 +50,7 @@ from oracles import (
     null_space_vectors,
     production_minimizer,
     reference_condensed,
+    touches_displacement,
 )
 from test_mesh import randomly_refined
 
@@ -345,18 +348,15 @@ def _table_cases():
         yield pytest.param(lshape, lshape_random, k, id=f"lshape-random-k{k}")
 
 
-def _pivoting(reduced: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """The rows that the Jacobi-scaled pivoted Cholesky of ``reduced``
-    keeps, ascending, the condition number of the scaled matrix on them,
-    and whether its rank is decided: no eigenvalue of the scaled matrix
-    lies within four decades of the 1e-12 pivot tolerance."""
+def _pivoting(reduced: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
+    """The first ``rank`` rows, ascending, that the Jacobi-scaled pivoted
+    Cholesky of ``reduced`` chooses, or fewer where it meets a non-positive
+    pivot, and the condition number of the scaled matrix on them."""
     d = 1.0 / np.sqrt(np.diag(reduced))
     scaled = reduced * d[:, None] * d
-    _, piv, rank, _ = scipy.linalg.lapack.dpstrf(scaled, tol=1e-12, lower=1)
-    keep = np.sort(piv[:rank] - 1)
-    ev = np.abs(np.linalg.eigvalsh(scaled))
-    decided = not ((ev > 1e-14) & (ev < 1e-10)).any()
-    return keep, float(np.linalg.cond(scaled[np.ix_(keep, keep)])), decided
+    _, piv, positive, _ = scipy.linalg.lapack.dpstrf(scaled, tol=0.0, lower=1)
+    keep = np.sort(piv[: min(positive, rank)] - 1)
+    return keep, float(np.linalg.cond(scaled[np.ix_(keep, keep)]))
 
 
 @pytest.mark.parametrize("build", [standard_patches, modified_patches])
@@ -364,25 +364,24 @@ def _pivoting(reduced: np.ndarray) -> tuple[np.ndarray, float, bool]:
 def test_element_tables_match_the_pair_oracle(problem, mesh, k, build):
     """The reduced matrices built from the element tables agree with the
     masked-Gram construction per pair to 1e-12 relative, and so do the
-    multipliers, times the condition number of the scaled reduced matrix,
-    and the fallback flags are the same wherever both pivoted Choleskys
-    keep the same rows; the ranks, and so the dropped rows, are the same
-    wherever the rank is decided.  No pair has more than one masked side,
-    and the masked entries of x are 0.
+    multipliers, times the condition number of the scaled reduced matrix;
+    the ranks, and so the dropped rows, are the same on every patch, and
+    the fallback flags wherever both pivoted Choleskys keep the same rows.
+    No pair has more than one masked side, and the masked entries of x
+    are 0.
 
-    After the Jacobi scaling every diagonal entry is 1 up to rounding, so
-    which redundant rows a pivoted Cholesky drops is decided by rounding;
-    where the two drop different ones, their multipliers differ by a left
-    null vector of the constraints, and on a patch whose rows are not
-    consistent (a standard patch at a traction-only vertex) so does the
-    residual of the dropped rows.  At k = 2 on the Cook meshes the null
-    eigenvalues of about half of the scaled reduced matrices reach 1e-13
-    to 1e-12, at the pivot tolerance, and there the rank itself is decided
-    by rounding."""
+    Both keep all rows but the three rigid-motion rows of a patch without
+    displacement side, the oracle finding those patches from the side
+    labels.  After the Jacobi scaling every diagonal entry is 1 up to
+    rounding, so which redundant rows a pivoted Cholesky drops is decided
+    by rounding; where the two drop different ones, their multipliers
+    differ by a left null vector of the constraints.  A standard patch at a
+    traction-only vertex has a fourth redundant row, and its rows are not
+    consistent: both keep a null pivot there and take the fallback."""
     disc, fields, sigma = solve_problem(problem, k=k, mesh=mesh)
     eq = Equilibrator(disc, sigma, problem.load)
     eq.patches = build(disc.mesh)
-    n_masked = n_compared = n_decided = 0
+    n_masked = n_compared = 0
     for start, batch in eq._batches():
         ref = reference_condensed(eq, batch)
         red = eq._reduce(batch)
@@ -391,14 +390,13 @@ def test_element_tables_match_the_pair_oracle(problem, mesh, k, build):
         assert masked.sum(axis=1).max() <= 1
         n_masked += int(masked.sum())
         assert not sol.x[~np.broadcast_to(batch.free[:, None], sol.x.shape)].any()
+        assert np.array_equal(sol.rank, ref.rank)
+        n_div = np.diff(batch.row_offsets) - red.n_c
         for i, S_ref in enumerate(ref.reduced):
             S = red.S[red.s_start[i] : red.s_start[i] + S_ref.size].reshape(S_ref.shape)
             assert np.max(np.abs(S - S_ref)) <= 1e-12 * np.max(np.abs(S_ref)), f"patch {i}"
-            keep, cond, decided = _pivoting(S_ref)
-            if decided:
-                assert sol.rank[i] == ref.rank[i], f"patch {i}"
-                n_decided += 1
-            if not np.array_equal(_pivoting(S)[0], keep):
+            keep, cond = _pivoting(S_ref, ref.rank[i] - n_div[i])
+            if not np.array_equal(_pivoting(S, sol.rank[i] - n_div[i])[0], keep):
                 continue
             assert sol.fallback[i] == ref.fallback[i], f"patch {i}"
             if not sol.fallback[i]:
@@ -406,7 +404,41 @@ def test_element_tables_match_the_pair_oracle(problem, mesh, k, build):
                 bound = 1e-12 * cond * np.max(np.abs(lam_ref))
                 assert np.max(np.abs(lam - lam_ref)) <= bound, f"patch {i}"
                 n_compared += 1
-    assert n_masked > 0 and n_compared > 0 and n_decided > 0
+    assert n_masked > 0 and n_compared > 0
+
+
+def test_condensed_rank_is_structural(monkeypatch):
+    """On every patch that the condensed path solves, the rows minus the
+    rank are 3 on a patch without a side on the displacement boundary and 0
+    on any other: on the steps of a 20-step Cook run (k = 1), of a 12-step
+    L-shape run (k = 2) and on the Cook mesh bisected uniformly 1 to 4
+    times (k = 2).  On the last, no patch takes the fallback, and the worst
+    KKT residual is at most 1e-12."""
+    counts = []
+    solve_batch = Equilibrator._solve_batch
+
+    def recording(self, batch):
+        sol = solve_batch(self, batch)
+        for i in np.flatnonzero(~sol.fallback):
+            floating = not touches_displacement(self.disc.mesh, batch.elements[batch.pairs(i)])
+            rows = batch.row_offsets[i + 1] - batch.row_offsets[i]
+            counts.append((int(rows - sol.rank[i]), 3 * floating))
+        return sol
+
+    monkeypatch.setattr(Equilibrator, "_solve_batch", recording)
+    adaptive_loop(cook(), AdaptiveConfig(k=1, theta=0.5, max_steps=20))
+    lshape = square_lshape(Material(mu=1.0, inv_lambda=0.002))
+    adaptive_loop(lshape, AdaptiveConfig(k=2, theta=0.7, max_steps=12, estimator="residual"))
+    problem = cook()
+    for r in range(1, 5):
+        disc, _, sigma = solve_problem(problem, k=2, mesh=uniform_refine(problem.mesh, r))
+        eq = Equilibrator(disc, sigma, problem.load)
+        eq.correction()
+        assert eq.n_fallbacks == 0, f"r = {r}"
+        assert eq.worst_kkt <= 1e-12, f"r = {r}"
+    off = [(dropped, expected) for dropped, expected in counts if dropped != expected]
+    assert not off, f"{len(off)} of {len(counts)} patches off the structural count"
+    assert {expected for _, expected in counts} == {0, 3}
 
 
 def _mixed_batch(eq, n_patches):
@@ -424,14 +456,14 @@ def test_batch_fallback_is_per_patch(cook_eq, monkeypatch):
     _, disc, eq = cook_eq
     batch = _mixed_batch(eq, 4)
     problems = [batch.problem(i) for i in range(len(batch.vertex))]
-    base = eq._solve_batch(batch_of(*problems))
+    base = eq._solve_batch(batch_of(disc.mesh, *problems))
     assert not base.fallback.any()
     pp = problems[0]
     sym = slice(pp.n_div + pp.n_jump, None)             # the symmetry rows
     b, rhs = pp.constraints.copy(), pp.rhs.copy()
     b[sym] *= 1e-9
     rhs[sym] *= 1e-9
-    modified = batch_of(dataclasses.replace(pp, constraints=b, rhs=rhs), *problems[1:])
+    modified = batch_of(disc.mesh, dataclasses.replace(pp, constraints=b, rhs=rhs), *problems[1:])
 
     # patch 0 rides along in the Schur stack and leaves it by the row-norm
     # rule, so patch 2 is the third solve of each of the two passes over it
@@ -496,7 +528,7 @@ def test_dense_view_matches_dense_builder(setup, request):
             pp = batch.problem(i)
             assert np.array_equal(pp.constraints, b), f"patch {pp.vertex}"
             assert np.array_equal(pp.rhs, rhs), f"patch {pp.vertex}"
-            back = batch_of(pp)
+            back = batch_of(disc.mesh, pp)
             assert np.array_equal(back.blocks(slice(None)), batch.blocks(batch.pairs(i)))
             assert np.array_equal(back.problem(0).constraints, pp.constraints)
     assert mixed
@@ -508,12 +540,14 @@ def test_singular_divergence_block_takes_the_fallback_alone(cook_eq, monkeypatch
     _, disc, eq = cook_eq
     batch = _mixed_batch(eq, 3)
     problems = [batch.problem(i) for i in range(len(batch.vertex))]
-    base = eq._solve_batch(batch_of(*problems))
+    base = eq._solve_batch(batch_of(disc.mesh, *problems))
     # a repeated divergence row of patch 1, with its repeated right-hand side
     pp = problems[1]
     b, rhs = pp.constraints.copy(), pp.rhs.copy()
     b[1], rhs[1] = b[0], rhs[0]
-    modified = batch_of(problems[0], dataclasses.replace(pp, constraints=b, rhs=rhs), *problems[2:])
+    modified = batch_of(
+        disc.mesh, problems[0], dataclasses.replace(pp, constraints=b, rhs=rhs), *problems[2:]
+    )
 
     inv = np.linalg.inv
     raised = []
@@ -579,7 +613,7 @@ def wide_span_problem(eq):
 def test_wide_row_norm_span_takes_the_fallback(cook_eq):
     _, disc, eq = cook_eq
     scaled = wide_span_problem(eq)
-    assert eq._solve_batch(batch_of(scaled)).fallback[0]
+    assert eq._solve_batch(batch_of(disc.mesh, scaled)).fallback[0]
     assert np.array_equal(production_minimizer(eq, scaled), eq.solve_patch(scaled)[0])
 
 
@@ -603,7 +637,7 @@ def test_fast_path_failure_takes_the_fallback(cook_eq, monkeypatch, failure):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "inv", singular)
-    assert eq._solve_batch(batch_of(pp)).fallback[0]
+    assert eq._solve_batch(batch_of(disc.mesh, pp)).fallback[0]
     assert np.array_equal(production_minimizer(eq, pp), expected)
 
 
@@ -637,17 +671,16 @@ def test_reconstruction_properties_quadratic_elements():
 def test_uncorrected_stress_fails_equilibrium(cook_eq):
     """Negative control: sigma_h alone has jumps but is pointwise symmetric."""
     problem, disc, eq = cook_eq
-    report = verify_equilibration(
-        disc, eq.sigma_h, problem.load, scale=eq.scale
-    )
+    _, _, sigma_h = solve_problem(problem)
+    report = verify_equilibration(disc, sigma_h, problem.load, scale=eq.scale)
     assert report.jump_residual > 1e-6 * eq.scale
     assert report.symmetry_residual <= 1e-10 * eq.scale
 
 
 def test_corrupted_reconstruction_is_detected(manu_eq):
     problem, disc, eq = manu_eq
-    delta = eq.correction()
-    sigma_r = eq.sigma_h + delta
+    _, _, sigma_h = solve_problem(problem)
+    sigma_r = sigma_h + eq.correction()
     dofs = sigma_r.dofs.copy()
     dofs[3, 0, 2] += 0.1 * eq.scale
     broken = BrokenField(disc.mesh, disc.k, dofs)

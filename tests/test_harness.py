@@ -352,12 +352,12 @@ def test_exit_code_other_solver_error(tmp_path, capsys):
 
 
 def _corrupt_mesh_file(tmp_path, line_of):
-    """Cook mesh file with one data line replaced; line_of(nv) gives the
+    """Cook mesh file with one line replaced; line_of(nv, header) gives the
     index of that line and its new text."""
     path = tmp_path / "bad.txt"
     write_mesh(cook_mesh(), str(path))
     lines = path.read_text().splitlines()
-    index, text = line_of(cook_mesh().n_vertices)
+    index, text = line_of(cook_mesh().n_vertices, lines[0])
     lines[index] = text
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -366,11 +366,19 @@ def _corrupt_mesh_file(tmp_path, line_of):
 @pytest.mark.parametrize(
     "line_of",
     [
-        lambda nv: (1 + nv, f"0 1 {nv}"),  # triangle vertex index out of range
-        lambda nv: (1, "nan 0.5"),          # non-finite vertex coordinate
-        lambda nv: (1 + nv, "0 1 99999999999999999999"),  # beyond int64
+        lambda nv, header: (1 + nv, f"0 1 {nv}"),  # triangle vertex index out of range
+        lambda nv, header: (1, "nan 0.5"),          # non-finite vertex coordinate
+        lambda nv, header: (1 + nv, "0 1 99999999999999999999"),  # beyond int64
+        lambda nv, header: (0, f"{header} / foo 3"),  # a fifth header field
+        lambda nv, header: (0, f"{header} / vertices {nv}"),  # a repeated one
     ],
-    ids=["index-out-of-range", "nan-coordinate", "index-beyond-int64"],
+    ids=[
+        "index-out-of-range",
+        "nan-coordinate",
+        "index-beyond-int64",
+        "unknown-header-field",
+        "repeated-header-field",
+    ],
 )
 def test_exit_code_bad_mesh_file(tmp_path, capsys, line_of):
     mesh_path = _corrupt_mesh_file(tmp_path, line_of)
@@ -379,6 +387,21 @@ def test_exit_code_bad_mesh_file(tmp_path, capsys, line_of):
     cfg_path = write_config(
         tmp_path, f"mesh_file = {mesh_path}\noutput_dir = {tmp_path / 'out'}\n"
     )
+    assert main(["run", cfg_path]) == 4
+    assert "io" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output_dir", ["", "/dev/null/x"], ids=["empty", "under-a-file"])
+def test_unusable_output_dir_fails_before_the_loop(tmp_path, capsys, monkeypatch, output_dir):
+    """An output directory that cannot be created ends the run with exit 4
+    before anything is solved."""
+    import stresseq.harness as harness
+
+    def unexpected(*args):
+        raise AssertionError("adaptive_loop called")
+
+    monkeypatch.setattr(harness, "adaptive_loop", unexpected)
+    cfg_path = write_config(tmp_path, f"problem = cook\noutput_dir = {output_dir}\n")
     assert main(["run", cfg_path]) == 4
     assert "io" in capsys.readouterr().err
 

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import poly_integral_unit_triangle
 from stresseq import (
@@ -15,7 +13,6 @@ from stresseq import (
     build_mesh,
     rt_dim,
     segment_rule,
-    skew_tensor,
     triangle_rule,
     unit_square_mesh,
 )
@@ -328,29 +325,6 @@ def test_project_side_linear_and_sine_oracle():
         co = np.linalg.solve(gram, rhs)
         oracle_vals = vand @ co
         assert np.max(np.abs(oracle_vals - vals[i])) < 1e-13
-
-
-# -- skew generator ---------------------------------------------------------------
-
-
-def test_skew_tensor_examples():
-    assert np.array_equal(skew_tensor(0.0), np.zeros((2, 2)))
-    assert np.array_equal(skew_tensor(1.0), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.floats(min_value=-10, max_value=10, allow_nan=False),
-        min_size=5,
-        max_size=5,
-    )
-)
-def test_skew_tensor_pairing(vals):
-    theta = vals[4]
-    tau = np.array(vals[:4]).reshape(2, 2)
-    pairing = float(np.sum(tau * skew_tensor(theta)))
-    assert pairing == pytest.approx(theta * (tau[0, 1] - tau[1, 0]), abs=1e-12)
 
 
 def test_discretization_keeps_tables_until_released():

@@ -51,7 +51,7 @@ def test_traced_fallback_records_one_solve_patch_span(monkeypatch):
     scaled = wide_span_problem(eq)
     tracer = spans.Tracer()
     with spans.traced(tracer):
-        sol = eq._solve_batch(batch_of(scaled, _loaded_patch(eq)))
+        sol = eq._solve_batch(batch_of(disc.mesh, scaled, _loaded_patch(eq)))
     assert sol.fallback.tolist() == [True, False]
     notes = [note for name, *_, note in tracer.spans if name == "equilibration.solve_patch"]
     assert notes == [scaled.constraints.shape]
