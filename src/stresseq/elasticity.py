@@ -115,10 +115,6 @@ class FieldPair:
     def mesh(self) -> Mesh:
         return self.disc.mesh
 
-    @property
-    def k(self) -> int:
-        return self.disc.k
-
 
 @dataclass
 class LinearSystem:

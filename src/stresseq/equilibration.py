@@ -295,38 +295,13 @@ class PatchBatch:
         )[..., None]
         return np.where(live, self.table_rows[self.table[pairs]], 0.0)
 
-    def patch(self, i: int) -> PatchBatch:
-        """The batch of patch ``i`` alone, on the tables that it reads."""
-        pairs = self.pairs(i)
-        lo, hi = self.row_offsets[i : i + 2]
-        tables, table = np.unique(self.table[pairs], return_inverse=True)
-        sides = slice(self.side_offsets[i], self.side_offsets[i + 1])
-        nodes = slice(self.node_offsets[i], self.node_offsets[i + 1])
-        return PatchBatch(
-            vertex=self.vertex[i : i + 1],
-            dirichlet_touching=self.dirichlet_touching[i : i + 1],
-            k=self.k,
-            pair_patch=np.zeros(pairs.stop - pairs.start, dtype=np.int64),
-            elements=self.elements[pairs],
-            free=self.free[pairs],
-            table=table,
-            slot=self.slot[pairs],
-            table_gram=self.table_gram[tables],
-            table_rows=self.table_rows[tables],
-            block_rows=np.minimum(self.block_rows[pairs] - lo, hi - lo),
-            row_offsets=np.array([0, hi - lo]),
-            rhs=self.rhs[lo:hi],
-            jump_sides=self.jump_sides[sides],
-            side_offsets=np.array([0, sides.stop - sides.start]),
-            sym_nodes=self.sym_nodes[nodes],
-            node_offsets=np.array([0, nodes.stop - nodes.start]),
-        )
-
     def problem(self, i: int) -> PatchProblem:
         """The dense problem of patch ``i``, assembled from its blocks."""
-        one = self.patch(i)
-        n_rows = len(one.rhs)
-        free = one.free
+        pairs = self.pairs(i)
+        lo, hi = self.row_offsets[i : i + 2]
+        n_rows = hi - lo
+        block_rows = np.minimum(self.block_rows[pairs] - lo, n_rows)
+        free = self.free[pairs]
         live = np.broadcast_to(free[:, None, :], (len(free), 2, free.shape[1]))
         order = np.flatnonzero(live)
         n_free = len(order)
@@ -336,18 +311,20 @@ class PatchBatch:
         # the padding row and column collect the absent rows and dead dofs
         dense = np.zeros((n_rows + 1, n_free + 1))
         cols = np.where(live, free_col, n_free)
-        dense[one.block_rows[..., :, None], cols[:, :, None, :]] = one.blocks(slice(None))
+        dense[block_rows[..., :, None], cols[:, :, None, :]] = self.blocks(pairs)
+        sides = slice(self.side_offsets[i], self.side_offsets[i + 1])
+        nodes = slice(self.node_offsets[i], self.node_offsets[i + 1])
         return PatchProblem(
-            vertex=int(one.vertex[0]),
+            vertex=int(self.vertex[i]),
             k=self.k,
-            elements=one.elements,
+            elements=self.elements[pairs],
             free_col=free_col,
-            gram=one.table_gram[one.table],
+            gram=self.table_gram[self.table[pairs]],
             constraints=np.ascontiguousarray(dense[:n_rows, :n_free]),
-            rhs=one.rhs,
-            jump_sides=one.jump_sides,
-            sym_nodes=one.sym_nodes,
-            block_rows=one.block_rows,
+            rhs=self.rhs[lo:hi],
+            jump_sides=self.jump_sides[sides],
+            sym_nodes=self.sym_nodes[nodes],
+            block_rows=block_rows,
             col_elem=col_elem,
             col_row=col_row,
             col_dof=col_dof,
@@ -634,13 +611,15 @@ class Equilibrator:
         the displacement boundary drops three rows, redundant by the rigid
         motions, and any other patch none; the pivot order chooses which.
         It must pass the same KKT and constraint residual gates, on the
-        unreduced rows, as :meth:`solve_patch`.  A patch is solved again
-        alone by :meth:`solve_patch`, on its dense problem, its fast result
-        overwritten, when it fails them, when a factorization fails or stops
-        before that rank, or when the row norms of its constraint matrix
-        span more than 8 decades (there the QR rank rule drops rows of tiny
-        norm, and the fallback keeps that behaviour).  A failure of the
-        fallback indicates incompatible data and raises IncompatiblePatch.
+        unreduced rows, as :meth:`solve_patch`.  Every patch whose
+        ``fallback`` flag the fast path sets is solved again alone by
+        :meth:`solve_patch`, on its dense problem, its fast result
+        overwritten: a patch that fails a gate, whose pivoted Cholesky stops
+        before that rank, or whose constraint row norms span more than 8
+        decades (there the QR rank rule drops rows of tiny norm, and the
+        fallback keeps that behaviour), and every patch of the batch when
+        the element reduction raises LinAlgError.  A failure of the fallback
+        indicates incompatible data and raises IncompatiblePatch.
         """
         sol = self._condensed_stack(batch)
         for i in np.flatnonzero(sol.fallback):
@@ -732,8 +711,10 @@ class Equilibrator:
         """Condensed Schur-complement solve of a batch (:meth:`_reduce`),
         without fallback: ``fallback`` marks the patches whose row norms
         span too wide, whose factorizations failed or stopped before the
-        structural rank, or that fail a gate.
-        Only the pivoted Cholesky and its solves run patch by patch.
+        structural rank, or that fail a gate.  When :meth:`_reduce` raises
+        LinAlgError, it marks every patch of the batch, with zeros in the
+        other fields.  Only the pivoted Cholesky and its solves run patch by
+        patch.
 
         The multipliers of the d rows follow per block, and x = M^-1 L^T lam
         by products per element table over the pairs that read it; the
@@ -760,14 +741,10 @@ class Equilibrator:
         try:
             R, kdd_inv, kcd, side, rows_c, c_rows, S, s_start, n_c, c_start = self._reduce(batch)
         except np.linalg.LinAlgError:
-            # find the failing patches one by one
-            if n == 1:
-                return BatchSolution(
-                    np.zeros((n_pairs, 2, nd)), np.zeros((n_pairs,) + L.shape[1:3]),
-                    np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool), np.zeros(1), np.zeros(1),
-                )
-            parts = [self._condensed_stack(batch.patch(i)) for i in range(n)]
-            return BatchSolution(*(np.concatenate(f) for f in zip(*parts)))
+            return BatchSolution(
+                np.zeros((n_pairs, 2, nd)), np.zeros((n_pairs,) + L.shape[1:3]),
+                np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool), np.zeros(n), np.zeros(n),
+            )
         n_c_all = len(c_rows)
         c_patch = np.repeat(np.arange(n), n_c)
         diagonal = s_start[c_patch] + (np.arange(n_c_all) - c_start[c_patch]) * (n_c[c_patch] + 1)
@@ -934,9 +911,8 @@ class Equilibrator:
         """Sum of all patch corrections, solved in chunks of consecutive
         patches and scattered in patch-vertex order."""
         disc = self.disc
-        nd = rt_dim(disc.k)
         patches = self.patches
-        targets, values = [], []
+        dofs = np.zeros((disc.mesh.n_triangles, 2, rt_dim(disc.k)))
         residual = np.zeros(len(patches))
         dropped = np.zeros(len(patches), dtype=np.int64)
         self.n_patches = len(patches)
@@ -950,15 +926,12 @@ class Equilibrator:
             self.worst_kkt = max(self.worst_kkt, float(sol.kkt.max()))
             residual[ids] = sol.residual
             dropped[ids] = np.diff(batch.row_offsets) - sol.rank
-            live = np.broadcast_to(batch.free[:, None, :], sol.x.shape)
-            row = batch.elements[:, None, None] * 2 + np.arange(2)[:, None]
-            targets.append((row * nd + np.arange(nd))[live])
-            values.append(sol.x[live])
+            # x is zero on the dofs that are not free, so adding it whole
+            # leaves every sum bitwise as over the free dofs alone
+            np.add.at(dofs, batch.elements, sol.x)
             del batch  # before the next batch is built
-        dofs = np.zeros((disc.mesh.n_triangles, 2, nd))
         self.dropped_rows = dict(zip(*(v.tolist() for v in np.unique(dropped, return_counts=True))))
         if patches:
-            np.add.at(dofs.reshape(-1), np.concatenate(targets), np.concatenate(values))
             worst = int(np.argmax(residual))
             self.worst_residual = float(residual[worst]) / self.scale
             self.worst_vertex = int(patches.vertex[worst])

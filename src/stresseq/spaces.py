@@ -32,24 +32,6 @@ from .mesh import Mesh
 # per-block quadrature arrays.
 _CHUNK = 4096
 
-__all__ = [
-    "segment_rule",
-    "triangle_rule",
-    "volume_rule",
-    "side_rule",
-    "legendre01",
-    "lagrange_values",
-    "lagrange_grads",
-    "DofMap",
-    "make_dofmap",
-    "rt_dim",
-    "StressTables",
-    "build_stress_tables",
-    "ConstraintTables",
-    "Discretization",
-    "BrokenField",
-]
-
 
 # -- quadrature --------------------------------------------------------------
 
