@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Time the solve, patch and mesh layers from two source trees in one process.
+"""Time the solve, patch, estimator and mesh layers of two trees in one process.
 
     python scripts/ab_layer.py SRC_A SRC_B WORKLOAD [--reps 6]
 
 SRC_A and SRC_B are directories holding a ``stresseq`` package (the
 ``src`` directory of two checkouts); WORKLOAD is a name from
 ``perfbench/workloads.py``.  Each tree runs the workload's config once
-through its own ``harness.main``, and two things are captured on the way:
-the ``(disc, sigma_h, load)`` of every step, with the step tables kept,
-together with the problem's material, and the steps the loop returns.
-Each repetition then runs four timed passes per tree, alternating which
-tree goes first:
+through its own ``harness.main``, and three things are captured on the
+way: the ``(disc, sigma_h, load)`` of every step, with the step tables
+kept, together with the problem's material, the arguments of every
+step's ``estimate``, and the steps the loop returns.  Each repetition then
+runs five timed passes per tree, alternating which tree goes first:
 
 * ``equilibrate`` on all captured steps;
+* ``estimate`` on all captured steps;
 * ``refine(step.mesh, step.marked)`` on every step that marked elements;
 * ``uniform_refine(cook().mesh, 7)`` and ``write_mesh`` of the result, the
   mesh that perfbench builds for ``cook-large``;
@@ -20,11 +21,13 @@ tree goes first:
 
 The script prints, per pass, each tree's median and quartiles of the CPU
 time and the ratio of the medians, and whether the two trees' results are
-bitwise equal: the sigma_r of every step, the refined meshes (vertices,
+bitwise equal: the sigma_r of every step, the four indicator arrays
+(eta_A, eta_B, eta_C, eta_R) of every step, the refined meshes (vertices,
 triangles, parents, sides and labels), the mesh files and the (u, p) of
-every step.  For ``equilibrate`` it also prints the largest sigma_r
-difference relative to the step's largest |dof|, and each tree's
-``Equilibrator`` counters summed over the steps: ``n_batches``,
+every step.  For ``estimate`` it also prints which indicator arrays are
+bitwise equal on every step.  For ``equilibrate`` it also prints the
+largest sigma_r difference relative to the step's largest |dof|, and each
+tree's ``Equilibrator`` counters summed over the steps: ``n_batches``,
 ``n_fallbacks``, ``dropped_rows`` (patches per number of dropped rows) and
 the largest ``worst_kkt``.  For the solve it also prints, for one more,
 untimed pass of each tree, the ``tracemalloc`` peak and the most memory
@@ -103,17 +106,22 @@ def _replaced(obj, name, value):
 
 
 def capture(tree, config: pathlib.Path) -> dict[str, list]:
-    """The ``(disc, sigma_h, load)`` and ``(disc, material, load)`` of every
-    step of one run of ``config`` and the ``(mesh, marked)`` of every step
-    that marked elements."""
+    """The ``(disc, sigma_h, load)``, the ``estimate`` arguments and the
+    ``(disc, material, load)`` of every step of one run of ``config`` and
+    the ``(mesh, marked)`` of every step that marked elements."""
     adaptivity = submodule(tree, "adaptivity")
     harness = submodule(tree, "harness")
-    solves, steps, materials = [], [], []
+    solves, estimates, steps, materials = [], [], [], []
     inner_equilibrate, inner_loop = adaptivity.equilibrate, harness.adaptive_loop
+    inner_estimate = adaptivity.estimate
 
     def capturing(disc, sigma_h, load):
         solves.append((disc, sigma_h, load))
         return inner_equilibrate(disc, sigma_h, load)
+
+    def estimating(*args):
+        estimates.append(args)
+        return inner_estimate(*args)
 
     def recording(problem, config):
         materials.append(problem.material)
@@ -122,15 +130,20 @@ def capture(tree, config: pathlib.Path) -> dict[str, list]:
         return history
 
     # the tables stay kept, as they are while a step is solved
-    with _replaced(adaptivity, "equilibrate", capturing), _replaced(
-        harness, "adaptive_loop", recording
-    ), _replaced(submodule(tree, "spaces").Discretization, "release_tables", lambda self: None):
+    with (
+        _replaced(adaptivity, "equilibrate", capturing),
+        _replaced(adaptivity, "estimate", estimating),
+        _replaced(harness, "adaptive_loop", recording),
+        _replaced(submodule(tree, "spaces").Discretization, "release_tables",
+                  lambda self: None),
+    ):
         code = harness.main(["run", str(config)])
     if code != 0:
         raise SystemExit(f"{tree.__name__}: run exited {code}")
     marks = [(step.mesh, step.marked) for step in steps if step.marked is not None]
     systems = [(disc, materials[0], load) for disc, _, load in solves]
-    return {"equilibrate": solves, "refine": marks, "solve": systems}
+    return {"equilibrate": solves, "estimate": estimates, "refine": marks,
+            "solve": systems}
 
 
 class Solved(NamedTuple):
@@ -143,6 +156,11 @@ class Solved(NamedTuple):
 def equilibrate_pass(tree, captured, _path):
     equilibrate = submodule(tree, "equilibration").equilibrate
     return [Solved(*equilibrate(*solve)[1:]) for solve in captured["equilibrate"]]
+
+
+def estimate_pass(tree, captured, _path):
+    estimate = submodule(tree, "estimator").estimate
+    return [estimate(*args) for args in captured["estimate"]]
 
 
 def refine_pass(tree, captured, _path):
@@ -167,6 +185,7 @@ def solve_pass(tree, captured, _path):
 
 PASSES = {
     "equilibrate": equilibrate_pass,
+    "estimate": estimate_pass,
     "refine": refine_pass,
     "uniform_refine + write_mesh": cook_large_pass,
     "solve(assemble_system)": solve_pass,
@@ -192,16 +211,25 @@ def traced_memory(tree, captured, path) -> tuple[int, int]:
         tracemalloc.stop()
 
 
+INDICATORS = ("eta_A", "eta_B", "eta_C", "eta_R")
+
+
 def bitwise_equal(a, b) -> bool:
-    """Equal bytes of two steps' sigma_r, of two steps' (u, p) or of two
-    meshes' tables."""
+    """Equal bytes of two steps' sigma_r, of two steps' indicator arrays,
+    of two steps' (u, p) or of two meshes' tables."""
     if isinstance(a, Solved):
         return a.sigma_r.dofs.tobytes() == b.sigma_r.dofs.tobytes()
+    if hasattr(a, "eta_R"):  # an EstimatorReport
+        return all(indicator_equal(a, b, name) for name in INDICATORS)
     if hasattr(a, "p"):  # a FieldPair
         return a.u.tobytes() == b.u.tobytes() and a.p.tobytes() == b.p.tobytes()
     return a.vertices.tobytes() == b.vertices.tobytes() and all(
         np.array_equal(getattr(a, name), getattr(b, name)) for name in MESH_FIELDS
     )
+
+
+def indicator_equal(a, b, name: str) -> bool:
+    return getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def sigma_r_drift(solved_a, solved_b) -> float:
@@ -280,6 +308,12 @@ def main(argv=None) -> int:
             print(f"    largest relative sigma_r difference: {drift:.2e}")
             for label in "AB":
                 print(f"    {label} counters: {counters(results[name][label])}")
+        if name == "estimate":
+            pairs = list(zip(results[name]["A"], results[name]["B"]))
+            print("    " + "  ".join(
+                f"{ind} {all(indicator_equal(a, b, ind) for a, b in pairs)}"
+                for ind in INDICATORS
+            ))
         if name == "solve(assemble_system)":
             for label in "AB":
                 peak, at_splu = (b / 2**20 for b in traced[label])

@@ -26,7 +26,7 @@ import scipy.linalg
 
 from .elasticity import LoadData
 from .errors import IncompatiblePatch, StressEqError
-from .mesh import INTERIOR, NEUMANN, Mesh, Patches, _batches, modified_patches
+from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh, Patches, _batches, modified_patches
 from .spaces import (
     BrokenField,
     Discretization,
@@ -56,52 +56,45 @@ class RhsTables:
       for traction sides:
                       = +int_0^1 hat_a (g - sigma_h . n)_r L_m dt,
       with the side's endpoint hats (1-t, t) and orthonormal Legendre L_m.
+    scale is the tolerance reference: data plus stress magnitude plus one.
     """
 
     rdiv: np.ndarray
     rjump: np.ndarray
-    sigma_norm: float
-    f_norm: float
-
-    @property
-    def scale(self) -> float:
-        """Tolerance reference: data plus stress magnitude plus one."""
-        return self.sigma_norm + self.f_norm + 1.0
+    scale: float
 
 
-def _scatter_traces(mesh: Mesh, tb: StressTables, tr, tminus, tplus) -> None:
-    """Store element side traces tr (ne, 3, npts, 2) of the chunk ``tb``
-    into per-side arrays: from the side's minus element into ``tminus``,
-    from its plus element into ``tplus``."""
+def _scatter_jumps(mesh: Mesh, tb: StressTables, tr, jump) -> None:
+    """Gather element side traces tr (ne, 3, npts, 2) of the chunk ``tb``
+    into the per-side ``jump``: the minus element's trace, less the plus
+    element's.  Every minus trace of the chunk is stored before any plus
+    trace is subtracted (a side's plus element may hold it at a lower
+    local index); across chunks, which ascend in element number, the
+    minus element is the lower-numbered one and comes first."""
     is_minus = mesh.side_tri[tb.side_ids, 0] == tb.elems[:, None]
     for j in range(3):
-        s = tb.side_ids[:, j]
-        m = is_minus[:, j]
-        tminus[s[m]] = tr[m, j]
-        tplus[s[~m]] = tr[~m, j]
+        jump[tb.side_ids[is_minus[:, j], j]] = tr[is_minus[:, j], j]
+    for j in range(3):
+        jump[tb.side_ids[~is_minus[:, j], j]] -= tr[~is_minus[:, j], j]
 
 
-def side_traces(
-    disc: Discretization, field: BrokenField
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normal traces at the side quadrature points, per global side.
+def side_jumps(disc: Discretization, field: BrokenField) -> np.ndarray:
+    """Normal-trace jumps at the side quadrature points, (n_sides, nqs, 2).
 
-    Returns (trace_minus, trace_plus), each (n_sides, nqs, 2); the plus
-    trace of boundary sides is zero.  Traces use the side's global normal
-    from both adjacent elements, so their difference is the jump.
+    Traces use the side's global normal from both adjacent elements; an
+    interior side holds the minus trace less the plus trace, a boundary
+    side its one trace.
     """
     mesh = disc.mesh
     nqs = len(side_rule(disc.k)[0])
-    tminus = np.zeros((mesh.n_sides, nqs, 2))
-    tplus = np.zeros((mesh.n_sides, nqs, 2))
+    jump = np.zeros((mesh.n_sides, nqs, 2))
     for tb in disc.stress_chunks():
         nb = tb.normal_basis()                            # (ne, 3, nqs, nd)
         ne, _, _, nd = nb.shape
         # einsum "erd,esqd->esqr"
         tr = nb.reshape(ne, -1, nd) @ field.dofs[tb.elems].swapaxes(1, 2)
-        tr = tr.reshape(ne, 3, nqs, 2)
-        _scatter_traces(mesh, tb, tr, tminus, tplus)
-    return tminus, tplus
+        _scatter_jumps(mesh, tb, tr.reshape(ne, 3, nqs, 2), jump)
+    return jump
 
 
 def build_rhs_tables(
@@ -115,7 +108,6 @@ def build_rhs_tables(
     tq, tw = side_rule(k)
     lam_side = np.stack([1.0 - tq, tq], axis=1)           # (nqs, 2)
     lg = legendre01(k + 1, tq)                            # (nqs, k+1)
-    tminus, tplus = side_traces(disc, sigma_h)
     sig_sq = 0.0
     f_sq = 0.0
 
@@ -135,25 +127,16 @@ def build_rhs_tables(
         sig_sq += float(np.einsum("eq,eqrc->", tb.vol_w, sigma_h.values(tb) ** 2))
         f_sq += float(np.einsum("eq,eqr->", tb.vol_w, fv**2))
 
-    interior = mesh.side_label == INTERIOR
-    jump = tminus[interior] - tplus[interior]
-    rjump[interior] = -np.einsum("q,qa,sqr,qm->sarm", tw, lam_side, jump, lg)
-
+    # side defects: -[[sigma_h . n]] inside, g - sigma_h . n on traction sides
+    defect = -side_jumps(disc, sigma_h)
     nsides = mesh.boundary_sides(NEUMANN)
-    if nsides.size:
-        gv = load.traction_at(mesh.side_points(nsides, tq))
-        rjump[nsides] = np.einsum(
-            "q,qa,sqr,qm->sarm", tw, lam_side, gv - tminus[nsides], lg
-        )
+    defect[nsides] += load.traction_at(mesh.side_points(nsides, tq))
+    active = mesh.side_label != DIRICHLET
+    rjump[active] = np.einsum("q,qa,sqr,qm->sarm", tw, lam_side, defect[active], lg)
 
-    tables = RhsTables(
-        rdiv=rdiv,
-        rjump=rjump,
-        sigma_norm=float(np.sqrt(sig_sq)),
-        f_norm=float(np.sqrt(f_sq)),
-    )
-    _check_scale(tables.scale)
-    return tables
+    scale = float(np.sqrt(sig_sq)) + float(np.sqrt(f_sq)) + 1.0
+    _check_scale(scale)
+    return RhsTables(rdiv=rdiv, rjump=rjump, scale=scale)
 
 
 def _check_scale(scale: float) -> None:
@@ -1004,8 +987,8 @@ def verify_equilibration(
 
     div_res = 0.0
     sym_acc = np.zeros(disc.pressure.n_scalar)
-    tmin = np.zeros((mesh.n_sides, npts, 2))
-    tplus = np.zeros((mesh.n_sides, npts, 2))
+    jump = np.zeros((mesh.n_sides, npts, 2))
+    ct = disc.constraints  # a released disc rebuilds them on every read
     for tb in disc.stress_chunks():
         _, pf_vals = load.projected_volume(tb)
         divv = sigma_r.div_values(tb)
@@ -1018,23 +1001,22 @@ def verify_equilibration(
         nrm = mesh.side_normal[tb.side_ids][:, :, None, None, :]  # (ne, 3, 1, 1, 2)
         # einsum "esqrc,esc->esqr"
         tr = vals[..., 0] * nrm[..., 0] + vals[..., 1] * nrm[..., 1]
-        _scatter_traces(mesh, tb, tr, tmin, tplus)
+        _scatter_jumps(mesh, tb, tr, jump)
 
         # weak-symmetry accumulation over the continuous scalar hats
-        ct = disc.constraints
         contrib = np.einsum(
             "ei,eai->ea", sigma_r.dofs[tb.elems, 0], ct.symy[tb.elems]
         ) - np.einsum("ei,eai->ea", sigma_r.dofs[tb.elems, 1], ct.symx[tb.elems])
         np.add.at(sym_acc, disc.pressure.element_dofs[tb.elems], contrib)
 
     interior = mesh.side_label == INTERIOR
-    jump_res = float(np.max(np.abs(tmin[interior] - tplus[interior]), initial=0.0))
+    jump_res = float(np.max(np.abs(jump[interior]), initial=0.0))
 
     neu_res = 0.0
     nsides = mesh.boundary_sides(NEUMANN)
     if nsides.size:
         _, pg = load.projected_traction(mesh, nsides, k, tpts)
-        neu_res = float(np.max(np.abs(tmin[nsides] - pg), initial=0.0))
+        neu_res = float(np.max(np.abs(jump[nsides] - pg), initial=0.0))
 
     _check_scale(scale)
     return EquilibrationReport(

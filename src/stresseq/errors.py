@@ -48,13 +48,6 @@ class IncompatiblePatch(StressEqError):
     null space)."""
 
 
-# --- estimator ----------------------------------------------------------
-
-
-class InvalidConstants(StressEqError):
-    """Bound constants violate their admissible range."""
-
-
 # --- harness ------------------------------------------------------------
 
 
@@ -68,3 +61,11 @@ class ProblemError(StressEqError):
 
 class IoError(StressEqError):
     """Reading or writing an artifact failed."""
+
+
+# --- estimator ----------------------------------------------------------
+
+
+class InvalidConstants(ConfigError):
+    """Bound constants violate their admissible range; a configuration
+    error, since the constants come from the config."""

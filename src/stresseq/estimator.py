@@ -24,9 +24,9 @@ import numpy as np
 import scipy.sparse
 
 from .elasticity import FieldPair, LoadData, Material, fields_at
-from .equilibration import side_traces
+from .equilibration import side_jumps
 from .errors import InvalidConstants, StressEqError
-from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
+from .mesh import DIRICHLET, NEUMANN, Mesh
 from .problems import ExactSolution
 from .spaces import (
     _CHUNK,
@@ -203,26 +203,18 @@ def residual_estimator(
         vol_sq[tb.elems] = np.einsum("eq,eqr->e", tb.vol_w, resid**2)
 
     tq, tw = side_rule(k)
-    tminus, tplus = side_traces(disc, sigma_h)
-    side_sq = np.zeros(mesh.n_sides)
-    interior = mesh.side_label == INTERIOR
-    jump = tminus[interior] - tplus[interior]
-    side_sq[interior] = mesh.side_length[interior] * np.einsum(
-        "q,sqr->s", tw, jump**2
-    )
+    defect = side_jumps(disc, sigma_h)
     nsides = mesh.boundary_sides(NEUMANN)
-    if nsides.size:
-        defect = tminus[nsides] - load.projected_traction(mesh, nsides, k, tq)[1]
-        side_sq[nsides] = mesh.side_length[nsides] * np.einsum(
-            "q,sqr->s", tw, defect**2
-        )
+    defect[nsides] -= load.projected_traction(mesh, nsides, k, tq)[1]
+    active = mesh.side_label != DIRICHLET
+    h_s = mesh.side_length
+    side_sq = np.zeros(mesh.n_sides)
+    side_sq[active] = h_s[active] * np.einsum("q,sqr->s", tw, defect[active] ** 2)
 
     eta_sq = mesh.h**2 * vol_sq + b_sq
-    h_s = mesh.side_length
-    for j in range(3):
+    for j in range(3):  # side_sq is zero on displacement sides
         s = mesh.tri_sides[:, j]
-        use = mesh.side_label[s] != DIRICHLET
-        eta_sq += np.where(use, h_s[s] * side_sq[s], 0.0)
+        eta_sq += h_s[s] * side_sq[s]
     return np.sqrt(eta_sq)
 
 

@@ -466,6 +466,28 @@ def full_saddle_matrix(disc: Discretization, material, load) -> sp.csr_matrix:
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
+def reference_side_traces(disc: Discretization, field) -> tuple[np.ndarray, np.ndarray]:
+    """Normal traces at the side quadrature points as two per-side arrays,
+    (trace_minus, trace_plus), each (n_sides, nqs, 2), the plus trace of a
+    boundary side zero: the pair that ``side_jumps`` folds into one jump."""
+    mesh = disc.mesh
+    nqs = len(side_rule(disc.k)[0])
+    tminus = np.zeros((mesh.n_sides, nqs, 2))
+    tplus = np.zeros((mesh.n_sides, nqs, 2))
+    for tb in disc.stress_chunks():
+        nb = tb.normal_basis()
+        ne, _, _, nd = nb.shape
+        tr = nb.reshape(ne, -1, nd) @ field.dofs[tb.elems].swapaxes(1, 2)
+        tr = tr.reshape(ne, 3, nqs, 2)
+        is_minus = mesh.side_tri[tb.side_ids, 0] == tb.elems[:, None]
+        for j in range(3):
+            s = tb.side_ids[:, j]
+            m = is_minus[:, j]
+            tminus[s[m]] = tr[m, j]
+            tplus[s[~m]] = tr[~m, j]
+    return tminus, tplus
+
+
 def quad_integrate(mesh: Mesh, elems, func, degree: int = 20) -> np.ndarray:
     """Per-element integral of ``func(x) -> (...)`` by a dense volume rule."""
     rq, rw = triangle_rule(degree)

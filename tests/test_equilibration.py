@@ -10,6 +10,7 @@ import scipy.linalg
 from stresseq import (
     AdaptiveConfig,
     BrokenField,
+    Discretization,
     Equilibrator,
     IncompatiblePatch,
     LoadData,
@@ -27,7 +28,7 @@ from stresseq import (
     verify_equilibration,
 )
 import stresseq.equilibration as equilibration
-from stresseq.equilibration import _BATCH_BYTES, _n_local
+from stresseq.equilibration import _BATCH_BYTES, _n_local, side_jumps
 from stresseq.spaces import (
     _exps_array,
     _rt_span,
@@ -50,6 +51,7 @@ from oracles import (
     null_space_vectors,
     production_minimizer,
     reference_condensed,
+    reference_side_traces,
     touches_displacement,
 )
 from test_mesh import randomly_refined
@@ -194,6 +196,23 @@ def test_zero_data_gives_zero_correction(manu_eq):
     assert np.max(np.abs(eq.rhs_tables.rjump)) == 0.0
     delta = eq.correction()
     assert np.max(np.abs(delta.dofs)) == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_side_jumps_match_the_trace_pair_oracle(k):
+    """On a mesh of two stress chunks, where 233 sides have their elements
+    in different chunks, the one jump array holds the bytes of the minus
+    trace less the plus trace."""
+    mesh = uniform_refine(cook().mesh, 7)
+    disc = Discretization(mesh, k)
+    first = disc.stress_chunks()[0].elems
+    interior = mesh.side_tri[:, 1] >= 0
+    across = np.isin(mesh.side_tri[interior], first).sum(axis=1) == 1
+    assert len(disc.stress_chunks()) == 2 and across.sum() == 233
+    rng = np.random.default_rng(11)
+    field = BrokenField(mesh, k, rng.standard_normal((mesh.n_triangles, 2, rt_dim(k))))
+    tminus, tplus = reference_side_traces(disc, field)
+    assert side_jumps(disc, field).tobytes() == (tminus - tplus).tobytes()
 
 
 @pytest.mark.parametrize("setup", ["cook_eq", "manu_eq"])

@@ -329,8 +329,15 @@ def test_exit_code_io_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line",
-    ["k = 3", "theta = 5", "estimator = bogus", "mode = sideways", "max_dofs = 0"],
-    ids=["k", "theta", "estimator", "mode", "max_dofs"],
+    [
+        "k = 3",
+        "theta = 5",
+        "estimator = bogus",
+        "mode = sideways",
+        "max_dofs = 0",
+        "C_K = 1.0\nC_A = 1.0",
+    ],
+    ids=["k", "theta", "estimator", "mode", "max_dofs", "constants"],
 )
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_run_and_verify_reject_the_same_configs(tmp_path, capsys, command, line):
@@ -343,12 +350,6 @@ def test_run_and_verify_reject_the_same_configs(tmp_path, capsys, command, line)
     assert main([command, cfg_path]) == 2
     assert "config" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_exit_code_other_solver_error(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, "C_K = 1.0\nC_A = 1.0\n")
-    assert main(["run", cfg_path]) == 1
-    assert "solver" in capsys.readouterr().err
 
 
 def _corrupt_mesh_file(tmp_path, line_of):

@@ -18,7 +18,7 @@ from stresseq import (
     square_lshape,
 )
 from stresseq.elasticity import assemble_system, fields_at
-from stresseq.equilibration import build_rhs_tables, side_traces
+from stresseq.equilibration import build_rhs_tables, side_jumps
 from stresseq.spaces import (
     Discretization,
     _div_maps,
@@ -230,17 +230,21 @@ def test_assembled_matrix(case):
     assert_close(system.matrix.toarray(), want[np.ix_(free, free)])
 
 
-def test_side_traces_and_rhs_moments(case):
+def test_side_jumps_and_rhs_moments(case):
     disc, tb, _, stress = case
     k, mesh = disc.k, disc.mesh
     load = cook().load
-    tminus, tplus = side_traces(disc, stress)
+    jump = side_jumps(disc, stress)
     tr = np.einsum("erd,esqd->esqr", stress.dofs[tb.elems], tb.normal_basis())
     sides = tb.side_ids
     minus = mesh.side_tri[sides, 0] == tb.elems[:, None]
-    assert_close(tminus[sides[minus]], tr[minus])
-    plus = ~minus
-    assert_close(tplus[sides[plus]], tr[plus])
+    tminus = np.zeros_like(jump)
+    tminus[sides[minus]] = tr[minus]
+    tplus = np.zeros_like(jump)
+    tplus[sides[~minus]] = tr[~minus]
+    boundary = mesh.side_tri[:, 1] < 0
+    assert_close(jump[boundary], tminus[boundary])
+    assert_close(jump[~boundary], tminus[~boundary] - tplus[~boundary])
 
     rdiv = build_rhs_tables(disc, stress, load).rdiv
     resid = load.volume_at(tb.vol_x) + stress.div_values(tb)
