@@ -10,9 +10,13 @@ through its own ``harness.main``, and three things are captured on the
 way: the ``(disc, sigma_h, load)`` of every step, with the step tables
 kept, together with the problem's material, the arguments of every
 step's ``estimate``, and the steps the loop returns.  Each repetition then
-runs five timed passes per tree, alternating which tree goes first:
+runs six timed passes per tree, alternating which tree goes first:
 
-* ``equilibrate`` on all captured steps;
+* the per-mesh tables on every captured mesh: a fresh ``Discretization``'s
+  ``stress_chunks()`` and ``constraints``, and ``_element_triplets``, with
+  any shape classes the mesh has cached dropped first;
+* ``equilibrate`` on all captured steps (it reuses the captured step's
+  kept tables);
 * ``estimate`` on all captured steps;
 * ``refine(step.mesh, step.marked)`` on every step that marked elements;
 * ``uniform_refine(cook().mesh, 7)`` and ``write_mesh`` of the result, the
@@ -21,12 +25,15 @@ runs five timed passes per tree, alternating which tree goes first:
 
 The script prints, per pass, each tree's median and quartiles of the CPU
 time and the ratio of the medians, and whether the two trees' results are
-bitwise equal: the sigma_r of every step, the four indicator arrays
-(eta_A, eta_B, eta_C, eta_R) of every step, the refined meshes (vertices,
-triangles, parents, sides and labels), the mesh files and the (u, p) of
-every step.  For ``estimate`` it also prints which indicator arrays are
-bitwise equal on every step.  For ``equilibrate`` it also prints the
-largest sigma_r difference relative to the step's largest |dof|, and each
+bitwise equal: the tables of every step, the sigma_r of every step, the
+four indicator arrays (eta_A, eta_B, eta_C, eta_R) of every step, the
+refined meshes (vertices, triangles, parents, sides and labels), the mesh
+files and the (u, p) of every step.  For the tables it also prints the
+largest difference of each table (the stress coefficients, the four
+constraint tables per element and the matrix entries), relative to its
+largest |entry|, over the steps; the timed pass only builds them.  For
+``estimate`` it also prints which indicator arrays are bitwise equal on
+every step.  For ``equilibrate`` it also prints the largest sigma_r difference relative to the step's largest |dof|, and each
 tree's ``Equilibrator`` counters summed over the steps: ``n_batches``,
 ``n_fallbacks``, ``dropped_rows`` (patches per number of dropped rows) and
 the largest ``worst_kkt``.  For the solve it also prints, for one more,
@@ -153,6 +160,38 @@ class Solved(NamedTuple):
     eq: object
 
 
+TABLES = ("C", "divm", "symx", "symy", "gram", "matrix entries")
+
+
+class Tables(NamedTuple):
+    """The per-mesh tables of one step: a fresh ``Discretization`` with its
+    stress chunks and constraints built, and the matrix entries."""
+
+    disc: object
+    data: np.ndarray
+
+    def arrays(self) -> dict:
+        """The tables by name, the constraint tables per element."""
+        ct = self.disc.constraints
+        if hasattr(ct, "of"):  # kept per element shape
+            ct = ct.of(np.arange(self.disc.mesh.n_triangles))
+        C = np.concatenate([tb.C for tb in self.disc.stress_chunks()])
+        return dict(zip(TABLES, (C, ct.divm, ct.symx, ct.symy, ct.gram, self.data)))
+
+
+def tables_pass(tree, captured, _path):
+    spaces, elasticity = submodule(tree, "spaces"), submodule(tree, "elasticity")
+    out = []
+    for disc, material, load in captured["solve"]:
+        disc.mesh.__dict__.pop("shape_classes", None)  # found on first use
+        fresh = spaces.Discretization(disc.mesh, disc.k)
+        fresh.stress_chunks()
+        fresh.constraints
+        (_, _, data), _, _ = elasticity._element_triplets(fresh, material, load)
+        out.append(Tables(fresh, data))
+    return out
+
+
 def equilibrate_pass(tree, captured, _path):
     equilibrate = submodule(tree, "equilibration").equilibrate
     return [Solved(*equilibrate(*solve)[1:]) for solve in captured["equilibrate"]]
@@ -184,6 +223,7 @@ def solve_pass(tree, captured, _path):
 
 
 PASSES = {
+    "tables": tables_pass,
     "equilibrate": equilibrate_pass,
     "estimate": estimate_pass,
     "refine": refine_pass,
@@ -217,6 +257,9 @@ INDICATORS = ("eta_A", "eta_B", "eta_C", "eta_R")
 def bitwise_equal(a, b) -> bool:
     """Equal bytes of two steps' sigma_r, of two steps' indicator arrays,
     of two steps' (u, p) or of two meshes' tables."""
+    if isinstance(a, Tables):
+        a, b = a.arrays(), b.arrays()
+        return all(a[name].tobytes() == b[name].tobytes() for name in TABLES)
     if isinstance(a, Solved):
         return a.sigma_r.dofs.tobytes() == b.sigma_r.dofs.tobytes()
     if hasattr(a, "eta_R"):  # an EstimatorReport
@@ -230,6 +273,16 @@ def bitwise_equal(a, b) -> bool:
 
 def indicator_equal(a, b, name: str) -> bool:
     return getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def table_drift(tables_a, tables_b, name: str) -> float:
+    """Largest difference of one table between two runs, relative to the
+    table's largest |entry| on the step, over the steps."""
+    drifts = []
+    for a, b in zip(tables_a, tables_b):
+        a, b = a.arrays()[name], b.arrays()[name]
+        drifts.append(float(np.max(np.abs(a - b), initial=0.0) / max(np.max(np.abs(b)), 1e-300)))
+    return max(drifts)
 
 
 def sigma_r_drift(solved_a, solved_b) -> float:
@@ -303,6 +356,11 @@ def main(argv=None) -> int:
             bitwise_equal(a, b) for a, b in zip(results[name]["A"], results[name]["B"])
         )
         print(f"    median A / median B: {ratio:.3f}  bitwise equal: {equal}")
+        if name == "tables":
+            print("    largest relative difference: " + "  ".join(
+                f"{table} {table_drift(results[name]['A'], results[name]['B'], table):.2e}"
+                for table in TABLES
+            ))
         if name == "equilibrate":
             drift = sigma_r_drift(results[name]["A"], results[name]["B"])
             print(f"    largest relative sigma_r difference: {drift:.2e}")

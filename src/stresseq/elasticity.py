@@ -25,10 +25,12 @@ import scipy.sparse.linalg as spla
 from .errors import SingularSystem
 from .mesh import DIRICHLET, NEUMANN, Mesh
 from .spaces import (
-    _CHUNK,
     BrokenField,
     Discretization,
     StressTables,
+    class_rows,
+    element_chunks,
+    element_shapes,
     eval_volume_poly,
     lagrange_grads,
     lagrange_values,
@@ -132,6 +134,57 @@ class LinearSystem:
 # -- assembly -------------------------------------------------------------------
 
 
+def _shape_matrices(shape: np.ndarray, k: int, material: Material) -> np.ndarray:
+    """Scale-free element matrices (n, nl, nl) of the shapes S = J / h
+    (n, 2, 2), local dofs ordered (u interleaved, p): the stiffness block,
+    which does not depend on h, B and B^T over h, and the -inv_lambda
+    pressure mass over h^2 (zero when inv_lambda is 0)."""
+    m = k + 1
+    mu, t = material.mu, material.inv_lambda
+    rq, rw = volume_rule(k)
+    gref = lagrange_grads(m, rq).transpose(1, 2, 0)  # (nlu, 2, nq)
+    vals_p = lagrange_values(k, rq)       # (nq, nlp)
+    nq, nlp = vals_p.shape
+    nlu = gref.shape[0]
+    nl = 2 * nlu + nlp
+    n = len(shape)
+    det = shape[:, 0, 0] * shape[:, 1, 1] - shape[:, 1, 0] * shape[:, 0, 1]
+    # the adjugate of S over det(S)
+    sinv = np.stack(
+        [shape[:, 1, 1], -shape[:, 0, 1], -shape[:, 1, 0], shape[:, 0, 0]], axis=-1
+    ).reshape(n, 2, 2) / det[:, None, None]
+    wq = det[:, None] * rw[None, :]
+    # einsum "qir,erd->eqid", laid out as (e, i, d, q)
+    grads = gref[None, :, 0, None, :] * sinv[:, None, 0, :, None]
+    grads += gref[None, :, 1, None, :] * sinv[:, None, 1, :, None]
+    grads = grads.reshape(n, 2 * nlu, nq)
+    wgrads = grads * wq[:, None, :]
+
+    # every product is stacked per shape, as in spaces._shape_tables
+    ke = np.zeros((n, nl, nl))
+    # einsum "eq,qj,eqic->eicj"
+    bte = wgrads @ vals_p
+    ke[:, : 2 * nlu, 2 * nlu :] = bte
+    ke[:, 2 * nlu :, : 2 * nlu] = bte.swapaxes(1, 2)
+
+    # einsum "eq,eqid,eqjc->eicjd", and "eq,eqid,eqjd->eij" as its
+    # trace over c = d
+    m4 = (wgrads @ grads.swapaxes(1, 2)).reshape(n, nlu, 2, nlu, 2)
+    del grads, wgrads  # the largest arrays of the chunk
+    gg = m4[:, :, 0, :, 0] + m4[:, :, 1, :, 1]
+    m4 *= mu
+    ae = m4.transpose(0, 1, 4, 3, 2)  # [e, i, c, j, d]
+    for c in range(2):
+        ae[:, :, c, :, c] += mu * gg
+    ke[:, : 2 * nlu, : 2 * nlu] = ae.reshape(n, 2 * nlu, 2 * nlu)
+
+    if t != 0.0:
+        # einsum "eq,qi,qj->eij"
+        pp = (vals_p[:, :, None] * vals_p[:, None, :]).reshape(nq, -1)
+        ke[:, 2 * nlu :, 2 * nlu :] = (wq[:, None, :] @ pp).reshape(n, nlp, nlp) * (-t)
+    return ke
+
+
 def _element_triplets(
     disc: Discretization, material: Material, load: LoadData
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
@@ -141,31 +194,32 @@ def _element_triplets(
 
     Each element writes its A, B^T and B entries, and its -inv_lambda M
     entries only when inv_lambda != 0: the incompressible pressure block
-    stays structurally empty.
+    stays structurally empty.  The entries are those of the element's shape
+    (:func:`_shape_matrices`, once per shape class of a chunk unless
+    ``disc.by_class`` is false) times h^0, h or h^2 per block.
     """
     mesh, k = disc.mesh, disc.k
-    m = k + 1
     dm_u = disc.displacement
     dm_p = disc.pressure
     n_u = dm_u.n_dofs
     n = n_u + dm_p.n_scalar
-    mu, t = material.mu, material.inv_lambda
+    t = material.inv_lambda
 
     rq, rw = volume_rule(k)
-    gref = lagrange_grads(m, rq).transpose(1, 2, 0)  # (nlu, 2, nq)
-    vals_u = lagrange_values(m, rq)       # (nq, nlu)
+    vals_u = lagrange_values(k + 1, rq)   # (nq, nlu)
     vals_p = lagrange_values(k, rq)       # (nq, nlp)
-    nq, nlu = vals_u.shape
-    nlp = vals_p.shape[1]
+    nlu, nlp = vals_u.shape[1], vals_p.shape[1]
     nl = 2 * nlu + nlp
-    pp = (vals_p[:, :, None] * vals_p[:, None, :]).reshape(nq, -1)
 
-    # the local (row, col) pairs an element writes, as flat indices
+    # the local (row, col) pairs an element writes, as flat indices, and
+    # the power of h of each: 0 in A, 1 in B and B^T, 2 in M
     keep = np.ones((nl, nl), dtype=bool)
     if t == 0.0:
         keep[2 * nlu :, 2 * nlu :] = False
     local = np.flatnonzero(keep)
     local_rows, local_cols = np.divmod(local, nl)
+    power = (local_rows >= 2 * nlu).astype(np.int64) + (local_cols >= 2 * nlu)
+    in_b, in_m = power == 1, power == 2
     size = len(local)
 
     nt = mesh.n_triangles
@@ -176,47 +230,25 @@ def _element_triplets(
     rhs = np.zeros(n)
     p_integrals = np.zeros(dm_p.n_scalar)
 
-    for lo in range(0, nt, _CHUNK):
-        elems = np.arange(lo, min(lo + _CHUNK, nt))
-        ne = len(elems)
-        jinv = mesh.jac_inv[elems]
-        xq, wq = mesh.rule_points(elems, rq, rw)
-        # einsum "qir,erd->eqid", laid out as (e, i, d, q)
-        grads = gref[None, :, 0, None, :] * jinv[:, None, 0, :, None]
-        grads += gref[None, :, 1, None, :] * jinv[:, None, 1, :, None]
-        grads = grads.reshape(ne, 2 * nlu, nq)
-        wgrads = grads * wq[:, None, :]
-
-        ke = np.zeros((ne, nl, nl))
-        # einsum "eq,qj,eqic->eicj"
-        bte = (wgrads.reshape(-1, nq) @ vals_p).reshape(ne, 2 * nlu, nlp)
-        ke[:, : 2 * nlu, 2 * nlu :] = bte
-        ke[:, 2 * nlu :, : 2 * nlu] = bte.swapaxes(1, 2)
-
-        # einsum "eq,eqid,eqjc->eicjd", and "eq,eqid,eqjd->eij" as its
-        # trace over c = d
-        m4 = (wgrads @ grads.swapaxes(1, 2)).reshape(ne, nlu, 2, nlu, 2)
-        del grads, wgrads  # the largest arrays of the chunk
-        gg = m4[:, :, 0, :, 0] + m4[:, :, 1, :, 1]
-        m4 *= mu
-        ae = m4.transpose(0, 1, 4, 3, 2)  # [e, i, c, j, d]
-        for c in range(2):
-            ae[:, :, c, :, c] += mu * gg
-        ke[:, : 2 * nlu, : 2 * nlu] = ae.reshape(ne, 2 * nlu, 2 * nlu)
-
-        if t != 0.0:
-            # einsum "eq,qi,qj->eij"
-            ke[:, 2 * nlu :, 2 * nlu :] = (wq @ pp).reshape(ne, nlp, nlp) * (-t)
-
+    for elems in element_chunks(nt):
+        ne, lo = len(elems), elems[0]
+        shape, shape_of = element_shapes(mesh, elems, disc.by_class)
+        ke = _shape_matrices(shape, k, material).reshape(len(shape), -1)
         udofs = dm_u.vector_dofs(elems).reshape(ne, 2 * nlu)
         pdofs = dm_p.element_dofs[elems]
         ldofs = np.concatenate([udofs, n_u + pdofs], axis=1)
         part = slice(lo * size, (lo + ne) * size)
         np.take(ldofs, local_rows, axis=1, out=rows[part].reshape(ne, size))
         np.take(ldofs, local_cols, axis=1, out=cols[part].reshape(ne, size))
-        np.take(ke.reshape(ne, -1), local, axis=1, out=data[part].reshape(ne, size))
+        entries = data[part].reshape(ne, size)
+        np.take(class_rows(ke, shape_of), local, axis=1, out=entries)
+        del ke
+        h = mesh.h[elems, None]
+        entries[:, in_b] *= h
+        entries[:, in_m] *= h * h
 
         # volume load
+        xq, wq = mesh.rule_points(elems, rq, rw)
         fv = load.volume_at(xq)
         # einsum "eq,eqc,qi->eic"
         fe = vals_u.T @ (fv * wq[:, :, None])

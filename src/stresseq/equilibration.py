@@ -32,6 +32,8 @@ from .spaces import (
     Discretization,
     StressTables,
     _exps_array,
+    build_stress_tables,
+    element_chunks,
     lagrange_values,
     legendre01,
     monomial_values,
@@ -216,6 +218,38 @@ def _selectors(k: int) -> tuple[int, np.ndarray]:
     return len(_exps_array(k)), np.arange(3 * (k + 1))
 
 
+def _table_rows(k: int, divm, symx, symy, selector) -> np.ndarray:
+    """The local rows (n, 2, n_loc, nd) of element tables, per tensor row:
+    the divergence moments, the side-moment selectors with the entries
+    ``selector`` (n, 3 (k + 1)), and the symmetry rows, symy for tensor
+    row 0 and -symx for tensor row 1."""
+    nmk, sel = _selectors(k)
+    n, _, nd = divm.shape
+    rows = np.zeros((n, 2, _n_local(k), nd))
+    rows[:, :, :nmk] = divm[:, None]
+    rows[:, :, nmk + sel, sel] = selector[:, None, :]
+    rows[:, 0, nmk + len(sel) :] = symy
+    rows[:, 1, nmk + len(sel) :] = -symx
+    return rows
+
+
+class TableShapes(NamedTuple):
+    """The element tables of a batch as scaled shape tables, the input of
+    :meth:`Equilibrator._reduce`; ``rows`` and ``gram`` may hold shapes
+    that no table reads.  Table t reads shape ``index[t]``: its
+    K = L M^-1 L^T is the shape's scaled by ``row_scale[t]`` on both sides
+    and its M^-1 the shape's scaled by ``dof_scale[t]`` on both sides.
+    With rows L = diag(h, selector sign, h^2) L_s D and M = h^2 D M_s D
+    (D the dof signs), row_scale is (1, selector sign / h, h) and
+    dof_scale D / h."""
+
+    rows: np.ndarray       # (n_shapes, 2, n_loc, nd), unit selectors
+    gram: np.ndarray       # (n_shapes, nd, nd)
+    index: np.ndarray      # (n_tables,)
+    row_scale: np.ndarray  # (n_tables, n_loc)
+    dof_scale: np.ndarray  # (n_tables, nd)
+
+
 @dataclass
 class PatchBatch:
     """Problems of consecutive patches, stacked by (patch, element) pair.
@@ -225,7 +259,8 @@ class PatchBatch:
     local rows of tensor row r (the divergence moments, the moment
     selectors of all three sides signed by the side's orientation, the
     symmetry rows) over all nd dofs, and ``table_gram[t]`` the Gram
-    matrix; pair q reads table ``table[q]``.  A pair's local block is its
+    matrix; pair q reads table ``table[q]``, and ``shapes`` gives the
+    tables by element shape.  A pair's local block is its
     table's rows on its free dofs, zero on the rows without a stacked row
     (:meth:`blocks`).  The free dofs ``free[q]`` are the same for both
     tensor rows: all but the moments of at most one masked side, a
@@ -252,6 +287,7 @@ class PatchBatch:
     slot: np.ndarray           # (n_pairs,) column of each pair in its table
     table_gram: np.ndarray     # (n_tables, nd, nd)
     table_rows: np.ndarray     # (n_tables, 2, n_loc, nd)
+    shapes: TableShapes        # the tables by shape, for the condensed solve
     block_rows: np.ndarray     # (n_pairs, 2, n_loc)
     row_offsets: np.ndarray    # (P + 1,)
     rhs: np.ndarray            # (n_rows,) stacked rows
@@ -330,7 +366,7 @@ class Reduction(NamedTuple):
     """The condensed system of a batch (:meth:`Equilibrator._reduce`): per
     table, per pair (d rows, then c rows per local row) and per patch."""
 
-    R: np.ndarray          # (n_tables, nd, nd) inverse Cholesky factor, M^-1 = R^T R
+    minv: np.ndarray       # (n_tables, nd, nd) inverse Gram matrices
     kdd_inv: np.ndarray    # (n_pairs, 1, n_d, n_d), both tensor rows
     kcd: np.ndarray        # (n_pairs, 2, n_loc - nmk, n_d), K_dc = K_cd^T
     side: np.ndarray       # (n_pairs,) masked side, or -1
@@ -389,6 +425,31 @@ def _lower_inverse(G: np.ndarray) -> np.ndarray:
     return R
 
 
+def _shape_products(rows: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K = L M^-1 L^T per tensor row (n, 2, n_loc, n_loc) and M^-1
+    (n, nd, nd) of tables with rows L and Gram matrices M: with the
+    Cholesky factor M = G G^T and R = G^-1, C = R L^T, K = C^T C and
+    M^-1 = R^T R, both exactly symmetric.  Raises LinAlgError when a Gram
+    matrix is singular."""
+    R = _lower_inverse(np.linalg.cholesky(gram))
+    C = R[:, None] @ rows.swapaxes(2, 3)                  # (n, 2, nd, n_loc)
+    return C.swapaxes(2, 3) @ C, R.swapaxes(1, 2) @ R
+
+
+def _d_rows(k: int, side: np.ndarray) -> np.ndarray:
+    """The d rows (len(side), n_d) of an (element, tensor row) block: the
+    divergence moments, then the moments of the masked side ``side``, or
+    of side 0 where it is -1."""
+    nmk = len(_exps_array(k))
+    return np.concatenate(
+        [
+            np.broadcast_to(np.arange(nmk), (len(side), nmk)),
+            nmk + (k + 1) * np.maximum(side, 0)[:, None] + np.arange(k + 1),
+        ],
+        axis=1,
+    )
+
+
 def _pair_maxima(batch: PatchBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per pair, on its free dofs: the largest |entry| of its Gram matrix,
     and per local row the largest |entry| and the squared norm (n_pairs, 2,
@@ -436,7 +497,11 @@ class Equilibrator:
         load: LoadData,
     ):
         self.disc = disc
-        self.tables = disc.constraints
+        self.tables = ct = disc.constraints
+        # the local rows of every element shape, with unit selectors
+        self.shape_rows = _table_rows(
+            disc.k, ct.divm, ct.symx, ct.symy, np.ones((len(ct.divm), 3 * (disc.k + 1)))
+        )
         self.rhs_tables = build_rhs_tables(disc, sigma_h, load)
         self.patches: Patches = modified_patches(disc.mesh)
         self.n_patches = self.n_batches = self.n_fallbacks = 0
@@ -538,13 +603,25 @@ class Equilibrator:
         # element tables: each side moment is selected with +1 from the
         # side's minus element and -1 from its plus element; the pairs of an
         # element take the slot of their first vertex that the patch owns
+        ct = self.tables
         unique, table = np.unique(elements, return_inverse=True)
-        rows = np.zeros((len(unique), 2, block_rows.shape[2], nd))
-        rows[:, :, :nmk] = self.tables.divm[unique][:, None]
         sign = np.where(mesh.side_tri[mesh.tri_sides[unique], 0] == unique[:, None], 1.0, -1.0)
-        rows[:, :, nmk + sel, sel] = np.repeat(sign, k + 1, axis=1)[:, None, :]
-        rows[:, 0, nmk + nsel :] = self.tables.symy[unique]
-        rows[:, 1, nmk + nsel :] = -self.tables.symx[unique]
+        selector = np.repeat(sign, k + 1, axis=1)
+        tables = ct.of(unique)
+        rows = _table_rows(k, tables.divm, tables.symx, tables.symy, selector)
+        h = mesh.h[unique, None]
+        dof_scale = ct.sign[unique] / h
+        shapes = TableShapes(
+            rows=self.shape_rows,
+            gram=ct.gram,
+            index=ct.index[unique],
+            row_scale=np.concatenate(
+                [np.ones((len(unique), nmk)), selector * dof_scale[:, :nsel],
+                 np.repeat(h, ed_p.shape[1], axis=1)],
+                axis=1,
+            ),
+            dof_scale=dof_scale,
+        )
 
         # right-hand side: the residual moments weighted by the patch weight;
         # a side's endpoint hats count where the patch vertex owns them
@@ -570,8 +647,9 @@ class Equilibrator:
             free=free,
             table=table,
             slot=np.argmax(patches.weights[pairs], axis=1),
-            table_gram=self.tables.gram[unique],
+            table_gram=tables.gram,
             table_rows=rows,
+            shapes=shapes,
             block_rows=block_rows,
             row_offsets=row_offsets,
             rhs=rhs,
@@ -618,16 +696,18 @@ class Equilibrator:
         """The condensed system of a batch, from its element tables; raises
         LinAlgError when a Gram matrix or a condensed block is singular.
 
-        Per table t and tensor row r, with rows L and Gram matrix M = G G^T
-        (Cholesky): R = G^-1, C = R L^T and K = C^T C, once per element.
-        K is exactly symmetric, so K_dc = K_cd^T.  A pair's problem is
-        its element's on the free dofs.  Its d rows, the divergence moments
-        and the k+1 moments of its masked side as rows with zero right-hand
-        side (a unit block without coupling on a pair without one), touch
-        no other pair; its c rows are its other rows.  The Schur complement
-        of a patch then condenses onto its c rows as the sum over its pairs
-        of K_cc - K_cd K_dd^-1 K_dc, gathered from K.  Entry (i, j) of patch
-        p's reduced matrix sits at ``s_start[p] + i n_c[p] + j`` of ``S``.
+        Per shape and tensor row r, with rows L and Gram matrix M:
+        K = L M^-1 L^T and M^-1 (:func:`_shape_products`).  K is exactly
+        symmetric, so K_dc = K_cd^T.  A pair's problem is its element's on
+        the free dofs.  Its d rows, the divergence moments and the k+1
+        moments of its masked side as rows with zero right-hand side (a
+        unit block without coupling on a pair without one), touch no other
+        pair; its c rows are its other rows.  The Schur complement of a
+        patch then condenses onto its c rows as the sum over its pairs of
+        K_cc - K_cd K_dd^-1 K_dc, built once per (shape, masked side) and
+        scaled per pair (:class:`TableShapes`), as are K_dd^-1 and K_cd.
+        Entry (i, j) of patch p's reduced matrix sits at
+        ``s_start[p] + i n_c[p] + j`` of ``S``.
         """
         k = batch.k
         nmk = len(_exps_array(k))
@@ -646,26 +726,23 @@ class Equilibrator:
         c_rows = np.repeat(shift, n_c) + np.arange(n_c_all)   # stacked row per c row
         side = batch.masked_side
 
-        # M = G G^T, R = G^-1: C = R L^T and K = C^T C = L M^-1 L^T
-        R = _lower_inverse(np.linalg.cholesky(batch.table_gram))
-        C = R[:, None] @ batch.table_rows.swapaxes(2, 3)      # (n_tables, 2, nd, n_loc)
-        K = C.swapaxes(2, 3) @ C
-        del C
-        t = batch.table[:, None, None, None]
+        # the d rows, the same in both tensor rows, and the c rows of each
+        # (shape, masked side): the condensed blocks are built once per such
+        # variant and scaled per pair by its rows' scales
+        shapes = batch.shapes
+        used, shape_of = np.unique(shapes.index, return_inverse=True)
+        K, minv = _shape_products(shapes.rows[used], shapes.gram[used])
+        variants, variant = np.unique(shape_of[batch.table] * 4 + side + 1, return_inverse=True)
+        v_shape, v_side = np.divmod(variants, 4)
+        v_side -= 1
+        d_idx = _d_rows(k, v_side)[:, None, None, :]          # (n_v, 1, 1, n_d)
+        v = v_shape[:, None, None, None]
         r = np.arange(2)[:, None, None]
-        d_idx = np.concatenate(
-            [
-                np.broadcast_to(np.arange(nmk), (len(side), nmk)),
-                nmk + (k + 1) * np.maximum(side, 0)[:, None] + np.arange(k + 1),
-            ],
-            axis=1,
-        )[:, None, None, :]                                   # (n_pairs, 1, 1, n_d)
-        # the d rows are the same in both tensor rows
-        kdd = K[t, r[:1], d_idx.swapaxes(2, 3), d_idx]
-        kcd = K[t, r, np.arange(nmk, K.shape[-1])[:, None], d_idx]
-        reduced = K[batch.table, :, nmk:, nmk:]
+        kdd = K[v, r[:1], d_idx.swapaxes(2, 3), d_idx]
+        kcd = K[v, r, np.arange(nmk, K.shape[-1])[:, None], d_idx]
+        comp = K[v_shape, :, nmk:, nmk:]
         del K
-        unmasked = side < 0
+        unmasked = v_side < 0
         kdd[unmasked, :, nmk:] = 0.0
         kdd[unmasked, :, :, nmk:] = np.eye(d_idx.shape[-1])[:, nmk:]
         kcd[unmasked, :, :, nmk:] = 0.0
@@ -673,12 +750,27 @@ class Equilibrator:
         del kdd
         # K_cc - K_cd K_dd^-1 K_dc; a chunk's per-pair arrays set the peak
         # memory of a step, so K_dd^-1 K_dc is not kept
-        np.subtract(reduced, kcd @ (kdd_inv @ kcd.swapaxes(2, 3)), out=reduced)
+        np.subtract(comp, kcd @ (kdd_inv @ kcd.swapaxes(2, 3)), out=comp)
+
+        # per pair: K = diag(s) K_shape diag(s) with the row scales s, a unit
+        # scale on the unit block of a pair without masked side
+        scale = shapes.row_scale[batch.table]
+        s_d = np.take_along_axis(scale, _d_rows(k, side), axis=1)
+        s_d[side < 0, nmk:] = 1.0
+        s_c = scale[:, None, nmk:]
+        kdd_inv = np.take(kdd_inv, variant, axis=0)
+        kdd_inv /= s_d[:, None, :, None] * s_d[:, None, None, :]
+        kcd = np.take(kcd, variant, axis=0)
+        kcd *= s_c[..., :, None] * s_d[:, None, None, :]
+        f = shapes.dof_scale
+        minv = np.take(minv, shape_of, axis=0)
+        minv *= f[:, :, None] * f[:, None, :]
         s_offsets = np.concatenate([[0], np.cumsum(n_c * n_c)])
         pair_offsets = np.concatenate([[0], np.cumsum(n_elems)])
         S = np.empty(s_offsets[-1])
-        # scattered a quarter of the pairs at a time, in whole patches, so
-        # that each entry of S sums the same terms in the same order
+        # the complements scaled and scattered a quarter of the pairs at a
+        # time, in whole patches, so that each entry of S sums the same
+        # terms in the same order
         for lo, hi in _batches(n_elems, max(len(pp) // 4, 1)):
             q = slice(pair_offsets[lo], pair_offsets[hi])
             n_s = s_offsets[hi] - s_offsets[lo]
@@ -687,8 +779,10 @@ class Equilibrator:
             entry += (s_offsets[:-1] - s_offsets[lo])[pp[q], None, None, None]
             pad = rows_c[q] == n_c_all
             entry[pad[..., :, None] | pad[..., None, :]] = n_s
-            S[s_offsets[lo] : s_offsets[hi]] = _scatter_rows(reduced[q], entry, n_s)
-        return Reduction(R, kdd_inv, kcd, side, rows_c, c_rows, S, s_offsets[:-1], n_c, c_start)
+            reduced = np.take(comp, variant[q], axis=0)
+            reduced *= s_c[q, ..., :, None] * s_c[q, ..., None, :]
+            S[s_offsets[lo] : s_offsets[hi]] = _scatter_rows(reduced, entry, n_s)
+        return Reduction(minv, kdd_inv, kcd, side, rows_c, c_rows, S, s_offsets[:-1], n_c, c_start)
 
     def _condensed_stack(self, batch: PatchBatch) -> BatchSolution:
         """Condensed Schur-complement solve of a batch (:meth:`_reduce`),
@@ -700,7 +794,7 @@ class Equilibrator:
         patch.
 
         The multipliers of the d rows follow per block, and x = M^-1 L^T lam
-        by products per element table over the pairs that read it; the
+        by two products per element table over the pairs that read it; the
         masked entries of x are set to 0 before the gates.  The row norms
         and the scales of the gates are those of the dense problem, read
         from the tables by :func:`_pair_maxima`.
@@ -722,7 +816,7 @@ class Equilibrator:
         )
         del row_sq, row_norms
         try:
-            R, kdd_inv, kcd, side, rows_c, c_rows, S, s_start, n_c, c_start = self._reduce(batch)
+            minv, kdd_inv, kcd, side, rows_c, c_rows, S, s_start, n_c, c_start = self._reduce(batch)
         except np.linalg.LinAlgError:
             return BatchSolution(
                 np.zeros((n_pairs, 2, nd)), np.zeros((n_pairs,) + L.shape[1:3]),
@@ -778,7 +872,7 @@ class Equilibrator:
 
         q_m = np.flatnonzero(side >= 0)
         m_pos = nmk + (k + 1) * side[q_m, None, None] + np.arange(k + 1)
-        Lt, R = L.swapaxes(2, 3), R[:, None]
+        Lt = L.swapaxes(2, 3)
 
         def primal(lam_d, lam_c):
             """x, zero on the masked dofs, and the multipliers of the
@@ -786,7 +880,7 @@ class Equilibrator:
             lam = np.concatenate([lam_d[..., :nmk], _gather_rows(lam_c, rows_c)], axis=2)
             full = lam.copy()
             full[q_m[:, None, None], np.arange(2)[:, None], m_pos] = lam_d[q_m, :, nmk:]
-            x = per_table(full, R.swapaxes(2, 3), R, Lt)
+            x = per_table(full, minv[:, None], Lt)
             x[~np.broadcast_to(batch.free[:, None], x.shape)] = 0.0
             return x, lam
 
@@ -979,7 +1073,10 @@ def verify_equilibration(
     of the step that built ``sigma_r``).
 
     Trace checks evaluate at k+2 parameter points per side (one more than
-    needed to pin down a degree-k polynomial).
+    needed to pin down a degree-k polynomial).  The stress tables are built
+    here, element by element from each element's own shape, not read from
+    ``disc``, whose tables are built per shape class: the check does not
+    rest on the class tables.
     """
     mesh, k = disc.mesh, disc.k
     npts = k + 2
@@ -988,8 +1085,8 @@ def verify_equilibration(
     div_res = 0.0
     sym_acc = np.zeros(disc.pressure.n_scalar)
     jump = np.zeros((mesh.n_sides, npts, 2))
-    ct = disc.constraints  # a released disc rebuilds them on every read
-    for tb in disc.stress_chunks():
+    for elems in element_chunks(mesh.n_triangles):
+        tb = build_stress_tables(mesh, k, elems, by_class=False)
         _, pf_vals = load.projected_volume(tb)
         divv = sigma_r.div_values(tb)
         div_res = max(div_res, float(np.max(np.abs(divv + pf_vals), initial=0.0)))
@@ -1003,10 +1100,11 @@ def verify_equilibration(
         tr = vals[..., 0] * nrm[..., 0] + vals[..., 1] * nrm[..., 1]
         _scatter_jumps(mesh, tb, tr, jump)
 
-        # weak-symmetry accumulation over the continuous scalar hats
-        contrib = np.einsum(
-            "ei,eai->ea", sigma_r.dofs[tb.elems, 0], ct.symy[tb.elems]
-        ) - np.einsum("ei,eai->ea", sigma_r.dofs[tb.elems, 1], ct.symx[tb.elems])
+        # weak-symmetry accumulation over the continuous scalar hats:
+        # (sigma_01 - sigma_10, hat_a) on each element
+        vals = sigma_r.values(tb)
+        # einsum "eq,eq,qa->ea"
+        contrib = (tb.vol_w * (vals[..., 0, 1] - vals[..., 1, 0])) @ lagrange_values(k, tb.vol_ref)
         np.add.at(sym_acc, disc.pressure.element_dofs[tb.elems], contrib)
 
     interior = mesh.side_label == INTERIOR

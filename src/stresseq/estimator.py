@@ -29,9 +29,9 @@ from .errors import InvalidConstants, StressEqError
 from .mesh import DIRICHLET, NEUMANN, Mesh
 from .problems import ExactSolution
 from .spaces import (
-    _CHUNK,
     BrokenField,
     Discretization,
+    element_chunks,
     side_rule,
     triangle_rule,
     volume_rule,
@@ -274,8 +274,7 @@ def energy_error(
     mesh, k = fields.disc.mesh, fields.disc.k
     rq, rw = triangle_rule(2 * k + 8)
     total = 0.0
-    for lo in range(0, mesh.n_triangles, _CHUNK):
-        elems = np.arange(lo, min(lo + _CHUNK, mesh.n_triangles))
+    for elems in element_chunks(mesh.n_triangles):
         xq, wq = mesh.rule_points(elems, rq, rw)
         grad_uh, ph = fields_at(fields, elems, rq)
         dg = exact.displacement_gradient(xq) - grad_uh

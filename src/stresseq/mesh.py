@@ -14,7 +14,8 @@ side table with deterministic orientation conventions:
 Each element is the affine image ``x = p0 + J r`` of the reference
 triangle; its Jacobian, inverse, area and centroid are computed once, when
 the mesh is built, and :meth:`Mesh.rule_points` and
-:meth:`Mesh.reference_points` are the map and its inverse.
+:meth:`Mesh.reference_points` are the map and its inverse.  Elements whose
+``J / h`` is bitwise equal form one shape class (:attr:`Mesh.shape_classes`).
 
 Refinement is newest-vertex bisection with recursive conformity closure.
 The vertex patches of a partition of unity are one :class:`Patches` record.
@@ -23,6 +24,7 @@ The vertex patches of a partition of unity are one :class:`Patches` record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -149,6 +151,18 @@ class Mesh:
         # einsum "erd,eqd->eqr"
         ref = xc[:, :, 0, None] * jinv[:, None, :, 0] + xc[:, :, 1, None] * jinv[:, None, :, 1]
         return ref.reshape(x.shape)
+
+    @cached_property
+    def shape_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exact similarity classes of the elements: the first element
+        of each class and the class of each element.  Two elements share a
+        class when the bytes of their ``jac / h`` are equal, with no
+        tolerance; classes are numbered in the byte order of that key.
+        Computed on first use."""
+        shape = np.ascontiguousarray(self.jac / self.h[:, None, None])
+        keys = shape.reshape(len(shape), 4).view(np.dtype((np.void, 32)))[:, 0]
+        _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
+        return first, cls.reshape(-1)
 
     def vertex_flags(self):
         """Boolean masks (on_dirichlet, on_neumann_only) per vertex."""

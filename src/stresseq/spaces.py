@@ -15,6 +15,12 @@ Conventions
   global normal; both adjacent elements therefore share the same
   functionals and inter-element jump constraints have entries exactly
   ``+1`` / ``-1``.
+* An element's scaled monomials are monomials in the scaled reference
+  coordinates ``xi = S (r - r_c)``, ``S = J / h`` (``r_c`` the reference
+  centroid), so its tables depend on ``S`` alone, up to a power of ``h``
+  per table and a sign per side dof.  They are built once per shape class
+  of the mesh (:attr:`.Mesh.shape_classes`) and taken to the elements by
+  those exact factors.
 """
 
 from __future__ import annotations
@@ -31,6 +37,11 @@ from .mesh import Mesh
 # Elements per block of every elementwise loop: bounds the size of the
 # per-block quadrature arrays.
 _CHUNK = 4096
+
+
+def element_chunks(n: int) -> list[np.ndarray]:
+    """The element blocks 0.._CHUNK-1, _CHUNK..2 _CHUNK-1, ... of n elements."""
+    return [np.arange(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
 
 # -- quadrature --------------------------------------------------------------
@@ -304,6 +315,138 @@ def _div_maps(k: int):
     return DX, DY
 
 
+# the reference vertices; local side j (opposite vertex j) runs from vertex
+# j + 1 to vertex j + 2
+_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_SIDE_ENDS = ((1, 2), (2, 0), (0, 1))
+
+
+def element_shapes(mesh: Mesh, elems: np.ndarray, by_class: bool = True):
+    """The shapes ``S = J / h`` (n, 2, 2) behind the tables of ``elems``
+    and the row of each element among them: one shape per shape class that
+    ``elems`` holds (:attr:`.Mesh.shape_classes`), or with ``by_class``
+    false each element's own, and the index None."""
+    if not by_class:
+        return mesh.jac[elems] / mesh.h[elems, None, None], None
+    first, cls = mesh.shape_classes
+    used, index = np.unique(cls[elems], return_inverse=True)
+    reps = first[used]
+    return mesh.jac[reps] / mesh.h[reps, None, None], index
+
+
+def class_rows(table: np.ndarray, index) -> np.ndarray:
+    """The rows of a shape table that the elements read: ``table[index]``,
+    or the table itself when it was built per element (index None)."""
+    return table if index is None else table[index]
+
+
+def _shape_points(shape: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Scaled points ``xi = S (r - r_c)`` of the reference points r (..., 2)
+    for each shape S (n, 2, 2): (n, ..., 2)."""
+    d = r - 1.0 / 3.0
+    extra = (1,) * (d.ndim - 1)
+    return (
+        d[..., 0, None] * shape[:, :, 0].reshape(-1, *extra, 2)
+        + d[..., 1, None] * shape[:, :, 1].reshape(-1, *extra, 2)
+    )
+
+
+def _basis_at(C: np.ndarray, k: int, xi: np.ndarray) -> np.ndarray:
+    """Basis values of the coefficients C (n, nd, 2, nm) at scaled points
+    (n, nq, 2) -> (n, nd, nq, 2), a view of an (n, nd, 2, nq) array."""
+    exps1, _ = _rt_span(k)
+    mv = monomial_values(exps1, xi)
+    n, nd, _, nm = C.shape
+    # einsum "eicm,eqm->eiqc"
+    out = C.reshape(n, 2 * nd, nm) @ mv.swapaxes(1, 2)
+    return out.reshape(n, nd, 2, -1).swapaxes(2, 3)
+
+
+def _basis_div_at(C: np.ndarray, k: int, xi: np.ndarray, h=1.0) -> np.ndarray:
+    """Basis divergences at scaled points (n, nq, 2) -> (n, nd, nq): d/dxi
+    over h, h (n, 1, 1) or 1."""
+    DX, DY = _div_maps(k)
+    dc = (C[:, :, 0, :] @ DX + C[:, :, 1, :] @ DY) / h
+    mv = monomial_values(_exps_array(k), xi)
+    # einsum "eib,eqb->eiq"
+    return dc @ mv.swapaxes(1, 2)
+
+
+@dataclass
+class ShapeTables:
+    """Scale-free broken-RT coefficients of element shapes ``S = J / h``.
+
+    They are an element's tables in its local frame: the moments of side j
+    use its outward normal and its parameter from local vertex j + 1 to
+    j + 2.  ``C`` is laid out as in :class:`StressTables`, and ``vol_xi``
+    holds the scaled points of the volume rule.
+    """
+
+    shape: np.ndarray   # (n, 2, 2)
+    vol_xi: np.ndarray  # (n, nq, 2)
+    C: np.ndarray       # (n, nd, 2, nm)
+
+
+def _shape_tables(k: int, shape: np.ndarray) -> ShapeTables:
+    """Build the local-frame coefficients of the shapes ``shape``."""
+    n = len(shape)
+    nd = rt_dim(k)
+    exps1, S = _rt_span(k)
+    rq, rw = volume_rule(k)
+    tq, tw = side_rule(k)
+    ends = _CORNERS[np.array(_SIDE_ENDS)]                   # (3, 2, 2)
+    tangent = ends[:, 1] - ends[:, 0]                        # (3, 2)
+    vol_xi = _shape_points(shape, rq)
+    side_xi = _shape_points(shape, ends[:, None, 0] + tq[:, None] * tangent[:, None])
+    # einsum "jr,edr->ejd": the scaled side vectors, then their outward normals
+    edge = tangent[:, 0, None] * shape[:, None, :, 0] + tangent[:, 1, None] * shape[:, None, :, 1]
+    normal = np.stack([edge[..., 1], -edge[..., 0]], axis=-1)
+    normal /= np.linalg.norm(edge, axis=-1)[..., None]
+
+    # every product is stacked per shape, never one product over several
+    # shapes, so that a shape's bits do not depend on the others built with it
+    mv_vol = monomial_values(exps1, vol_xi)
+    mv_side = monomial_values(exps1, side_xi)
+    nm = len(exps1)
+    st = S.reshape(2 * nd, nm).T
+    # einsum "fcm,eqm->eqfc" and "fcm,esqm->esqfc"
+    f_vol = (mv_vol @ st).reshape(mv_vol.shape[:-1] + (nd, 2))
+    f_side = (mv_side @ st).reshape(mv_side.shape[:-1] + (nd, 2))
+
+    v_side = _normal_moments(f_side, normal, tw, legendre01(k + 1, tq))
+    mq = monomial_values(_exps_array(k - 1), vol_xi)
+    v_int = _interior_moments(f_vol, mq, rw).reshape(n, -1, nd, 2)
+
+    vand = np.concatenate(
+        [
+            v_side.reshape(n, 3 * (k + 1), nd),
+            v_int.transpose(0, 3, 1, 2).reshape(n, -1, nd),
+        ],
+        axis=1,
+    )
+    vinv = np.linalg.inv(vand)
+    # einsum "efi,fcm->eicm"
+    C = vinv.swapaxes(1, 2) @ S.reshape(nd, -1)
+    return ShapeTables(shape=shape, vol_xi=vol_xi, C=C.reshape(n, nd, 2, nm))
+
+
+def _dof_signs(mesh: Mesh, elems: np.ndarray, k: int) -> np.ndarray:
+    """(ne, nd) the sign of each element dof against its local-frame dof.
+
+    A side's global normal is its minus element's outward normal, so the
+    plus element flips all moments of the side; a side whose global
+    parameter (lower to higher vertex) runs against the local one flips its
+    odd Legendre moments.  Interior dofs keep their sign."""
+    tri = mesh.triangles[elems]
+    plus = mesh.side_tri[mesh.tri_sides[elems], 0] != elems[:, None]     # (ne, 3)
+    against = tri[:, [1, 2, 0]] > tri[:, [2, 0, 1]]                       # (ne, 3)
+    odd = np.arange(k + 1) % 2 == 1
+    flip = plus[:, :, None] != (against[:, :, None] & odd)
+    sign = np.ones((len(elems), rt_dim(k)))
+    sign[:, : 3 * (k + 1)] = np.where(flip, -1.0, 1.0).reshape(len(elems), -1)
+    return sign
+
+
 @dataclass
 class StressTables:
     """Per-element broken-RT tables for a subset of elements.
@@ -311,7 +454,10 @@ class StressTables:
     ``C[e, i, c, m]`` holds the scaled-monomial coefficients (component c,
     monomial m over P_{k+1}) of local basis function i on element e.  The
     tables carry the quadrature layout used to build them so that all
-    downstream moments are taken with the same rules.
+    downstream moments are taken with the same rules.  ``C`` and
+    ``vol_xi`` are those of the element's shape (``shapes``, row
+    ``index[e]``), ``C`` times the dof signs ``sign``; the physical points
+    and weights are the element's own.
     """
 
     k: int
@@ -326,13 +472,20 @@ class StressTables:
     side_x: np.ndarray   # (ne, 3, nqs, 2) physical points
     side_ids: np.ndarray  # (ne, 3) global side ids (opposite local vertex)
     side_normal: np.ndarray  # (ne, 3, 2) global side normals
-    vol_xi: np.ndarray = field(init=False)   # (ne, nq, 2) scaled points
+    shapes: ShapeTables
+    index: np.ndarray | None  # (ne,) row of each element in shapes, or None
+    sign: np.ndarray          # (ne, nd) dof signs (:func:`_dof_signs`)
     side_xi: np.ndarray = field(init=False)  # (ne, 3, nqs, 2) scaled points
-    C: np.ndarray = field(init=False)        # set by build_stress_tables
+    C: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.vol_xi = self.scaled(self.vol_x)
         self.side_xi = self.scaled(self.side_x)
+        self.C = class_rows(self.shapes.C, self.index) * self.sign[:, :, None, None]
+
+    @property
+    def vol_xi(self) -> np.ndarray:
+        """(ne, nq, 2) the scaled points of the volume rule."""
+        return class_rows(self.shapes.vol_xi, self.index)
 
     def scaled(self, x: np.ndarray) -> np.ndarray:
         """Map physical points (ne, ..., 2) to scaled element coordinates."""
@@ -347,21 +500,11 @@ class StressTables:
         The result is a view of an (ne, nd, 2, nq) array: swapping axes 2
         and 3 back gives a contiguous array.
         """
-        exps1, _ = _rt_span(self.k)
-        mv = monomial_values(exps1, xi)
-        ne, nd, _, nm = self.C.shape
-        # einsum "eicm,eqm->eiqc"
-        out = self.C.reshape(ne, 2 * nd, nm) @ mv.swapaxes(1, 2)
-        return out.reshape(ne, nd, 2, -1).swapaxes(2, 3)
+        return _basis_at(self.C, self.k, xi)
 
     def basis_div_at(self, xi: np.ndarray) -> np.ndarray:
         """Basis divergences at scaled points -> (ne, nd, nq)."""
-        DX, DY = _div_maps(self.k)
-        dc = (self.C[:, :, 0, :] @ DX + self.C[:, :, 1, :] @ DY)
-        dc = dc / self.h[:, None, None]
-        mv = monomial_values(_exps_array(self.k), xi)
-        # einsum "eib,eqb->eiq"
-        return dc @ mv.swapaxes(1, 2)
+        return _basis_div_at(self.C, self.k, xi, self.h[:, None, None])
 
     def normal_basis(self) -> np.ndarray:
         """n . basis at the side quadrature points -> (ne, 3, nqs, nd)."""
@@ -417,28 +560,30 @@ def _interior_moments(vol_vals, mq, rw) -> np.ndarray:
     return 2.0 * ((rw[:, None] * mq).swapaxes(1, 2) @ vol_vals.reshape(ne, nq, -1))
 
 
-def build_stress_tables(mesh: Mesh, k: int, elems=None) -> StressTables:
+def build_stress_tables(mesh: Mesh, k: int, elems=None, by_class: bool = True) -> StressTables:
     """Construct the broken-RT dof-to-coefficient tables for `elems`.
 
     Local dof order per element and tensor row: for each local side
     j = 0, 1, 2 (opposite vertex j) the k+1 Legendre moments of the normal
     trace, then the interior moments (component-major over the P_{k-1}
     monomials).  Side dofs use the side's global parameter and normal.
+
+    The coefficients are built once per shape class of ``elems`` in the
+    local frame (:func:`_shape_tables`) and signed per element
+    (:func:`_dof_signs`); with ``by_class`` false, from each element's own
+    shape by the same routine, so both give the same bits.
     """
     if k not in (1, 2):
         raise UnsupportedDegree(f"stress degree {k} not supported")
     if elems is None:
         elems = np.arange(mesh.n_triangles)
     elems = np.asarray(elems, dtype=np.int64)
-    ne = len(elems)
-    nd = rt_dim(k)
-    exps1, S = _rt_span(k)
-
+    shape, index = element_shapes(mesh, elems, by_class)
     rq, rw = volume_rule(k)
     vol_x, vol_w = mesh.rule_points(elems, rq, rw)
     tq, tw = side_rule(k)
     sids = mesh.tri_sides[elems]
-    tables = StressTables(
+    return StressTables(
         k=k,
         elems=elems,
         centers=mesh.centroids[elems],
@@ -451,32 +596,10 @@ def build_stress_tables(mesh: Mesh, k: int, elems=None) -> StressTables:
         side_x=mesh.side_points(sids, tq),
         side_ids=sids,
         side_normal=mesh.side_normal[sids],
+        shapes=_shape_tables(k, shape),
+        index=index,
+        sign=_dof_signs(mesh, elems, k),
     )
-
-    mv_vol = monomial_values(exps1, tables.vol_xi)
-    mv_side = monomial_values(exps1, tables.side_xi)
-    nm = len(exps1)
-    st = S.reshape(2 * nd, nm).T
-    # einsum "fcm,eqm->eqfc" and "fcm,esqm->esqfc"
-    f_vol = (mv_vol.reshape(-1, nm) @ st).reshape(mv_vol.shape[:-1] + (nd, 2))
-    f_side = (mv_side.reshape(-1, nm) @ st).reshape(mv_side.shape[:-1] + (nd, 2))
-
-    v_side = _normal_moments(f_side, tables.side_normal, tw, legendre01(k + 1, tq))
-    mq = monomial_values(_exps_array(k - 1), tables.vol_xi)
-    v_int = _interior_moments(f_vol, mq, rw).reshape(ne, -1, nd, 2)
-
-    vand = np.concatenate(
-        [
-            v_side.reshape(ne, 3 * (k + 1), nd),
-            v_int.transpose(0, 3, 1, 2).reshape(ne, -1, nd),
-        ],
-        axis=1,
-    )
-    vinv = np.linalg.inv(vand)
-    # einsum "efi,fcm->eicm"
-    C = vinv.swapaxes(1, 2).reshape(-1, nd) @ S.reshape(nd, -1)
-    tables.C = C.reshape(ne, nd, 2, nm)
-    return tables
 
 
 @dataclass
@@ -520,41 +643,75 @@ class ConstraintTables:
     symx[e, a, i] = (basis_i . e_x, phi_a)_T for the local P_k hats phi_a.
     symy[e, a, i] = (basis_i . e_y, phi_a)_T.
     gram[e, i, j] = (basis_i, basis_j)_T.
+
+    :func:`build_constraint_tables` keeps them per element shape, in the
+    local frame and over the scaled element (d/dxi, area det(S) / 2), with
+    the shape row ``index``, the dof signs ``sign`` and the diameter ``h``
+    of each element; :meth:`of` gives the tables of elements.
     """
 
     divm: np.ndarray
     symx: np.ndarray
     symy: np.ndarray
     gram: np.ndarray
+    index: np.ndarray | None = None  # (nt,) shape row of each element
+    sign: np.ndarray | None = None   # (nt, nd)
+    h: np.ndarray | None = None      # (nt,)
+
+    def of(self, elems) -> ConstraintTables:
+        """The tables of the elements ``elems``: their shapes' times h for
+        divm and h^2 for the others, with the dof signs on the basis axes."""
+        rows, s = self.index[elems], self.sign[elems]
+        h = self.h[elems, None, None]
+        h2 = h * h
+        return ConstraintTables(
+            divm=self.divm[rows] * (h * s[:, None, :]),
+            symx=self.symx[rows] * (h2 * s[:, None, :]),
+            symy=self.symy[rows] * (h2 * s[:, None, :]),
+            gram=self.gram[rows] * (h2 * (s[:, :, None] * s[:, None, :])),
+        )
+
+
+def _shape_constraints(shapes: ShapeTables, k: int) -> ConstraintTables:
+    """The scale-free constraint tables of ``shapes``."""
+    S = shapes.shape
+    det = S[:, 0, 0] * S[:, 1, 1] - S[:, 1, 0] * S[:, 0, 1]
+    rq, rw = volume_rule(k)
+    xi = shapes.vol_xi
+    vals = _basis_at(shapes.C, k, xi).swapaxes(2, 3)      # (n, nd, 2, nq)
+    divs = _basis_div_at(shapes.C, k, xi)
+    mk = monomial_values(_exps_array(k), xi)
+    hats = lagrange_values(k, rq)
+    w = det[:, None] * rw                                   # (n, nq)
+    # einsum "eq,eiq,eqb->ebi"
+    divm = (w[:, :, None] * mk).swapaxes(1, 2) @ divs.swapaxes(1, 2)
+    # einsum "eq,eiq,qa->eai" on vals[..., 0] and on vals[..., 1]
+    wh = (w[:, :, None] * hats).swapaxes(1, 2)
+    symx = wh @ vals[:, :, 0].swapaxes(1, 2)
+    symy = wh @ vals[:, :, 1].swapaxes(1, 2)
+    # einsum "eq,eiqc,ejqc->eij"
+    flat = vals.reshape(len(S), vals.shape[1], -1)          # (n, nd, 2 nq)
+    gram = (flat * np.tile(w, 2)[:, None, :]) @ flat.swapaxes(1, 2)
+    return ConstraintTables(divm=divm, symx=symx, symy=symy, gram=gram)
 
 
 def build_constraint_tables(disc: Discretization) -> ConstraintTables:
-    """Integrate the constraint tables over the stress chunks of ``disc``."""
-    nt, k = disc.mesh.n_triangles, disc.k
-    nd = rt_dim(k)
-    nmk = len(_pk_exponents(k))
-    nlk = 3 * k  # local P_k nodes for k in (1, 2): 3 or 6
-    divm = np.empty((nt, nmk, nd))
-    symx = np.empty((nt, nlk, nd))
-    symy = np.empty((nt, nlk, nd))
-    gram = np.empty((nt, nd, nd))
+    """Integrate the constraint tables over the stress chunks of ``disc``,
+    once per shape of a chunk; the shapes of all chunks are stacked in
+    chunk order."""
+    nt = disc.mesh.n_triangles
+    index = np.empty(nt, dtype=np.int64)
+    sign = np.empty((nt, rt_dim(disc.k)))
+    parts, n_shapes = [], 0
     for tb in disc.stress_chunks():
-        elems = tb.elems
-        vals = tb.basis_at(tb.vol_xi).swapaxes(2, 3)       # (ne, nd, 2, nq)
-        divs = tb.basis_div_at(tb.vol_xi)
-        mk = monomial_values(_exps_array(k), tb.vol_xi)
-        hats = lagrange_values(k, tb.vol_ref)
-        w = tb.vol_w[:, :, None]
-        # einsum "eq,eiq,eqb->ebi"
-        divm[elems] = (w * mk).swapaxes(1, 2) @ divs.swapaxes(1, 2)
-        # einsum "eq,eiq,qa->eai" on vals[..., 0] and on vals[..., 1]
-        wh = (w * hats).swapaxes(1, 2)
-        symx[elems] = wh @ vals[:, :, 0].swapaxes(1, 2)
-        symy[elems] = wh @ vals[:, :, 1].swapaxes(1, 2)
-        # einsum "eq,eiqc,ejqc->eij"
-        flat = vals.reshape(len(elems), nd, -1)             # (ne, nd, 2 nq)
-        gram[elems] = (flat * np.tile(tb.vol_w, 2)[:, None, :]) @ flat.swapaxes(1, 2)
-    return ConstraintTables(divm=divm, symx=symx, symy=symy, gram=gram)
+        part = _shape_constraints(tb.shapes, disc.k)
+        index[tb.elems] = n_shapes + (np.arange(len(tb.elems)) if tb.index is None else tb.index)
+        sign[tb.elems] = tb.sign
+        parts.append(part)
+        n_shapes += len(part.gram)
+    names = ("divm", "symx", "symy", "gram")
+    stacked = (np.concatenate([getattr(p, name) for p in parts]) for name in names)
+    return ConstraintTables(*stacked, index=index, sign=sign, h=disc.mesh.h)
 
 
 class Discretization:
@@ -562,14 +719,17 @@ class Discretization:
 
     The tables are built on first use and kept until :meth:`release_tables`;
     after that they are built again on every use and not kept, so a
-    finished step holds only its dof maps.
+    finished step holds only its dof maps.  They are built once per shape
+    class of the mesh, or with ``by_class`` false from each element's own
+    shape, bitwise the same.
     """
 
-    def __init__(self, mesh: Mesh, k: int = 1):
+    def __init__(self, mesh: Mesh, k: int = 1, by_class: bool = True):
         if k not in (1, 2):
             raise UnsupportedDegree(f"stress degree {k} not supported")
         self.mesh = mesh
         self.k = k
+        self.by_class = by_class
         self._tables: dict | None = {}  # None once released
 
     @cached_property
@@ -593,10 +753,9 @@ class Discretization:
 
     def stress_chunks(self) -> list[StressTables]:
         """Stress tables over element chunks covering the mesh."""
-        nt = self.mesh.n_triangles
         return self._kept("chunks", lambda: [
-            build_stress_tables(self.mesh, self.k, np.arange(lo, min(lo + _CHUNK, nt)))
-            for lo in range(0, nt, _CHUNK)
+            build_stress_tables(self.mesh, self.k, elems, self.by_class)
+            for elems in element_chunks(self.mesh.n_triangles)
         ])
 
     def release_tables(self) -> None:

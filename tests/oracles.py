@@ -21,7 +21,7 @@ from stresseq import (
     refine,
     solve,
 )
-from stresseq.equilibration import Equilibrator, PatchBatch, PatchProblem, _selectors
+from stresseq.equilibration import Equilibrator, PatchBatch, PatchProblem, TableShapes, _selectors
 from stresseq.errors import IsolatedNeumannVertex, ProblemError
 from stresseq.mesh import (
     DIRICHLET,
@@ -61,10 +61,11 @@ def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.nd
     Rows and columns are ordered as in :class:`PatchProblem`; the columns
     are the free dofs in (element, tensor row, dof) order.
     """
-    disc, tables = eq.disc, eq.tables
+    disc = eq.disc
     mesh, k = disc.mesh, disc.k
     patches = eq.patches
     elements = patches.elements[patch_pairs(patches, i)]
+    tables = eq.tables.of(elements)
     z = patches.vertex[i]
     ne, nd, nmk = len(elements), rt_dim(k), len(_exps_array(k))
 
@@ -94,7 +95,7 @@ def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.nd
     # padded matrix: column n_free collects dead-dof entries
     B = np.zeros((n_rows, n_free + 1))
     rows_div = np.arange(n_div).reshape(ne, 2, nmk)
-    B[rows_div[..., None], cols[:, :, None, :]] = tables.divm[elements][:, None]
+    B[rows_div[..., None], cols[:, :, None, :]] = tables.divm[:, None]
 
     r = np.arange(2)[:, None]
     m = np.arange(k + 1)
@@ -104,8 +105,8 @@ def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.nd
     B[rows_jump, cols_jump] = sign[:, None, None]
 
     rows_sym = n_div + n_jump + np.searchsorted(nodes, ed_p)     # (ne, nlk)
-    B[rows_sym[..., None], cols[:, None, 0, :]] = tables.symy[elements]
-    B[rows_sym[..., None], cols[:, None, 1, :]] = -tables.symx[elements]
+    B[rows_sym[..., None], cols[:, None, 0, :]] = tables.symy
+    B[rows_sym[..., None], cols[:, None, 1, :]] = -tables.symx
 
     group = np.concatenate([[z], absorbed(patches, i)])
     w = np.isin(mesh.sides[active], group)
@@ -348,7 +349,8 @@ def touches_displacement(mesh: Mesh, elements: np.ndarray) -> bool:
 def batch_of(mesh: Mesh, *problems: PatchProblem) -> PatchBatch:
     """The batch of the patch problems on ``mesh``, in order, each pair on
     a table of its own: the rows read from the dense constraint matrix, and
-    a unit selector on each side without jump rows.  The inverse of
+    a unit selector on each side without jump rows; each table is its own
+    shape.  The inverse of
     :meth:`PatchBatch.problem`, for feeding modified dense problems to the
     batch solve."""
     nmk, sel = _selectors(problems[0].k)
@@ -365,6 +367,9 @@ def batch_of(mesh: Mesh, *problems: PatchProblem) -> PatchBatch:
         rows[-1][..., nmk + sel, sel] += pad
         block_rows.append(np.where(p.block_rows == n, row_offsets[-1], p.block_rows + lo))
     n_elems = [len(p.elements) for p in problems]
+    table_rows = np.concatenate(rows)
+    table_gram = np.concatenate([p.gram for p in problems])
+    n_tables, _, n_loc, nd = table_rows.shape
     return PatchBatch(
         vertex=np.array([p.vertex for p in problems]),
         dirichlet_touching=np.array([touches_displacement(mesh, p.elements) for p in problems]),
@@ -374,8 +379,13 @@ def batch_of(mesh: Mesh, *problems: PatchProblem) -> PatchBatch:
         free=np.concatenate([p.free_col[:, 0] >= 0 for p in problems]),
         table=np.arange(sum(n_elems)),
         slot=np.zeros(sum(n_elems), dtype=np.int64),
-        table_gram=np.concatenate([p.gram for p in problems]),
-        table_rows=np.concatenate(rows),
+        table_gram=table_gram,
+        table_rows=table_rows,
+        # each table its own shape, unscaled
+        shapes=TableShapes(
+            table_rows, table_gram, np.arange(n_tables), np.ones((n_tables, n_loc)),
+            np.ones((n_tables, nd)),
+        ),
         block_rows=np.concatenate(block_rows),
         row_offsets=row_offsets,
         rhs=np.concatenate([p.rhs for p in problems]),

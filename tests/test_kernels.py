@@ -136,7 +136,7 @@ def test_stress_table_coefficients(case):
 def test_constraint_tables(case):
     disc, tb, _, _ = case
     k = disc.k
-    ct = build_constraint_tables(disc)
+    ct = build_constraint_tables(disc).of(tb.elems)
     exps1, _ = _rt_span(k)
     vals = np.einsum("eicm,eqm->eiqc", tb.C, monomial_values(exps1, tb.vol_xi))
     divs = tb.basis_div_at(tb.vol_xi)
