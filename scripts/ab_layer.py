@@ -173,7 +173,7 @@ class Tables(NamedTuple):
     def arrays(self) -> dict:
         """The tables by name, the constraint tables per element."""
         ct = self.disc.constraints
-        if hasattr(ct, "of"):  # kept per element shape
+        if hasattr(ct, "of"):  # kept per element shape (ShapeConstraints)
             ct = ct.of(np.arange(self.disc.mesh.n_triangles))
         C = np.concatenate([tb.C for tb in self.disc.stress_chunks()])
         return dict(zip(TABLES, (C, ct.divm, ct.symx, ct.symy, ct.gram, self.data)))

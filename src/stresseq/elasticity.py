@@ -28,7 +28,6 @@ from .spaces import (
     BrokenField,
     Discretization,
     StressTables,
-    class_rows,
     element_chunks,
     element_shapes,
     eval_volume_poly,
@@ -195,8 +194,8 @@ def _element_triplets(
     Each element writes its A, B^T and B entries, and its -inv_lambda M
     entries only when inv_lambda != 0: the incompressible pressure block
     stays structurally empty.  The entries are those of the element's shape
-    (:func:`_shape_matrices`, once per shape class of a chunk unless
-    ``disc.by_class`` is false) times h^0, h or h^2 per block.
+    (:func:`_shape_matrices`, once per shape class of a chunk) times h^0,
+    h or h^2 per block.
     """
     mesh, k = disc.mesh, disc.k
     dm_u = disc.displacement
@@ -232,7 +231,7 @@ def _element_triplets(
 
     for elems in element_chunks(nt):
         ne, lo = len(elems), elems[0]
-        shape, shape_of = element_shapes(mesh, elems, disc.by_class)
+        shape, shape_of = element_shapes(mesh, elems)
         ke = _shape_matrices(shape, k, material).reshape(len(shape), -1)
         udofs = dm_u.vector_dofs(elems).reshape(ne, 2 * nlu)
         pdofs = dm_p.element_dofs[elems]
@@ -241,7 +240,7 @@ def _element_triplets(
         np.take(ldofs, local_rows, axis=1, out=rows[part].reshape(ne, size))
         np.take(ldofs, local_cols, axis=1, out=cols[part].reshape(ne, size))
         entries = data[part].reshape(ne, size)
-        np.take(class_rows(ke, shape_of), local, axis=1, out=entries)
+        np.take(ke[shape_of], local, axis=1, out=entries)
         del ke
         h = mesh.h[elems, None]
         entries[:, in_b] *= h

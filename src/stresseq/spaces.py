@@ -321,13 +321,10 @@ _CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 _SIDE_ENDS = ((1, 2), (2, 0), (0, 1))
 
 
-def element_shapes(mesh: Mesh, elems: np.ndarray, by_class: bool = True):
+def element_shapes(mesh: Mesh, elems: np.ndarray):
     """The shapes ``S = J / h`` (n, 2, 2) behind the tables of ``elems``
     and the row of each element among them: one shape per shape class that
-    ``elems`` holds (:attr:`.Mesh.shape_classes`), or with ``by_class``
-    false each element's own, and the index None."""
-    if not by_class:
-        return mesh.jac[elems] / mesh.h[elems, None, None], None
+    ``elems`` holds (:attr:`.Mesh.shape_classes`)."""
     first, cls = mesh.shape_classes
     used, index = np.unique(cls[elems], return_inverse=True)
     reps = first[used]
@@ -571,14 +568,17 @@ def build_stress_tables(mesh: Mesh, k: int, elems=None, by_class: bool = True) -
     The coefficients are built once per shape class of ``elems`` in the
     local frame (:func:`_shape_tables`) and signed per element
     (:func:`_dof_signs`); with ``by_class`` false, from each element's own
-    shape by the same routine, so both give the same bits.
+    shape by the same routine (``index`` None), so both give the same bits.
     """
     if k not in (1, 2):
         raise UnsupportedDegree(f"stress degree {k} not supported")
     if elems is None:
         elems = np.arange(mesh.n_triangles)
     elems = np.asarray(elems, dtype=np.int64)
-    shape, index = element_shapes(mesh, elems, by_class)
+    if by_class:
+        shape, index = element_shapes(mesh, elems)
+    else:
+        shape, index = mesh.jac[elems] / mesh.h[elems, None, None], None
     rq, rw = volume_rule(k)
     vol_x, vol_w = mesh.rule_points(elems, rq, rw)
     tq, tw = side_rule(k)
@@ -643,20 +643,32 @@ class ConstraintTables:
     symx[e, a, i] = (basis_i . e_x, phi_a)_T for the local P_k hats phi_a.
     symy[e, a, i] = (basis_i . e_y, phi_a)_T.
     gram[e, i, j] = (basis_i, basis_j)_T.
-
-    :func:`build_constraint_tables` keeps them per element shape, in the
-    local frame and over the scaled element (d/dxi, area det(S) / 2), with
-    the shape row ``index``, the dof signs ``sign`` and the diameter ``h``
-    of each element; :meth:`of` gives the tables of elements.
     """
 
     divm: np.ndarray
     symx: np.ndarray
     symy: np.ndarray
     gram: np.ndarray
-    index: np.ndarray | None = None  # (nt,) shape row of each element
-    sign: np.ndarray | None = None   # (nt, nd)
-    h: np.ndarray | None = None      # (nt,)
+
+
+@dataclass
+class ShapeConstraints:
+    """The constraint tables of a mesh, kept per element shape.
+
+    ``divm``, ``symx``, ``symy`` and ``gram`` are those of
+    :class:`ConstraintTables` per shape, in the local frame and over the
+    scaled element (d/dxi, area det(S) / 2); ``index``, ``sign`` and ``h``
+    give each element's shape row, dof signs and diameter.  :meth:`of`
+    gives the tables of elements.
+    """
+
+    divm: np.ndarray   # (n_shapes, nmk, nd)
+    symx: np.ndarray   # (n_shapes, nlk, nd)
+    symy: np.ndarray   # (n_shapes, nlk, nd)
+    gram: np.ndarray   # (n_shapes, nd, nd)
+    index: np.ndarray  # (nt,) shape row of each element
+    sign: np.ndarray   # (nt, nd)
+    h: np.ndarray      # (nt,)
 
     def of(self, elems) -> ConstraintTables:
         """The tables of the elements ``elems``: their shapes' times h for
@@ -672,8 +684,9 @@ class ConstraintTables:
         )
 
 
-def _shape_constraints(shapes: ShapeTables, k: int) -> ConstraintTables:
-    """The scale-free constraint tables of ``shapes``."""
+def _shape_constraints(shapes: ShapeTables, k: int) -> tuple[np.ndarray, ...]:
+    """The scale-free constraint tables (divm, symx, symy, gram) of
+    ``shapes``."""
     S = shapes.shape
     det = S[:, 0, 0] * S[:, 1, 1] - S[:, 1, 0] * S[:, 0, 1]
     rq, rw = volume_rule(k)
@@ -692,10 +705,10 @@ def _shape_constraints(shapes: ShapeTables, k: int) -> ConstraintTables:
     # einsum "eq,eiqc,ejqc->eij"
     flat = vals.reshape(len(S), vals.shape[1], -1)          # (n, nd, 2 nq)
     gram = (flat * np.tile(w, 2)[:, None, :]) @ flat.swapaxes(1, 2)
-    return ConstraintTables(divm=divm, symx=symx, symy=symy, gram=gram)
+    return divm, symx, symy, gram
 
 
-def build_constraint_tables(disc: Discretization) -> ConstraintTables:
+def build_constraint_tables(disc: Discretization) -> ShapeConstraints:
     """Integrate the constraint tables over the stress chunks of ``disc``,
     once per shape of a chunk; the shapes of all chunks are stacked in
     chunk order."""
@@ -705,13 +718,12 @@ def build_constraint_tables(disc: Discretization) -> ConstraintTables:
     parts, n_shapes = [], 0
     for tb in disc.stress_chunks():
         part = _shape_constraints(tb.shapes, disc.k)
-        index[tb.elems] = n_shapes + (np.arange(len(tb.elems)) if tb.index is None else tb.index)
+        index[tb.elems] = n_shapes + tb.index
         sign[tb.elems] = tb.sign
         parts.append(part)
-        n_shapes += len(part.gram)
-    names = ("divm", "symx", "symy", "gram")
-    stacked = (np.concatenate([getattr(p, name) for p in parts]) for name in names)
-    return ConstraintTables(*stacked, index=index, sign=sign, h=disc.mesh.h)
+        n_shapes += len(tb.shapes.C)
+    stacked = (np.concatenate(tables) for tables in zip(*parts))
+    return ShapeConstraints(*stacked, index=index, sign=sign, h=disc.mesh.h)
 
 
 class Discretization:
@@ -720,16 +732,14 @@ class Discretization:
     The tables are built on first use and kept until :meth:`release_tables`;
     after that they are built again on every use and not kept, so a
     finished step holds only its dof maps.  They are built once per shape
-    class of the mesh, or with ``by_class`` false from each element's own
-    shape, bitwise the same.
+    class of the mesh.
     """
 
-    def __init__(self, mesh: Mesh, k: int = 1, by_class: bool = True):
+    def __init__(self, mesh: Mesh, k: int = 1):
         if k not in (1, 2):
             raise UnsupportedDegree(f"stress degree {k} not supported")
         self.mesh = mesh
         self.k = k
-        self.by_class = by_class
         self._tables: dict | None = {}  # None once released
 
     @cached_property
@@ -748,13 +758,13 @@ class Discretization:
         return self._tables[name]
 
     @property
-    def constraints(self) -> ConstraintTables:
+    def constraints(self) -> ShapeConstraints:
         return self._kept("constraints", lambda: build_constraint_tables(self))
 
     def stress_chunks(self) -> list[StressTables]:
         """Stress tables over element chunks covering the mesh."""
         return self._kept("chunks", lambda: [
-            build_stress_tables(self.mesh, self.k, elems, self.by_class)
+            build_stress_tables(self.mesh, self.k, elems)
             for elems in element_chunks(self.mesh.n_triangles)
         ])
 

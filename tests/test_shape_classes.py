@@ -4,11 +4,14 @@ element by element.
 The class path builds each table of the stress space, the patch problems
 and the Taylor-Hood assembly once per exact similarity class of a mesh
 (``Mesh.shape_classes``) and takes it to the elements by exact dof signs and
-one power of h per block; the per-element path (``by_class=False``) runs the
-same routines on each element's own shape.  The two must agree bit for bit,
+one power of h per block.  On a copy of the mesh with one class per element
+the same routines run on each element's own shape.  The two must agree bit
+for bit,
 and ``verify_equilibration``, which builds its own tables element by
 element, must see a class table that is wrong.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -38,6 +41,15 @@ def _cases():
     yield pytest.param(LSHAPE, lshape_random, 2, True, id="square-lshape-random-k2")
     # two stress chunks; its patch reductions are not compared (time)
     yield pytest.param(cook(), uniform_refine(cook().mesh, 7), 1, False, id="cook-uniform7-k1")
+
+
+def _one_class_per_element(mesh):
+    """A copy of ``mesh`` on which every element is a shape class of its
+    own."""
+    single = copy.copy(mesh)
+    every = np.arange(mesh.n_triangles)
+    single.__dict__["shape_classes"] = (every, every)
+    return single
 
 
 def _assert_both_orientations(mesh):
@@ -82,12 +94,13 @@ def test_class_tables_are_the_per_element_build(problem, mesh, k, reduce, read_b
     _assert_both_orientations(mesh)
     n_classes = len(mesh.shape_classes[0])
     assert n_classes < mesh.n_triangles
-    by_class, by_element = Discretization(mesh, k), Discretization(mesh, k, by_class=False)
+    by_class = Discretization(mesh, k)
+    by_element = Discretization(_one_class_per_element(mesh), k)
 
     chunks = by_class.stress_chunks()
     assert len(chunks) == (2 if mesh.n_triangles > spaces._CHUNK else 1)
     for tc, te in zip(chunks, by_element.stress_chunks()):
-        assert te.index is None and len(tc.shapes.C) < len(tc.elems)
+        assert len(te.shapes.C) == len(te.elems) and len(tc.shapes.C) < len(tc.elems)
         for name in ("C", "vol_xi", "side_xi", "vol_x", "vol_w"):
             _assert_bitwise(getattr(tc, name), getattr(te, name), name)
     every = np.arange(mesh.n_triangles)
