@@ -29,7 +29,6 @@ from .spaces import (
     Discretization,
     StressTables,
     element_chunks,
-    element_shapes,
     eval_volume_poly,
     lagrange_grads,
     lagrange_values,
@@ -194,7 +193,7 @@ def _element_triplets(
     Each element writes its A, B^T and B entries, and its -inv_lambda M
     entries only when inv_lambda != 0: the incompressible pressure block
     stays structurally empty.  The entries are those of the element's shape
-    (:func:`_shape_matrices`, once per shape class of a chunk) times h^0,
+    (:func:`_shape_matrices`, once per shape class of the mesh) times h^0,
     h or h^2 per block.
     """
     mesh, k = disc.mesh, disc.k
@@ -228,11 +227,12 @@ def _element_triplets(
     data = np.empty(nt * size)
     rhs = np.zeros(n)
     p_integrals = np.zeros(dm_p.n_scalar)
+    shape = disc.classes.shape
+    ke = _shape_matrices(shape, k, material).reshape(len(shape), -1)[:, local]
+    _, cls = mesh.shape_classes
 
     for elems in element_chunks(nt):
         ne, lo = len(elems), elems[0]
-        shape, shape_of = element_shapes(mesh, elems)
-        ke = _shape_matrices(shape, k, material).reshape(len(shape), -1)
         udofs = dm_u.vector_dofs(elems).reshape(ne, 2 * nlu)
         pdofs = dm_p.element_dofs[elems]
         ldofs = np.concatenate([udofs, n_u + pdofs], axis=1)
@@ -240,8 +240,7 @@ def _element_triplets(
         np.take(ldofs, local_rows, axis=1, out=rows[part].reshape(ne, size))
         np.take(ldofs, local_cols, axis=1, out=cols[part].reshape(ne, size))
         entries = data[part].reshape(ne, size)
-        np.take(ke[shape_of], local, axis=1, out=entries)
-        del ke
+        np.take(ke, cls[elems], axis=0, out=entries)
         h = mesh.h[elems, None]
         entries[:, in_b] *= h
         entries[:, in_m] *= h * h

@@ -498,7 +498,7 @@ class Equilibrator:
     ):
         self.disc = disc
         self.tables = ct = disc.constraints
-        # the local rows of every element shape, with unit selectors
+        # the local rows of every shape class, with unit selectors
         self.shape_rows = _table_rows(
             disc.k, ct.divm, ct.symx, ct.symy, np.ones((len(ct.divm), 3 * (disc.k + 1)))
         )
@@ -1086,7 +1086,7 @@ def verify_equilibration(
     sym_acc = np.zeros(disc.pressure.n_scalar)
     jump = np.zeros((mesh.n_sides, npts, 2))
     for elems in element_chunks(mesh.n_triangles):
-        tb = build_stress_tables(mesh, k, elems, by_class=False)
+        tb = build_stress_tables(mesh, k, elems)
         _, pf_vals = load.projected_volume(tb)
         divv = sigma_r.div_values(tb)
         div_res = max(div_res, float(np.max(np.abs(divv + pf_vals), initial=0.0)))

@@ -282,11 +282,6 @@ def energy_error(
     return float(np.sqrt(total))
 
 
-# fine elements per chunk of reference_energy_errors; the chunks fix the
-# summation order of the errors
-_FINE_CHUNK = 1024
-
-
 def reference_energy_errors(
     coarse: list[FieldPair],
     reference: FieldPair,
@@ -306,8 +301,7 @@ def reference_energy_errors(
     rq, rw = volume_rule(k)
     ancestors = [compose_ancestry(chain[i:]) for i in range(len(coarse))]
     totals = [0.0] * len(coarse)
-    for lo in range(0, fmesh.n_triangles, _FINE_CHUNK):
-        elems = np.arange(lo, min(lo + _FINE_CHUNK, fmesh.n_triangles))
+    for elems in element_chunks(fmesh.n_triangles):
         xq, wq = fmesh.rule_points(elems, rq, rw)
         grad_fine, p_fine = fields_at(reference, elems, rq)
         for i, fields in enumerate(coarse):

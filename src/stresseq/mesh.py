@@ -365,6 +365,9 @@ def _assemble(
     nv = len(vertices)
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= nv:
         raise ValueError("triangle vertex index out of range")
+    unused = np.bincount(triangles.ravel(), minlength=nv) == 0
+    if unused.any():
+        raise ValueError(f"vertex {int(np.argmax(unused))} lies in no triangle")
     if rotate:
         triangles = _rotate_to_longest_edge(vertices, triangles)
     if (

@@ -321,22 +321,6 @@ _CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 _SIDE_ENDS = ((1, 2), (2, 0), (0, 1))
 
 
-def element_shapes(mesh: Mesh, elems: np.ndarray):
-    """The shapes ``S = J / h`` (n, 2, 2) behind the tables of ``elems``
-    and the row of each element among them: one shape per shape class that
-    ``elems`` holds (:attr:`.Mesh.shape_classes`)."""
-    first, cls = mesh.shape_classes
-    used, index = np.unique(cls[elems], return_inverse=True)
-    reps = first[used]
-    return mesh.jac[reps] / mesh.h[reps, None, None], index
-
-
-def class_rows(table: np.ndarray, index) -> np.ndarray:
-    """The rows of a shape table that the elements read: ``table[index]``,
-    or the table itself when it was built per element (index None)."""
-    return table if index is None else table[index]
-
-
 def _shape_points(shape: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Scaled points ``xi = S (r - r_c)`` of the reference points r (..., 2)
     for each shape S (n, 2, 2): (n, ..., 2)."""
@@ -470,19 +454,19 @@ class StressTables:
     side_ids: np.ndarray  # (ne, 3) global side ids (opposite local vertex)
     side_normal: np.ndarray  # (ne, 3, 2) global side normals
     shapes: ShapeTables
-    index: np.ndarray | None  # (ne,) row of each element in shapes, or None
+    index: np.ndarray         # (ne,) row of each element in shapes
     sign: np.ndarray          # (ne, nd) dof signs (:func:`_dof_signs`)
     side_xi: np.ndarray = field(init=False)  # (ne, 3, nqs, 2) scaled points
     C: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.side_xi = self.scaled(self.side_x)
-        self.C = class_rows(self.shapes.C, self.index) * self.sign[:, :, None, None]
+        self.C = self.shapes.C[self.index] * self.sign[:, :, None, None]
 
     @property
     def vol_xi(self) -> np.ndarray:
         """(ne, nq, 2) the scaled points of the volume rule."""
-        return class_rows(self.shapes.vol_xi, self.index)
+        return self.shapes.vol_xi[self.index]
 
     def scaled(self, x: np.ndarray) -> np.ndarray:
         """Map physical points (ne, ..., 2) to scaled element coordinates."""
@@ -557,7 +541,9 @@ def _interior_moments(vol_vals, mq, rw) -> np.ndarray:
     return 2.0 * ((rw[:, None] * mq).swapaxes(1, 2) @ vol_vals.reshape(ne, nq, -1))
 
 
-def build_stress_tables(mesh: Mesh, k: int, elems=None, by_class: bool = True) -> StressTables:
+def build_stress_tables(
+    mesh: Mesh, k: int, elems=None, classes: ShapeTables | None = None
+) -> StressTables:
     """Construct the broken-RT dof-to-coefficient tables for `elems`.
 
     Local dof order per element and tensor row: for each local side
@@ -565,20 +551,23 @@ def build_stress_tables(mesh: Mesh, k: int, elems=None, by_class: bool = True) -
     trace, then the interior moments (component-major over the P_{k-1}
     monomials).  Side dofs use the side's global parameter and normal.
 
-    The coefficients are built once per shape class of ``elems`` in the
-    local frame (:func:`_shape_tables`) and signed per element
-    (:func:`_dof_signs`); with ``by_class`` false, from each element's own
-    shape by the same routine (``index`` None), so both give the same bits.
+    The coefficients are the local-frame tables of each element's shape
+    (:func:`_shape_tables`) signed per element (:func:`_dof_signs`).  Given
+    ``classes``, the tables of the shape classes of the mesh
+    (:attr:`Discretization.classes`), an element reads its class's row;
+    without it, the tables are built here from each element's own shape by
+    the same routine, so both give the same bits.
     """
     if k not in (1, 2):
         raise UnsupportedDegree(f"stress degree {k} not supported")
     if elems is None:
         elems = np.arange(mesh.n_triangles)
     elems = np.asarray(elems, dtype=np.int64)
-    if by_class:
-        shape, index = element_shapes(mesh, elems)
+    if classes is None:
+        classes = _shape_tables(k, mesh.jac[elems] / mesh.h[elems, None, None])
+        index = np.arange(len(elems))
     else:
-        shape, index = mesh.jac[elems] / mesh.h[elems, None, None], None
+        index = mesh.shape_classes[1][elems]
     rq, rw = volume_rule(k)
     vol_x, vol_w = mesh.rule_points(elems, rq, rw)
     tq, tw = side_rule(k)
@@ -596,7 +585,7 @@ def build_stress_tables(mesh: Mesh, k: int, elems=None, by_class: bool = True) -
         side_x=mesh.side_points(sids, tq),
         side_ids=sids,
         side_normal=mesh.side_normal[sids],
-        shapes=_shape_tables(k, shape),
+        shapes=classes,
         index=index,
         sign=_dof_signs(mesh, elems, k),
     )
@@ -653,20 +642,20 @@ class ConstraintTables:
 
 @dataclass
 class ShapeConstraints:
-    """The constraint tables of a mesh, kept per element shape.
+    """The constraint tables of a mesh, kept per shape class.
 
     ``divm``, ``symx``, ``symy`` and ``gram`` are those of
-    :class:`ConstraintTables` per shape, in the local frame and over the
+    :class:`ConstraintTables` per class, in the local frame and over the
     scaled element (d/dxi, area det(S) / 2); ``index``, ``sign`` and ``h``
-    give each element's shape row, dof signs and diameter.  :meth:`of`
-    gives the tables of elements.
+    give each element's class (:attr:`.Mesh.shape_classes`), dof signs and
+    diameter.  :meth:`of` gives the tables of elements.
     """
 
-    divm: np.ndarray   # (n_shapes, nmk, nd)
-    symx: np.ndarray   # (n_shapes, nlk, nd)
-    symy: np.ndarray   # (n_shapes, nlk, nd)
-    gram: np.ndarray   # (n_shapes, nd, nd)
-    index: np.ndarray  # (nt,) shape row of each element
+    divm: np.ndarray   # (n_classes, nmk, nd)
+    symx: np.ndarray   # (n_classes, nlk, nd)
+    symy: np.ndarray   # (n_classes, nlk, nd)
+    gram: np.ndarray   # (n_classes, nd, nd)
+    index: np.ndarray  # (nt,) class of each element
     sign: np.ndarray   # (nt, nd)
     h: np.ndarray      # (nt,)
 
@@ -709,21 +698,15 @@ def _shape_constraints(shapes: ShapeTables, k: int) -> tuple[np.ndarray, ...]:
 
 
 def build_constraint_tables(disc: Discretization) -> ShapeConstraints:
-    """Integrate the constraint tables over the stress chunks of ``disc``,
-    once per shape of a chunk; the shapes of all chunks are stacked in
-    chunk order."""
-    nt = disc.mesh.n_triangles
-    index = np.empty(nt, dtype=np.int64)
-    sign = np.empty((nt, rt_dim(disc.k)))
-    parts, n_shapes = [], 0
-    for tb in disc.stress_chunks():
-        part = _shape_constraints(tb.shapes, disc.k)
-        index[tb.elems] = n_shapes + tb.index
-        sign[tb.elems] = tb.sign
-        parts.append(part)
-        n_shapes += len(tb.shapes.C)
-    stacked = (np.concatenate(tables) for tables in zip(*parts))
-    return ShapeConstraints(*stacked, index=index, sign=sign, h=disc.mesh.h)
+    """Integrate the constraint tables of ``disc`` once per shape class of
+    its mesh (:attr:`Discretization.classes`)."""
+    sign = np.concatenate([tb.sign for tb in disc.stress_chunks()])
+    return ShapeConstraints(
+        *_shape_constraints(disc.classes, disc.k),
+        index=disc.mesh.shape_classes[1],
+        sign=sign,
+        h=disc.mesh.h,
+    )
 
 
 class Discretization:
@@ -731,8 +714,9 @@ class Discretization:
 
     The tables are built on first use and kept until :meth:`release_tables`;
     after that they are built again on every use and not kept, so a
-    finished step holds only its dof maps.  They are built once per shape
-    class of the mesh.
+    finished step holds only its dof maps.  Every table that depends on an
+    element's shape alone is built once per shape class of the mesh, from
+    the one store :attr:`classes`.
     """
 
     def __init__(self, mesh: Mesh, k: int = 1):
@@ -758,15 +742,31 @@ class Discretization:
         return self._tables[name]
 
     @property
+    def classes(self) -> ShapeTables:
+        """The local-frame tables of the shape classes of the mesh, in class
+        order (:attr:`.Mesh.shape_classes`)."""
+
+        def build():
+            first, _ = self.mesh.shape_classes
+            return _shape_tables(self.k, self.mesh.jac[first] / self.mesh.h[first, None, None])
+
+        return self._kept("classes", build)
+
+    @property
     def constraints(self) -> ShapeConstraints:
         return self._kept("constraints", lambda: build_constraint_tables(self))
 
     def stress_chunks(self) -> list[StressTables]:
         """Stress tables over element chunks covering the mesh."""
-        return self._kept("chunks", lambda: [
-            build_stress_tables(self.mesh, self.k, elems)
-            for elems in element_chunks(self.mesh.n_triangles)
-        ])
+
+        def build():
+            classes = self.classes
+            return [
+                build_stress_tables(self.mesh, self.k, elems, classes)
+                for elems in element_chunks(self.mesh.n_triangles)
+            ]
+
+        return self._kept("chunks", build)
 
     def release_tables(self) -> None:
         """Free the stress and constraint tables and stop keeping them."""

@@ -423,6 +423,27 @@ def test_exit_code_misclassified_side_in_mesh_file(tmp_path, capsys):
     assert err.rstrip().endswith(f"dirichlet side ({lo}, {hi}) is not on the boundary")
 
 
+def test_exit_code_vertex_in_no_triangle(tmp_path, capsys):
+    """A mesh file with a vertex that no triangle holds (5 vertices, 2
+    triangles) is a file error of ``mesh-info``, ``verify`` and ``run``,
+    and the error names the vertex; it used to reach the solver as a
+    singular saddle-point system."""
+    text = (
+        "vertices 5 / triangles 2 / sides_dirichlet 1 / sides_neumann 3\n"
+        "0 0\n1 0\n0 1\n1 1\n2 2\n0 1 3\n0 3 2\n2 0\n0 1\n1 3\n3 2\n"
+    )
+    mesh_path = tmp_path / "unused.txt"
+    mesh_path.write_text(text)
+    cfg_path = write_config(
+        tmp_path, f"mesh_file = {mesh_path}\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    for argv in (["mesh-info", str(mesh_path)], ["verify", cfg_path], ["run", cfg_path]):
+        assert main(argv) == 4, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: io: malformed mesh file"), argv
+        assert err.rstrip().endswith("vertex 4 lies in no triangle"), argv
+
+
 @pytest.mark.parametrize(
     "vertex, axis", [(1, 0), (0, 1)], ids=["x-of-vertex-1", "y-of-vertex-0"]
 )

@@ -362,6 +362,15 @@ def test_build_mesh_checks_the_arrays_before_rotating(triangles, message):
         build_mesh([(0, 0), (1, 0), (0, 1), (1, 1)], triangles, sides, [])
 
 
+def test_build_mesh_rejects_a_vertex_in_no_triangle():
+    """A vertex that no triangle holds would carry displacement dofs that no
+    element couples, and a singular system; the error names it."""
+    sides = [(0, 1), (1, 3), (3, 2), (2, 0)]
+    vertices = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)]
+    with pytest.raises(ValueError, match="^vertex 4 lies in no triangle$"):
+        build_mesh(vertices, [(0, 1, 3), (0, 3, 2)], sides, [])
+
+
 # -- refinement -------------------------------------------------------------
 
 

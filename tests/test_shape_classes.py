@@ -3,12 +3,13 @@ element by element.
 
 The class path builds each table of the stress space, the patch problems
 and the Taylor-Hood assembly once per exact similarity class of a mesh
-(``Mesh.shape_classes``) and takes it to the elements by exact dof signs and
-one power of h per block.  On a copy of the mesh with one class per element
-the same routines run on each element's own shape.  The two must agree bit
-for bit,
-and ``verify_equilibration``, which builds its own tables element by
-element, must see a class table that is wrong.
+(``Mesh.shape_classes``), from the one store ``Discretization.classes``,
+and takes it to the elements by exact dof signs and one power of h per
+block.  On a copy of the mesh with one class per element the same routines
+run on each element's own shape, as does ``build_stress_tables`` without
+the store.  They must agree bit for bit, and ``verify_equilibration``,
+which builds its own tables element by element, must see a class table
+that is wrong.
 """
 
 import copy
@@ -17,8 +18,18 @@ import numpy as np
 import pytest
 
 from conftest import solve_problem
-from stresseq import Discretization, Material, cook, square_lshape
-from stresseq import spaces
+from stresseq import (
+    Discretization,
+    Material,
+    assemble_system,
+    conservative_constants,
+    cook,
+    direct_stress,
+    solve,
+    solve_step,
+    square_lshape,
+)
+from stresseq import elasticity, spaces
 from stresseq.elasticity import _element_triplets
 from stresseq.equilibration import Equilibrator, _shape_products, equilibrate, verify_equilibration
 from stresseq.mesh import DIRICHLET, NEUMANN, _assemble, read_mesh, uniform_refine, write_mesh
@@ -97,12 +108,16 @@ def test_class_tables_are_the_per_element_build(problem, mesh, k, reduce, read_b
     by_class = Discretization(mesh, k)
     by_element = Discretization(_one_class_per_element(mesh), k)
 
+    assert len(by_class.classes.C) == n_classes
+    assert len(by_element.classes.C) == mesh.n_triangles
     chunks = by_class.stress_chunks()
     assert len(chunks) == (2 if mesh.n_triangles > spaces._CHUNK else 1)
     for tc, te in zip(chunks, by_element.stress_chunks()):
-        assert len(te.shapes.C) == len(te.elems) and len(tc.shapes.C) < len(tc.elems)
+        assert tc.shapes is by_class.classes and te.shapes is by_element.classes
+        own = spaces.build_stress_tables(mesh, k, tc.elems)  # verification's build
         for name in ("C", "vol_xi", "side_xi", "vol_x", "vol_w"):
             _assert_bitwise(getattr(tc, name), getattr(te, name), name)
+            _assert_bitwise(getattr(tc, name), getattr(own, name), name)
     every = np.arange(mesh.n_triangles)
     got, want = by_class.constraints.of(every), by_element.constraints.of(every)
     for name in ("divm", "symx", "symy", "gram"):
@@ -160,37 +175,54 @@ def test_one_ulp_moves_only_the_classes_of_that_vertex():
         assert not ((cls[rest] == cls[e]) & (new[rest] == new[e])).any(), e
 
 
-def test_verification_does_not_rest_on_the_class_tables(monkeypatch):
-    """A sign flip of one side moment of one class, made in the class
-    gather of the production tables only, leaves a reconstruction that
-    ``verify_equilibration``, with its own per-element tables, reports
-    above the 1e-9 * scale gate; without the flip it stays below.  The
-    class is one whose elements all have a side on the displacement
-    boundary, so that every patch it enters keeps all its rows and the
-    step still solves."""
+def test_verification_does_not_rest_on_the_class_tables():
+    """A sign flip of one side moment of one class row of the store
+    ``Discretization.classes``, which every production table reads, leaves a
+    reconstruction that ``verify_equilibration``, with its own per-element
+    tables, reports above the 1e-9 * scale gate; without the flip it stays
+    below.  The class is one whose elements all have a side on the
+    displacement boundary, so that every patch it enters keeps all its rows
+    and the step still solves."""
     problem = cook()
     mesh = uniform_refine(problem.mesh, 2)
     first, cls = mesh.shape_classes
-    assert mesh.n_triangles <= spaces._CHUNK  # one chunk: its rows are the classes
     on_d = (mesh.side_label[mesh.tri_sides] == DIRICHLET).any(axis=1)
-    member = next(int(first[c]) for c in range(len(first)) if on_d[cls == c].all())
-    inner = spaces.class_rows
-    flips = []
+    flipped = next(c for c in range(len(first)) if on_d[cls == c].all())
 
-    def flipped(table, index):
-        if index is not None and table.ndim == 4:  # the RT coefficients
-            table = table.copy()
-            table[index[member], 0] *= -1.0           # side 0, moment 0
-            flips.append(index[member])
-        return inner(table, index)
-
-    def worst():
-        disc, _, sigma = solve_problem(problem, mesh=mesh)
+    def worst(flip):
+        disc = Discretization(mesh, 1)
+        if flip:
+            disc.classes.C[flipped, 0] *= -1.0      # side 0, moment 0
+        fields = solve(assemble_system(disc, problem.material, problem.load))
+        sigma = direct_stress(fields, problem.material)
         _, sigma_r, eq = equilibrate(disc, sigma, problem.load)
         report = verify_equilibration(disc, sigma_r, problem.load, scale=eq.scale)
         return report.max_residual / report.scale
 
-    assert worst() <= 1e-9
-    monkeypatch.setattr(spaces, "class_rows", flipped)
-    assert worst() > 1e-9
-    assert flips
+    assert worst(False) <= 1e-9
+    assert worst(True) > 1e-9
+
+
+def test_shape_tables_are_built_once_per_step(monkeypatch):
+    """On a mesh of two stress chunks, one step builds the class tables, the
+    constraint tables and the element matrices once each, on all the classes
+    of the mesh."""
+    problem = cook()
+    mesh = uniform_refine(problem.mesh, 7)
+    assert len(spaces.element_chunks(mesh.n_triangles)) == 2
+    calls = []
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(spaces, "_shape_tables")
+    counted(spaces, "_shape_constraints")
+    counted(elasticity, "_shape_matrices")
+    solve_step(problem, mesh, 1, conservative_constants())
+    assert sorted(calls) == ["_shape_constraints", "_shape_matrices", "_shape_tables"]

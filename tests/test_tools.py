@@ -1,13 +1,16 @@
-"""Smoke tests of the reproduction scripts, the README's code and the
-benchmark's self-test."""
+"""Smoke tests of the reproduction scripts, the README's code, the
+benchmark's self-test and its correctness checks on every workload."""
 
 import csv
 import importlib
+import importlib.util
 import os
 import pathlib
 import re
 import subprocess
 import sys
+
+import pytest
 
 import stresseq
 from stresseq import Equilibrator, cook
@@ -168,3 +171,62 @@ def test_compare_outputs_compares_same_named_runs_under_two_roots(tmp_path):
     proc = _run_script("compare_outputs.py", a, b)
     assert proc.returncode == 1
     assert "== square-k2\npresent in only one root" in proc.stdout
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_runs_writes_the_nine_configs(tmp_path):
+    """``oracle_runs.py`` runs the three small problems at k = 1, 2 for six
+    steps with the final mesh saved, and the three workloads with their
+    seed-1 inputs."""
+    from stresseq.harness import load_config
+
+    oracle = _load_script("oracle_runs")
+    configs = oracle.write_configs(SRC, tmp_path)
+    workloads = oracle.workloads.WORKLOADS
+    small = [f"{p}-k{k}" for p in ("cook", "manufactured-smooth", "square-lshape") for k in (1, 2)]
+    assert list(configs) == small + list(workloads)
+    for name in small:
+        cfg = load_config(configs[name])
+        assert (cfg.problem, cfg.steps, cfg.save_mesh) == (name[:-3], 6, True)
+        assert cfg.k == int(name[-1])
+    for name, settings in workloads.items():
+        cfg = load_config(configs[name])
+        assert (cfg.problem, cfg.k, cfg.steps) == (
+            settings["problem"], int(settings["k"]), int(settings["steps"])
+        )
+        assert (cfg.mesh_file is not None) == (name == "cook-large")
+
+
+# failed steps allowed per workload, of the steps it attempts: the counts
+# the references were recorded with
+BENCHMARK_FAILED = {"cook-adaptive": (8, 30), "cook-large": (0, 1), "lshape-k2": (0, 26)}
+
+
+@pytest.mark.parametrize("workload", list(BENCHMARK_FAILED))
+def test_benchmark_workload_is_correct(workload, tmp_path, monkeypatch):
+    """Each benchmark workload, run as the benchmark runs it, agrees with
+    its recorded reference outputs and fails no more steps (verification
+    above 1e-9 * scale, or an error above its bound) than recorded."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delenv("STRESSEQ_OUTPUT_DIR", raising=False)
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    from stresseq import harness
+
+    config, out_dir = workloads.write_inputs(workload, 1, tmp_path)
+    captured = []
+    with checks.capture_steps(captured):
+        assert harness.main(["run", str(config)]) == 0
+    problems, _ = checks.compare_outputs(out_dir, ROOT / "perfbench" / "reference" / workload)
+    assert problems == []
+    history = checks.parse_history((out_dir / "history.csv").read_text())
+    gates = checks.gate_steps(history, checks.verify_captured(captured))
+    allowed, attempted = BENCHMARK_FAILED[workload]
+    assert len(gates) == attempted
+    assert sum(1 for g in gates if g.reasons) <= allowed
