@@ -13,8 +13,8 @@ step's ``estimate``, and the steps the loop returns.  Each repetition then
 runs six timed passes per tree, alternating which tree goes first:
 
 * the per-mesh tables on every captured mesh: a fresh ``Discretization``'s
-  ``stress_chunks()`` and ``constraints``, and ``_element_triplets``, with
-  any shape classes the mesh has cached dropped first;
+  stress chunks and ``constraints``, and ``_element_triplets``, with the
+  shape classes and side orientations the mesh has cached dropped first;
 * ``equilibrate`` on all captured steps (it reuses the captured step's
   kept tables);
 * ``estimate`` on all captured steps;
@@ -172,20 +172,31 @@ class Tables(NamedTuple):
 
     def arrays(self) -> dict:
         """The tables by name, the constraint tables per element."""
-        ct = self.disc.constraints
-        if hasattr(ct, "of"):  # kept per element shape (ShapeConstraints)
-            ct = ct.of(np.arange(self.disc.mesh.n_triangles))
-        C = np.concatenate([tb.C for tb in self.disc.stress_chunks()])
+        disc, every = self.disc, np.arange(self.disc.mesh.n_triangles)
+        ct = disc.constraints
+        if hasattr(disc, "element_constraints"):  # kept per shape class only
+            spaces = sys.modules[type(disc).__module__]
+            ct = disc.element_constraints(every, spaces._dof_signs(disc.mesh, every, disc.k))
+        elif hasattr(ct, "of"):  # kept per shape class, with per-element signs
+            ct = ct.of(every)
+        C = np.concatenate([tb.C for tb in stress_chunks(disc)])
         return dict(zip(TABLES, (C, ct.divm, ct.symx, ct.symy, ct.gram, self.data)))
+
+
+def stress_chunks(disc) -> list:
+    """The stress chunks of ``disc``, a method or a cached property."""
+    chunks = disc.stress_chunks
+    return chunks() if callable(chunks) else chunks
 
 
 def tables_pass(tree, captured, _path):
     spaces, elasticity = submodule(tree, "spaces"), submodule(tree, "elasticity")
     out = []
     for disc, material, load in captured["solve"]:
-        disc.mesh.__dict__.pop("shape_classes", None)  # found on first use
+        for cached in ("shape_classes", "is_minus"):  # found on first use
+            disc.mesh.__dict__.pop(cached, None)
         fresh = spaces.Discretization(disc.mesh, disc.k)
-        fresh.stress_chunks()
+        stress_chunks(fresh)
         fresh.constraints
         (_, _, data), _, _ = elasticity._element_triplets(fresh, material, load)
         out.append(Tables(fresh, data))

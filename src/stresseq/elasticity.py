@@ -228,7 +228,8 @@ def _element_triplets(
     rhs = np.zeros(n)
     p_integrals = np.zeros(dm_p.n_scalar)
     shape = disc.classes.shape
-    ke = _shape_matrices(shape, k, material).reshape(len(shape), -1)[:, local]
+    ke = np.concatenate([_shape_matrices(shape[b], k, material).reshape(len(b), -1)[:, local]
+                         for b in element_chunks(len(shape))])
     _, cls = mesh.shape_classes
 
     for elems in element_chunks(nt):
@@ -428,7 +429,7 @@ def direct_stress(fields: FieldPair, material: Material) -> BrokenField:
     mu = material.mu
     nt = disc.mesh.n_triangles
     dofs = np.empty((nt, 2, rt_dim(disc.k)))
-    for tables in disc.stress_chunks():
+    for tables in disc.stress_chunks:
         elems = tables.elems
         vol = _stress_from(*fields_at(fields, elems, tables.vol_ref), mu)
         side_ref = disc.mesh.reference_points(elems, tables.side_x)

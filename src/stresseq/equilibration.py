@@ -31,6 +31,7 @@ from .spaces import (
     BrokenField,
     Discretization,
     StressTables,
+    _dof_signs,
     _exps_array,
     build_stress_tables,
     element_chunks,
@@ -73,7 +74,7 @@ def _scatter_jumps(mesh: Mesh, tb: StressTables, tr, jump) -> None:
     trace is subtracted (a side's plus element may hold it at a lower
     local index); across chunks, which ascend in element number, the
     minus element is the lower-numbered one and comes first."""
-    is_minus = mesh.side_tri[tb.side_ids, 0] == tb.elems[:, None]
+    is_minus = mesh.is_minus[tb.elems]
     for j in range(3):
         jump[tb.side_ids[is_minus[:, j], j]] = tr[is_minus[:, j], j]
     for j in range(3):
@@ -90,7 +91,7 @@ def side_jumps(disc: Discretization, field: BrokenField) -> np.ndarray:
     mesh = disc.mesh
     nqs = len(side_rule(disc.k)[0])
     jump = np.zeros((mesh.n_sides, nqs, 2))
-    for tb in disc.stress_chunks():
+    for tb in disc.stress_chunks:
         nb = tb.normal_basis()                            # (ne, 3, nqs, nd)
         ne, _, _, nd = nb.shape
         # einsum "erd,esqd->esqr"
@@ -113,7 +114,7 @@ def build_rhs_tables(
     sig_sq = 0.0
     f_sq = 0.0
 
-    for tb in disc.stress_chunks():
+    for tb in disc.stress_chunks:
         divv = sigma_h.div_values(tb)                     # (ne, nq, 2)
         fv = load.volume_at(tb.vol_x)                     # (ne, nq, 2)
         resid = fv + divv
@@ -497,7 +498,7 @@ class Equilibrator:
         load: LoadData,
     ):
         self.disc = disc
-        self.tables = ct = disc.constraints
+        ct = disc.constraints
         # the local rows of every shape class, with unit selectors
         self.shape_rows = _table_rows(
             disc.k, ct.divm, ct.symx, ct.symy, np.ones((len(ct.divm), 3 * (disc.k + 1)))
@@ -603,18 +604,17 @@ class Equilibrator:
         # element tables: each side moment is selected with +1 from the
         # side's minus element and -1 from its plus element; the pairs of an
         # element take the slot of their first vertex that the patch owns
-        ct = self.tables
         unique, table = np.unique(elements, return_inverse=True)
-        sign = np.where(mesh.side_tri[mesh.tri_sides[unique], 0] == unique[:, None], 1.0, -1.0)
-        selector = np.repeat(sign, k + 1, axis=1)
-        tables = ct.of(unique)
+        selector = np.repeat(np.where(mesh.is_minus[unique], 1.0, -1.0), k + 1, axis=1)
+        dof_sign = _dof_signs(mesh, unique, k)
+        tables = self.disc.element_constraints(unique, dof_sign)
         rows = _table_rows(k, tables.divm, tables.symx, tables.symy, selector)
         h = mesh.h[unique, None]
-        dof_scale = ct.sign[unique] / h
+        dof_scale = dof_sign / h
         shapes = TableShapes(
             rows=self.shape_rows,
-            gram=ct.gram,
-            index=ct.index[unique],
+            gram=self.disc.constraints.gram,
+            index=mesh.shape_classes[1][unique],
             row_scale=np.concatenate(
                 [np.ones((len(unique), nmk)), selector * dof_scale[:, :nsel],
                  np.repeat(h, ed_p.shape[1], axis=1)],

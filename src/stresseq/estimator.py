@@ -103,7 +103,7 @@ def divergence_defect_sq(
     """Per-element integral of (div u_h - inv_lambda p_h)^2: eta_B^2 up to
     the factor 2 mu, and the last term of eta_R^2."""
     b_sq = np.empty(disc.mesh.n_triangles)
-    for tb in disc.stress_chunks():
+    for tb in disc.stress_chunks:
         grad_u, p = fields_at(fields, tb.elems, tb.vol_ref)
         b_val = grad_u[..., 0, 0] + grad_u[..., 1, 1] - inv_lambda * p
         b_sq[tb.elems] = np.einsum("eq,eq->e", tb.vol_w, b_val**2)
@@ -124,7 +124,7 @@ def eta_components(
     mu = material.mu
     eta_a = np.empty(mesh.n_triangles)
     eta_c = np.empty(mesh.n_triangles)
-    for tb in disc.stress_chunks():
+    for tb in disc.stress_chunks:
         vals = sigma_delta.values(tb)                       # (ne, nq, 2, 2)
         a_sq = a_norm_sq(vals, material)
         eta_a[tb.elems] = np.sqrt(
@@ -198,7 +198,7 @@ def residual_estimator(
     """
     mesh, k = disc.mesh, disc.k
     vol_sq = np.empty(mesh.n_triangles)
-    for tb in disc.stress_chunks():
+    for tb in disc.stress_chunks:
         resid = sigma_h.div_values(tb) + load.projected_volume(tb)[1]
         vol_sq[tb.elems] = np.einsum("eq,eqr->e", tb.vol_w, resid**2)
 
@@ -229,7 +229,7 @@ def data_oscillation(
     """
     mesh, k = disc.mesh, disc.k
     osc_f = np.empty(mesh.n_triangles)
-    for tb in disc.stress_chunks():
+    for tb in disc.stress_chunks:
         fv, proj_f = load.projected_volume(tb)
         defect = fv - proj_f
         osc_f[tb.elems] = mesh.h[tb.elems] * np.sqrt(

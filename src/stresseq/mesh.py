@@ -164,6 +164,12 @@ class Mesh:
         _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
         return first, cls.reshape(-1)
 
+    @cached_property
+    def is_minus(self) -> np.ndarray:
+        """(nt, 3) whether each element is the minus element of its side j,
+        the one the side's global normal points out of.  On first use."""
+        return self.side_tri[self.tri_sides, 0] == np.arange(self.n_triangles)[:, None]
+
     def vertex_flags(self):
         """Boolean masks (on_dirichlet, on_neumann_only) per vertex."""
         on_d = np.zeros(self.n_vertices, bool)
@@ -494,7 +500,7 @@ def read_mesh(path) -> Mesh:
     try:
         with open(path) as fh:
             raw = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read mesh file {path}: {exc}") from exc
     if not raw:
         raise IoError(f"mesh file {path} is empty")

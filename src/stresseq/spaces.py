@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -42,6 +43,14 @@ _CHUNK = 4096
 def element_chunks(n: int) -> list[np.ndarray]:
     """The element blocks 0.._CHUNK-1, _CHUNK..2 _CHUNK-1, ... of n elements."""
     return [np.arange(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+
+
+def _by_blocks(build, n: int) -> list[np.ndarray]:
+    """The tuples of arrays ``build(block)`` over the blocks of
+    ``element_chunks(n)``, concatenated array by array: a per-shape build
+    holds at most _CHUNK shapes at a time, and one that stacks every
+    product per shape gives the same bits for any blocks."""
+    return [np.concatenate(a) for a in zip(*(build(b) for b in element_chunks(n)))]
 
 
 # -- quadrature --------------------------------------------------------------
@@ -353,8 +362,7 @@ def _basis_div_at(C: np.ndarray, k: int, xi: np.ndarray, h=1.0) -> np.ndarray:
     return dc @ mv.swapaxes(1, 2)
 
 
-@dataclass
-class ShapeTables:
+class ShapeTables(NamedTuple):
     """Scale-free broken-RT coefficients of element shapes ``S = J / h``.
 
     They are an element's tables in its local frame: the moments of side j
@@ -419,7 +427,7 @@ def _dof_signs(mesh: Mesh, elems: np.ndarray, k: int) -> np.ndarray:
     parameter (lower to higher vertex) runs against the local one flips its
     odd Legendre moments.  Interior dofs keep their sign."""
     tri = mesh.triangles[elems]
-    plus = mesh.side_tri[mesh.tri_sides[elems], 0] != elems[:, None]     # (ne, 3)
+    plus = ~mesh.is_minus[elems]                                          # (ne, 3)
     against = tri[:, [1, 2, 0]] > tri[:, [2, 0, 1]]                       # (ne, 3)
     odd = np.arange(k + 1) % 2 == 1
     flip = plus[:, :, None] != (against[:, :, None] & odd)
@@ -437,8 +445,8 @@ class StressTables:
     tables carry the quadrature layout used to build them so that all
     downstream moments are taken with the same rules.  ``C`` and
     ``vol_xi`` are those of the element's shape (``shapes``, row
-    ``index[e]``), ``C`` times the dof signs ``sign``; the physical points
-    and weights are the element's own.
+    ``index[e]``), ``C`` times the element's dof signs (:func:`_dof_signs`);
+    the physical points and weights are the element's own.
     """
 
     k: int
@@ -455,13 +463,11 @@ class StressTables:
     side_normal: np.ndarray  # (ne, 3, 2) global side normals
     shapes: ShapeTables
     index: np.ndarray         # (ne,) row of each element in shapes
-    sign: np.ndarray          # (ne, nd) dof signs (:func:`_dof_signs`)
+    C: np.ndarray             # (ne, nd, 2, nm)
     side_xi: np.ndarray = field(init=False)  # (ne, 3, nqs, 2) scaled points
-    C: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.side_xi = self.scaled(self.side_x)
-        self.C = self.shapes.C[self.index] * self.sign[:, :, None, None]
 
     @property
     def vol_xi(self) -> np.ndarray:
@@ -587,7 +593,7 @@ def build_stress_tables(
         side_normal=mesh.side_normal[sids],
         shapes=classes,
         index=index,
-        sign=_dof_signs(mesh, elems, k),
+        C=classes.C[index] * _dof_signs(mesh, elems, k)[:, :, None, None],
     )
 
 
@@ -640,37 +646,20 @@ class ConstraintTables:
     gram: np.ndarray
 
 
-@dataclass
-class ShapeConstraints:
+class ShapeConstraints(NamedTuple):
     """The constraint tables of a mesh, kept per shape class.
 
     ``divm``, ``symx``, ``symy`` and ``gram`` are those of
-    :class:`ConstraintTables` per class, in the local frame and over the
-    scaled element (d/dxi, area det(S) / 2); ``index``, ``sign`` and ``h``
-    give each element's class (:attr:`.Mesh.shape_classes`), dof signs and
-    diameter.  :meth:`of` gives the tables of elements.
+    :class:`ConstraintTables` per class (:attr:`.Mesh.shape_classes`), in
+    the local frame and over the scaled element (d/dxi, area det(S) / 2);
+    :meth:`Discretization.element_constraints` gives the tables of
+    elements.
     """
 
     divm: np.ndarray   # (n_classes, nmk, nd)
     symx: np.ndarray   # (n_classes, nlk, nd)
     symy: np.ndarray   # (n_classes, nlk, nd)
     gram: np.ndarray   # (n_classes, nd, nd)
-    index: np.ndarray  # (nt,) class of each element
-    sign: np.ndarray   # (nt, nd)
-    h: np.ndarray      # (nt,)
-
-    def of(self, elems) -> ConstraintTables:
-        """The tables of the elements ``elems``: their shapes' times h for
-        divm and h^2 for the others, with the dof signs on the basis axes."""
-        rows, s = self.index[elems], self.sign[elems]
-        h = self.h[elems, None, None]
-        h2 = h * h
-        return ConstraintTables(
-            divm=self.divm[rows] * (h * s[:, None, :]),
-            symx=self.symx[rows] * (h2 * s[:, None, :]),
-            symy=self.symy[rows] * (h2 * s[:, None, :]),
-            gram=self.gram[rows] * (h2 * (s[:, :, None] * s[:, None, :])),
-        )
 
 
 def _shape_constraints(shapes: ShapeTables, k: int) -> tuple[np.ndarray, ...]:
@@ -700,23 +689,23 @@ def _shape_constraints(shapes: ShapeTables, k: int) -> tuple[np.ndarray, ...]:
 def build_constraint_tables(disc: Discretization) -> ShapeConstraints:
     """Integrate the constraint tables of ``disc`` once per shape class of
     its mesh (:attr:`Discretization.classes`)."""
-    sign = np.concatenate([tb.sign for tb in disc.stress_chunks()])
-    return ShapeConstraints(
-        *_shape_constraints(disc.classes, disc.k),
-        index=disc.mesh.shape_classes[1],
-        sign=sign,
-        h=disc.mesh.h,
-    )
+    classes = disc.classes
+
+    def build(block):
+        return _shape_constraints(ShapeTables(*(a[block] for a in classes)), disc.k)
+
+    return ShapeConstraints(*_by_blocks(build, len(classes.C)))
 
 
 class Discretization:
     """Per-mesh dof maps, plus the stress and constraint tables of one step.
 
-    The tables are built on first use and kept until :meth:`release_tables`;
-    after that they are built again on every use and not kept, so a
-    finished step holds only its dof maps.  Every table that depends on an
-    element's shape alone is built once per shape class of the mesh, from
-    the one store :attr:`classes`.
+    The tables are built on first use and kept until :meth:`release_tables`
+    drops them, so that a finished step holds only its dof maps.  The stores
+    :attr:`classes` and :attr:`constraints` hold class data only: every
+    table that depends on an element's shape alone is built once per shape
+    class of the mesh, and an element's own facts (its class, dof signs and
+    h) are read from the mesh where they are used.
     """
 
     def __init__(self, mesh: Mesh, k: int = 1):
@@ -724,7 +713,6 @@ class Discretization:
             raise UnsupportedDegree(f"stress degree {k} not supported")
         self.mesh = mesh
         self.k = k
-        self._tables: dict | None = {}  # None once released
 
     @cached_property
     def displacement(self) -> DofMap:
@@ -734,43 +722,45 @@ class Discretization:
     def pressure(self) -> DofMap:
         return make_dofmap(self.mesh, self.k, 1)
 
-    def _kept(self, name: str, build):
-        if self._tables is None:
-            return build()
-        if name not in self._tables:
-            self._tables[name] = build()
-        return self._tables[name]
-
-    @property
+    @cached_property
     def classes(self) -> ShapeTables:
         """The local-frame tables of the shape classes of the mesh, in class
         order (:attr:`.Mesh.shape_classes`)."""
+        first, _ = self.mesh.shape_classes
+        shape = self.mesh.jac[first] / self.mesh.h[first, None, None]
+        return ShapeTables(*_by_blocks(lambda b: _shape_tables(self.k, shape[b]), len(shape)))
 
-        def build():
-            first, _ = self.mesh.shape_classes
-            return _shape_tables(self.k, self.mesh.jac[first] / self.mesh.h[first, None, None])
-
-        return self._kept("classes", build)
-
-    @property
+    @cached_property
     def constraints(self) -> ShapeConstraints:
-        return self._kept("constraints", lambda: build_constraint_tables(self))
+        return build_constraint_tables(self)
 
+    @cached_property
     def stress_chunks(self) -> list[StressTables]:
         """Stress tables over element chunks covering the mesh."""
+        return [
+            build_stress_tables(self.mesh, self.k, elems, self.classes)
+            for elems in element_chunks(self.mesh.n_triangles)
+        ]
 
-        def build():
-            classes = self.classes
-            return [
-                build_stress_tables(self.mesh, self.k, elems, classes)
-                for elems in element_chunks(self.mesh.n_triangles)
-            ]
-
-        return self._kept("chunks", build)
+    def element_constraints(self, elems, sign) -> ConstraintTables:
+        """The constraint tables of the elements ``elems`` with the dof signs
+        ``sign`` (:func:`_dof_signs`): their classes' times h for divm and
+        h^2 for the others, with the signs on the basis axes."""
+        ct = self.constraints
+        rows = self.mesh.shape_classes[1][elems]
+        h = self.mesh.h[elems, None, None]
+        h2 = h * h
+        return ConstraintTables(
+            divm=ct.divm[rows] * (h * sign[:, None, :]),
+            symx=ct.symx[rows] * (h2 * sign[:, None, :]),
+            symy=ct.symy[rows] * (h2 * sign[:, None, :]),
+            gram=ct.gram[rows] * (h2 * (sign[:, :, None] * sign[:, None, :])),
+        )
 
     def release_tables(self) -> None:
-        """Free the stress and constraint tables and stop keeping them."""
-        self._tables = None
+        """Drop the stress and constraint tables and the class store."""
+        for name in ("classes", "constraints", "stress_chunks"):
+            self.__dict__.pop(name, None)
 
 
 # -- projections ---------------------------------------------------------------

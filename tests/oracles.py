@@ -31,7 +31,7 @@ from stresseq.mesh import (
     Patches,
     _assemble,
 )
-from stresseq.spaces import _exps_array, legendre01, rt_dim, side_rule, triangle_rule
+from stresseq.spaces import _dof_signs, _exps_array, legendre01, rt_dim, side_rule, triangle_rule
 
 
 def dense_kkt_minimizer(problem: PatchProblem) -> np.ndarray:
@@ -65,7 +65,7 @@ def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.nd
     mesh, k = disc.mesh, disc.k
     patches = eq.patches
     elements = patches.elements[patch_pairs(patches, i)]
-    tables = eq.tables.of(elements)
+    tables = disc.element_constraints(elements, _dof_signs(mesh, elements, k))
     z = patches.vertex[i]
     ne, nd, nmk = len(elements), rt_dim(k), len(_exps_array(k))
 
@@ -484,7 +484,7 @@ def reference_side_traces(disc: Discretization, field) -> tuple[np.ndarray, np.n
     nqs = len(side_rule(disc.k)[0])
     tminus = np.zeros((mesh.n_sides, nqs, 2))
     tplus = np.zeros((mesh.n_sides, nqs, 2))
-    for tb in disc.stress_chunks():
+    for tb in disc.stress_chunks:
         nb = tb.normal_basis()
         ne, _, _, nd = nb.shape
         tr = nb.reshape(ne, -1, nd) @ field.dofs[tb.elems].swapaxes(1, 2)

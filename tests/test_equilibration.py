@@ -205,10 +205,10 @@ def test_side_jumps_match_the_trace_pair_oracle(k):
     trace less the plus trace."""
     mesh = uniform_refine(cook().mesh, 7)
     disc = Discretization(mesh, k)
-    first = disc.stress_chunks()[0].elems
+    first = disc.stress_chunks[0].elems
     interior = mesh.side_tri[:, 1] >= 0
     across = np.isin(mesh.side_tri[interior], first).sum(axis=1) == 1
-    assert len(disc.stress_chunks()) == 2 and across.sum() == 233
+    assert len(disc.stress_chunks) == 2 and across.sum() == 233
     rng = np.random.default_rng(11)
     field = BrokenField(mesh, k, rng.standard_normal((mesh.n_triangles, 2, rt_dim(k))))
     tminus, tplus = reference_side_traces(disc, field)

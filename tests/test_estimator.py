@@ -254,7 +254,7 @@ def test_estimate_evaluates_the_fields_once_per_chunk(monkeypatch):
     problem = manufactured_smooth(Material(mu=1.0, inv_lambda=0.1), cells=4)
     disc, fields, sigma = solve_problem(problem)
     delta, _, _ = equilibrate(disc, sigma, problem.load)
-    chunks = disc.stress_chunks()
+    chunks = disc.stress_chunks
     at_volume_rule = []
     inner = estimator.fields_at
 

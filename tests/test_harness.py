@@ -444,6 +444,42 @@ def test_exit_code_vertex_in_no_triangle(tmp_path, capsys):
         assert err.rstrip().endswith("vertex 4 lies in no triangle"), argv
 
 
+def _cli(*args):
+    """``python -m stresseq`` on the package under test, in a subprocess."""
+    src = pathlib.Path(main.__code__.co_filename).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "stresseq", *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def test_exit_code_undecodable_file(tmp_path):
+    """A byte that is not UTF-8 in a config is a config error (exit 2) and
+    in a mesh file a file error (exit 4) of every command that reads it,
+    reported in one line without a traceback."""
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_bytes(b"problem = cook\n\xff\n")
+    mesh_path = tmp_path / "mesh.txt"
+    write_mesh(cook_mesh(), str(mesh_path))
+    mesh_path.write_bytes(mesh_path.read_bytes() + b"\xff\n")
+    cfg_path = write_config(
+        tmp_path, f"mesh_file = {mesh_path}\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    for argv, code, kind in (
+        (["run", str(bad_cfg)], 2, "config"),
+        (["verify", str(bad_cfg)], 2, "config"),
+        (["mesh-info", str(mesh_path)], 4, "io"),
+        (["run", cfg_path], 4, "io"),
+        (["verify", cfg_path], 4, "io"),
+    ):
+        proc = _cli(*argv)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert proc.stderr.startswith(f"error: {kind}: "), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1, argv
+
+
 @pytest.mark.parametrize(
     "vertex, axis", [(1, 0), (0, 1)], ids=["x-of-vertex-1", "y-of-vertex-0"]
 )
@@ -653,23 +689,13 @@ def test_python_dash_m_runs_the_cli(smooth_cfg, tmp_path):
     """``python -m stresseq`` returns the CLI's exit code without a
     ``RuntimeWarning`` about the package's own modules."""
     cfg_path, _ = smooth_cfg
-    src = pathlib.Path(main.__code__.co_filename).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-
-    def cli(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "stresseq", *args],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-
-    proc = cli("verify", cfg_path)
+    proc = _cli("verify", cfg_path)
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "max_residual" in proc.stdout
     (tmp_path / "k3").mkdir()
     bad = write_config(tmp_path / "k3", "problem = cook\nk = 3\n")
-    proc = cli("verify", bad)
+    proc = _cli("verify", bad)
     assert proc.returncode == 2
     assert "config" in proc.stderr
 

@@ -22,11 +22,11 @@ from stresseq.equilibration import build_rhs_tables, side_jumps
 from stresseq.spaces import (
     Discretization,
     _div_maps,
+    _dof_signs,
     _exps_array,
     _interior_moments,
     _normal_moments,
     _rt_span,
-    build_constraint_tables,
     eval_volume_poly,
     lagrange_grads,
     lagrange_reference,
@@ -61,7 +61,7 @@ def case(request):
     )
     nt = disc.mesh.n_triangles
     stress = BrokenField(disc.mesh, k, rng.standard_normal((nt, 2, rt_dim(k))))
-    (tb,) = disc.stress_chunks()
+    (tb,) = disc.stress_chunks
     return disc, tb, fields, stress
 
 
@@ -136,7 +136,7 @@ def test_stress_table_coefficients(case):
 def test_constraint_tables(case):
     disc, tb, _, _ = case
     k = disc.k
-    ct = build_constraint_tables(disc).of(tb.elems)
+    ct = disc.element_constraints(tb.elems, _dof_signs(disc.mesh, tb.elems, k))
     exps1, _ = _rt_span(k)
     vals = np.einsum("eicm,eqm->eiqc", tb.C, monomial_values(exps1, tb.vol_xi))
     divs = tb.basis_div_at(tb.vol_xi)

@@ -39,6 +39,7 @@ from stresseq import (
     modified_patches,
     read_mesh,
     refine,
+    square_lshape,
     standard_patches,
     uniform_refine,
     unit_square_mesh,
@@ -627,6 +628,19 @@ def randomly_refined(mesh: Mesh, seed: int, rounds: int = 6) -> Mesh:
         n = max(1, int(rng.uniform(0.03, 0.6) * mesh.n_triangles))
         mesh = refine(mesh, rng.choice(mesh.n_triangles, n, replace=False))
     return mesh
+
+
+@pytest.mark.parametrize("make", [cook, square_lshape], ids=["cook", "square-lshape"])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_is_minus_is_where_the_side_normal_points_out(make, seed):
+    """``Mesh.is_minus`` holds exactly where a side's global normal points
+    out of the element: n . (side midpoint - centroid) > 0."""
+    mesh = randomly_refined(make().mesh, seed)
+    sides = mesh.tri_sides
+    mid = mesh.vertices[mesh.sides[sides]].mean(axis=2)              # (nt, 3, 2)
+    outward = np.einsum("ejc,ejc->ej", mesh.side_normal[sides], mid - mesh.centroids[:, None])
+    assert np.array_equal(mesh.is_minus, outward > 0)
+    assert mesh.is_minus.any() and not mesh.is_minus.all()
 
 
 def test_element_geometry_matches_the_per_element_formulas(tmp_path):

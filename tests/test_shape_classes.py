@@ -110,16 +110,17 @@ def test_class_tables_are_the_per_element_build(problem, mesh, k, reduce, read_b
 
     assert len(by_class.classes.C) == n_classes
     assert len(by_element.classes.C) == mesh.n_triangles
-    chunks = by_class.stress_chunks()
+    chunks = by_class.stress_chunks
     assert len(chunks) == (2 if mesh.n_triangles > spaces._CHUNK else 1)
-    for tc, te in zip(chunks, by_element.stress_chunks()):
+    for tc, te in zip(chunks, by_element.stress_chunks):
         assert tc.shapes is by_class.classes and te.shapes is by_element.classes
         own = spaces.build_stress_tables(mesh, k, tc.elems)  # verification's build
         for name in ("C", "vol_xi", "side_xi", "vol_x", "vol_w"):
             _assert_bitwise(getattr(tc, name), getattr(te, name), name)
             _assert_bitwise(getattr(tc, name), getattr(own, name), name)
     every = np.arange(mesh.n_triangles)
-    got, want = by_class.constraints.of(every), by_element.constraints.of(every)
+    sign = spaces._dof_signs(mesh, every, k)
+    got, want = (d.element_constraints(every, sign) for d in (by_class, by_element))
     for name in ("divm", "symx", "symy", "gram"):
         _assert_bitwise(getattr(got, name), getattr(want, name), name)
 
@@ -226,3 +227,23 @@ def test_shape_tables_are_built_once_per_step(monkeypatch):
     counted(elasticity, "_shape_matrices")
     solve_step(problem, mesh, 1, conservative_constants())
     assert sorted(calls) == ["_shape_constraints", "_shape_matrices", "_shape_tables"]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_class_builds_do_not_depend_on_the_block_size(monkeypatch, k):
+    """The class store, the constraint store and the element matrices,
+    built three classes at a time, are bitwise the one-block build."""
+    problem = cook()
+    mesh = randomly_refined(problem.mesh, 3)
+    material = Material(mu=1.3, inv_lambda=0.25)
+
+    def built():
+        disc = Discretization(mesh, k)
+        (_, _, data), _, _ = _element_triplets(disc, material, problem.load)
+        return [*disc.classes, *disc.constraints, data]
+
+    whole = built()
+    monkeypatch.setattr(spaces, "_CHUNK", 3)
+    assert len(spaces.element_chunks(len(mesh.shape_classes[0]))) > 3
+    for i, (got, want) in enumerate(zip(built(), whole, strict=True)):
+        _assert_bitwise(got, want, i)

@@ -16,7 +16,9 @@ from stresseq import (
     triangle_rule,
     unit_square_mesh,
 )
+from stresseq import spaces
 from stresseq.spaces import (
+    _dof_signs,
     build_stress_tables,
     eval_volume_poly,
     lagrange_values,
@@ -102,7 +104,8 @@ def test_mass_matrices_spd():
             mass[np.ix_(dofs, dofs)] += loc
         assert np.allclose(mass, mass.T)
         assert np.linalg.eigvalsh(mass).min() > 0
-    for g in Discretization(mesh, 1).constraints.of(np.arange(mesh.n_triangles)).gram:
+    every = np.arange(mesh.n_triangles)
+    for g in Discretization(mesh, 1).element_constraints(every, _dof_signs(mesh, every, 1)).gram:
         assert np.allclose(g, g.T, atol=1e-13)
         assert np.linalg.eigvalsh(g).min() > 0
 
@@ -327,13 +330,27 @@ def test_project_side_linear_and_sine_oracle():
         assert np.max(np.abs(oracle_vals - vals[i])) < 1e-13
 
 
+STORES = ("classes", "constraints", "stress_chunks")
+
+
 def test_discretization_keeps_tables_until_released():
+    """The stores are built on first use and kept; release drops all
+    three, and a store read again is the same tables."""
     disc = Discretization(unit_square_mesh(4), 1)
-    assert disc.stress_chunks() is disc.stress_chunks()
+    assert disc.stress_chunks is disc.stress_chunks
     assert disc.constraints is disc.constraints
+    assert all(name in vars(disc) for name in STORES)
     kept = disc.constraints
     disc.release_tables()
-    assert disc.stress_chunks() is not disc.stress_chunks()
-    assert disc.constraints is not disc.constraints
+    assert not any(name in vars(disc) for name in STORES)
     for name in ("divm", "symx", "symy", "gram"):
         assert np.array_equal(getattr(disc.constraints, name), getattr(kept, name))
+
+
+def test_constraint_store_builds_no_stress_chunk(monkeypatch):
+    """The class-only constraint store reads the class store, not the
+    per-element stress chunks."""
+    disc = Discretization(unit_square_mesh(4), 2)
+    monkeypatch.setattr(spaces, "build_stress_tables", None)
+    disc.constraints
+    assert "stress_chunks" not in vars(disc)
