@@ -8,13 +8,18 @@ a checkout); WORKLOAD is a name from ``perfbench/workloads.py``.  The script
 writes the workload's inputs (seed 1) and runs ``harness.main(["run", cfg])``
 ``--calls`` times in this one process.  The five layers of a step,
 ``assemble_system``, ``solve``, ``direct_stress``, ``equilibrate`` and
-``estimate``, are wrapped where ``adaptivity`` imports them.  A daemon
-thread reads the resident set of the process from ``/proc/self/statm``
-every 2 ms and counts each reading toward the layer that runs at that
-moment, or toward ``outside``; each wrapper also reads it on entry and on
-exit.  For each call the script prints the peak RSS inside each layer and
-outside them, and ``ru_maxrss`` after the call (the peak of the process so
-far, as perfbench's ``peak_rss_mb`` reads it).  MB are 10^6 bytes.
+``estimate``, are wrapped where ``adaptivity`` imports them, and
+``verify_equilibration`` and ``attach_reference_errors`` where ``harness``
+imports them.  After each call the script runs perfbench's per-step check
+(``checks.capture_steps`` around the call, then ``checks.verify_captured``)
+as one more layer, ``check``, so that the process holds what perfbench's
+holds.  A daemon thread reads the resident set of the process from
+``/proc/self/statm`` every 2 ms and counts each reading toward the layer
+that runs at that moment, or toward ``outside``; each wrapper also reads
+it on entry and on exit.  For each call the script prints the peak RSS
+inside each layer and outside them, and ``ru_maxrss`` after the check (the
+peak of the process so far, as perfbench's ``peak_rss_mb`` reads it).  MB
+are 10^6 bytes.
 
 ``tracemalloc`` counts only the bytes that Python's allocator hands out, so
 it cannot show how glibc's heap places them, and from the second call on
@@ -43,9 +48,12 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import checks  # noqa: E402
 import workloads  # noqa: E402
 
 LAYERS = ("assemble_system", "solve", "direct_stress", "equilibrate", "estimate")
+HARNESS_LAYERS = ("verify_equilibration", "attach_reference_errors")
+CHECK = "check"
 OUTSIDE = "outside"
 PERIOD_S = 0.002
 PAGE_MB = os.sysconf("SC_PAGE_SIZE") / 1e6
@@ -109,25 +117,32 @@ def main(argv=None) -> int:
     from stresseq import adaptivity, harness
 
     sampler = Sampler()
-    for name in LAYERS:
-        setattr(adaptivity, name, sampler.wrap(name, getattr(adaptivity, name)))
+    for module, names in ((adaptivity, LAYERS), (harness, HARNESS_LAYERS)):
+        for name in names:
+            setattr(module, name, sampler.wrap(name, getattr(module, name)))
+    verify_captured = sampler.wrap(CHECK, checks.verify_captured)
     threading.Thread(target=sampler.run, daemon=True).start()
 
-    columns = (*LAYERS, OUTSIDE, "ru_maxrss")
+    columns = (*LAYERS, *HARNESS_LAYERS, CHECK, OUTSIDE, "ru_maxrss")
+    width = max(map(len, columns)) + 1
     print(f"{args.workload}: {args.calls} calls in one process, "
           f"peak RSS per layer (MB), sampled every {PERIOD_S * 1e3:g} ms")
-    print("call " + " ".join(f"{c:>15}" for c in columns))
+    print("call " + " ".join(f"{c:>{width}}" for c in columns))
     with tempfile.TemporaryDirectory() as tmp:
         config, _ = workloads.write_inputs(args.workload, 1, pathlib.Path(tmp))
         sampler.take()  # the set-up belongs to no call
         for call in range(1, args.calls + 1):
-            code = harness.main(["run", str(config)])
+            captured: list = []
+            with checks.capture_steps(captured):
+                code = harness.main(["run", str(config)])
             if code != 0:
                 raise SystemExit(f"call {call}: run exited {code}")
+            verify_captured(captured)
+            del captured
             peaks = sampler.take()
             peaks["ru_maxrss"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
             print(f"{call:>4} " + " ".join(
-                f"{peaks[c]:>15.1f}" if c in peaks else f"{'-':>15}" for c in columns
+                f"{peaks[c]:>{width}.1f}" if c in peaks else f"{'-':>{width}}" for c in columns
             ))
     return 0
 

@@ -636,7 +636,7 @@ class Equilibrator:
         )[:, None] + np.arange(2 * (k + 1))
         rhs[rows_jump] = np.einsum(
             "sa,sarm->srm", w, self.rhs_tables.rjump[active]
-        ).reshape(len(active), -1)
+        ).reshape(len(active), 2 * (k + 1))
 
         return PatchBatch(
             vertex=vertex,

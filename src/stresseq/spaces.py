@@ -25,12 +25,13 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.linalg import eigvals_banded
 
 from .errors import UnsupportedDegree
 from .mesh import Mesh
@@ -64,17 +65,74 @@ def segment_rule(degree: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
+def _jacobi(n: int, a: int, b: int, x: np.ndarray) -> np.ndarray:
+    """The Jacobi polynomial P_n^(a, b) at x, by the forward recurrence of
+    scipy.special.eval_jacobi at integer n, operation for operation."""
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return 0.5 * (2 * (a + 1) + (a + b + 2) * (x - 1))
+    d = (a + b + 2) * (x - 1) / (2 * (a + 1))
+    p = d + 1
+    for kk in range(n - 1):
+        k = kk + 1.0
+        t = 2 * k + a + b
+        d = ((t * (t + 1) * (t + 2)) * (x - 1) * p + 2 * k * (k + b) * (t + 2) * d) / (
+            2 * (k + a + 1) * (k + a + b + 1) * t
+        )
+        p = d + p
+    return math.comb(n + a, n) * p
+
+
+def _gauss_jacobi10(n: int):
+    """The n-point Gauss-Jacobi rule of weight 1 - x on [-1, 1]: the
+    Golub-Welsch algorithm as scipy.special.roots_jacobi(n, 1, 0) runs it.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix of the three-term recurrence, improved by one Newton step
+    x -= P_n / P_n' with P_n' = (n + 2)/2 P_{n-1}^(2, 1); the weights are
+    1 / (P_{n-1} P_n') after a log-normalisation of both factors, scaled to
+    sum to 2 (the integral of 1 - x).
+    """
+    # The matrix in upper band storage: row 0 the off-diagonal, row 1 the
+    # diagonal.  scipy's special cases of k = 0 (diagonal) and k = 1
+    # (off-diagonal) are the general formulas' values to the bit.
+    k = np.arange(n, dtype=float)
+    j = k[1:]
+    c = np.zeros((2, n))
+    c[0, 1:] = (
+        2.0 / (2.0 * j + 1.0)
+        * np.sqrt((j + 1.0) * j / (2.0 * j + 2.0))
+        * np.sqrt(j * (j + 1.0) / (2.0 * j))
+    )
+    c[1] = -1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0))
+    x = eigvals_banded(c, overwrite_a_band=True)
+    dy = 0.5 * (n + 2.0) * _jacobi(n - 1, 2, 1, x)
+    x -= _jacobi(n, 1, 0, x) / dy
+    fm = _jacobi(n - 1, 1, 0, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int):
     """Conical-product rule on the reference triangle, exact for `degree`.
 
     Tensorizes a Gauss-Jacobi rule (weight 1-x) in the first coordinate
-    with a Gauss-Legendre rule in the second; weights sum to 1/2.
+    with a Gauss-Legendre rule in the second; weights sum to 1/2.  The
+    Gauss-Jacobi rule is `_gauss_jacobi10`, scipy.special.roots_jacobi's
+    Golub-Welsch algorithm on scipy.linalg.eigvals_banded, which gives its
+    nodes and weights bit for bit without importing scipy.special.
     """
     n = max(1, (degree + 2) // 2)
     xg, wg = np.polynomial.legendre.leggauss(n)
     vg, vw = (xg + 1.0) / 2.0, wg / 2.0
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
+    xj, wj = _gauss_jacobi10(n)
     ug, uw = (xj + 1.0) / 2.0, wj / 4.0
     u = np.repeat(ug, n)
     v = np.tile(vg, n)

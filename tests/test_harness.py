@@ -444,15 +444,19 @@ def test_exit_code_vertex_in_no_triangle(tmp_path, capsys):
         assert err.rstrip().endswith("vertex 4 lies in no triangle"), argv
 
 
-def _cli(*args):
-    """``python -m stresseq`` on the package under test, in a subprocess."""
+def _python(*args):
+    """``python *args`` with the package under test importable, in a subprocess."""
     src = pathlib.Path(main.__code__.co_filename).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "stresseq", *args],
-        capture_output=True, text=True, env=env, timeout=300,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
     )
+
+
+def _cli(*args):
+    """``python -m stresseq`` on the package under test, in a subprocess."""
+    return _python("-m", "stresseq", *args)
 
 
 def test_exit_code_undecodable_file(tmp_path):
@@ -708,3 +712,43 @@ def test_mesh_info_subcommand(tmp_path, capsys):
     assert "vertices 25" in out
     assert "triangles 32" in out
     assert "min_angle_deg" in out
+
+
+def test_one_triangle_mesh_at_k2_runs_and_verifies(tmp_path):
+    """``run`` and ``verify`` on a single triangle with every side on the
+    displacement boundary (k = 2): its one patch chunk has no jump side.
+    Both exit 0 with zero residuals, and print no traceback."""
+    mesh_path = tmp_path / "triangle.txt"
+    mesh_path.write_text(
+        "vertices 3 / triangles 1 / sides_dirichlet 3 / sides_neumann 0\n"
+        "0 0\n1 0\n0 1\n0 1 2\n0 1\n1 2\n2 0\n"
+    )
+    out = tmp_path / "out"
+    cfg_path = write_config(
+        tmp_path, f"mesh_file = {mesh_path}\nk = 2\nsteps = 1\noutput_dir = {out}\n"
+    )
+    proc = _cli("run", cfg_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (out / "equilibration.txt").read_text().splitlines()[-1] == "max_residual 0"
+    proc = _cli("verify", cfg_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "max_residual 0 (ok)" in proc.stdout
+
+
+def test_a_run_does_not_load_scipy_special(tmp_path):
+    """Neither importing the CLI nor a whole run loads scipy.special: the
+    quadrature builds its Gauss-Jacobi rule from NumPy and scipy.linalg."""
+    cfg_path = write_config(
+        tmp_path, f"problem = cook\nsteps = 1\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    code = (
+        "import sys\n"
+        "from stresseq import harness\n"
+        f"assert harness.main(['run', {cfg_path!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'special']))\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -44,6 +44,33 @@ def test_triangle_rule_exactness(degree):
             assert abs(val - exact) < 1e-14, (a, b)
 
 
+def test_gauss_jacobi_rule_is_scipys_bit_for_bit():
+    """The Golub-Welsch port gives scipy.special's Gauss-Jacobi(1, 0) rule
+    with the same bits, nodes and weights, for every n up to 40."""
+    from scipy.special import roots_jacobi
+
+    for n in range(1, 41):
+        x, w = spaces._gauss_jacobi10(n)
+        xs, ws = roots_jacobi(n, 1.0, 0.0)
+        assert np.array_equal(x, xs) and np.array_equal(w, ws), n
+
+
+def test_triangle_rule_is_built_on_scipys_jacobi_rule():
+    """triangle_rule(d) matches, bit for bit, the conical-product rule that
+    scipy.special's Gauss-Jacobi rule gives, for every degree up to 40."""
+    from scipy.special import roots_jacobi
+
+    for degree in range(41):
+        n = max(1, (degree + 2) // 2)
+        xg, wg = np.polynomial.legendre.leggauss(n)
+        xj, wj = roots_jacobi(n, 1.0, 0.0)
+        u = np.repeat((xj + 1.0) / 2.0, n)
+        v = np.tile((xg + 1.0) / 2.0, n)
+        pts, w = triangle_rule(degree)
+        assert np.array_equal(pts, np.column_stack([u, v * (1.0 - u)])), degree
+        assert np.array_equal(w, np.repeat(wj / 4.0, n) * np.tile(wg / 2.0, n)), degree
+
+
 @pytest.mark.parametrize("degree", range(1, 12))
 def test_segment_rule_exactness(degree):
     pts, w = segment_rule(degree)
