@@ -173,20 +173,10 @@ class Tables(NamedTuple):
     def arrays(self) -> dict:
         """The tables by name, the constraint tables per element."""
         disc, every = self.disc, np.arange(self.disc.mesh.n_triangles)
-        ct = disc.constraints
-        if hasattr(disc, "element_constraints"):  # kept per shape class only
-            spaces = sys.modules[type(disc).__module__]
-            ct = disc.element_constraints(every, spaces._dof_signs(disc.mesh, every, disc.k))
-        elif hasattr(ct, "of"):  # kept per shape class, with per-element signs
-            ct = ct.of(every)
-        C = np.concatenate([tb.C for tb in stress_chunks(disc)])
+        spaces = sys.modules[type(disc).__module__]
+        ct = disc.element_constraints(every, spaces._dof_signs(disc.mesh, every, disc.k))
+        C = np.concatenate([tb.C for tb in disc.stress_chunks])
         return dict(zip(TABLES, (C, ct.divm, ct.symx, ct.symy, ct.gram, self.data)))
-
-
-def stress_chunks(disc) -> list:
-    """The stress chunks of ``disc``, a method or a cached property."""
-    chunks = disc.stress_chunks
-    return chunks() if callable(chunks) else chunks
 
 
 def tables_pass(tree, captured, _path):
@@ -196,7 +186,7 @@ def tables_pass(tree, captured, _path):
         for cached in ("shape_classes", "is_minus"):  # found on first use
             disc.mesh.__dict__.pop(cached, None)
         fresh = spaces.Discretization(disc.mesh, disc.k)
-        stress_chunks(fresh)
+        fresh.stress_chunks
         fresh.constraints
         (_, _, data), _, _ = elasticity._element_triplets(fresh, material, load)
         out.append(Tables(fresh, data))

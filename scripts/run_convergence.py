@@ -20,11 +20,12 @@ from stresseq import (
     manufactured_smooth,
     solve_step,
 )
+from stresseq.spaces import SUPPORTED_DEGREES
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--k", type=int, default=1, choices=(1, 2),
+    ap.add_argument("--k", type=int, default=1, choices=SUPPORTED_DEGREES,
                     help="pressure degree (displacement is one higher)")
     ap.add_argument("--cells", type=int, nargs="+", default=[4, 8, 16, 32],
                     help="grid cells per side for each mesh in the chain")

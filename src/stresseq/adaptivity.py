@@ -34,7 +34,7 @@ from .estimator import (
 )
 from .mesh import Mesh, refine, uniform_refine
 from .problems import Problem
-from .spaces import BrokenField, Discretization
+from .spaces import SUPPORTED_DEGREES, BrokenField, Discretization
 
 _ESTIMATORS = ("equilibrated", "residual")
 _MODES = ("adaptive", "uniform")
@@ -54,8 +54,8 @@ class AdaptiveConfig:
     constants: BoundConstants = field(default_factory=conservative_constants)
 
     def __post_init__(self):
-        if self.k not in (1, 2):
-            raise ConfigError(f"polynomial degree {self.k} not in (1, 2)")
+        if self.k not in SUPPORTED_DEGREES:
+            raise ConfigError(f"polynomial degree {self.k} not in {SUPPORTED_DEGREES}")
         if not (0.0 < self.theta <= 1.0):
             raise ConfigError(f"marking fraction {self.theta} outside (0, 1]")
         if self.max_steps < 1:

@@ -208,8 +208,8 @@ class PatchProblem:
 
 def _n_local(k: int) -> int:
     """Local rows of an (element, tensor row) block: nmk divergence moments,
-    3 (k + 1) side-moment selectors, 3 k symmetry rows."""
-    return len(_exps_array(k)) + 3 * (k + 1) + 3 * k
+    3 (k + 1) side-moment selectors, nmk symmetry rows (one per P_k node)."""
+    return 2 * len(_exps_array(k)) + 3 * (k + 1)
 
 
 def _selectors(k: int) -> tuple[int, np.ndarray]:

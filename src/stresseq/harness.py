@@ -5,7 +5,8 @@ parentheses):
 
   problem      built-in problem name: cook | manufactured-smooth |
                square-lshape                       (cook)
-  k            polynomial degree 1 | 2             (1)
+  k            polynomial degree, one of
+               spaces.SUPPORTED_DEGREES            (1)
   mu           shear modulus, > 0                  (1.0)
   inv_lambda   reciprocal of the first Lame
                parameter lambda; 0 means

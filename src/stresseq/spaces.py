@@ -40,6 +40,10 @@ from .mesh import Mesh
 # per-block quadrature arrays.
 _CHUNK = 4096
 
+# The stress degrees k a Discretization accepts; the layouts hold for any k,
+# and README "Numerical notes" says what holds k = 3 and k = 4 back.
+SUPPORTED_DEGREES = (1, 2)
+
 
 def element_chunks(n: int) -> list[np.ndarray]:
     """The element blocks 0.._CHUNK-1, _CHUNK..2 _CHUNK-1, ... of n elements."""
@@ -228,10 +232,8 @@ def lagrange_reference(m: int):
 
     Node order: the three vertices; then for each local edge j (opposite
     vertex j, running from vertex j+1 to vertex j+2) its m-1 interior
-    nodes; then the centroid for m = 3.
+    nodes; then the points (i/m, j/m), i, j >= 1, i + j < m, i-major.
     """
-    if m not in (1, 2, 3):
-        raise UnsupportedDegree(f"lagrange degree {m} not supported")
     corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     nodes = list(corners)
     for j in range(3):
@@ -239,8 +241,7 @@ def lagrange_reference(m: int):
         b = np.array(corners[(j + 2) % 3])
         for q in range(1, m):
             nodes.append(tuple(a + (q / m) * (b - a)))
-    if m == 3:
-        nodes.append((1.0 / 3.0, 1.0 / 3.0))
+    nodes += [(i / m, j / m) for i in range(1, m) for j in range(1, m - i)]
     nodes = np.array(nodes)
     exps = _exps_array(m)
     vand = monomial_values(exps, nodes)
@@ -277,7 +278,8 @@ class DofMap:
 
     Scalar dofs are numbered: vertex dofs first (= vertex id), then m-1
     dofs per side (ordered from the side's lower vertex to its higher),
-    then one interior dof per element for m = 3.  Vector-valued fields
+    then (m-1)(m-2)/2 interior dofs per element, element by element in
+    the order of :func:`lagrange_reference`.  Vector-valued fields
     interleave components: global dof = scalar_dof * ncomp + component.
     """
 
@@ -310,25 +312,21 @@ class DofMap:
 def make_dofmap(mesh: Mesh, degree: int, ncomp: int = 1) -> DofMap:
     """Build the dof map of a continuous P_degree space on the mesh."""
     m = degree
-    if m not in (1, 2, 3):
-        raise UnsupportedDegree(f"continuous degree {m} not supported")
     nt, nv, ns = mesh.n_triangles, mesh.n_vertices, mesh.n_sides
-    nloc = 3 + 3 * (m - 1) + (1 if m == 3 else 0)
-    ed = np.empty((nt, nloc), dtype=np.int64)
+    n_int = (m - 1) * (m - 2) // 2
+    ed = np.empty((nt, 3 * m + n_int), dtype=np.int64)
     ed[:, :3] = mesh.triangles
-    if m >= 2:
-        for j in range(3):
-            s = mesh.tri_sides[:, j]
-            va = mesh.triangles[:, (j + 1) % 3]
-            vb = mesh.triangles[:, (j + 2) % 3]
-            base = nv + s * (m - 1)
-            for q in range(m - 1):
-                slot = np.where(va < vb, q, m - 2 - q)
-                ed[:, 3 + j * (m - 1) + q] = base + slot
-    if m == 3:
-        ed[:, -1] = nv + ns * (m - 1) + np.arange(nt)
-    n_scalar = nv + ns * (m - 1) + (nt if m == 3 else 0)
-    return DofMap(mesh, m, ncomp, ed, n_scalar)
+    for j in range(3):
+        s = mesh.tri_sides[:, j]
+        va = mesh.triangles[:, (j + 1) % 3]
+        vb = mesh.triangles[:, (j + 2) % 3]
+        base = nv + s * (m - 1)
+        for q in range(m - 1):
+            slot = np.where(va < vb, q, m - 2 - q)
+            ed[:, 3 + j * (m - 1) + q] = base + slot
+    first = nv + ns * (m - 1)
+    ed[:, 3 * m :] = first + np.arange(nt * n_int).reshape(nt, n_int)
+    return DofMap(mesh, m, ncomp, ed, first + nt * n_int)
 
 
 # -- broken Raviart-Thomas stress space ----------------------------------------
@@ -622,8 +620,6 @@ def build_stress_tables(
     without it, the tables are built here from each element's own shape by
     the same routine, so both give the same bits.
     """
-    if k not in (1, 2):
-        raise UnsupportedDegree(f"stress degree {k} not supported")
     if elems is None:
         elems = np.arange(mesh.n_triangles)
     elems = np.asarray(elems, dtype=np.int64)
@@ -767,8 +763,8 @@ class Discretization:
     """
 
     def __init__(self, mesh: Mesh, k: int = 1):
-        if k not in (1, 2):
-            raise UnsupportedDegree(f"stress degree {k} not supported")
+        if k not in SUPPORTED_DEGREES:
+            raise UnsupportedDegree(f"stress degree {k} not in {SUPPORTED_DEGREES}")
         self.mesh = mesh
         self.k = k
 

@@ -35,6 +35,7 @@ from stresseq.spaces import (
     build_stress_tables,
     lagrange_values,
     legendre01,
+    make_dofmap,
     monomial_values,
     rt_dim,
     triangle_rule,
@@ -326,6 +327,16 @@ def test_schur_path_matches_qr_lu_fallback(setup, request):
             assert sol.kkt[i] <= 1e-10
             seen.add((touching, len(absorbed(patches, start + i)) > 0))
     assert {(True, False), (False, False), (False, True)} <= seen
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_local_rows_count_a_symmetry_row_per_pk_node(k):
+    """An (element, tensor row) block holds the nmk divergence moments, the
+    3 (k + 1) side-moment selectors and a symmetry row per P_k node, the
+    width of the pressure dof map that the patch build reads."""
+    nlk = make_dofmap(cook_mesh(), k).element_dofs.shape[1]
+    assert nlk == (k + 1) * (k + 2) // 2
+    assert _n_local(k) == len(_exps_array(k)) + 3 * (k + 1) + nlk
 
 
 @pytest.mark.parametrize("setup", ["cook_eq", "cook2_eq", "lshape2_eq"])

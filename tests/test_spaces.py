@@ -11,9 +11,11 @@ from stresseq import (
     Discretization,
     UnsupportedDegree,
     build_mesh,
+    cook_mesh,
     rt_dim,
     segment_rule,
     triangle_rule,
+    uniform_refine,
     unit_square_mesh,
 )
 from stresseq import spaces
@@ -109,13 +111,59 @@ def test_continuous_dofs_shared_across_elements():
 
 
 def test_unsupported_degree():
-    mesh = two_triangle_square()
     with pytest.raises(UnsupportedDegree):
-        make_dofmap(mesh, 4)
-    with pytest.raises(UnsupportedDegree):
-        build_stress_tables(mesh, 3)
-    with pytest.raises(UnsupportedDegree):
-        Discretization(mesh, 3)
+        Discretization(two_triangle_square(), 3)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_lagrange_basis_is_nodal_and_reproduces_p_m(m, rng):
+    """The P_m basis is 1 at its own node and 0 at the others, and its
+    interpolant of every monomial of degree <= m is that monomial."""
+    nodes, exps, _ = spaces.lagrange_reference(m)
+    lattice = [(i / m, j / m) for i in range(1, m) for j in range(1, m - i)]
+    assert np.array_equal(nodes[3 * m :].reshape(-1, 2), np.array(lattice).reshape(-1, 2))
+    assert np.allclose(lagrange_values(m, nodes), np.eye(len(nodes)), rtol=0, atol=1e-12)
+    pts = rng.random((20, 2))
+    pts = np.where(pts.sum(axis=1, keepdims=True) > 1, 1 - pts, pts)
+    at_nodes = spaces.monomial_values(exps, nodes)
+    assert np.allclose(
+        lagrange_values(m, pts) @ at_nodes, spaces.monomial_values(exps, pts), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_dofmap_layout_any_degree(m):
+    """On a bisected Cook mesh: the two elements of a side share its dofs,
+    each dof sits at one point, interior dofs belong to one element, and
+    the count is nv + ns (m - 1) + nt (m - 1)(m - 2)/2."""
+    mesh = uniform_refine(cook_mesh(), 1)
+    nv, ns, nt = mesh.n_vertices, mesh.n_sides, mesh.n_triangles
+    dm = make_dofmap(mesh, m)
+    ed = dm.element_dofs
+    assert dm.n_scalar == nv + ns * (m - 1) + nt * (m - 1) * (m - 2) // 2
+    assert np.array_equal(np.unique(ed), np.arange(dm.n_scalar))
+
+    interior = ed[:, 3 * m :]
+    assert len(np.unique(interior)) == interior.size
+    assert interior.size == 0 or interior.min() == nv + ns * (m - 1)
+
+    nodes = spaces.lagrange_reference(m)[0]
+    x, _ = mesh.rule_points(np.arange(nt), nodes, np.zeros(len(nodes)))
+    at = np.empty((dm.n_scalar, 2))
+    at[ed] = x
+    assert np.allclose(at[ed], x, rtol=0, atol=1e-10)
+    assert len(np.unique(np.round(at, 9), axis=0)) == dm.n_scalar
+
+    def side_dofs(t, j):
+        edge = np.arange(3 + j * (m - 1), 3 + (j + 1) * (m - 1))
+        return set(ed[t, [(j + 1) % 3, (j + 2) % 3]]) | set(ed[t, edge])
+
+    for s in np.flatnonzero(mesh.side_tri[:, 1] >= 0):
+        a, b = mesh.side_tri[s]
+        ja = int(np.flatnonzero(mesh.tri_sides[a] == s)[0])
+        jb = int(np.flatnonzero(mesh.tri_sides[b] == s)[0])
+        assert side_dofs(a, ja) == side_dofs(b, jb)
+        assert side_dofs(a, ja) == set(dm.side_scalar_dofs([s]).tolist())
 
 
 def test_mass_matrices_spd():
