@@ -30,17 +30,21 @@ four indicator arrays (eta_A, eta_B, eta_C, eta_R) of every step, the
 refined meshes (vertices, triangles, parents, sides and labels), the mesh
 files and the (u, p) of every step.  For the tables it also prints the
 largest difference of each table (the stress coefficients, the four
-constraint tables per element and the matrix entries), relative to its
-largest |entry|, over the steps; the timed pass only builds them.  For
-``estimate`` it also prints which indicator arrays are bitwise equal on
-every step.  For ``equilibrate`` it also prints the largest sigma_r difference relative to the step's largest |dof|, and each
-tree's ``Equilibrator`` counters summed over the steps: ``n_batches``,
-``n_fallbacks``, ``dropped_rows`` (patches per number of dropped rows) and
-the largest ``worst_kkt``.  For the solve it also prints, for one more,
-untimed pass of each tree, the ``tracemalloc`` peak and the most memory
-traced at a call of ``splu``.  These count the NumPy and SciPy arrays
-only: SuperLU allocates its factors outside Python's allocator, so they
-do not show.
+constraint tables per shape class and the matrix entries), relative to
+its largest |entry|, over the steps; the timed pass only builds them.
+The constraint tables are compared as the class store
+``Discretization.constraints`` holds them, whether a tree's
+``Discretization`` or its patch batches take them to the elements, so the
+pass runs on trees on either side of that move.  For ``estimate`` it also
+prints which indicator arrays are bitwise equal on every step.  For
+``equilibrate`` it also prints the largest sigma_r difference relative to
+the step's largest |dof|, and each tree's ``Equilibrator`` counters
+summed over the steps: ``n_batches``, ``n_fallbacks``, ``dropped_rows``
+(patches per number of dropped rows) and the largest ``worst_kkt``.
+For the solve it also prints, for one more, untimed pass of each tree,
+the ``tracemalloc`` peak and the most memory traced at a call of
+``splu``.  These count the NumPy and SciPy arrays only: SuperLU
+allocates its factors outside Python's allocator, so they do not show.
 
 Timings taken in separate processes on a shared 2-core machine swing by
 about 10 %, which hides layer gains of that size; two trees in one
@@ -171,11 +175,9 @@ class Tables(NamedTuple):
     data: np.ndarray
 
     def arrays(self) -> dict:
-        """The tables by name, the constraint tables per element."""
-        disc, every = self.disc, np.arange(self.disc.mesh.n_triangles)
-        spaces = sys.modules[type(disc).__module__]
-        ct = disc.element_constraints(every, spaces._dof_signs(disc.mesh, every, disc.k))
-        C = np.concatenate([tb.C for tb in disc.stress_chunks])
+        """The tables by name, the constraint tables per shape class."""
+        ct = self.disc.constraints
+        C = np.concatenate([tb.C for tb in self.disc.stress_chunks])
         return dict(zip(TABLES, (C, ct.divm, ct.symx, ct.symy, ct.gram, self.data)))
 
 

@@ -10,9 +10,11 @@ under only one root is a difference.
 
 For each output file of a run (``history.csv``, ``estimator_final.csv``,
 ``summary.csv``, ``equilibration.txt``) present in either directory, prints
-the largest relative change |a - b| / max(|a|, |b|) of each numeric column.
-``summary.csv`` and ``equilibration.txt`` hold one quantity per line; there
-each quantity is a column.
+whether the two files are byte-identical, then the largest relative change
+|a - b| / max(|a|, |b|) of each numeric column.  ``summary.csv`` and
+``equilibration.txt`` hold one quantity per line; there each quantity is a
+column.  A drift of 0 does not mean identical bytes: ``1e-05`` and
+``1.0000000000000001e-05`` are the same double.
 
 When both directories hold ``mesh_final.txt`` (``save_mesh = true``), it
 is compared byte for byte.
@@ -117,7 +119,8 @@ def compare_runs(dir_a: pathlib.Path, dir_b: pathlib.Path) -> bool:
             differs = True
             continue
         drift, problems = compare_file(path_a, path_b)
-        print(f"{name}:")
+        same = path_a.read_bytes() == path_b.read_bytes()
+        print(f"{name}: " + ("byte-identical" if same else "bytes differ"))
         for column, change in drift.items():
             print(f"  {column:<28} {change:.3g}")
         for problem in problems:

@@ -17,7 +17,8 @@ a checkout).  The runs are:
 Each run is one ``python -m stresseq run`` process on the package under
 SRC, with BLAS on one thread as in the benchmark, writing into
 ``OUT/<name>``.  ``compare_outputs.py`` then compares the same-named runs
-of two such roots; a refactor that keeps the numbers reports no drift.
+of two such roots; a refactor that keeps the numbers reports no drift and
+byte-identical files.
 """
 
 from __future__ import annotations

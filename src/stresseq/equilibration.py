@@ -601,20 +601,24 @@ class Equilibrator:
             axis=2,
         )
 
-        # element tables: each side moment is selected with +1 from the
-        # side's minus element and -1 from its plus element; the pairs of an
-        # element take the slot of their first vertex that the patch owns
+        # element tables: their classes' scaled, divm by h D, symx and symy
+        # by h^2 D, gram by h^2 D D^T; each side moment is selected with +1
+        # from the side's minus element and -1 from its plus element; the
+        # pairs of an element take the slot of their first vertex that the
+        # patch owns
         unique, table = np.unique(elements, return_inverse=True)
+        cls, ct = mesh.shape_classes[1][unique], self.disc.constraints
         selector = np.repeat(np.where(mesh.is_minus[unique], 1.0, -1.0), k + 1, axis=1)
         dof_sign = _dof_signs(mesh, unique, k)
-        tables = self.disc.element_constraints(unique, dof_sign)
-        rows = _table_rows(k, tables.divm, tables.symx, tables.symy, selector)
         h = mesh.h[unique, None]
+        hD, h2D = (h * dof_sign)[:, None], (h * h * dof_sign)[:, None]
+        rows = _table_rows(k, ct.divm[cls] * hD, ct.symx[cls] * h2D, ct.symy[cls] * h2D, selector)
+        gram = ct.gram[cls] * (h2D * dof_sign[:, :, None])
         dof_scale = dof_sign / h
         shapes = TableShapes(
             rows=self.shape_rows,
-            gram=self.disc.constraints.gram,
-            index=mesh.shape_classes[1][unique],
+            gram=ct.gram,
+            index=cls,
             row_scale=np.concatenate(
                 [np.ones((len(unique), nmk)), selector * dof_scale[:, :nsel],
                  np.repeat(h, ed_p.shape[1], axis=1)],
@@ -647,7 +651,7 @@ class Equilibrator:
             free=free,
             table=table,
             slot=np.argmax(patches.weights[pairs], axis=1),
-            table_gram=tables.gram,
+            table_gram=gram,
             table_rows=rows,
             shapes=shapes,
             block_rows=block_rows,

@@ -681,33 +681,18 @@ class BrokenField:
         return (self.dofs[tables.elems] @ dvals).swapaxes(1, 2)
 
 
-# -- per-element constraint tables ---------------------------------------------
-
-
-@dataclass
-class ConstraintTables:
-    """Patch-independent element integrals used by the patch problems.
-
-    divm[e, b, i] = (div basis_i, m_b)_T over the P_k monomials.
-    symx[e, a, i] = (basis_i . e_x, phi_a)_T for the local P_k hats phi_a.
-    symy[e, a, i] = (basis_i . e_y, phi_a)_T.
-    gram[e, i, j] = (basis_i, basis_j)_T.
-    """
-
-    divm: np.ndarray
-    symx: np.ndarray
-    symy: np.ndarray
-    gram: np.ndarray
+# -- constraint tables ---------------------------------------------------------
 
 
 class ShapeConstraints(NamedTuple):
-    """The constraint tables of a mesh, kept per shape class.
-
-    ``divm``, ``symx``, ``symy`` and ``gram`` are those of
-    :class:`ConstraintTables` per class (:attr:`.Mesh.shape_classes`), in
-    the local frame and over the scaled element (d/dxi, area det(S) / 2);
-    :meth:`Discretization.element_constraints` gives the tables of
-    elements.
+    """The patch-independent integrals of the patch problems per shape class
+    (:attr:`.Mesh.shape_classes`), in the local frame and over the scaled
+    element (d/dxi, area det(S) / 2): divm[c, b, i] = (div basis_i, m_b)
+    over the P_k monomials, symx[c, a, i] = (basis_i . e_x, phi_a) and symy
+    for the local P_k hats phi_a, gram[c, i, j] = (basis_i, basis_j).  An
+    element's tables are its class's scaled by its h and dof signs D
+    (:func:`_dof_signs`): divm by h D, symx and symy by h^2 D, gram by
+    h^2 D D^T (:meth:`.Equilibrator._build_batch`).
     """
 
     divm: np.ndarray   # (n_classes, nmk, nd)
@@ -759,7 +744,8 @@ class Discretization:
     :attr:`classes` and :attr:`constraints` hold class data only: every
     table that depends on an element's shape alone is built once per shape
     class of the mesh, and an element's own facts (its class, dof signs and
-    h) are read from the mesh where they are used.
+    h) are read from the mesh where its tables are used: the stress
+    chunks, the element matrices and each patch batch.
     """
 
     def __init__(self, mesh: Mesh, k: int = 1):
@@ -795,21 +781,6 @@ class Discretization:
             build_stress_tables(self.mesh, self.k, elems, self.classes)
             for elems in element_chunks(self.mesh.n_triangles)
         ]
-
-    def element_constraints(self, elems, sign) -> ConstraintTables:
-        """The constraint tables of the elements ``elems`` with the dof signs
-        ``sign`` (:func:`_dof_signs`): their classes' times h for divm and
-        h^2 for the others, with the signs on the basis axes."""
-        ct = self.constraints
-        rows = self.mesh.shape_classes[1][elems]
-        h = self.mesh.h[elems, None, None]
-        h2 = h * h
-        return ConstraintTables(
-            divm=ct.divm[rows] * (h * sign[:, None, :]),
-            symx=ct.symx[rows] * (h2 * sign[:, None, :]),
-            symy=ct.symy[rows] * (h2 * sign[:, None, :]),
-            gram=ct.gram[rows] * (h2 * (sign[:, :, None] * sign[:, None, :])),
-        )
 
     def release_tables(self) -> None:
         """Drop the stress and constraint tables and the class store."""

@@ -31,7 +31,16 @@ from stresseq.mesh import (
     Patches,
     _assemble,
 )
-from stresseq.spaces import _dof_signs, _exps_array, legendre01, rt_dim, side_rule, triangle_rule
+from stresseq.spaces import (
+    _dof_signs,
+    _exps_array,
+    _shape_constraints,
+    build_stress_tables,
+    legendre01,
+    rt_dim,
+    side_rule,
+    triangle_rule,
+)
 
 
 def dense_kkt_minimizer(problem: PatchProblem) -> np.ndarray:
@@ -56,7 +65,9 @@ def dense_kkt_minimizer(problem: PatchProblem) -> np.ndarray:
 def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Constraint matrix and right-hand side of patch ``i`` of
     ``eq.patches``, written straight into the dense matrix by index
-    arithmetic on the constraint tables.
+    arithmetic on the constraint tables, which are integrated on each
+    element's own shape (``build_stress_tables`` without the class store)
+    and taken to the element by its h and dof signs.
 
     Rows and columns are ordered as in :class:`PatchProblem`; the columns
     are the free dofs in (element, tensor row, dof) order.
@@ -65,7 +76,11 @@ def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.nd
     mesh, k = disc.mesh, disc.k
     patches = eq.patches
     elements = patches.elements[patch_pairs(patches, i)]
-    tables = disc.element_constraints(elements, _dof_signs(mesh, elements, k))
+    tb = build_stress_tables(mesh, k, elements)
+    divm, symx, symy, _ = _shape_constraints(tb.shapes, k)
+    h = tb.h[:, None, None]
+    hD = h * _dof_signs(mesh, elements, k)[:, None, :]
+    divm, symx, symy = divm * hD, symx * (h * hD), symy * (h * hD)
     z = patches.vertex[i]
     ne, nd, nmk = len(elements), rt_dim(k), len(_exps_array(k))
 
@@ -95,7 +110,7 @@ def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.nd
     # padded matrix: column n_free collects dead-dof entries
     B = np.zeros((n_rows, n_free + 1))
     rows_div = np.arange(n_div).reshape(ne, 2, nmk)
-    B[rows_div[..., None], cols[:, :, None, :]] = tables.divm[:, None]
+    B[rows_div[..., None], cols[:, :, None, :]] = divm[:, None]
 
     r = np.arange(2)[:, None]
     m = np.arange(k + 1)
@@ -105,8 +120,8 @@ def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.nd
     B[rows_jump, cols_jump] = sign[:, None, None]
 
     rows_sym = n_div + n_jump + np.searchsorted(nodes, ed_p)     # (ne, nlk)
-    B[rows_sym[..., None], cols[:, None, 0, :]] = tables.symy
-    B[rows_sym[..., None], cols[:, None, 1, :]] = -tables.symx
+    B[rows_sym[..., None], cols[:, None, 0, :]] = symy
+    B[rows_sym[..., None], cols[:, None, 1, :]] = -symx
 
     group = np.concatenate([[z], absorbed(patches, i)])
     w = np.isin(mesh.sides[active], group)

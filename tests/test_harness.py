@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from stresseq import (
     ConfigError,
     InvalidConstants,
     RunConfig,
+    build_mesh,
     cook_mesh,
     emit_config,
     parse_config,
@@ -482,6 +484,55 @@ def test_exit_code_undecodable_file(tmp_path):
         assert proc.returncode == code, (argv, proc.stderr)
         assert proc.stderr.startswith(f"error: {kind}: "), (argv, proc.stderr)
         assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1, argv
+
+
+def _strip_mesh():
+    """The 32:1 strip [0, 32] x [0, 1] of 64 x 2 union-jack cells, clamped
+    on x = 0 and traction elsewhere."""
+    nx, ny = 64, 2
+    x, y = np.meshgrid(np.linspace(0.0, 32.0, nx + 1), np.linspace(0.0, 1.0, ny + 1),
+                       indexing="ij")
+
+    def vid(i, j):
+        return i * (ny + 1) + j
+
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10, v11, v01 = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            if (i + j) % 2 == 0:
+                tris += [(v11, v00, v10), (v00, v11, v01)]
+            else:
+                tris += [(v10, v01, v00), (v01, v10, v11)]
+    clamped = [(vid(0, j), vid(0, j + 1)) for j in range(ny)]
+    traction = (
+        [(vid(i, 0), vid(i + 1, 0)) for i in range(nx)]
+        + [(vid(i, ny), vid(i + 1, ny)) for i in range(nx)]
+        + [(vid(nx, j), vid(nx, j + 1)) for j in range(ny)]
+    )
+    return build_mesh(np.column_stack([x.ravel(), y.ravel()]), tris, clamped, traction)
+
+
+def test_slender_strip_fails_the_saddle_point_gate(tmp_path, capsys):
+    """A known defect, pinned: on the 32:1 strip (256 triangles) under the
+    cook problem's load (its traction acts on every side with x > 0.48),
+    the LU solves are backward stable (normwise backward error about
+    1e-17), but the bending makes ||A|| ||x|| some 4e6 times ||b||, so the
+    residual relative to ||b|| (1.929e-09 measured) fails the 1e-10 gate,
+    and both commands exit 1."""
+    mesh = _strip_mesh()
+    assert mesh.n_triangles == 256
+    mesh_path = tmp_path / "strip.txt"
+    write_mesh(mesh, str(mesh_path))
+    cfg_path = write_config(
+        tmp_path,
+        f"problem = cook\nsteps = 1\nmesh_file = {mesh_path}\noutput_dir = {tmp_path / 'out'}\n",
+    )
+    for command in ("run", "verify"):
+        assert main([command, cfg_path]) == 1
+        err = capsys.readouterr().err
+        found = re.search(r"saddle-point solve residual (\S+) exceeds 1e-10", err)
+        assert found and float(found.group(1)) > 1e-10, command
 
 
 @pytest.mark.parametrize(

@@ -17,12 +17,11 @@ from stresseq import (
     cook,
     square_lshape,
 )
-from stresseq.elasticity import assemble_system, fields_at
-from stresseq.equilibration import build_rhs_tables, side_jumps
+from stresseq.elasticity import LoadData, assemble_system, fields_at
+from stresseq.equilibration import Equilibrator, _selectors, build_rhs_tables, side_jumps
 from stresseq.spaces import (
     Discretization,
     _div_maps,
-    _dof_signs,
     _exps_array,
     _interior_moments,
     _normal_moments,
@@ -134,19 +133,27 @@ def test_stress_table_coefficients(case):
 
 
 def test_constraint_tables(case):
-    disc, tb, _, _ = case
+    """The element rows and Gram matrices of a patch batch, which scale the
+    class store's, against the integrals on the element."""
+    disc, tb, _, stress = case
     k = disc.k
-    ct = disc.element_constraints(tb.elems, _dof_signs(disc.mesh, tb.elems, k))
+    eq = Equilibrator(disc, stress, LoadData())
+    batch = eq._build_batch(0, len(eq.patches.vertex))
+    assert np.array_equal(np.unique(batch.elements), tb.elems)
+    nmk, sel = _selectors(k)
+    divm = batch.table_rows[:, 0, :nmk]
+    assert np.array_equal(batch.table_rows[:, 1, :nmk], divm)
+    symy, symx = batch.table_rows[:, 0, nmk + len(sel) :], -batch.table_rows[:, 1, nmk + len(sel) :]
     exps1, _ = _rt_span(k)
     vals = np.einsum("eicm,eqm->eiqc", tb.C, monomial_values(exps1, tb.vol_xi))
     divs = tb.basis_div_at(tb.vol_xi)
     mk = monomial_values(_exps_array(k), tb.vol_xi)
     hats = lagrange_values(k, tb.vol_ref)
     w = tb.vol_w
-    assert_close(ct.divm, np.einsum("eq,eiq,eqb->ebi", w, divs, mk))
-    assert_close(ct.symx, np.einsum("eq,eiq,qa->eai", w, vals[..., 0], hats))
-    assert_close(ct.symy, np.einsum("eq,eiq,qa->eai", w, vals[..., 1], hats))
-    assert_close(ct.gram, np.einsum("eq,eiqc,ejqc->eij", w, vals, vals))
+    assert_close(divm, np.einsum("eq,eiq,eqb->ebi", w, divs, mk))
+    assert_close(symx, np.einsum("eq,eiq,qa->eai", w, vals[..., 0], hats))
+    assert_close(symy, np.einsum("eq,eiq,qa->eai", w, vals[..., 1], hats))
+    assert_close(batch.table_gram, np.einsum("eq,eiqc,ejqc->eij", w, vals, vals))
 
 
 def test_projections(case):

@@ -179,8 +179,11 @@ def test_mass_matrices_spd():
             mass[np.ix_(dofs, dofs)] += loc
         assert np.allclose(mass, mass.T)
         assert np.linalg.eigvalsh(mass).min() > 0
-    every = np.arange(mesh.n_triangles)
-    for g in Discretization(mesh, 1).element_constraints(every, _dof_signs(mesh, every, 1)).gram:
+    # the RT_1 Gram matrices of the shape classes and of the elements
+    gram = Discretization(mesh, 1).constraints.gram
+    sign = _dof_signs(mesh, np.arange(mesh.n_triangles), 1)
+    h2 = mesh.h[:, None, None] ** 2
+    for g in [*gram, *(gram[mesh.shape_classes[1]] * (h2 * sign[:, :, None] * sign[:, None, :]))]:
         assert np.allclose(g, g.T, atol=1e-13)
         assert np.linalg.eigvalsh(g).min() > 0
 

@@ -90,9 +90,9 @@ def test_run_convergence_script():
     assert len(proc.stdout.splitlines()) == 5  # header, 3 meshes, orders
 
 
-def _write_outputs(directory, error_cell="0.5", n_rows=2):
+def _write_outputs(directory, error_cell="0.5", n_rows=2, eta_cell="1.0e-3"):
     directory.mkdir()
-    rows = [f"{i},{10 + i},1.0e-3,{error_cell}" for i in range(n_rows)]
+    rows = [f"{i},{10 + i},{eta_cell},{error_cell}" for i in range(n_rows)]
     (directory / "history.csv").write_text("step,N,eta_A,error\n" + "\n".join(rows) + "\n")
     (directory / "summary.csv").write_text("quantity,value\nbound,2.0\nprovenance,default\n")
     (directory / "equilibration.txt").write_text("scale 4.0\nmax_residual 1e-12\n")
@@ -108,6 +108,16 @@ def test_compare_outputs_reports_drift_per_column(tmp_path):
     assert ["eta_A", "0"] in lines
     assert ["bound", "0"] in lines and ["max_residual", "0"] in lines
     assert not any(line[0] in ("step", "N", "provenance") for line in lines)
+    assert ["history.csv:", "bytes", "differ"] in lines
+    assert ["summary.csv:", "byte-identical"] in lines
+    assert ["equilibration.txt:", "byte-identical"] in lines
+    # a zero drift is not identical bytes: both cells are the same double
+    _write_outputs(tmp_path / "c", eta_cell="1e-05")
+    _write_outputs(tmp_path / "d", eta_cell="1.0000000000000001e-05")
+    proc = _run_script("compare_outputs.py", str(tmp_path / "c"), str(tmp_path / "d"))
+    assert proc.returncode == 0, proc.stdout
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert ["eta_A", "0"] in lines and ["history.csv:", "bytes", "differ"] in lines
 
 
 def test_compare_outputs_fails_on_structure(tmp_path):
