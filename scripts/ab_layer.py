@@ -27,7 +27,8 @@ The script prints, per pass, each tree's median and quartiles of the CPU
 time and the ratio of the medians, and whether the two trees' results are
 bitwise equal: the tables of every step, the sigma_r of every step, the
 four indicator arrays (eta_A, eta_B, eta_C, eta_R) of every step, the
-refined meshes (vertices, triangles, parents, sides and labels), the mesh
+refined meshes (every array of the record in ``MESH_FIELDS``: the
+topology, the element and side geometry and the traction hosts), the mesh
 files and the (u, p) of every step.  For the tables it also prints the
 largest difference of each table (the stress coefficients, the four
 constraint tables per shape class and the matrix entries), relative to
@@ -50,6 +51,13 @@ Timings taken in separate processes on a shared 2-core machine swing by
 about 10 %, which hides layer gains of that size; two trees in one
 process share the machine's state at every moment.  BLAS runs on one
 thread, as in the benchmark.
+
+The ratios carry a bias: on passes whose code is the same in both trees,
+tree B has been timed 6-9 % slower than tree A (median A / median B
+0.91-0.94 for the tables pass on all three workloads), although the
+order alternates per repetition.  It shows with one tree as both A and
+B too (0.90 for the tables pass on lshape-k2), so such an A = A run
+measures the bias on the machine at hand; read a ratio against it.
 """
 
 from __future__ import annotations
@@ -76,7 +84,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 
-MESH_FIELDS = ("triangles", "parent", "sides", "side_tri", "side_label", "tri_sides")
+MESH_FIELDS = (
+    "vertices", "triangles", "parent", "sides", "side_tri", "side_label", "tri_sides",
+    "jac", "jac_inv", "areas", "centroids", "side_length", "side_normal", "h",
+    "traction_hosts",
+)
 
 
 def load_tree(src: pathlib.Path, alias: str):
@@ -269,9 +281,14 @@ def bitwise_equal(a, b) -> bool:
         return all(indicator_equal(a, b, name) for name in INDICATORS)
     if hasattr(a, "p"):  # a FieldPair
         return a.u.tobytes() == b.u.tobytes() and a.p.tobytes() == b.p.tobytes()
-    return a.vertices.tobytes() == b.vertices.tobytes() and all(
-        np.array_equal(getattr(a, name), getattr(b, name)) for name in MESH_FIELDS
-    )
+    return all(same_bytes(getattr(a, name), getattr(b, name)) for name in MESH_FIELDS)
+
+
+def same_bytes(a, b) -> bool:
+    """Equal dtype, shape and bytes of two arrays; two Nones are equal."""
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def indicator_equal(a, b, name: str) -> bool:

@@ -44,6 +44,7 @@ from .spaces import (
 
 _QR_RTOL = 1e-10       # rank threshold relative to the largest row norm
 _RESIDUAL_RTOL = 1e-9  # constraint residual vs. problem scale
+VERIFY_RTOL = 1e-9     # verification gate: largest residual vs. problem scale
 _ROW_NORM_SPAN = 1e-8  # smallest / largest row norm the Schur path accepts
 _BATCH_BYTES = 1_800_000  # stacked local blocks per chunk of patches
 
@@ -1041,8 +1042,8 @@ def equilibrate(
 class EquilibrationReport:
     """Pointwise residual maxima of a reconstruction, plus the scale.
 
-    All residuals should be at rounding level (<= 1e-10 * scale) for a
-    correct reconstruction:
+    A correct reconstruction passes the gate
+    ``max_residual <= VERIFY_RTOL * scale``:
       div_residual: max |div sigma_R + proj f| at volume points;
       jump_residual: max interior-side |[[sigma_R . n]]| at k+2 points;
       neumann_residual: max |sigma_R . n - proj g| at k+2 points;

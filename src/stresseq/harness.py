@@ -57,7 +57,7 @@ from .adaptivity import (
     solve_step,
 )
 from .elasticity import Material
-from .equilibration import verify_equilibration
+from .equilibration import VERIFY_RTOL, verify_equilibration
 from .errors import ConfigError, IoError, ProblemError, StressEqError
 from .estimator import BoundConstants, conservative_constants
 from .mesh import DIRICHLET, NEUMANN, angles, read_mesh, write_mesh
@@ -330,12 +330,12 @@ def verify(config_path) -> None:
     diag = verify_equilibration(
         step.disc, step.sigma_r, problem.load, scale=step.scale
     )
-    ok = diag.max_residual <= 1e-9 * diag.scale
+    ok = diag.max_residual <= VERIFY_RTOL * diag.scale
     print("\n".join(_equilibration_lines(diag)) + f" ({'ok' if ok else 'FAIL'})")
     if not ok:
         raise StressEqError(
             f"equilibration residual {diag.max_residual:.3e} exceeds "
-            f"1e-9 * scale {diag.scale:.3e}"
+            f"{VERIFY_RTOL:g} * scale {diag.scale:.3e}"
         )
 
 

@@ -12,8 +12,9 @@ side table with deterministic orientation conventions:
   stored vertices.
 
 Each element is the affine image ``x = p0 + J r`` of the reference
-triangle; its Jacobian, inverse, area and centroid are computed once, when
-the mesh is built, and :meth:`Mesh.rule_points` and
+triangle.  A mesh is built whole and frozen, with the Jacobians, their
+inverses, areas and centroids, the side lengths and normals and the
+element diameters ``h``; :meth:`Mesh.rule_points` and
 :meth:`Mesh.reference_points` are the map and its inverse.  Elements whose
 ``J / h`` is bitwise equal form one shape class (:attr:`Mesh.shape_classes`).
 
@@ -23,7 +24,7 @@ The vertex patches of a partition of unity are one :class:`Patches` record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,9 +44,12 @@ _FMT = "%.17g"
 _HEADER = ("vertices", "triangles", "sides_dirichlet", "sides_neumann")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Mesh:
     """Conforming triangulation with classified boundary sides.
+
+    Built whole by :func:`_assemble` and frozen; only the lazy
+    :attr:`shape_classes` and :attr:`is_minus` are cached after that.
 
     Attributes
     ----------
@@ -72,39 +76,21 @@ class Mesh:
     side_tri: np.ndarray
     side_label: np.ndarray
     tri_sides: np.ndarray
-    parent: np.ndarray | None = None
+    parent: np.ndarray | None
 
-    # element geometry, set by _assemble: the affine map x = p0 + jac r of
-    # each element from the reference triangle, whose Jacobian's columns are
-    # the edge vectors p1 - p0 and p2 - p0; grad_phys = grad_ref @ jac_inv
-    jac: np.ndarray = field(default=None, repr=False)
-    jac_inv: np.ndarray = field(default=None, repr=False)
-    areas: np.ndarray = field(default=None, repr=False)
-    centroids: np.ndarray = field(default=None, repr=False)
-    # side geometry and element diameters, filled by _finalize
-    side_length: np.ndarray = field(default=None, repr=False)
-    side_normal: np.ndarray = field(default=None, repr=False)
-    h: np.ndarray = field(default=None, repr=False)
+    # element geometry: the affine map x = p0 + jac r of each element from
+    # the reference triangle, whose Jacobian's columns are the edge vectors
+    # p1 - p0 and p2 - p0; grad_phys = grad_ref @ jac_inv
+    jac: np.ndarray = field(repr=False)
+    jac_inv: np.ndarray = field(repr=False)
+    areas: np.ndarray = field(repr=False)
+    centroids: np.ndarray = field(repr=False)
+    # side geometry and element diameters (longest edges)
+    side_length: np.ndarray = field(repr=False)
+    side_normal: np.ndarray = field(repr=False)
+    h: np.ndarray = field(repr=False)
     # the owner array of modified_patches (see _traction_hosts)
-    traction_hosts: np.ndarray = field(default=None, repr=False)
-
-    def _finalize(self):
-        v = self.vertices
-        a, b = v[self.sides[:, 0]], v[self.sides[:, 1]]
-        self.side_length = np.linalg.norm(b - a, axis=1)
-        tang = (b - a) / self.side_length[:, None]
-        n0 = np.column_stack([tang[:, 1], -tang[:, 0]])
-        centroids = self.centroids
-        mid = 0.5 * (a + b)
-        ref = np.where(
-            (self.side_tri[:, 1] >= 0)[:, None],
-            centroids[self.side_tri[:, 1]] - centroids[self.side_tri[:, 0]],
-            mid - centroids[self.side_tri[:, 0]],
-        )
-        sign = np.sign(np.einsum("ij,ij->i", n0, ref))
-        self.side_normal = n0 * sign[:, None]
-        edge_len = self.side_length[self.tri_sides]
-        self.h = edge_len.max(axis=1)
+    traction_hosts: np.ndarray = field(repr=False)
 
     # -- basic queries ----------------------------------------------------
 
@@ -169,16 +155,6 @@ class Mesh:
         """(nt, 3) whether each element is the minus element of its side j,
         the one the side's global normal points out of.  On first use."""
         return self.side_tri[self.tri_sides, 0] == np.arange(self.n_triangles)[:, None]
-
-    def vertex_flags(self):
-        """Boolean masks (on_dirichlet, on_neumann_only) per vertex."""
-        on_d = np.zeros(self.n_vertices, bool)
-        on_n = np.zeros(self.n_vertices, bool)
-        d = self.sides[self.side_label == DIRICHLET]
-        n = self.sides[self.side_label == NEUMANN]
-        on_d[d.ravel()] = True
-        on_n[n.ravel()] = True
-        return on_d, on_n & ~on_d
 
     def __eq__(self, other):
         if not isinstance(other, Mesh):
@@ -425,7 +401,18 @@ def _assemble(
 
     # the adjugate of jac over its determinant
     adj = np.stack([jac[:, 1, 1], -jac[:, 0, 1], -jac[:, 1, 0], jac[:, 0, 0]], axis=-1)
-    mesh = Mesh(
+    centroids = pts.mean(axis=1)
+    a, b = vertices[sides[:, 0]], vertices[sides[:, 1]]
+    side_length = np.linalg.norm(b - a, axis=1)
+    tang = (b - a) / side_length[:, None]
+    n0 = np.column_stack([tang[:, 1], -tang[:, 0]])
+    # out of the minus element: to the plus one's centroid, or the midpoint
+    ref = np.where(
+        (side_tri[:, 1] >= 0)[:, None],
+        centroids[side_tri[:, 1]] - centroids[side_tri[:, 0]],
+        0.5 * (a + b) - centroids[side_tri[:, 0]],
+    )
+    return Mesh(
         vertices=vertices,
         triangles=triangles,
         sides=sides,
@@ -436,11 +423,12 @@ def _assemble(
         jac=jac,
         jac_inv=adj.reshape(-1, 2, 2) / area2[:, None, None],
         areas=0.5 * area2,
-        centroids=pts.mean(axis=1),
+        centroids=centroids,
+        side_length=side_length,
+        side_normal=n0 * np.sign(np.einsum("ij,ij->i", n0, ref))[:, None],
+        h=side_length[tri_sides].max(axis=1),
+        traction_hosts=_traction_hosts(sides, side_label, nv),
     )
-    mesh._finalize()
-    mesh.traction_hosts = _traction_hosts(mesh)
-    return mesh
 
 
 def build_mesh(vertices, triangles, dirichlet, neumann) -> Mesh:
@@ -655,8 +643,7 @@ def uniform_refine(mesh: Mesh, rounds: int = 2) -> Mesh:
     for _ in range(rounds):
         mesh = refine(mesh, np.arange(mesh.n_triangles))
         lineage = lineage[mesh.parent]
-        mesh.parent = lineage
-    return mesh
+    return replace(mesh, parent=lineage) if rounds else mesh
 
 
 # -- vertex patches ---------------------------------------------------------
@@ -704,23 +691,27 @@ def _patches(mesh: Mesh, owner: np.ndarray) -> Patches:
     )
 
 
-def _traction_hosts(mesh: Mesh) -> np.ndarray:
-    """The ``owner`` of :func:`modified_patches`: each vertex, or the
-    host of each traction-only vertex; raises IsolatedNeumannVertex when a
-    traction-only vertex has no eligible neighbour to host it."""
-    _, on_n_only = mesh.vertex_flags()
-    nv = mesh.n_vertices
-    ends = mesh.sides[on_n_only[mesh.sides[:, 0]] != on_n_only[mesh.sides[:, 1]]]
+def _traction_hosts(sides, side_label, n_vertices) -> np.ndarray:
+    """The ``owner`` of :func:`modified_patches`: each vertex, or the host
+    of each traction-only vertex (one on a traction side and on no
+    displacement side); raises IsolatedNeumannVertex when a traction-only
+    vertex has no eligible neighbour to host it."""
+    on_d = np.zeros(n_vertices, bool)
+    on_n = np.zeros(n_vertices, bool)
+    on_d[sides[side_label == DIRICHLET].ravel()] = True
+    on_n[sides[side_label == NEUMANN].ravel()] = True
+    on_n_only = on_n & ~on_d
+    ends = sides[on_n_only[sides[:, 0]] != on_n_only[sides[:, 1]]]
     traction = np.where(on_n_only[ends[:, 0]], ends[:, 0], ends[:, 1])
-    host = np.full(nv, nv)
+    host = np.full(n_vertices, n_vertices)
     np.minimum.at(host, traction, ends[:, 0] + ends[:, 1] - traction)
-    bad = np.flatnonzero(on_n_only & (host == nv))
+    bad = np.flatnonzero(on_n_only & (host == n_vertices))
     if bad.size:
         raise IsolatedNeumannVertex(
             f"traction-boundary vertex {int(bad[0])} has no edge to an"
             " interior or displacement-boundary vertex"
         )
-    return np.where(on_n_only, host, np.arange(nv))
+    return np.where(on_n_only, host, np.arange(n_vertices))
 
 
 def standard_patches(mesh: Mesh) -> Patches:

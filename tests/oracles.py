@@ -156,6 +156,20 @@ def absorbed(patches: Patches, i: int) -> np.ndarray:
     return folded[folded != z]
 
 
+def traction_only(mesh: Mesh) -> np.ndarray:
+    """Per vertex, whether it lies on a traction side and on no
+    displacement side, read from the side labels one side at a time."""
+    on_d, on_n = set(), set()
+    for (a, b), label in zip(mesh.sides.tolist(), mesh.side_label.tolist()):
+        if label == DIRICHLET:
+            on_d.update((a, b))
+        elif label == NEUMANN:
+            on_n.update((a, b))
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    mask[sorted(on_n - on_d)] = True
+    return mask
+
+
 def reference_patches(mesh: Mesh, modified: bool) -> Patches:
     """The vertex patches, built one vertex group at a time.
 
@@ -168,7 +182,7 @@ def reference_patches(mesh: Mesh, modified: bool) -> Patches:
     the group.  Vertices in no triangle carry no patch.  Both must give
     bitwise the same record.
     """
-    _, on_n_only = mesh.vertex_flags()
+    on_n_only = traction_only(mesh)
     if not modified:
         on_n_only[:] = False
     offsets, ids = vertex_triangles(mesh)
@@ -511,6 +525,23 @@ def reference_side_traces(disc: Discretization, field) -> tuple[np.ndarray, np.n
             tminus[s[m]] = tr[m, j]
             tplus[s[~m]] = tr[~m, j]
     return tminus, tplus
+
+
+def side_dof_jumps(field) -> np.ndarray:
+    """The normal-trace jumps at the side quadrature points, (n_sides, nqs,
+    2), read from the side dofs alone: an element's dofs on side j are the
+    orthonormal Legendre moments of its normal trace, in the side's global
+    normal and parameter, so the trace is sum_m dof_m L_m(t); the jump is
+    the minus element's trace less the plus element's."""
+    mesh, k = field.mesh, field.k
+    nt = mesh.n_triangles
+    lg = legendre01(k + 1, side_rule(k)[0])                      # (nqs, k+1)
+    side_dofs = field.dofs[:, :, : 3 * (k + 1)].reshape(nt, 2, 3, k + 1)
+    traces = np.einsum("erjm,qm->ejqr", side_dofs, lg)            # (nt, 3, nqs, 2)
+    minus = mesh.side_tri[mesh.tri_sides, 0] == np.arange(nt)[:, None]
+    jump = np.zeros((mesh.n_sides, len(lg), 2))
+    np.add.at(jump, mesh.tri_sides, np.where(minus, 1.0, -1.0)[..., None, None] * traces)
+    return jump
 
 
 def quad_integrate(mesh: Mesh, elems, func, degree: int = 20) -> np.ndarray:

@@ -18,6 +18,7 @@ from stresseq import (
     adaptive_loop,
     cook,
     cook_mesh,
+    direct_stress,
     equilibrate,
     lshape_mesh,
     manufactured_smooth,
@@ -53,6 +54,7 @@ from oracles import (
     production_minimizer,
     reference_condensed,
     reference_side_traces,
+    side_dof_jumps,
     touches_displacement,
 )
 from test_mesh import randomly_refined
@@ -214,6 +216,31 @@ def test_side_jumps_match_the_trace_pair_oracle(k):
     field = BrokenField(mesh, k, rng.standard_normal((mesh.n_triangles, 2, rt_dim(k))))
     tminus, tplus = reference_side_traces(disc, field)
     assert side_jumps(disc, field).tobytes() == (tminus - tplus).tobytes()
+
+
+@pytest.mark.parametrize(
+    "problem, config, n_triangles",
+    [
+        (cook(), AdaptiveConfig(k=1, theta=0.5, max_steps=20), 213),
+        (
+            square_lshape(Material(mu=1.0, inv_lambda=0.002)),
+            AdaptiveConfig(k=2, theta=0.7, max_steps=20, estimator="residual"),
+            240,
+        ),
+    ],
+    ids=["cook-k1", "lshape-k2"],
+)
+def test_side_jumps_are_the_side_dof_differences(problem, config, n_triangles):
+    """A side's RT_k dofs are the Legendre moments of the normal trace in
+    the side's global normal and parameter, so the jumps of sigma_h and
+    sigma_r at the side points are the minus element's side dofs less the
+    plus element's, summed against the Legendre values; checked on the
+    final mesh of a graded adaptive run."""
+    step = adaptive_loop(problem, config)[-1]
+    assert step.mesh.n_triangles == n_triangles
+    for field in (direct_stress(step.fields, problem.material), step.sigma_r):
+        diff = np.max(np.abs(side_jumps(step.disc, field) - side_dof_jumps(field)))
+        assert diff <= 1e-11 * np.max(np.abs(field.dofs))
 
 
 @pytest.mark.parametrize("setup", ["cook_eq", "manu_eq"])

@@ -15,6 +15,7 @@ from oracles import (
     reference_patches,
     reference_refine,
     reference_rotate_to_longest_edge,
+    traction_only,
     vertex_triangles,
 )
 from stresseq import (
@@ -462,6 +463,20 @@ def test_uniform_refine_parent_maps_to_input_mesh():
     assert uniform_refine(mesh, 0) is mesh
 
 
+@pytest.mark.parametrize("rounds", [0, 2])
+def test_mesh_is_built_whole_and_frozen(rounds):
+    """Every field but a root mesh's ``parent`` is set when the mesh is
+    built, none has a default, and assigning any of them raises."""
+    mesh = uniform_refine(cook_mesh(), rounds)
+    fields = dataclasses.fields(Mesh)
+    assert all(f.default is dataclasses.MISSING for f in fields)
+    for f in fields:
+        value = getattr(mesh, f.name)
+        assert value is not None or (f.name == "parent" and rounds == 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mesh, f.name, value)
+
+
 def test_refinement_edge_is_first_two_vertices():
     mesh = cook_mesh()
     out = refine(mesh, [5])
@@ -526,7 +541,7 @@ def test_uniform_refine_matches_the_dict_oracle_on_cook_large(tmp_path):
     for _ in range(7):
         reference = reference_refine(reference, np.arange(reference.n_triangles))
         lineage = lineage[reference.parent]
-    reference.parent = lineage
+    reference = dataclasses.replace(reference, parent=lineage)
     fine = uniform_refine(mesh, 7)
     assert fine.n_triangles == 7641
     assert_bitwise_equal(fine, reference)
@@ -712,8 +727,7 @@ def test_partition_of_unity_standard(rng):
 def test_partition_of_unity_modified(rng):
     mesh = cook_mesh()
     patches = modified_patches(mesh)
-    on_d, n_only = mesh.vertex_flags()
-    assert set(patches.vertex.tolist()) == set(np.flatnonzero(~n_only))
+    assert set(patches.vertex.tolist()) == set(np.flatnonzero(~traction_only(mesh)))
     elems, x = random_points_in_elements(mesh, 100, rng)
     total = weight_sums(mesh, patches, elems, x)
     assert np.max(np.abs(total - 1.0)) < 1e-13
@@ -755,8 +769,7 @@ def test_absorbed_vertices_unique_host():
     patches = modified_patches(mesh)
     folded = np.concatenate([absorbed(patches, i) for i in range(len(patches))])
     assert len(folded) == len(set(folded.tolist()))
-    _, n_only = mesh.vertex_flags()
-    assert set(folded.tolist()) == set(np.flatnonzero(n_only).tolist())
+    assert set(folded.tolist()) == set(np.flatnonzero(traction_only(mesh)).tolist())
 
 
 def test_continuous_field_has_zero_side_jumps():

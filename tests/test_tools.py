@@ -2,6 +2,7 @@
 benchmark's self-test and its correctness checks on every workload."""
 
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -211,6 +212,18 @@ def test_oracle_runs_writes_the_nine_configs(tmp_path):
             settings["problem"], int(settings["k"]), int(settings["steps"])
         )
         assert (cfg.mesh_file is not None) == (name == "cook-large")
+
+
+def test_ab_layer_compares_every_mesh_array():
+    """``ab_layer.py``'s mesh comparison covers the geometry that the mesh
+    is built with: a copy reads equal, one flipped side normal unequal."""
+    ab_layer = _load_script("ab_layer")
+    mesh = cook().mesh
+    assert {f.name for f in dataclasses.fields(mesh)} == set(ab_layer.MESH_FIELDS)
+    assert ab_layer.bitwise_equal(mesh, dataclasses.replace(mesh))
+    normal = mesh.side_normal.copy()
+    normal[3] *= -1.0
+    assert not ab_layer.bitwise_equal(mesh, dataclasses.replace(mesh, side_normal=normal))
 
 
 # failed steps allowed per workload, of the steps it attempts: the counts
