@@ -174,28 +174,15 @@ class PatchProblem:
     vertex: int                # the patch vertex
     k: int
     elements: np.ndarray       # (ne,) global element ids, ascending
-    col_elem: np.ndarray       # (n_free,) local element index per column
-    col_row: np.ndarray        # (n_free,) tensor row per column
-    col_dof: np.ndarray        # (n_free,) local dof index per column
-    free_col: np.ndarray       # (ne, 2, nd) column index or -1
+    free_col: np.ndarray       # (ne, 2, nd) column index, in C order, or -1
     gram: np.ndarray           # (ne, nd, nd) Gram matrix per element
     constraints: np.ndarray    # (n_rows, n_free)
     rhs: np.ndarray            # (n_rows,)
-    jump_sides: np.ndarray     # (n_active,) global side ids, ascending
-    sym_nodes: np.ndarray      # (n_sym,) global scalar node ids, ascending
     block_rows: np.ndarray     # (ne, 2, n_loc) constraint row, or n_rows
 
     @property
     def n_free(self) -> int:
-        return len(self.col_elem)
-
-    @property
-    def n_div(self) -> int:
-        return len(self.elements) * 2 * len(_exps_array(self.k))
-
-    @property
-    def n_jump(self) -> int:
-        return len(self.jump_sides) * 2 * (self.k + 1)
+        return int(np.count_nonzero(self.free_col >= 0))
 
     @property
     def mass(self) -> np.ndarray:
@@ -274,9 +261,8 @@ class PatchBatch:
     i's from ``row_offsets[i]`` on, each patch's in the order of
     :class:`PatchProblem`; ``block_rows`` maps each local row to its
     stacked row, or to the number of stacked rows for a side without jump
-    rows.  Jump sides and scalar nodes are stacked the same way.  The dense
-    matrices of :class:`PatchProblem` are assembled per patch on request
-    (:meth:`problem`).
+    rows.  The dense matrices of :class:`PatchProblem` are assembled per
+    patch on request (:meth:`problem`).
     """
 
     vertex: np.ndarray         # (P,) patch vertices
@@ -293,10 +279,6 @@ class PatchBatch:
     block_rows: np.ndarray     # (n_pairs, 2, n_loc)
     row_offsets: np.ndarray    # (P + 1,)
     rhs: np.ndarray            # (n_rows,) stacked rows
-    jump_sides: np.ndarray     # stacked, ascending per patch
-    side_offsets: np.ndarray   # (P + 1,)
-    sym_nodes: np.ndarray      # stacked, ascending per patch
-    node_offsets: np.ndarray   # (P + 1,)
 
     def pairs(self, i: int) -> slice:
         """The pairs of patch ``i``."""
@@ -324,17 +306,13 @@ class PatchBatch:
         block_rows = np.minimum(self.block_rows[pairs] - lo, n_rows)
         free = self.free[pairs]
         live = np.broadcast_to(free[:, None, :], (len(free), 2, free.shape[1]))
-        order = np.flatnonzero(live)
-        n_free = len(order)
+        n_free = int(np.count_nonzero(live))
         free_col = np.full(live.shape, -1, dtype=np.int64)
         free_col[live] = np.arange(n_free)
-        col_elem, col_row, col_dof = np.unravel_index(order, live.shape)
         # the padding row and column collect the absent rows and dead dofs
         dense = np.zeros((n_rows + 1, n_free + 1))
         cols = np.where(live, free_col, n_free)
         dense[block_rows[..., :, None], cols[:, :, None, :]] = self.blocks(pairs)
-        sides = slice(self.side_offsets[i], self.side_offsets[i + 1])
-        nodes = slice(self.node_offsets[i], self.node_offsets[i + 1])
         return PatchProblem(
             vertex=int(self.vertex[i]),
             k=self.k,
@@ -343,12 +321,7 @@ class PatchBatch:
             gram=self.table_gram[self.table[pairs]],
             constraints=np.ascontiguousarray(dense[:n_rows, :n_free]),
             rhs=self.rhs[lo:hi],
-            jump_sides=self.jump_sides[sides],
-            sym_nodes=self.sym_nodes[nodes],
             block_rows=block_rows,
-            col_elem=col_elem,
-            col_row=col_row,
-            col_dof=col_dof,
         )
 
 
@@ -567,7 +540,7 @@ class Equilibrator:
             sides[on_active], side_patch, n, mesh.n_sides
         )
         ed_p = self.disc.pressure.element_dofs[elements]       # (n_pairs, nlk)
-        nodes, node_offsets, node_index = _stacked_unique(
+        _, node_offsets, node_index = _stacked_unique(
             ed_p, pair_patch[:, None], n, self.disc.pressure.n_scalar
         )
         n_div = n_elems * 2 * nmk
@@ -658,10 +631,6 @@ class Equilibrator:
             block_rows=block_rows,
             row_offsets=row_offsets,
             rhs=rhs,
-            jump_sides=active,
-            side_offsets=side_offsets,
-            sym_nodes=nodes,
-            node_offsets=node_offsets,
         )
 
     # -- patch solve -----------------------------------------------------------

@@ -306,7 +306,7 @@ def run(config_path) -> None:
     settings = cfg.adaptive()
     out = _output_dir(cfg)
     history = adaptive_loop(problem, settings)
-    if problem.exact is None and len(history) > 3:
+    if problem.exact is None:
         attach_reference_errors(history, problem.material)
     emit_history(history, os.path.join(out, "history.csv"))
     _emit_final_report(history, os.path.join(out, "estimator_final.csv"))

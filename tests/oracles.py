@@ -62,6 +62,39 @@ def dense_kkt_minimizer(problem: PatchProblem) -> np.ndarray:
     return sol[:n]
 
 
+def _patch_sides(mesh: Mesh, elements: np.ndarray):
+    """The sides (ne, 3) of a patch's elements, whether the patch holds
+    both triangles of each, and whether it carries jump rows: both
+    triangles in the patch, or a traction side."""
+    sides = mesh.tri_sides[elements]
+    partner = mesh.side_tri[sides][..., None]                    # (ne, 3, 2, 1)
+    both_in = (partner == elements).any(3).all(2)
+    return sides, both_in, both_in | (mesh.side_label[sides] == NEUMANN)
+
+
+class PatchRows(NamedTuple):
+    """The row groups of a patch problem, read from its elements."""
+
+    jump_sides: np.ndarray     # global ids of the sides with jump rows, ascending
+    sym_nodes: np.ndarray      # global scalar node ids, ascending
+    n_div: int
+    n_jump: int
+
+
+def patch_rows(disc: Discretization, problem: PatchProblem) -> PatchRows:
+    """The jump sides, scalar nodes and row counts of ``problem``, derived
+    from its elements as :func:`dense_patch_constraints` derives them."""
+    k, elements = disc.k, problem.elements
+    sides, _, on_active = _patch_sides(disc.mesh, elements)
+    jump_sides = np.unique(sides[on_active])
+    return PatchRows(
+        jump_sides,
+        np.unique(disc.pressure.element_dofs[elements]),
+        len(elements) * 2 * len(_exps_array(k)),
+        len(jump_sides) * 2 * (k + 1),
+    )
+
+
 def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Constraint matrix and right-hand side of patch ``i`` of
     ``eq.patches``, written straight into the dense matrix by index
@@ -84,13 +117,11 @@ def dense_patch_constraints(eq: Equilibrator, i: int) -> tuple[np.ndarray, np.nd
     z = patches.vertex[i]
     ne, nd, nmk = len(elements), rt_dim(k), len(_exps_array(k))
 
-    sides = mesh.tri_sides[elements]                             # (ne, 3)
-    partner = mesh.side_tri[sides][..., None]                    # (ne, 3, 2, 1)
-    both_in = (partner == elements).any(3).all(2)
-    labels = mesh.side_label[sides]
-    on_active = both_in | (labels == NEUMANN)
+    sides, both_in, on_active = _patch_sides(mesh, elements)
     free = np.ones((ne, nd), dtype=bool)
-    free[:, : 3 * (k + 1)] = np.repeat(both_in | (labels != INTERIOR), k + 1, axis=1)
+    free[:, : 3 * (k + 1)] = np.repeat(
+        both_in | (mesh.side_label[sides] != INTERIOR), k + 1, axis=1
+    )
 
     live = np.broadcast_to(free[:, None, :], (ne, 2, nd)).ravel()
     n_free = int(live.sum())
@@ -418,10 +449,6 @@ def batch_of(mesh: Mesh, *problems: PatchProblem) -> PatchBatch:
         block_rows=np.concatenate(block_rows),
         row_offsets=row_offsets,
         rhs=np.concatenate([p.rhs for p in problems]),
-        jump_sides=np.concatenate([p.jump_sides for p in problems]),
-        side_offsets=np.cumsum([0] + [len(p.jump_sides) for p in problems]),
-        sym_nodes=np.concatenate([p.sym_nodes for p in problems]),
-        node_offsets=np.cumsum([0] + [len(p.sym_nodes) for p in problems]),
     )
 
 
@@ -435,7 +462,7 @@ def mass_norm(problem: PatchProblem, x: np.ndarray) -> float:
     return float(np.sqrt(x @ problem.mass @ x))
 
 
-def null_space_vectors(problem: PatchProblem, mesh: Mesh) -> np.ndarray:
+def null_space_vectors(problem: PatchProblem, disc: Discretization) -> np.ndarray:
     """Left null vectors of the constraint matrix on displacement-free patches.
 
     Rows combine like the virtual work of a rigid motion rho: divergence
@@ -445,11 +472,10 @@ def null_space_vectors(problem: PatchProblem, mesh: Mesh) -> np.ndarray:
     for the two translations and one rotation about the patch vertex.
     Only valid when the patch does not touch the displacement boundary.
     """
-    k = problem.k
+    mesh, k = disc.mesh, problem.k
     nmk = len(_exps_array(k))
     ne = len(problem.elements)
-    n_div = problem.n_div
-    n_jump = problem.n_jump
+    sides, _, n_div, n_jump = patch_rows(disc, problem)
     out = np.zeros((3, problem.constraints.shape[0]))
     zc = mesh.vertices[problem.vertex]
     centers = mesh.vertices[mesh.triangles[problem.elements]].mean(axis=1)
@@ -469,7 +495,6 @@ def null_space_vectors(problem: PatchProblem, mesh: Mesh) -> np.ndarray:
     # jump-row coefficients: -|S| * Legendre expansion of rho on the side
     tq, tw = side_rule(k)
     lg = legendre01(k + 1, tq)
-    sides = problem.jump_sides
     xq = mesh.side_points(sides, tq)                # (ns, nqs, 2)
     rho = np.zeros((3,) + xq.shape)
     rho[0, ..., 0] = 1.0
@@ -486,10 +511,12 @@ def null_space_vectors(problem: PatchProblem, mesh: Mesh) -> np.ndarray:
     return out
 
 
-def compatibility_residual(problem: PatchProblem, mesh: Mesh) -> tuple[np.ndarray, float]:
+def compatibility_residual(
+    problem: PatchProblem, disc: Discretization
+) -> tuple[np.ndarray, float]:
     """Dot products of the rhs with the three null vectors, and the norm of
     the rhs projection onto their (orthonormalized) span."""
-    nv = null_space_vectors(problem, mesh)
+    nv = null_space_vectors(problem, disc)
     dots = nv @ problem.rhs
     q, _ = np.linalg.qr(nv.T)
     proj = float(np.linalg.norm(q.T @ problem.rhs))

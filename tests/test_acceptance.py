@@ -170,14 +170,13 @@ def test_2_interior_patch_rank_deficiency_and_compatibility(equilibrators):
     worst_proj = 0.0
     bad_rank = []
     for label, eq in equilibrators:
-        mesh = eq.disc.mesh
         for i in np.flatnonzero(~eq.patches.dirichlet_touching):
             pp = eq.build_patch_problem(i)
             sv = np.linalg.svd(pp.constraints, compute_uv=False)
             deficiency = int(np.sum(sv <= 1e-10 * sv[0]))
             if deficiency != 3:
                 bad_rank.append((label, pp.vertex, deficiency))
-            _, proj = compatibility_residual(pp, mesh)
+            _, proj = compatibility_residual(pp, eq.disc)
             worst_proj = max(worst_proj, proj / eq.scale)
             n_checked += 1
     elapsed = time.perf_counter() - t0

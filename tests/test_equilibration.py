@@ -51,6 +51,7 @@ from oracles import (
     dense_patch_constraints,
     mass_norm,
     null_space_vectors,
+    patch_rows,
     production_minimizer,
     reference_condensed,
     reference_side_traces,
@@ -92,17 +93,16 @@ def manu_eq():
 
 def patch_field(problem, x):
     """Scatter free-column values into per-element dof arrays (ne, 2, nd)."""
-    ne = len(problem.elements)
-    nd = problem.free_col.shape[2]
-    dofs = np.zeros((ne, 2, nd))
-    dofs[problem.col_elem, problem.col_row, problem.col_dof] = x
+    dofs = np.zeros(problem.free_col.shape)
+    dofs[problem.free_col >= 0] = x
     return dofs
 
 
-def dense_row_actions(mesh, k, pp, dofs):
+def dense_row_actions(mesh, k, pp, jump_sides, dofs):
     """Re-integrate the action of every constraint row with dense rules.
 
-    ``dofs`` is the patch-local stress (ne, 2, nd).  Basis evaluation is
+    ``dofs`` is the patch-local stress (ne, 2, nd), ``jump_sides`` the
+    sides with jump rows, ascending.  Basis evaluation is
     shared with production (validated separately against finite
     differences); the quadrature, moment assembly, and bookkeeping are
     independent.
@@ -135,8 +135,8 @@ def dense_row_actions(mesh, k, pp, dofs):
     exps1, _ = _rt_span(k)
     in_patch = np.zeros(mesh.n_triangles + 1, dtype=bool)
     in_patch[elements] = True
-    jump_rows = np.zeros((len(pp.jump_sides), 2, k + 1))
-    for si, s in enumerate(pp.jump_sides):
+    jump_rows = np.zeros((len(jump_sides), 2, k + 1))
+    for si, s in enumerate(jump_sides):
         a, b = mesh.vertices[mesh.sides[s]]
         pts = a[None, :] + ts[:, None] * (b - a)[None, :]
         total = np.zeros((len(ts), 2))
@@ -177,10 +177,13 @@ def test_constraint_rows_match_dense_integration(setup, request, rng):
         x = rng.standard_normal(pp.n_free)
         y = pp.constraints @ x
         dofs = patch_field(pp, x)
-        div_rows, jump_rows, sym_contrib = dense_row_actions(mesh, k, pp, dofs)
-        sym_rows = np.zeros(len(pp.sym_nodes))
+        structure = patch_rows(disc, pp)
+        div_rows, jump_rows, sym_contrib = dense_row_actions(
+            mesh, k, pp, structure.jump_sides, dofs
+        )
+        sym_rows = np.zeros(len(structure.sym_nodes))
         ed = disc.pressure.element_dofs[pp.elements]
-        np.add.at(sym_rows, np.searchsorted(pp.sym_nodes, ed), sym_contrib)
+        np.add.at(sym_rows, np.searchsorted(structure.sym_nodes, ed), sym_contrib)
         expect = np.concatenate([div_rows, jump_rows, sym_rows])
         scale = max(1.0, float(np.max(np.abs(expect))))
         assert np.max(np.abs(y - expect)) <= 1e-12 * scale
@@ -281,10 +284,9 @@ def test_interior_patch_rank_deficiency_exactly_three(manu_eq):
 def test_null_vectors_annihilate_constraints(setup, request):
     """Rigid-motion row combinations vanish on displacement-free patches."""
     problem, disc, eq = request.getfixturevalue(setup)
-    mesh = disc.mesh
     for i in np.flatnonzero(~eq.patches.dirichlet_touching):
         pp = eq.build_patch_problem(i)
-        nv = null_space_vectors(pp, mesh)
+        nv = null_space_vectors(pp, disc)
         resid = np.abs(nv @ pp.constraints)
         scale = np.linalg.norm(nv, axis=1) * np.linalg.norm(pp.constraints)
         assert np.max(resid / scale[:, None]) <= 1e-12
@@ -294,7 +296,7 @@ def test_interior_patch_rhs_is_compatible(cook_eq):
     problem, disc, eq = cook_eq
     for i in np.flatnonzero(~eq.patches.dirichlet_touching):
         pp = eq.build_patch_problem(i)
-        _, proj = compatibility_residual(pp, disc.mesh)
+        _, proj = compatibility_residual(pp, disc)
         assert proj <= 1e-10 * eq.scale, f"patch {pp.vertex}: {proj:.3e}"
 
 
@@ -322,7 +324,7 @@ def test_minimizer_is_mass_orthogonal_to_constraint_null_space(cook_eq):
 def test_incompatible_rhs_raises(manu_eq):
     problem, disc, eq = manu_eq
     pp = eq.build_patch_problem(np.flatnonzero(~eq.patches.dirichlet_touching)[0])
-    nv = null_space_vectors(pp, disc.mesh)
+    nv = null_space_vectors(pp, disc)
     bad = nv[0] / np.linalg.norm(nv[0]) * eq.scale
     broken = dataclasses.replace(pp, rhs=pp.rhs + bad)
     with pytest.raises(IncompatiblePatch):
@@ -397,7 +399,8 @@ def test_batched_patches_match_batch_of_one(setup, request):
             assert np.max(np.abs(x - x_dense)) <= 1e-10 * np.max(np.abs(x_dense)), (
                 f"patch {pp.vertex}"
             )
-            np.add.at(dofs, (pp.elements[pp.col_elem], pp.col_row, pp.col_dof), x)
+            e, r, d = np.nonzero(pp.free_col >= 0)
+            np.add.at(dofs, (pp.elements[e], r, d), x)
     assert np.array_equal(eq.correction().dofs, dofs)
 
 
@@ -523,7 +526,8 @@ def test_batch_fallback_is_per_patch(cook_eq, monkeypatch):
     base = eq._solve_batch(batch_of(disc.mesh, *problems))
     assert not base.fallback.any()
     pp = problems[0]
-    sym = slice(pp.n_div + pp.n_jump, None)             # the symmetry rows
+    structure = patch_rows(disc, pp)
+    sym = slice(structure.n_div + structure.n_jump, None)   # the symmetry rows
     b, rhs = pp.constraints.copy(), pp.rhs.copy()
     b[sym] *= 1e-9
     rhs[sym] *= 1e-9
@@ -667,7 +671,8 @@ def wide_span_problem(eq):
     side scaled by 1e-9: its row norms span more than 8 decades."""
     pp = _loaded_patch(eq)
     b, rhs = pp.constraints.copy(), pp.rhs.copy()
-    sym = slice(pp.n_div + pp.n_jump, None)
+    structure = patch_rows(eq.disc, pp)
+    sym = slice(structure.n_div + structure.n_jump, None)
     b[sym] *= 1e-9
     rhs[sym] *= 1e-9
     return dataclasses.replace(pp, constraints=b, rhs=rhs)

@@ -251,6 +251,21 @@ def test_run_equilibrates_each_step_once(tmp_path, monkeypatch):
     assert (out / "equilibration.txt").read_bytes() == expected.read_bytes()
 
 
+def test_three_step_run_reports_the_first_error(tmp_path):
+    """Without an exact solution the run's finest step is the reference,
+    and the last two steps get no error: a 3-step Cook run fills error and
+    effectivity on row 0 only."""
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, f"problem = cook\nsteps = 3\noutput_dir = {out}\n")
+    assert main(["run", cfg_path]) == 0
+    rows = [line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    error, effectivity = float(rows[0][7]), float(rows[0][8])
+    assert error > 0.0 and effectivity > 1.0
+    assert [row[7:] for row in rows[1:]] == [["", ""], ["", ""]]
+
+
+
 def test_equilibration_diagnostics_written(smooth_cfg):
     cfg_path, out = smooth_cfg
     assert main(["run", cfg_path]) == 0

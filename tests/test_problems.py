@@ -32,6 +32,26 @@ def test_generators_admissible(cells):
         assert np.all(mesh.areas > 0)
 
 
+@pytest.mark.parametrize("cells", [4, 6, 10])
+def test_lshape_corners_end_an_inward_refinement_edge(cells):
+    """Every corner of the L, the reentrant one included, ends the
+    refinement edge (the first two vertices) of some triangle whose other
+    end is off the boundary, as the union-jack split promises.  Where
+    cells // 2 is odd (6, 10), the two arm corners next to the cut owe
+    this to the flipped diagonals of their cells.  Modified patches build
+    on each mesh."""
+    mesh = lshape_mesh(cells)
+    on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
+    on_boundary[mesh.sides[mesh.side_tri[:, 1] < 0]] = True
+    a, b = mesh.triangles[:, 0], mesh.triangles[:, 1]
+    inward = set(a[~on_boundary[b]].tolist()) | set(b[~on_boundary[a]].tolist())
+    for corner in [(-1, -1), (-1, 1), (1, 1), (1, 0), (0, 0), (0, -1)]:
+        (v,) = np.flatnonzero(np.isclose(mesh.vertices, corner).all(axis=1))
+        assert v in inward, corner
+    assert len(modified_patches(mesh)) >= 1
+
+
+
 def test_odd_cell_counts_rejected():
     for builder in (cook_mesh, unit_square_mesh, lshape_mesh):
         with pytest.raises(ProblemError):

@@ -72,7 +72,8 @@ def test_readme_python_blocks_run():
 
 
 def test_run_cook_script(tmp_path):
-    """Four steps: more than three, so the CLI attaches reference errors."""
+    """Four steps: the CLI fills the reference errors of all but the last
+    two."""
     out = tmp_path / "cook"
     proc = _run_script("run_cook.py", "--steps", "4", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
@@ -82,6 +83,23 @@ def test_run_cook_script(tmp_path):
         errors = [row["error"] for row in csv.DictReader(fh)]
     assert len(errors) == 4
     assert all(errors[:2]) and not any(errors[2:])
+
+
+def test_cli_reach_lists_what_no_run_reaches(tmp_path):
+    """On one 2-step Cook run (k = 1), ``cli_reach.py`` lists
+    ``data_oscillation``, which no CLI command calls, as never run, and
+    does not list ``equilibrate``, every statement of which each step
+    runs."""
+    config = tmp_path / "cook.cfg"
+    config.write_text("problem = cook\nk = 1\nsteps = 2\n")
+    proc = _run_script("cli_reach.py", str(SRC), str(config))
+    assert proc.returncode == 0, proc.stderr
+    listed = dict(
+        line.strip().split(": ", 1) for line in proc.stdout.splitlines() if line.startswith("  ")
+    )
+    assert listed["data_oscillation"] == "never ran"
+    assert "equilibrate" not in listed
+
 
 
 def test_run_convergence_script():
