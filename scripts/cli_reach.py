@@ -4,7 +4,7 @@
     python scripts/cli_reach.py SRC [CONFIG ...]
 
 SRC is a directory holding a ``stresseq`` package (the ``src`` directory of
-a checkout).  Without CONFIG, the configs are the nine of
+a checkout).  Without CONFIG, the configs are the ten of
 ``scripts/oracle_runs.py``: ``stresseq run`` on each, ``stresseq verify``
 on its six small ones (``cook``, ``manufactured-smooth`` and
 ``square-lshape`` at k = 1 and 2) and ``stresseq mesh-info`` on the first

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the nine refactor-oracle configs of one tree, one run directory each.
+"""Run the ten refactor-oracle configs of one tree, one run directory each.
 
     python scripts/oracle_runs.py SRC OUT
     python scripts/compare_outputs.py OUT_A OUT_B
@@ -10,6 +10,8 @@ a checkout).  The runs are:
 * ``cook``, ``manufactured-smooth`` and ``square-lshape`` at k = 1 and 2,
   each with ``steps = 6`` and ``save_mesh = true`` (run directories
   ``cook-k1`` ... ``square-lshape-k2``);
+* ``cook`` at k = 1 under uniform refinement, with ``steps = 3`` and
+  ``save_mesh = true`` (run directory ``cook-uniform``);
 * the three workloads of ``perfbench/workloads.py`` with their seed-1
   inputs (run directories named after the workloads); the mesh file of
   ``cook-large`` is written by the package under SRC.
@@ -41,7 +43,7 @@ SMALL = tuple(
 
 
 def write_configs(src: pathlib.Path, work_dir: pathlib.Path) -> dict[str, pathlib.Path]:
-    """Write the nine configs (and the cook-large mesh) under ``work_dir``:
+    """Write the ten configs (and the cook-large mesh) under ``work_dir``:
     run name -> config path.  Their ``output_dir`` is overridden at the
     run."""
     configs = {}
@@ -50,6 +52,10 @@ def write_configs(src: pathlib.Path, work_dir: pathlib.Path) -> dict[str, pathli
         path = work_dir / f"{name}.cfg"
         path.write_text(f"problem = {problem}\nk = {k}\nsteps = 6\nsave_mesh = true\n")
         configs[name] = path
+    configs["cook-uniform"] = work_dir / "cook-uniform.cfg"
+    configs["cook-uniform"].write_text(
+        "problem = cook\nk = 1\nmode = uniform\nsteps = 3\nsave_mesh = true\n"
+    )
     sys.path.insert(0, str(src))
     try:
         for name in workloads.WORKLOADS:

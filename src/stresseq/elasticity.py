@@ -314,6 +314,8 @@ def assemble_system(
     )
 
 
+_SOLVE_RTOL = 1e-10  # refined relative residual the saddle-point solve accepts
+
 # SuperLU's symmetric mode: minimum-degree ordering of A + A^T, diagonal pivots
 _SYMMETRIC_LU = dict(
     permc_spec="MMD_AT_PLUS_A",
@@ -347,10 +349,10 @@ def solve(system: LinearSystem) -> FieldPair:
     so it is first factored in SuperLU's symmetric mode: minimum-degree
     ordering of A + A^T (``MMD_AT_PLUS_A``) and diagonal pivots only.
     Diagonal pivoting is not stable in general, so when that factorization
-    fails or its refined relative residual is not finite or exceeds 1e-10,
-    the block is factored again with the COLAMD ordering and partial
-    pivoting.  Raises SingularSystem when that fallback fails the same
-    tests.
+    fails or its refined relative residual is not finite or exceeds
+    ``_SOLVE_RTOL``, the block is factored again with the COLAMD ordering
+    and partial pivoting.  Raises SingularSystem when that fallback fails
+    the same tests.
     """
     free, k_ff = system.free, system.matrix
     b = system.rhs[free]
@@ -360,14 +362,14 @@ def solve(system: LinearSystem) -> FieldPair:
             xf, rel = _refined_lu_solve(k_ff, b, **_SYMMETRIC_LU)
         except RuntimeError:
             rel = np.inf
-        if not rel <= 1e-10:  # a NaN residual fails too
+        if not rel <= _SOLVE_RTOL:  # a NaN residual fails too
             try:
                 xf, rel = _refined_lu_solve(k_ff, b)  # COLAMD, partial pivoting
             except RuntimeError as exc:
                 raise SingularSystem(f"saddle-point factorization failed: {exc}")
-            if not rel <= 1e-10:
+            if not rel <= _SOLVE_RTOL:
                 raise SingularSystem(
-                    f"saddle-point solve residual {rel:.3e} exceeds 1e-10"
+                    f"saddle-point solve residual {rel:.3e} exceeds {_SOLVE_RTOL:g}"
                 )
         x[free] = xf
 

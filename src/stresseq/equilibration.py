@@ -43,6 +43,7 @@ from .spaces import (
 )
 
 _QR_RTOL = 1e-10       # rank threshold relative to the largest row norm
+_KKT_RTOL = 1e-10      # relative KKT residual a patch solve accepts
 _RESIDUAL_RTOL = 1e-9  # constraint residual vs. problem scale
 VERIFY_RTOL = 1e-9     # verification gate: largest residual vs. problem scale
 _ROW_NORM_SPAN = 1e-8  # smallest / largest row norm the Schur path accepts
@@ -904,7 +905,7 @@ class Equilibrator:
             _segment_norm(np.where(kept_rows, resid, 0.0), starts),
         ) / denom
         residual = np.maximum.reduceat(np.abs(resid), starts)
-        ok &= (kkt_rel <= 1e-10) & (residual <= _RESIDUAL_RTOL * self.scale)
+        ok &= (kkt_rel <= _KKT_RTOL) & (residual <= _RESIDUAL_RTOL * self.scale)
         return BatchSolution(x, lam, n_elems * 2 * nmk + rank, ~ok, residual, kkt_rel)
 
     def solve_patch(self, problem: PatchProblem) -> tuple[np.ndarray, int, float]:
@@ -941,10 +942,10 @@ class Equilibrator:
             1e-300,
         )
         kkt_rel = float(np.linalg.norm(kkt @ sol - full_rhs)) / denom
-        if not np.isfinite(kkt_rel) or kkt_rel > 1e-10:
+        if not np.isfinite(kkt_rel) or kkt_rel > _KKT_RTOL:
             raise IncompatiblePatch(
                 f"patch at vertex {problem.vertex}: KKT relative residual "
-                f"{kkt_rel:.3e} exceeds 1e-10"
+                f"{kkt_rel:.3e} exceeds {_KKT_RTOL:g}"
             )
         x = sol[:n_free]
         resid = float(np.max(np.abs(B @ x - rhs))) if B.size else 0.0

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elasticity import LoadData, Material
+from .elasticity import LoadData, Material, _stress_from
 from .errors import ProblemError
 from .mesh import Mesh, _side_table, build_mesh
 
@@ -57,8 +57,11 @@ def _union_jack(cells: int, keep=None, flip=None) -> np.ndarray:
 
     Cell (i, j) spans grid points vid(i, j)..vid(i+1, j+1); the diagonal
     alternates with (i + j) parity so every outer corner of the grid is
-    connected to an interior grid point by a diagonal.  Each triangle's
-    first two vertices form its diagonal, which refinement bisects first.
+    connected to an interior grid point by a diagonal.  Each triangle is
+    listed with its diagonal first; :func:`build_mesh` then rotates it so
+    that its longest edge is the refinement edge, which is the diagonal
+    on square cells but not on skewed ones (in 4 of the 8 triangles of
+    ``cook_mesh(2)``).
     ``keep(i, j)`` can drop cells (for non-rectangular domains);
     ``flip(i, j)`` reverses the diagonal of selected cells (for corners
     that the global parity would leave without a diagonal).
@@ -87,29 +90,37 @@ def _union_jack(cells: int, keep=None, flip=None) -> np.ndarray:
     return np.array(tris, dtype=np.int64)
 
 
-def _compact(verts: np.ndarray, tris: np.ndarray):
-    """Drop vertices not referenced by any triangle."""
-    used = np.unique(tris)
-    remap = np.full(len(verts), -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return verts[used], remap[tris]
-
-
-def _boundary_split(verts: np.ndarray, tris: np.ndarray, clamped):
-    """Boundary sides, in the lexicographic order of their vertex pairs,
-    split into (clamped, traction) by a test on both endpoints; ``clamped``
-    maps (n, 2) points to n booleans."""
-    sides, side_tri, _ = _side_table(tris, len(verts))
-    boundary = sides[side_tri[:, 1] < 0]
-    on = clamped(verts[boundary[:, 0]]) & clamped(verts[boundary[:, 1]])
-    return boundary[on], boundary[~on]
-
-
 def _require_even(cells: int) -> None:
     if cells < 2 or cells % 2:
         raise ProblemError(
             f"structured grids need an even cell count >= 2, got {cells}"
         )
+
+
+def _grid_mesh(
+    cells: int, lo: float, hi: float, clamped_x: float,
+    to_xy=None, keep=None, flip=None,
+) -> Mesh:
+    """Union-jack mesh of the (cells x cells) grid on [lo, hi]^2.
+
+    ``to_xy(x, y)`` maps the grid points to the domain; ``keep`` and
+    ``flip`` pass to :func:`_union_jack`, and vertices of dropped cells are
+    removed.  A boundary side is clamped when both of its ends lie on the
+    line x = ``clamped_x``; every other boundary side is a traction side.
+    """
+    _require_even(cells)
+    t = np.linspace(lo, hi, cells + 1)
+    x, y = np.meshgrid(t, t, indexing="ij")
+    if to_xy is not None:
+        x, y = to_xy(x, y)
+    verts = np.stack([x.ravel(), y.ravel()], axis=1)
+    tris = _union_jack(cells, keep, flip)
+    used, inverse = np.unique(tris, return_inverse=True)
+    verts, tris = verts[used], inverse.reshape(tris.shape)
+    sides, side_tri, _ = _side_table(tris, len(verts))
+    boundary = sides[side_tri[:, 1] < 0]
+    on = np.all(np.abs(verts[boundary, 0] - clamped_x) < _EDGE_TOL, axis=1)
+    return build_mesh(verts, tris, boundary[on], boundary[~on])
 
 
 # -- Cook membrane ---------------------------------------------------------------
@@ -121,21 +132,14 @@ def cook_mesh(cells: int = 4) -> Mesh:
     Corners (0,0), (0.48,0.44), (0.48,0.6), (0,0.44); a ``cells`` x
     ``cells`` grid of quadrilaterals, each split into two triangles
     (4x4 -> 32 elements).  The left edge carries the displacement
-    condition; the other three edges are traction sides.
+    condition; the other three edges are traction sides.  The cells are
+    skewed, so a triangle's refinement edge (its longest) is often not
+    the cell diagonal.
     """
-    _require_even(cells)
-    n = cells + 1
-    xi, eta = np.meshgrid(
-        np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n), indexing="ij"
+    return _grid_mesh(
+        cells, 0.0, 1.0, 0.0,
+        lambda xi, eta: (0.48 * xi, 0.44 * xi + eta * (0.44 - 0.28 * xi)),
     )
-    x = 0.48 * xi
-    y = 0.44 * xi + eta * (0.44 - 0.28 * xi)
-    verts = np.stack([x.ravel(), y.ravel()], axis=1)
-    tris = _union_jack(cells)
-    dirichlet, neumann = _boundary_split(
-        verts, tris, lambda v: np.abs(v[:, 0]) < _EDGE_TOL
-    )
-    return build_mesh(verts, tris, dirichlet, neumann)
 
 
 def _cook_traction(x: np.ndarray) -> np.ndarray:
@@ -144,13 +148,12 @@ def _cook_traction(x: np.ndarray) -> np.ndarray:
     return g
 
 
-def cook(material: Material | None = None) -> Problem:
+def cook(material: Material = Material()) -> Problem:
     """Cook membrane: clamped left edge, upward shear g=(0, 0.01) on the right."""
-    mat = material if material is not None else Material(mu=1.0, inv_lambda=0.0)
     return Problem(
         name="cook",
         mesh=cook_mesh(),
-        material=mat,
+        material=material,
         load=LoadData(volume=None, traction=_cook_traction),
         exact=None,
     )
@@ -161,17 +164,7 @@ def cook(material: Material | None = None) -> Problem:
 
 def unit_square_mesh(cells: int = 2) -> Mesh:
     """Structured unit-square triangulation; left edge is the clamped side."""
-    _require_even(cells)
-    n = cells + 1
-    xv, yv = np.meshgrid(
-        np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n), indexing="ij"
-    )
-    verts = np.stack([xv.ravel(), yv.ravel()], axis=1)
-    tris = _union_jack(cells)
-    dirichlet, neumann = _boundary_split(
-        verts, tris, lambda v: np.abs(v[:, 0]) < _EDGE_TOL
-    )
-    return build_mesh(verts, tris, dirichlet, neumann)
+    return _grid_mesh(cells, 0.0, 1.0, 0.0)
 
 
 def _smooth_fields(mu: float, inv_lambda: float):
@@ -222,14 +215,6 @@ def _smooth_fields(mu: float, inv_lambda: float):
         grad_p = np.stack([c / 5.0, -np.pi * xs * s / 5.0], axis=-1)
         return -mu * (lap0 + t * lap1) - (t * mu + 1.0) * grad_p
 
-    def stress(x):
-        g = grad_u(x)
-        sig = mu * (g + np.swapaxes(g, -1, -2))
-        p = pressure(x)
-        sig[..., 0, 0] += p
-        sig[..., 1, 1] += p
-        return sig
-
     def traction(x):
         # outward normal on the unit square, decided by position; the
         # quadrature points never sit on corners.
@@ -238,23 +223,21 @@ def _smooth_fields(mu: float, inv_lambda: float):
         n[..., 1] = np.where(ys < _EDGE_TOL, -1.0, n[..., 1])
         n[..., 1] = np.where(ys > 1.0 - _EDGE_TOL, 1.0, n[..., 1])
         n[..., 0] = np.where(xs > 1.0 - _EDGE_TOL, 1.0, n[..., 0])
-        return np.einsum("...rc,...c->...r", stress(x), n)
+        sig = _stress_from(grad_u(x), pressure(x), mu)
+        return np.einsum("...rc,...c->...r", sig, n)
 
     return u, grad_u, pressure, volume, traction
 
 
-def manufactured_smooth(
-    material: Material | None = None, cells: int = 2
-) -> Problem:
+def manufactured_smooth(material: Material = Material(), cells: int = 2) -> Problem:
     """Smooth manufactured problem on the unit square, clamped at x = 0."""
-    mat = material if material is not None else Material(mu=1.0, inv_lambda=0.0)
     u, grad_u, pressure, volume, traction = _smooth_fields(
-        mat.mu, mat.inv_lambda
+        material.mu, material.inv_lambda
     )
     return Problem(
         name="manufactured-smooth",
         mesh=unit_square_mesh(cells),
-        material=mat,
+        material=material,
         load=LoadData(volume=volume, traction=traction),
         exact=ExactSolution(
             displacement=u, displacement_gradient=grad_u, pressure=pressure
@@ -278,11 +261,6 @@ def lshape_mesh(cells: int = 4) -> Mesh:
             "the L-shaped grid needs cells >= 4 so both arms have"
             f" interior vertices, got {cells}"
         )
-    n = cells + 1
-    xv, yv = np.meshgrid(
-        np.linspace(-1.0, 1.0, n), np.linspace(-1.0, 1.0, n), indexing="ij"
-    )
-    verts = np.stack([xv.ravel(), yv.ravel()], axis=1)
     half = cells // 2
     # When half is odd the global parity leaves the two convex arm corners
     # next to the reentrant cut without a diagonal into their arm; flip
@@ -291,19 +269,14 @@ def lshape_mesh(cells: int = 4) -> Mesh:
     if half % 2:
         corner_cells = {(half - 1, 0), (cells - 1, half)}
         flip = lambda i, j: (i, j) in corner_cells
-    tris = _union_jack(
-        cells, keep=lambda i, j: not (i >= half and j < half), flip=flip
+    return _grid_mesh(
+        cells, -1.0, 1.0, -1.0,
+        keep=lambda i, j: not (i >= half and j < half), flip=flip,
     )
-    verts, tris = _compact(verts, tris)
-    dirichlet, neumann = _boundary_split(
-        verts, tris, lambda v: np.abs(v[:, 0] + 1.0) < _EDGE_TOL
-    )
-    return build_mesh(verts, tris, dirichlet, neumann)
 
 
-def square_lshape(material: Material | None = None) -> Problem:
+def square_lshape(material: Material = Material()) -> Problem:
     """L-shaped domain, constant volume load (1, 0), traction-free elsewhere."""
-    mat = material if material is not None else Material(mu=1.0, inv_lambda=0.0)
 
     def volume(x):
         f = np.zeros_like(x)
@@ -313,7 +286,7 @@ def square_lshape(material: Material | None = None) -> Problem:
     return Problem(
         name="square-lshape",
         mesh=lshape_mesh(),
-        material=mat,
+        material=material,
         load=LoadData(volume=volume, traction=None),
         exact=None,
     )

@@ -1,5 +1,7 @@
 """Built-in benchmark problem tests: geometry, loads, and exact fields."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,34 @@ def test_odd_cell_counts_rejected():
             builder(0)
     # one-cell-wide arms leave traction corners with no interior neighbour
     with pytest.raises(ProblemError):
+        lshape_mesh(2)
+
+
+# sha256 over the bytes of vertices, triangles, sides and side_label; the
+# meshes are built without BLAS, so the digests hold on every machine
+MESH_DIGESTS = {
+    (cook_mesh, 4): "6767479472aef5a2bef5e9d37e8ce58a50e9360079edcf3db7ba384fc13ff6c0",
+    (cook_mesh, 8): "c8ecf72019fe9f99db065cc3a7891340403f505c45001176c6737750d1d13b06",
+    (unit_square_mesh, 2): "948250ac3b570d7d101db0d087e5a358d596699a2a52c0b67bcfed4f686832af",
+    (unit_square_mesh, 4): "41f8f421c2538fffffd686a61bf0e7c1a887338b76d35b5856eb6938ceb5401b",
+    (lshape_mesh, 4): "1e1449c7626cc2127eabd35e03194241a20d1fdfd4202904764957afc5cbeeab",
+    (lshape_mesh, 6): "39f6a1706b9fed23a34af10d34a4d6b8266e30251645fc041329b83c67791ede",
+}
+
+
+def test_builtin_meshes_keep_their_bytes():
+    """The built-in meshes, which every benchmark reference starts from,
+    keep their bytes; the grid-size errors keep their messages."""
+    for (builder, cells), digest in MESH_DIGESTS.items():
+        mesh = builder(cells)
+        h = hashlib.sha256()
+        for array in (mesh.vertices, mesh.triangles, mesh.sides, mesh.side_label):
+            h.update(array.tobytes())
+        assert h.hexdigest() == digest, (builder.__name__, cells)
+    for cells in (3, 0):
+        with pytest.raises(ProblemError, match="even cell count >= 2"):
+            lshape_mesh(cells)
+    with pytest.raises(ProblemError, match="needs cells >= 4"):
         lshape_mesh(2)
 
 

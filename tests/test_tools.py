@@ -211,19 +211,22 @@ def _load_script(name):
 
 def test_oracle_runs_writes_the_nine_configs(tmp_path):
     """``oracle_runs.py`` runs the three small problems at k = 1, 2 for six
-    steps with the final mesh saved, and the three workloads with their
-    seed-1 inputs."""
+    steps with the final mesh saved, cook at k = 1 for three uniform steps
+    with the final mesh saved, and the three workloads with their seed-1
+    inputs."""
     from stresseq.harness import load_config
 
     oracle = _load_script("oracle_runs")
     configs = oracle.write_configs(SRC, tmp_path)
     workloads = oracle.workloads.WORKLOADS
     small = [f"{p}-k{k}" for p in ("cook", "manufactured-smooth", "square-lshape") for k in (1, 2)]
-    assert list(configs) == small + list(workloads)
+    assert list(configs) == small + ["cook-uniform"] + list(workloads)
     for name in small:
         cfg = load_config(configs[name])
         assert (cfg.problem, cfg.steps, cfg.save_mesh) == (name[:-3], 6, True)
         assert cfg.k == int(name[-1])
+    cfg = load_config(configs["cook-uniform"])
+    assert (cfg.problem, cfg.k, cfg.mode, cfg.steps, cfg.save_mesh) == ("cook", 1, "uniform", 3, True)
     for name, settings in workloads.items():
         cfg = load_config(configs[name])
         assert (cfg.problem, cfg.k, cfg.steps) == (
